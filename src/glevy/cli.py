@@ -4,6 +4,8 @@ Jobs are described by a flat key-value config file: one ``key = value`` per
 line, ``#`` starts a comment, unknown or duplicate keys are fatal.  Flags:
 ``--config <path>`` (required), ``--seed <u64>``, ``--threads <n>``,
 ``--out <path>`` (the last three override the config keys of the same name).
+``threads``/``--threads`` are accepted for compatibility and ignored: every
+job runs on one thread.  Values below 1 are still rejected.
 
 Keys by command
 ---------------
@@ -37,7 +39,8 @@ significant digits, and a given config reproduces its output bitwise.
 
 For ``solve`` and ``generator`` the grid box must pad the evaluation points
 by at least one jump range plus drift and four diffusion deviations over the
-horizon (see :func:`glevy.core.min_padding`).
+horizon (see :func:`glevy.core.min_padding`); a pinned ``expect`` box must
+pad the origin the same way over each increment's horizon (UNPADDED_GRID).
 """
 
 from __future__ import annotations
@@ -119,7 +122,6 @@ class JobConfig:
     engine_node_budget: int = 400_000
     engine_tail: float = 1e-10
     seed: int = 2026
-    threads: int = 1
     out: str | None = None
 
 
@@ -374,9 +376,8 @@ def parse_config(text: str) -> JobConfig:
 
     job = JobConfig(command=command)
     job.out = kv.get("out")
-    job.threads = _int(kv, "threads", 1)
     job.seed = _int(kv, "seed", 2026)
-    if job.threads < 1:
+    if _int(kv, "threads", 1) < 1:  # accepted for compatibility, otherwise ignored
         raise _bad("threads", "must be >= 1")
     if job.seed < 0:
         raise _bad("seed", "must be a nonnegative integer")
@@ -481,9 +482,7 @@ def _enforce_padding(job: JobConfig, horizon: float) -> None:
 
 def _run_solve(job: JobConfig) -> str:
     _enforce_padding(job, job.scheme.final_time)
-    result = solve(
-        job.payoff, job.uset, job.grid, job.scheme, job.output_times, threads=job.threads
-    )
+    result = solve(job.payoff, job.uset, job.grid, job.scheme, job.output_times)
     nodes = job.grid.nodes()
     header = "t," + ",".join(f"x{i + 1}" for i in range(job.grid.dim)) + ",u"
     lines = [header]
@@ -512,9 +511,7 @@ def run(job: JobConfig) -> tuple[int, str]:
     if job.command == "generator":
         if job.delta is not None:
             _enforce_padding(job, job.delta)
-            value = small_time_quotient(
-                job.payoff, job.uset, job.delta, job.grid, job.scheme, threads=job.threads
-            )
+            value = small_time_quotient(job.payoff, job.uset, job.delta, job.grid, job.scheme)
         else:
             value = g_operator(job.test_function, job.uset)
         return 0, _run_value(value)
@@ -542,7 +539,6 @@ def run(job: JobConfig) -> tuple[int, str]:
             dx=job.engine_dx,
             node_budget=job.engine_node_budget,
             tail=job.engine_tail,
-            threads=job.threads,
             var_grids=var_grids,
         )
         return 0, _run_value(value)
@@ -563,7 +559,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to a job config file")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="accepted for compatibility; ignored"
+    )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     args = parser.parse_args(argv)
 
@@ -580,10 +578,8 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("VALIDATION_ERROR", "seed: must be a nonnegative integer")
             job.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("VALIDATION_ERROR", "threads: must be >= 1")
-            job.threads = args.threads
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("VALIDATION_ERROR", "threads: must be >= 1")
         if args.out is not None:
             job.out = args.out
         status, artifact = run(job)

@@ -19,7 +19,6 @@ all values unchanged.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -32,6 +31,7 @@ from .core import (
     SchemeConfig,
     UncertaintySet,
     interpolate,
+    min_padding,
 )
 from .errors import EngineError, ValidationError
 from .solver import evaluate, solve
@@ -155,7 +155,6 @@ def _integrate_levels(
     dx: float,
     node_budget: int,
     tail: float,
-    threads: int,
     var_grids: Sequence[GridSpec] | None,
 ):
     """Integrate out variables m, m-1, ..., stop_at+1; return the intermediate.
@@ -174,9 +173,16 @@ def _integrate_levels(
         var_grids = list(var_grids)
         if len(var_grids) != m:
             raise ValidationError("BAD_SHAPE", f"need {m} variable grids, got {len(var_grids)}")
-        for g in var_grids:
+        for k, g in enumerate(var_grids):
             if g.dim != d:
                 raise ValidationError("BAD_SHAPE", "variable grid dimension mismatch")
+            pad = min_padding(uset, horizons[k])
+            if np.any(g.lower > -pad + 1e-12) or np.any(g.upper < pad - 1e-12):
+                raise EngineError(
+                    "UNPADDED_GRID",
+                    f"grid of increment {k + 1} must pad the origin by >= {pad:.6g}"
+                    f" over horizon {horizons[k]:.6g}",
+                )
 
     current = xi.payoff
     for level in range(m, stop_at, -1):
@@ -187,7 +193,7 @@ def _integrate_levels(
 
         if level == 1:
             phi = _level_payoff(current, np.empty(0), xi)
-            res = solve(phi, uset, ygrid, run_cfg, output_times=[horizon], threads=threads)
+            res = solve(phi, uset, ygrid, run_cfg, output_times=[horizon])
             return evaluate(res, horizon, origin)
 
         fspec = _frozen_spec(var_grids, level - 1)
@@ -204,11 +210,7 @@ def _integrate_levels(
             res = solve(phi, uset, ygrid, run_cfg, output_times=[horizon])
             return evaluate(res, horizon, origin)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = np.fromiter(pool.map(one, range(n_frozen)), dtype=float, count=n_frozen)
-        else:
-            vals = np.fromiter((one(i) for i in range(n_frozen)), dtype=float, count=n_frozen)
+        vals = np.fromiter((one(i) for i in range(n_frozen)), dtype=float, count=n_frozen)
         current = GridFunction(fspec, vals.reshape(fspec.shape))
     return current
 
@@ -221,19 +223,18 @@ def expectation(
     dx: float = 0.05,
     node_budget: int = 400_000,
     tail: float = 1e-10,
-    threads: int = 1,
     var_grids: Sequence[GridSpec] | None = None,
 ) -> float:
     """Worst-case expectation of the cylinder functional.
 
     Per-variable grids default to centered boxes of radius
     :func:`increment_radius` at spacing ``dx``; pass ``var_grids`` to pin
-    them (each must contain the origin).  DIMENSION_OVERFLOW is raised when
-    a frozen tensor grid would exceed ``node_budget`` nodes.
+    them.  A pinned grid must pad the origin by :func:`glevy.core.min_padding`
+    over its increment's horizon on every axis, else UNPADDED_GRID is raised.
+    DIMENSION_OVERFLOW is raised when a frozen tensor grid would exceed
+    ``node_budget`` nodes.
     """
-    return float(
-        _integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, threads, var_grids)
-    )
+    return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 
 
 def conditional_expectation(
@@ -245,17 +246,16 @@ def conditional_expectation(
     dx: float = 0.05,
     node_budget: int = 400_000,
     tail: float = 1e-10,
-    threads: int = 1,
     var_grids: Sequence[GridSpec] | None = None,
 ) -> GridFunction:
     """The intermediate of the backward recursion, as a function of D_1..D_j.
 
     Returned on the tensor grid of the first j increment variables (axes in
     increment order, ``j * dim`` of them); evaluate with
-    :func:`glevy.core.interpolate`.
+    :func:`glevy.core.interpolate`.  Grids, UNPADDED_GRID and
+    DIMENSION_OVERFLOW are as in :func:`expectation`.
     """
     j = int(j)
     if not (1 <= j < xi.m):
         raise ValidationError("BAD_SHAPE", f"conditioning index {j} not in [1, {xi.m - 1}]")
-    out = _integrate_levels(xi, uset, cfg, j, dx, node_budget, tail, threads, var_grids)
-    return out
+    return _integrate_levels(xi, uset, cfg, j, dx, node_budget, tail, var_grids)

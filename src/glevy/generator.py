@@ -84,7 +84,6 @@ def small_time_quotient(
     delta: float,
     grid: GridSpec,
     cfg: SchemeConfig,
-    threads: int = 1,
 ) -> float:
     """u(delta, 0) / delta for the worst-case equation started from ``phi``.
 
@@ -96,6 +95,6 @@ def small_time_quotient(
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("BAD_SHAPE", f"delta {delta!r} must be positive")
     run_cfg = replace(cfg, final_time=delta)
-    result = solve(phi, uset, grid, run_cfg, output_times=[delta], threads=threads)
+    result = solve(phi, uset, grid, run_cfg, output_times=[delta])
     origin = np.zeros(grid.dim)
     return evaluate(result, delta, origin) / delta

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, Scenario, UncertaintySet, sample_payoff
 from .errors import ValidationError
-from .solver import _atom_stencil, _translate
+from .solver import apply_stencil, build_stencil
 
 MAX_SERIES_LEVELS = 1_000_000
 MAX_POISSON_TERMS = 10_000_000
@@ -152,8 +152,9 @@ def series_solution(
 
     and the result is sum_{i<=N} (t^i / i!) phi_i with N fixed from the tail
     bound sum_{i>N} (2*Lambda*t)^i/i! * bound(phi0) < tol, Lambda the largest
-    total mass.  Off-lattice jumps are sampled with the same clamped
-    multilinear rule as the solver, so boundary effects stay local.
+    total mass.  Each level is one application of the solver's jump stencil
+    (:func:`glevy.solver.apply_stencil`), so off-lattice jumps use the same
+    clamped multilinear rule and boundary effects stay local.
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
@@ -163,28 +164,22 @@ def series_solution(
         raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
 
     d = grid.dim
-    measures = []
-    for atoms in jump_measures:
-        scen = Scenario(atoms=tuple(atoms), drift=np.zeros(d), diffusion=np.zeros((d, d)))
-        stencils = [(w, _atom_stencil(z, grid.spacing)) for z, w in scen.atoms]
-        measures.append((scen.total_rate, stencils))
-    if not measures:
+    scenarios = [
+        Scenario(atoms=tuple(atoms), drift=np.zeros(d), diffusion=np.zeros((d, d)))
+        for atoms in jump_measures
+    ]
+    if not scenarios:
         raise ValidationError("EMPTY_SET", "no jump measures given")
 
-    big_lambda = max(rate for rate, _ in measures)
+    big_lambda = max(s.total_rate for s in scenarios)
     levels = _series_levels(2.0 * big_lambda * t, phi0.bound, tol)
 
+    stencil = build_stencil(scenarios, grid)
     cur = sample_payoff(phi0, grid)
     total = cur.copy()
     coef = 1.0
     for i in range(1, levels + 1):
-        best = None
-        for rate, stencils in measures:
-            val = -rate * cur
-            for w, stencil in stencils:
-                val += w * _translate(cur, stencil)
-            best = val if best is None else np.maximum(best, val)
-        cur = best
+        cur = apply_stencil(stencil, cur)
         coef *= t / i
         total += coef * cur
     return GridFunction(grid, total, t)

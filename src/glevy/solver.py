@@ -5,18 +5,29 @@
                                     + 1/2 tr(Q Q^T D^2 u(t, x)) ],
     u(0, .) = phi,
 
-marched by forward Euler: u^{n+1} = u^n + dt * max_s apply_generator(u^n, s).
-All spatial pieces are positive-coefficient stencils, so each step is a
-monotone map of the node values once dt satisfies the step bound:
+marched by forward Euler: u^{n+1} = u^n + dt * max_s G_s u^n.  Each
+scenario's discrete generator is a list of (c, o) terms, built once per solve,
 
-- jump terms interpolate u at x + z_k with clamped multilinear weights
-  (a convex combination of node values),
-- drift uses one-sided differences against the sign of each q_i,
-- diagonal diffusion uses central second differences,
-- cross terms use the seven-point stencil per axis pair that puts mass on
-  the diagonal (a_ij > 0) or antidiagonal (a_ij < 0) corner neighbors;
-  this requires a_ii / dx_i >= sum_{j != i} |a_ij| / dx_j for every axis i,
-  else the scheme cannot be monotone and the solve is rejected.
+    G_s u(x) = sum over terms of c * (u(x + o * h) - u(x)),
+
+with o an integer offset per axis and h the grid spacing:
+
+- each jump atom gives its clamped multilinear corners, weight w_k times the
+  corner weight (a convex combination, snapped like point interpolation so
+  lattice-aligned jumps stay exact),
+- drift q_i gives one upwind term |q_i| / h_i at the offset +-1 on axis i
+  that has the sign of q_i,
+- diagonal diffusion gives a_ii / (2 h_i^2) at both neighbors on axis i,
+- each cross pair i < j gives c = |a_ij| / (2 h_i h_j) at the two corners on
+  the diagonal (a_ij > 0) or antidiagonal (a_ij < 0) and -c at the four axis
+  neighbors of i and j.
+
+Only the cross terms are negative.  Merged per axis neighbor, the
+coefficient a_ii / (2 h_i^2) - sum_{j != i} |a_ij| / (2 h_i h_j) is
+nonnegative exactly when a_ii / h_i >= sum_{j != i} |a_ij| / h_j, which is
+the test :func:`_check_monotone` applies before a solve; then every step is
+a monotone map of the node values once dt satisfies the step bound.  A
+constant has zero differences, so it is preserved exactly.
 
 Values beyond the box are clamp-extended (nearest boundary node), so the
 scheme degrades to lower order near edges; callers pad the box beyond the
@@ -26,8 +37,7 @@ region of interest (see :func:`glevy.core.min_padding`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,17 +64,6 @@ class SolveResult:
     snapshots: tuple[GridFunction, ...]
     dt_used: float
     steps: int
-
-
-def _shift(values: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """Translate node values by ``offset`` cells along ``axis``, clamp at edges."""
-    n = values.shape[axis]
-    idx = np.clip(np.arange(n) + offset, 0, n - 1)
-    return np.take(values, idx, axis=axis)
-
-
-def _shift2(values, i, si, j, sj):
-    return _shift(_shift(values, i, si), j, sj)
 
 
 def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
@@ -95,14 +94,75 @@ def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple
     return [(w, off) for w, off in terms if w != 0.0]
 
 
-def _translate(values: np.ndarray, stencil) -> np.ndarray:
-    out = np.zeros_like(values)
-    for w, offsets in stencil:
-        shifted = values
-        for axis, off in enumerate(offsets):
-            if off != 0:
-                shifted = _shift(shifted, axis, off)
-        out += w * shifted
+def _unit(d: int, axis: int, step: int) -> tuple[int, ...]:
+    return tuple(step if k == axis else 0 for k in range(d))
+
+
+def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+    """The scenario's (c, o) terms in formula order: jumps, drift, diffusion, cross.
+
+    Terms that share an offset are kept apart, so the sum runs in the same
+    order as the formula in the module docstring.  An inert scenario gets one
+    zero term, so every scenario has a first term.
+    """
+    h = spacing
+    d = len(h)
+    terms = [(w * c, off) for z, w in s.atoms for c, off in _atom_stencil(z, h)]
+    for i, qi in enumerate(s.drift):
+        if qi != 0.0:
+            terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
+    a = s.diffusion_matrix
+    for i in range(d):
+        if a[i, i] != 0.0:
+            c = 0.5 * a[i, i] / h[i] ** 2
+            terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if a[i, j] == 0.0:
+                continue
+            c = abs(a[i, j]) / (2.0 * h[i] * h[j])
+            corner = [0] * d
+            corner[i], corner[j] = 1, 1 if a[i, j] > 0.0 else -1
+            terms += [(c, tuple(corner)), (c, tuple(-o for o in corner))]
+            terms += [(-c, _unit(d, k, step)) for k in (i, j) for step in (+1, -1)]
+    return terms or [(0.0, (0,) * d)]
+
+
+def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec):
+    """Compile each scenario's terms against ``spec`` for :func:`apply_stencil`.
+
+    Returns (index, windows): ``index`` is an open mesh of clamped node
+    indices that edge-pads node values by the widest offset per axis, and
+    ``windows`` holds per scenario the (c, slices) pairs whose slice of the
+    padded array is u(x + o * h).
+    """
+    shape = spec.shape
+    terms = [_scenario_terms(s, spec.spacing) for s in scenarios]
+    reach = [max((abs(off[k]) for t in terms for _, off in t), default=0) for k in range(spec.dim)]
+    index = np.ix_(*(np.clip(np.arange(-r, n + r), 0, n - 1) for r, n in zip(reach, shape)))
+    windows = [
+        [(c, tuple(slice(r + o, r + o + n) for r, o, n in zip(reach, off, shape))) for c, off in t]
+        for t in terms
+    ]
+    return index, windows
+
+
+def apply_stencil(stencil, values: np.ndarray) -> np.ndarray:
+    """max over scenarios of sum c * (u(x + o * h) - u(x)), clamped at the edges.
+
+    The array is padded once for all scenarios; terms are summed in order and
+    scenarios reduced with ``np.maximum`` in order, so results are bitwise
+    reproducible.
+    """
+    index, windows = stencil
+    padded = values[index]
+    out = None
+    for terms in windows:
+        (c, window), *rest = terms
+        acc = c * (padded[window] - values)
+        for c, window in rest:
+            acc += c * (padded[window] - values)
+        out = acc if out is None else np.maximum(out, acc)
     return out
 
 
@@ -112,44 +172,9 @@ def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     Returns an array shaped like ``g.values``; boundary nodes see clamped
     (zero-difference) one-sided terms.
     """
-    spec = g.spec
-    if s.dim != spec.dim:
-        raise ValidationError("BAD_SHAPE", f"scenario dim {s.dim} != grid dim {spec.dim}")
-    v = g.values
-    h = spec.spacing
-    out = np.zeros_like(v)
-
-    for z, w in s.atoms:
-        out += w * (_translate(v, _atom_stencil(z, h)) - v)
-
-    for i, qi in enumerate(s.drift):
-        if qi > 0.0:
-            out += qi * (_shift(v, i, +1) - v) / h[i]
-        elif qi < 0.0:
-            out += qi * (v - _shift(v, i, -1)) / h[i]
-
-    a = s.diffusion_matrix
-    for i in range(spec.dim):
-        if a[i, i] != 0.0:
-            out += 0.5 * a[i, i] * (_shift(v, i, +1) + _shift(v, i, -1) - 2.0 * v) / h[i] ** 2
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            if a[i, j] == 0.0:
-                continue
-            c = abs(a[i, j]) / (2.0 * h[i] * h[j])
-            if a[i, j] > 0.0:
-                corners = _shift2(v, i, +1, j, +1) + _shift2(v, i, -1, j, -1)
-            else:
-                corners = _shift2(v, i, +1, j, -1) + _shift2(v, i, -1, j, +1)
-            out += c * (
-                2.0 * v
-                + corners
-                - _shift(v, i, +1)
-                - _shift(v, i, -1)
-                - _shift(v, j, +1)
-                - _shift(v, j, -1)
-            )
-    return out
+    if s.dim != g.spec.dim:
+        raise ValidationError("BAD_SHAPE", f"scenario dim {s.dim} != grid dim {g.spec.dim}")
+    return apply_stencil(build_stencil((s,), g.spec), g.values)
 
 
 def _check_resolvable(uset: UncertaintySet, spec: GridSpec) -> None:
@@ -204,24 +229,12 @@ def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> 
     return dt
 
 
-def _sup_generator(g: GridFunction, uset: UncertaintySet, pool) -> np.ndarray:
-    if pool is not None:
-        parts = list(pool.map(lambda s: apply_generator(g, s), uset.scenarios))
-    else:
-        parts = [apply_generator(g, s) for s in uset.scenarios]
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.maximum(out, p)
-    return out
-
-
 def solve(
     phi: Payoff,
     uset: UncertaintySet,
     grid: GridSpec,
     cfg: SchemeConfig,
     output_times: Sequence[float] | None = None,
-    threads: int = 1,
 ) -> SolveResult:
     """March the worst-case equation from ``phi`` and snapshot requested times.
 
@@ -229,11 +242,8 @@ def solve(
     ----------
     output_times : sequence of floats in [0, cfg.final_time]
         Snapshot times; defaults to [cfg.final_time].  Steps are shortened so
-        every requested time is hit exactly.
-    threads : int
-        Scenario generators within a step are evaluated on a thread pool when
-        > 1; the reduction order is fixed, so results are identical for any
-        value.
+        every requested time is hit exactly.  Each snapshot is checked for
+        non-finite values (NON_FINITE).
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
@@ -249,27 +259,21 @@ def solve(
     _check_monotone(uset, grid)
     dt_max = max_stable_step(uset, grid, cfg)
 
+    stencil = build_stencil(uset.scenarios, grid)
     values = sample_payoff(phi, grid)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     snapshots = []
     steps = 0
     t = 0.0
-    try:
-        for target in times:
-            span = float(target) - t
-            if span > EPSILON:
-                n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
-                dt = span / n
-                g = GridFunction(grid, values, t)
-                for _ in range(n):
-                    values = values + dt * _sup_generator(g, uset, pool)
-                    g = GridFunction(grid, values, 0.0)
-                steps += n
-                t = float(target)
-            snapshots.append(GridFunction(grid, values, float(target)))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for target in times:
+        span = float(target) - t
+        if span > EPSILON:
+            n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
+            dt = span / n
+            for _ in range(n):
+                values = values + dt * apply_stencil(stencil, values)
+            steps += n
+            t = float(target)
+        snapshots.append(GridFunction(grid, values, float(target)))
     return SolveResult(snapshots=tuple(snapshots), dt_used=dt_max, steps=steps)
 
 

@@ -204,3 +204,33 @@ def test_solve_rejects_unpadded_box(capsys, tmp_path):
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "error[VALIDATION_ERROR]" in err and "pad" in err
+
+
+@pytest.mark.parametrize(
+    "lower, upper, code",
+    [("1", "10", "VALIDATION_ERROR"), ("-0.5", "0.5", "UNPADDED_GRID")],
+    ids=["off-origin", "tight"],
+)
+def test_expect_rejects_unpadded_box(capsys, tmp_path, lower, upper, code):
+    cfg = tmp_path / "expect.cfg"
+    cfg.write_text(
+        "command = expect\ndim = 1\nscenario.0.atoms = 1:1\ntimes = 1\n"
+        f"grid.lower = {lower}\ngrid.upper = {upper}\ngrid.spacing = 0.1\n"
+        "payoff = clip-linear\npayoff.clip = 40\n",
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg)]) == 1
+    assert f"error[{code}]" in capsys.readouterr().err
+
+
+def test_threads_are_accepted_and_ignored(capsys, tmp_path):
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(SOLVE_CFG, encoding="utf-8")
+    threaded = tmp_path / "threaded.cfg"
+    threaded.write_text(SOLVE_CFG + "threads = 4\n", encoding="utf-8")
+    assert main(["--config", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["--config", str(threaded)]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["--config", str(plain), "--threads", "3"]) == 0
+    assert capsys.readouterr().out == want

@@ -6,6 +6,8 @@ from scipy import stats
 
 from glevy import (
     CylinderFunctional,
+    GPoissonSpec,
+    GridSpec,
     Payoff,
     SchemeConfig,
     conditional_expectation,
@@ -193,9 +195,35 @@ def test_increment_radius_grows_with_horizon():
     assert 0.0 < r1 <= r2
 
 
-def test_threaded_engine_matches_sequential():
-    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
-    cfg = SchemeConfig(cfl_safety=0.25)
-    seq = expectation(xi, CLASSICAL, cfg, dx=0.1, tail=1e-8)
-    par = expectation(xi, CLASSICAL, cfg, dx=0.1, tail=1e-8, threads=4)
-    assert seq == par
+def clip40(a):
+    return np.clip(np.sum(np.asarray(a, dtype=float), axis=-1), -40.0, 40.0)
+
+
+# E[N_1] = 1 under the unit-rate band; both boxes used to give plausible
+# wrong values (2.0 and 0.375) from the clamped extension.
+UNPADDED = [GridSpec([1.0], [10.0], [91]), GridSpec([-0.5], [0.5], [11])]
+
+
+@pytest.mark.parametrize("grid", UNPADDED, ids=["off-origin", "tight"])
+def test_pinned_grid_must_pad_the_origin(grid):
+    uset = GPoissonSpec(1.0).uncertainty_set()
+    cfg = SchemeConfig(cfl_safety=0.5)
+    xi = CylinderFunctional(times=(1.0,), payoff=clip40, bound=40.0, lipschitz=1.0)
+    with pytest.raises(EngineError) as e:
+        expectation(xi, uset, cfg, var_grids=[grid])
+    assert e.value.code == "UNPADDED_GRID"
+    two = CylinderFunctional(times=(0.5, 1.0), payoff=clip40, bound=40.0, lipschitz=2.0)
+    padded = GridSpec([-1.0], [21.0], [221])
+    for grids in ([padded, grid], [grid, padded]):
+        with pytest.raises(EngineError) as e:
+            conditional_expectation(two, 1, uset, cfg, var_grids=grids)
+        assert e.value.code == "UNPADDED_GRID"
+
+
+def test_pinned_grid_at_the_padding_is_accepted():
+    # min_padding is one jump range here, so [-1, 41] is just wide enough
+    uset = GPoissonSpec(1.0).uncertainty_set()
+    xi = CylinderFunctional(times=(1.0,), payoff=clip40, bound=40.0, lipschitz=1.0)
+    grid = GridSpec([-1.0], [41.0], [421])
+    got = expectation(xi, uset, SchemeConfig(cfl_safety=0.5), var_grids=[grid])
+    assert abs(got - 1.0) <= 1e-12

@@ -51,6 +51,16 @@ def test_generator_of_constant_is_zero():
     g = GridFunction(BENCH_GRID, np.full(BENCH_GRID.shape, 0.7))
     for s in BENCH.scenarios:
         assert np.array_equal(apply_generator(g, s), np.zeros(BENCH_GRID.shape))
+    # off-lattice 2-D atoms, drift of both signs and cross diffusion: every
+    # term is a difference of equal values, so the zero is exact
+    grid = GridSpec(lower=[-2.0, -2.0], upper=[2.0, 2.0], points=[41, 41])
+    s = Scenario(
+        atoms=(((0.33, -0.71), 0.9), ((1.07, 0.2), 0.4)),
+        drift=[0.3, -0.2],
+        diffusion=[[0.5, 0.0], [0.2, 0.4]],
+    )
+    g = GridFunction(grid, np.full(grid.shape, 123.456))
+    assert np.array_equal(apply_generator(g, s), np.zeros(grid.shape))
 
 
 def test_generator_upwind_drift_on_linear_data():
@@ -75,12 +85,27 @@ def test_generator_cross_terms_on_bilinear_data():
     grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points=[21, 21])
     ax = grid.axes()
     g = GridFunction(grid, np.outer(ax[0], ax[1]))
-    q = np.array([[1.0, 0.0], [0.6, 0.8]])
-    s = Scenario(drift=[0.0, 0.0], diffusion=q)
-    out = apply_generator(g, s)
-    # mixed derivative of x*y is 1, so the value is the off-diagonal entry
-    a01 = (q @ q.T)[0, 1]
-    assert np.max(np.abs(out[1:-1, 1:-1] - a01)) < 1e-10
+    # mixed derivative of x*y is 1, so the value is the off-diagonal entry;
+    # a negative correlation takes the antidiagonal corners
+    for q in ([[1.0, 0.0], [0.6, 0.8]], [[1.0, 0.0], [-0.6, 0.8]]):
+        q = np.array(q)
+        out = apply_generator(g, Scenario(drift=[0.0, 0.0], diffusion=q))
+        a01 = (q @ q.T)[0, 1]
+        assert np.max(np.abs(out[1:-1, 1:-1] - a01)) < 1e-10
+
+
+def test_generator_cross_terms_in_three_dimensions():
+    grid = GridSpec(lower=[-1.0] * 3, upper=[1.0] * 3, points=[11, 11, 11])
+    x, y, z = np.meshgrid(*grid.axes(), indexing="ij")
+    g = GridFunction(grid, x * y + y * z + x * z)
+    # a = q q^T has mixed-sign off-diagonals a_01 = 0.3, a_02 = -0.2, a_12 = 0.165
+    q = np.array([[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [-0.2, 0.25, 0.9]])
+    a = q @ q.T
+    assert a[0, 1] > 0.0 and a[0, 2] < 0.0 and a[1, 2] > 0.0
+    out = apply_generator(g, Scenario(drift=[0.0] * 3, diffusion=q))
+    # the Hessian of xy + yz + xz is 1 off the diagonal and 0 on it
+    want = a[0, 1] + a[0, 2] + a[1, 2]
+    assert np.max(np.abs(out[1:-1, 1:-1, 1:-1] - want)) < 1e-10
 
 
 def test_atom_smaller_than_half_cell_rejected():
@@ -247,9 +272,3 @@ def test_refinement_trend():
         vals.append(evaluate(res, 1.0, [0.0]))
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     assert diffs[1] < diffs[0]
-
-
-def test_threaded_solve_is_identical():
-    seq = bench_solve(wave()).snapshots[-1].values
-    par = solve(wave(), BENCH, BENCH_GRID, BENCH_CFG, [0.5], threads=4).snapshots[-1].values
-    assert np.array_equal(seq, par)
