@@ -50,6 +50,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,28 +71,97 @@ from .generator import TestFunction, g_operator, small_time_quotient
 from .gpoisson import gpoisson_closed_form
 from .solver import solve
 
+
+def _x1(x):
+    return np.asarray(x, dtype=float)[..., 0]
+
+
+def _parse_table(kv):
+    text = kv.get("payoff.table")
+    if text is None:
+        raise _bad("payoff.table", "required for payoff = table")
+    xs, ys = [], []
+    for part in filter(None, (part.strip() for part in text.split(";"))):
+        pieces = part.split(":")
+        if len(pieces) != 2:
+            raise _bad("payoff.table", f"entry {part!r} is not 'x:y'")
+        try:
+            xs.append(float(pieces[0]))
+            ys.append(float(pieces[1]))
+        except ValueError:
+            raise _bad("payoff.table", f"entry {part!r} has a non-number")
+    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise _bad("payoff.table", "need >= 2 entries with strictly increasing x")
+    return np.array(xs), np.array(ys)
+
+
+class _PayoffKind(NamedTuple):
+    """A payoff kind: ``params`` maps each ``payoff.<key>`` to its default (or
+    to a parser of the config); the rest are functions of the parsed values p.
+    ``grad0``/``hess0`` are f's derivatives at 0 in dimension d (None: no
+    generator form), which also ``needs`` each (key, test, reason) to pass.
+    """
+
+    params: dict
+    eval: Callable
+    bound: Callable
+    lipschitz: Callable
+    grad0: Callable | None = lambda p, d: np.zeros(d)
+    hess0: Callable = lambda p, d: np.zeros((d, d))
+    needs: tuple = ()
+
+
+_PAYOFF_KINDS = {
+    "clip-linear": _PayoffKind(
+        params={"scale": 1.0, "clip": 1e6},
+        eval=lambda p: lambda x: np.clip(p["scale"] * _x1(x), -p["clip"], p["clip"]),
+        bound=lambda p: p["clip"],
+        lipschitz=lambda p: abs(p["scale"]),
+        grad0=lambda p, d: np.r_[p["scale"], np.zeros(d - 1)],
+    ),
+    "indicator-ramp": _PayoffKind(
+        params={"center": 0.0, "width": 1.0},
+        eval=lambda p: lambda x: np.clip((_x1(x) - p["center"]) / p["width"], 0.0, 1.0),
+        bound=lambda p: 1.0,
+        lipschitz=lambda p: 1.0 / p["width"],
+        needs=(("center", lambda c: c > 0.0, "generator needs the ramp strictly right of 0"),),
+    ),
+    "quadratic-clip": _PayoffKind(
+        params={"scale": 1.0, "clip": 1e6},
+        eval=lambda p: lambda x: np.clip(
+            p["scale"] * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -p["clip"], p["clip"]
+        ),
+        bound=lambda p: p["clip"],
+        lipschitz=lambda p: 2.0 * math.sqrt(abs(p["scale"]) * p["clip"]) if p["scale"] else 0.0,
+        hess0=lambda p, d: 2.0 * p["scale"] * np.eye(d),
+    ),
+    "constant": _PayoffKind(
+        params={"value": 0.0},
+        eval=lambda p: lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], p["value"]),
+        bound=lambda p: abs(p["value"]),
+        lipschitz=lambda p: 0.0,
+        needs=(("value", lambda v: v == 0.0, "generator needs f(0) = 0"),),
+    ),
+    "table": _PayoffKind(
+        params={"table": _parse_table},
+        eval=lambda p: lambda x: np.interp(_x1(x), *p["table"]),
+        bound=lambda p: float(np.max(np.abs(p["table"][1]))),
+        lipschitz=lambda p: float(np.max(np.abs(np.diff(p["table"][1]) / np.diff(p["table"][0])))),
+        grad0=None,
+    ),
+}
+
 _SCENARIO_KEY = re.compile(r"^scenario\.(\d+)\.(atoms|drift|diffusion)$")
 
 _COMMON = {"command", "out", "threads", "seed"}
 _SCHEME = {"scheme.cfl_safety", "scheme.final_time", "scheme.tolerance", "scheme.boundary_mode"}
 _GRID = {"grid.lower", "grid.upper", "grid.spacing", "grid.points"}
-_PAYOFF = {
-    "payoff",
-    "payoff.scale",
-    "payoff.clip",
-    "payoff.center",
-    "payoff.width",
-    "payoff.value",
-    "payoff.table",
-}
+_PAYOFF = {"payoff"} | {f"payoff.{key}" for kind in _PAYOFF_KINDS.values() for key in kind.params}
 _ALLOWED = {
     "solve": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "output_times", "eval.x"},
     "gpoisson": _COMMON | _PAYOFF | {"lambda", "t", "direction", "x", "scheme.tolerance"},
     "generator": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "delta", "eval.x"},
-    "expect": _COMMON
-    | _SCHEME
-    | _GRID
-    | _PAYOFF
+    "expect": _COMMON | _SCHEME | _GRID | _PAYOFF
     | {"dim", "times", "engine.dx", "engine.node_budget", "engine.tail"},
     "check": _COMMON,
 }
@@ -174,97 +244,32 @@ def _parse_atoms(text, key):
     return tuple(atoms)
 
 
-def _x1(x):
-    return np.asarray(x, dtype=float)[..., 0]
-
-
-def _build_payoff(kv) -> tuple[str, Payoff]:
-    kind = kv.get("payoff")
-    if kind is None:
+def _build_payoff(kv) -> tuple[str, Payoff, dict]:
+    """The payoff kind, its Payoff, and its parsed parameters."""
+    name = kv.get("payoff")
+    if name is None:
         raise _bad("payoff", "required key is missing")
-    if kind == "clip-linear":
-        scale = _float(kv, "payoff.scale", 1.0)
-        clip = _float(kv, "payoff.clip", 1e6)
-        if clip <= 0:
-            raise _bad("payoff.clip", "must be positive")
-        ev = lambda x: np.clip(scale * _x1(x), -clip, clip)
-        return kind, Payoff(eval=ev, bound=clip, lipschitz=abs(scale))
-    if kind == "indicator-ramp":
-        center = _float(kv, "payoff.center", 0.0)
-        width = _float(kv, "payoff.width", 1.0)
-        if width <= 0:
-            raise _bad("payoff.width", "must be positive")
-        ev = lambda x: np.clip((_x1(x) - center) / width, 0.0, 1.0)
-        return kind, Payoff(eval=ev, bound=1.0, lipschitz=1.0 / width)
-    if kind == "quadratic-clip":
-        scale = _float(kv, "payoff.scale", 1.0)
-        clip = _float(kv, "payoff.clip", 1e6)
-        if clip <= 0:
-            raise _bad("payoff.clip", "must be positive")
-        ev = lambda x: np.clip(
-            scale * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -clip, clip
-        )
-        lip = 2.0 * math.sqrt(abs(scale) * clip) if scale != 0 else 0.0
-        return kind, Payoff(eval=ev, bound=clip, lipschitz=lip)
-    if kind == "constant":
-        value = _float(kv, "payoff.value", 0.0)
-        ev = lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], value)
-        return kind, Payoff(eval=ev, bound=abs(value), lipschitz=0.0)
-    if kind == "table":
-        text = kv.get("payoff.table")
-        if text is None:
-            raise _bad("payoff.table", "required for payoff = table")
-        xs, ys = [], []
-        for part in text.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            pieces = part.split(":")
-            if len(pieces) != 2:
-                raise _bad("payoff.table", f"entry {part!r} is not 'x:y'")
-            try:
-                xs.append(float(pieces[0]))
-                ys.append(float(pieces[1]))
-            except ValueError:
-                raise _bad("payoff.table", f"entry {part!r} has a non-number")
-        if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-            raise _bad("payoff.table", "need >= 2 entries with strictly increasing x")
-        xs_a, ys_a = np.array(xs), np.array(ys)
-        ev = lambda x: np.interp(_x1(x), xs_a, ys_a)
-        slopes = np.abs(np.diff(ys_a) / np.diff(xs_a))
-        return kind, Payoff(
-            eval=ev, bound=float(np.max(np.abs(ys_a))), lipschitz=float(np.max(slopes))
-        )
-    raise _bad("payoff", f"unknown payoff kind {kind!r}")
+    if name not in _PAYOFF_KINDS:
+        raise _bad("payoff", f"unknown payoff kind {name!r}")
+    kind = _PAYOFF_KINDS[name]
+    p = {
+        key: default(kv) if callable(default) else _float(kv, f"payoff.{key}", default)
+        for key, default in kind.params.items()
+    }
+    for key in ("clip", "width"):
+        if key in p and p[key] <= 0:
+            raise _bad(f"payoff.{key}", "must be positive")
+    return name, Payoff(eval=kind.eval(p), bound=kind.bound(p), lipschitz=kind.lipschitz(p)), p
 
 
-def _build_test_function(kv, kind: str, pay: Payoff, dim: int) -> TestFunction:
-    if kind == "clip-linear":
-        scale = _float(kv, "payoff.scale", 1.0)
-        grad0 = np.zeros(dim)
-        grad0[0] = scale
-        return TestFunction(eval=pay.eval, grad0=grad0, hess0=np.zeros((dim, dim)), bound=pay.bound)
-    if kind == "quadratic-clip":
-        scale = _float(kv, "payoff.scale", 1.0)
-        return TestFunction(
-            eval=pay.eval,
-            grad0=np.zeros(dim),
-            hess0=2.0 * scale * np.eye(dim),
-            bound=pay.bound,
-        )
-    if kind == "indicator-ramp":
-        if _float(kv, "payoff.center", 0.0) <= 0.0:
-            raise _bad("payoff.center", "generator needs the ramp strictly right of 0")
-        return TestFunction(
-            eval=pay.eval, grad0=np.zeros(dim), hess0=np.zeros((dim, dim)), bound=pay.bound
-        )
-    if kind == "constant":
-        if _float(kv, "payoff.value", 0.0) != 0.0:
-            raise _bad("payoff.value", "generator needs f(0) = 0")
-        return TestFunction(
-            eval=pay.eval, grad0=np.zeros(dim), hess0=np.zeros((dim, dim)), bound=0.0
-        )
-    raise _bad("payoff", f"payoff kind {kind!r} has no generator form")
+def _build_test_function(name: str, p: dict, pay: Payoff, dim: int) -> TestFunction:
+    kind = _PAYOFF_KINDS[name]
+    if kind.grad0 is None:
+        raise _bad("payoff", f"payoff kind {name!r} has no generator form")
+    for key, test, reason in kind.needs:
+        if not test(p[key]):
+            raise _bad(f"payoff.{key}", reason)
+    return TestFunction(pay.eval, kind.grad0(p, dim), kind.hess0(p, dim), pay.bound)
 
 
 def _build_scenarios(kv, dim: int) -> UncertaintySet:
@@ -397,7 +402,7 @@ def parse_config(text: str) -> JobConfig:
             raise _bad("direction", f"{job.direction!r} is not increasing|decreasing")
         job.x = _float(kv, "x", 0.0)
         job.scheme = SchemeConfig(tolerance=_float(kv, "scheme.tolerance", 1e-10))
-        job.payoff_kind, job.payoff = _build_payoff(kv)
+        job.payoff_kind, job.payoff, _ = _build_payoff(kv)
         return job
 
     job.dim = _int(kv, "dim", 1)
@@ -405,7 +410,7 @@ def parse_config(text: str) -> JobConfig:
         raise _bad("dim", "must be >= 1")
     job.scheme = _build_scheme(kv)
     job.uset = _build_scenarios(kv, job.dim)
-    job.payoff_kind, job.payoff = _build_payoff(kv)
+    job.payoff_kind, job.payoff, params = _build_payoff(kv)
 
     if "eval.x" in kv:
         pts = []
@@ -419,10 +424,12 @@ def parse_config(text: str) -> JobConfig:
     else:
         job.eval_points = [np.zeros(job.dim)]
 
-    if command == "solve":
+    if command != "expect" or any(k in kv for k in _GRID):
         job.grid = _build_grid(kv)
         if job.grid.dim != job.dim:
             raise _bad("grid.lower", f"grid dimension != dim = {job.dim}")
+
+    if command == "solve":
         if "output_times" in kv:
             job.output_times = _floats(kv["output_times"], "output_times")
         else:
@@ -430,15 +437,12 @@ def parse_config(text: str) -> JobConfig:
         return job
 
     if command == "generator":
-        job.grid = _build_grid(kv)
-        if job.grid.dim != job.dim:
-            raise _bad("grid.lower", f"grid dimension != dim = {job.dim}")
         if "delta" in kv:
             job.delta = _float(kv, "delta")
             if job.delta <= 0:
                 raise _bad("delta", "must be positive")
         else:
-            job.test_function = _build_test_function(kv, job.payoff_kind, job.payoff, job.dim)
+            job.test_function = _build_test_function(job.payoff_kind, params, job.payoff, job.dim)
         return job
 
     # expect
@@ -456,12 +460,8 @@ def parse_config(text: str) -> JobConfig:
     job.engine_tail = _float(kv, "engine.tail", 1e-10)
     if not (0.0 < job.engine_tail < 1.0):
         raise _bad("engine.tail", "must be in (0, 1)")
-    if any(k in kv for k in _GRID):
-        job.grid = _build_grid(kv)
-        if job.grid.dim != job.dim:
-            raise _bad("grid.lower", f"grid dimension != dim = {job.dim}")
-        if not (np.all(job.grid.lower < 0.0) and np.all(job.grid.upper > 0.0)):
-            raise _bad("grid.lower", "expect grids must contain the origin")
+    if job.grid is not None and not np.all((job.grid.lower < 0.0) & (job.grid.upper > 0.0)):
+        raise _bad("grid.lower", "expect grids must contain the origin")
     return job
 
 

@@ -336,9 +336,16 @@ def interpolate(g: GridFunction, x) -> float | np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != spec.dim:
         raise ValidationError("BAD_SHAPE", f"query points must have {spec.dim} coordinates")
-    lead = pts.shape[:-1]
-    pts = pts.reshape(-1, spec.dim)
+    out = interpolate_values(spec, g.values, pts.reshape(-1, spec.dim))
+    return float(out[0]) if scalar else out.reshape(pts.shape[:-1])
 
+
+def interpolate_values(spec: GridSpec, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The corner rule of :func:`interpolate` on node ``values`` at (n, d) points.
+
+    Axes of ``values`` before the grid's are batch axes: the result has
+    shape ``values.shape[:-d] + (n,)``, each batch row interpolated alone.
+    """
     u = (pts - spec.lower) / spec.spacing
     u = np.clip(u, 0.0, (spec.points - 1).astype(float))
     base = np.minimum(np.floor(u).astype(int), spec.points - 2)
@@ -346,43 +353,46 @@ def interpolate(g: GridFunction, x) -> float | np.ndarray:
     frac[frac < SNAP_TOL] = 0.0
     frac[frac > 1.0 - SNAP_TOL] = 1.0
 
-    out = np.zeros(pts.shape[0])
+    out = np.zeros(values.shape[: values.ndim - spec.dim] + (pts.shape[0],))
     for corner in itertools.product((0, 1), repeat=spec.dim):
         w = np.ones(pts.shape[0])
         idx = []
         for axis, c in enumerate(corner):
             w = w * (frac[:, axis] if c else 1.0 - frac[:, axis])
             idx.append(base[:, axis] + c)
-        out += w * g.values[tuple(idx)]
-    if scalar:
-        return float(out[0])
-    return out.reshape(lead)
+        out += w * values[(..., *idx)]
+    return out
 
 
 def sample_payoff(phi: Payoff, spec: GridSpec) -> np.ndarray:
-    """Evaluate ``phi`` on all grid nodes, preferring a batch call.
+    """Evaluate ``phi`` on all grid nodes, checked as :func:`sample_points`."""
+    return sample_points(phi, spec.nodes()).reshape(spec.shape)
 
-    The sampled values are spot-checked against ``phi.bound``.
+
+def sample_points(phi: Payoff, points: np.ndarray) -> np.ndarray:
+    """Evaluate ``phi`` on the rows of ``points``, preferring a batch call.
+
+    A batch call that raises TypeError, ValueError or IndexError, or returns
+    the wrong shape, marks a one-point-only payoff, which is then called row
+    by row; any other exception propagates.  The samples go through
+    :func:`check_samples`.
     """
-    nodes = spec.nodes()
-    vals = None
     try:
-        res = np.asarray(phi.eval(nodes), dtype=float)
-        if res.shape == (nodes.shape[0],):
-            vals = res
-    except Exception:
+        vals = np.asarray(phi.eval(points), dtype=float)
+    except (TypeError, ValueError, IndexError):
         vals = None
-    if vals is None:
-        vals = np.fromiter(
-            (float(phi.eval(p)) for p in nodes), dtype=float, count=nodes.shape[0]
-        )
+    if vals is None or vals.shape != (len(points),):
+        vals = np.fromiter((float(phi.eval(p)) for p in points), dtype=float, count=len(points))
+    return check_samples(vals, phi.bound)
+
+
+def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
+    """Return samples once checked finite (NON_FINITE) and within ``bound`` (PAYOFF_BOUND)."""
     _require_finite(vals, "payoff samples")
-    overshoot = float(np.max(np.abs(vals))) - phi.bound
-    if overshoot > 1e-9 * max(1.0, phi.bound):
-        raise ValidationError(
-            "PAYOFF_BOUND", f"payoff exceeds its stated bound by {overshoot:.3g}"
-        )
-    return vals.reshape(spec.shape)
+    overshoot = float(np.max(np.abs(vals))) - bound
+    if overshoot > 1e-9 * max(1.0, bound):
+        raise ValidationError("PAYOFF_BOUND", f"payoff exceeds its stated bound by {overshoot:.3g}")
+    return vals
 
 
 def min_padding(uset: UncertaintySet, horizon: float) -> float:

@@ -7,10 +7,13 @@ last horizon with the earlier arguments frozen,
 
     phi_1(x_1, ..., x_{m-1}) = E*[ phi(x_1, ..., x_{m-1}, D_m) ],
 
-then repeat on the result until a scalar phi_m remains.  Intermediate
-functions are stored on tensor grids over the frozen variables with clamped
-multilinear interpolation; conditional expectations are exactly those
-intermediates, returned as grid functions of the first j increments.
+then repeat on the result until a scalar phi_m remains.  Each level is one
+march (:func:`glevy.solver.march`) of an array whose leading axes are the
+frozen nodes, in blocks of rows: it starts from phi sampled on the tensor
+grid of all m variables, or from the previous level's values (its nodes are
+exactly the sample points), and each row is read at the origin with the
+corner rule of :func:`glevy.core.interpolate`.  Conditional expectations are
+those intermediates, returned as grid functions of the first j increments.
 
 Only horizon differences enter, so shifting every time by a constant leaves
 all values unchanged.
@@ -19,22 +22,20 @@ all values unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    GridFunction,
-    GridSpec,
-    Payoff,
-    SchemeConfig,
-    UncertaintySet,
-    interpolate,
-    min_padding,
-)
+from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
+from .core import check_samples, interpolate_values, sample_points
 from .errors import EngineError, ValidationError
-from .solver import evaluate, solve
+from .solver import march, prepare_march
+
+# Frozen nodes are marched in blocks of about this many node values.  On a
+# nested-band job (401 x 401 values per level) the whole level in one block
+# raised the peak resident set by 8.7 MB; 4096 values per block ran 40 % slower.
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,28 +124,10 @@ def _frozen_spec(var_grids: Sequence[GridSpec], count: int) -> GridSpec:
     return GridSpec(lower=lower, upper=upper, points=points)
 
 
-def _level_payoff(current, prefix: np.ndarray, xi: CylinderFunctional) -> Payoff:
-    """Payoff in the last remaining variable with all earlier ones frozen."""
-    if isinstance(current, GridFunction):
-        def ev(y):
-            y = np.asarray(y, dtype=float)
-            if y.ndim == 2:
-                args = np.concatenate(
-                    [np.broadcast_to(prefix, (y.shape[0], prefix.size)), y], axis=1
-                )
-            else:
-                args = np.concatenate([prefix, y])
-            return interpolate(current, args)
-    else:
-        def ev(y):
-            y = np.asarray(y, dtype=float)
-            if y.ndim == 2:
-                args = np.concatenate(
-                    [np.broadcast_to(prefix, (y.shape[0], prefix.size)), y], axis=1
-                )
-                return current(args)
-            return float(current(np.concatenate([prefix, y])))
-    return Payoff(eval=ev, bound=xi.bound, lipschitz=xi.lipschitz)
+def _node_rows(spec: GridSpec, start: int, stop: int) -> np.ndarray:
+    """Rows start, ..., stop - 1 of ``spec.nodes()``, without building the others."""
+    idx = np.unravel_index(np.arange(start, stop), spec.shape)
+    return np.stack([axis[i] for axis, i in zip(spec.axes(), idx)], axis=-1)
 
 
 def _integrate_levels(
@@ -184,35 +167,32 @@ def _integrate_levels(
                     f" over horizon {horizons[k]:.6g}",
                 )
 
-    current = xi.payoff
+    phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
+    current = None  # the previous level's values, over the nodes of this level's spec
     for level in range(m, stop_at, -1):
-        horizon = horizons[level - 1]
-        ygrid = var_grids[level - 1]
-        run_cfg = replace(cfg, final_time=horizon)
-        origin = np.zeros(d)
-
-        if level == 1:
-            phi = _level_payoff(current, np.empty(0), xi)
-            res = solve(phi, uset, ygrid, run_cfg, output_times=[horizon])
-            return evaluate(res, horizon, origin)
-
-        fspec = _frozen_spec(var_grids, level - 1)
-        n_frozen = int(np.prod(fspec.shape))
-        if n_frozen > node_budget:
+        ygrid, horizon = var_grids[level - 1], horizons[level - 1]
+        spec = _frozen_spec(var_grids, level)
+        n_frozen, ny = math.prod(spec.shape[:-d]), math.prod(ygrid.shape)
+        if level > 1 and n_frozen > node_budget:
             raise EngineError(
                 "DIMENSION_OVERFLOW",
                 f"frozen tensor grid has {n_frozen} nodes > budget {node_budget}",
             )
-        nodes = fspec.nodes()
-
-        def one(idx: int) -> float:
-            phi = _level_payoff(current, nodes[idx], xi)
-            res = solve(phi, uset, ygrid, run_cfg, output_times=[horizon])
-            return evaluate(res, horizon, origin)
-
-        vals = np.fromiter((one(i) for i in range(n_frozen)), dtype=float, count=n_frozen)
-        current = GridFunction(fspec, vals.reshape(fspec.shape))
-    return current
+        plan = prepare_march(uset, ygrid, cfg)
+        rows = max(1, BLOCK_ELEMENTS // ny)
+        out = np.empty(n_frozen)
+        for a in range(0, n_frozen, rows):
+            b = min(a + rows, n_frozen)
+            if current is None:
+                block = sample_points(phi, _node_rows(spec, a * ny, b * ny))
+            else:
+                block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
+            (block,), _ = march(block.reshape((b - a,) + ygrid.shape), plan, [horizon])
+            out[a:b] = interpolate_values(ygrid, block, np.zeros((1, d)))[:, 0]
+        current = out.reshape(spec.shape[:-d])
+    if stop_at == 0:
+        return float(current)
+    return GridFunction(_frozen_spec(var_grids, stop_at), current)
 
 
 def expectation(

@@ -14,13 +14,14 @@ solves the worst-case equation started from f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _require_finite
+from .core import interpolate_values, sample_payoff
 from .errors import ValidationError
-from .solver import evaluate, solve
+from .solver import march, prepare_march
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +95,6 @@ def small_time_quotient(
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("BAD_SHAPE", f"delta {delta!r} must be positive")
-    run_cfg = replace(cfg, final_time=delta)
-    result = solve(phi, uset, grid, run_cfg, output_times=[delta])
-    origin = np.zeros(grid.dim)
-    return evaluate(result, delta, origin) / delta
+    plan = prepare_march(uset, grid, cfg)
+    (u,), _ = march(sample_payoff(phi, grid), plan, [delta])
+    return float(interpolate_values(grid, u, np.zeros((1, grid.dim)))[0]) / delta

@@ -67,11 +67,6 @@ def g_lambda(a: float, lam: float) -> float:
     return max(a, 0.0) - lam * max(-a, 0.0)
 
 
-def suggested_clip(x: float, t: float) -> float:
-    """Clip level far beyond the Poisson mass range reachable from x by time t."""
-    return abs(x) + t + 40.0 * math.sqrt(max(t, 1.0))
-
-
 def gpoisson_closed_form(
     phi: Payoff,
     direction: str,

@@ -6,7 +6,7 @@
     u(0, .) = phi,
 
 marched by forward Euler: u^{n+1} = u^n + dt * max_s G_s u^n.  Each
-scenario's discrete generator is a list of (c, o) terms, built once per solve,
+scenario's discrete generator is a list of (c, o) terms, built once per march,
 
     G_s u(x) = sum over terms of c * (u(x + o * h) - u(x)),
 
@@ -25,7 +25,7 @@ with o an integer offset per axis and h the grid spacing:
 Only the cross terms are negative.  Merged per axis neighbor, the
 coefficient a_ii / (2 h_i^2) - sum_{j != i} |a_ij| / (2 h_i h_j) is
 nonnegative exactly when a_ii / h_i >= sum_{j != i} |a_ij| / h_j, which is
-the test :func:`_check_monotone` applies before a solve; then every step is
+the test :func:`prepare_march` applies before a march; then every step is
 a monotone map of the node values once dt satisfies the step bound.  A
 constant has zero differences, so it is preserved exactly.
 
@@ -51,6 +51,7 @@ from .core import (
     Scenario,
     SchemeConfig,
     UncertaintySet,
+    _require_finite,
     interpolate,
     sample_payoff,
 )
@@ -134,14 +135,15 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec):
     Returns (index, windows): ``index`` is an open mesh of clamped node
     indices that edge-pads node values by the widest offset per axis, and
     ``windows`` holds per scenario the (c, slices) pairs whose slice of the
-    padded array is u(x + o * h).
+    padded array is u(x + o * h).  Node values may carry leading batch axes.
     """
     shape = spec.shape
     terms = [_scenario_terms(s, spec.spacing) for s in scenarios]
     reach = [max((abs(off[k]) for t in terms for _, off in t), default=0) for k in range(spec.dim)]
     index = np.ix_(*(np.clip(np.arange(-r, n + r), 0, n - 1) for r, n in zip(reach, shape)))
     windows = [
-        [(c, tuple(slice(r + o, r + o + n) for r, o, n in zip(reach, off, shape))) for c, off in t]
+        [(c, (...,) + tuple(slice(r + o, r + o + n) for r, o, n in zip(reach, off, shape)))
+         for c, off in t]
         for t in terms
     ]
     return index, windows
@@ -152,10 +154,11 @@ def apply_stencil(stencil, values: np.ndarray) -> np.ndarray:
 
     The array is padded once for all scenarios; terms are summed in order and
     scenarios reduced with ``np.maximum`` in order, so results are bitwise
-    reproducible.
+    reproducible and each batch row is what it would be on its own.
     """
     index, windows = stencil
-    padded = values[index]
+    # batch axes need a leading ``...``, which makes the gather ~1 us slower
+    padded = values[index] if values.ndim == len(index) else values[(..., *index)]
     out = None
     for terms in windows:
         (c, window), *rest = terms
@@ -175,31 +178,6 @@ def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     if s.dim != g.spec.dim:
         raise ValidationError("BAD_SHAPE", f"scenario dim {s.dim} != grid dim {g.spec.dim}")
     return apply_stencil(build_stencil((s,), g.spec), g.values)
-
-
-def _check_resolvable(uset: UncertaintySet, spec: GridSpec) -> None:
-    floor = float(np.min(spec.spacing)) / 2.0
-    for s in uset.scenarios:
-        for z, _ in s.atoms:
-            if np.linalg.norm(z) < floor:
-                raise SolverError(
-                    "GRID_TOO_COARSE",
-                    f"atom |z| = {np.linalg.norm(z):.3g} below half the finest spacing {floor:.3g}",
-                )
-
-
-def _check_monotone(uset: UncertaintySet, spec: GridSpec) -> None:
-    h = spec.spacing
-    for s in uset.scenarios:
-        a = s.diffusion_matrix
-        for i in range(spec.dim):
-            off = sum(abs(a[i, j]) / h[j] for j in range(spec.dim) if j != i)
-            if a[i, i] / h[i] < off - EPSILON:
-                raise SolverError(
-                    "NONMONOTONE_DIFFUSION",
-                    f"axis {i}: a_ii/dx_i = {a[i, i] / h[i]:.3g} < "
-                    f"sum |a_ij|/dx_j = {off:.3g}; no monotone stencil",
-                )
 
 
 def _scenario_rate(s: Scenario, h: np.ndarray) -> float:
@@ -229,38 +207,43 @@ def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> 
     return dt
 
 
-def solve(
-    phi: Payoff,
-    uset: UncertaintySet,
-    grid: GridSpec,
-    cfg: SchemeConfig,
-    output_times: Sequence[float] | None = None,
-) -> SolveResult:
-    """March the worst-case equation from ``phi`` and snapshot requested times.
+def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
+    """Check ``uset`` on ``grid`` and return the (stencil, dt_max) plan of :func:`march`.
 
-    Parameters
-    ----------
-    output_times : sequence of floats in [0, cfg.final_time]
-        Snapshot times; defaults to [cfg.final_time].  Steps are shortened so
-        every requested time is hit exactly.  Each snapshot is checked for
-        non-finite values (NON_FINITE).
+    Raises BAD_SHAPE, GRID_TOO_COARSE, NONMONOTONE_DIFFUSION and CFL_UNSATISFIABLE.
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
-    if output_times is None or len(output_times) == 0:
-        output_times = [cfg.final_time]
-    times = np.unique(np.asarray(output_times, dtype=float))
-    if times.size and (times[0] < -EPSILON or times[-1] > cfg.final_time + EPSILON):
-        raise ValidationError(
-            "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
-        )
-
-    _check_resolvable(uset, grid)
-    _check_monotone(uset, grid)
+    h = grid.spacing
+    floor = float(np.min(h)) / 2.0
+    for s in uset.scenarios:
+        for z, _ in s.atoms:
+            if np.linalg.norm(z) < floor:
+                raise SolverError(
+                    "GRID_TOO_COARSE",
+                    f"atom |z| = {np.linalg.norm(z):.3g} below half the finest spacing {floor:.3g}",
+                )
+    for s in uset.scenarios:
+        a = s.diffusion_matrix
+        for i in range(grid.dim):
+            off = sum(abs(a[i, j]) / h[j] for j in range(grid.dim) if j != i)
+            if a[i, i] / h[i] < off - EPSILON:
+                raise SolverError(
+                    "NONMONOTONE_DIFFUSION",
+                    f"axis {i}: a_ii/dx_i = {a[i, i] / h[i]:.3g} < "
+                    f"sum |a_ij|/dx_j = {off:.3g}; no monotone stencil",
+                )
     dt_max = max_stable_step(uset, grid, cfg)
+    return build_stencil(uset.scenarios, grid), dt_max
 
-    stencil = build_stencil(uset.scenarios, grid)
-    values = sample_payoff(phi, grid)
+
+def march(values: np.ndarray, plan, times) -> tuple[list[np.ndarray], int]:
+    """Step node values through the sorted ``times``; return (snapshots, steps).
+
+    Axes of ``values`` before the grid's are batch axes.  Steps are shortened
+    so every time is hit exactly; snapshots are checked finite (NON_FINITE).
+    """
+    stencil, dt_max = plan
     snapshots = []
     steps = 0
     t = 0.0
@@ -273,8 +256,37 @@ def solve(
                 values = values + dt * apply_stencil(stencil, values)
             steps += n
             t = float(target)
-        snapshots.append(GridFunction(grid, values, float(target)))
-    return SolveResult(snapshots=tuple(snapshots), dt_used=dt_max, steps=steps)
+        _require_finite(values, "grid values")
+        snapshots.append(values)
+    return snapshots, steps
+
+
+def solve(
+    phi: Payoff,
+    uset: UncertaintySet,
+    grid: GridSpec,
+    cfg: SchemeConfig,
+    output_times: Sequence[float] | None = None,
+) -> SolveResult:
+    """March the worst-case equation from ``phi`` and snapshot requested times.
+
+    Parameters
+    ----------
+    output_times : sequence of floats in [0, cfg.final_time]
+        Snapshot times; defaults to [cfg.final_time].  Other errors are
+        those of :func:`prepare_march`, :func:`sample_payoff` and :func:`march`.
+    """
+    if output_times is None or len(output_times) == 0:
+        output_times = [cfg.final_time]
+    times = np.unique(np.asarray(output_times, dtype=float))
+    if times.size and (times[0] < -EPSILON or times[-1] > cfg.final_time + EPSILON):
+        raise ValidationError(
+            "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
+        )
+    plan = prepare_march(uset, grid, cfg)
+    snapshots, steps = march(sample_payoff(phi, grid), plan, times)
+    snapshots = tuple(GridFunction(grid, v, float(t)) for v, t in zip(snapshots, times))
+    return SolveResult(snapshots=snapshots, dt_used=plan[1], steps=steps)
 
 
 def evaluate(result: SolveResult, t: float, x) -> float:

@@ -212,3 +212,18 @@ def test_min_padding_combines_jump_drift_diffusion():
     uset = validate_uncertainty_set([(((2.0, 1.0),), [1.5], [[0.5]])])
     assert min_padding(uset, 1.0) == pytest.approx(2.0 + 1.5 + 2.0, rel=1e-12)
     assert min_padding(uset, 0.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_sample_payoff_propagates_batch_bugs():
+    # only TypeError/ValueError/IndexError mark a one-point-only payoff; any
+    # other failure of the batch call is a bug and must not turn into a loop
+    g = GridSpec(lower=[-2.0], upper=[2.0], points=[17])
+
+    def buggy(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 2:
+            raise RuntimeError("batch path is broken")
+        return float(np.tanh(arr[0]))
+
+    with pytest.raises(RuntimeError):
+        sample_payoff(Payoff(eval=buggy, bound=1.0, lipschitz=1.0), g)
