@@ -113,21 +113,21 @@ class _PayoffKind(NamedTuple):
 
 _PAYOFF_KINDS = {
     "clip-linear": _PayoffKind(
-        params={"scale": 1.0, "clip": 1e6},
+        params={"scale": 1.0, "clip": lambda kv: _positive(kv, "payoff.clip", 1e6)},
         eval=lambda p: lambda x: np.clip(p["scale"] * _x1(x), -p["clip"], p["clip"]),
         bound=lambda p: p["clip"],
         lipschitz=lambda p: abs(p["scale"]),
         grad0=lambda p, d: np.r_[p["scale"], np.zeros(d - 1)],
     ),
     "indicator-ramp": _PayoffKind(
-        params={"center": 0.0, "width": 1.0},
+        params={"center": 0.0, "width": lambda kv: _positive(kv, "payoff.width", 1.0)},
         eval=lambda p: lambda x: np.clip((_x1(x) - p["center"]) / p["width"], 0.0, 1.0),
         bound=lambda p: 1.0,
         lipschitz=lambda p: 1.0 / p["width"],
         needs=(("center", lambda c: c > 0.0, "generator needs the ramp strictly right of 0"),),
     ),
     "quadratic-clip": _PayoffKind(
-        params={"scale": 1.0, "clip": 1e6},
+        params={"scale": 1.0, "clip": lambda kv: _positive(kv, "payoff.clip", 1e6)},
         eval=lambda p: lambda x: np.clip(
             p["scale"] * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -p["clip"], p["clip"]
         ),
@@ -210,6 +210,13 @@ def _float(kv, key, default=None):
         raise _bad(key, f"not a number: {kv[key]!r}")
 
 
+def _positive(kv, key, default=None):
+    value = _float(kv, key, default)
+    if value <= 0:
+        raise _bad(key, "must be positive")
+    return value
+
+
 def _int(kv, key, default):
     if key not in kv:
         return default
@@ -256,9 +263,6 @@ def _build_payoff(kv) -> tuple[str, Payoff, dict]:
         key: default(kv) if callable(default) else _float(kv, f"payoff.{key}", default)
         for key, default in kind.params.items()
     }
-    for key in ("clip", "width"):
-        if key in p and p[key] <= 0:
-            raise _bad(f"payoff.{key}", "must be positive")
     return name, Payoff(eval=kind.eval(p), bound=kind.bound(p), lipschitz=kind.lipschitz(p)), p
 
 
@@ -327,9 +331,7 @@ def _build_grid(kv) -> GridSpec:
         except GLevyError as exc:
             raise _bad("grid.points", exc.args[0])
     if "grid.spacing" in kv:
-        spacing = _float(kv, "grid.spacing")
-        if spacing <= 0:
-            raise _bad("grid.spacing", "must be positive")
+        spacing = _positive(kv, "grid.spacing")
         try:
             return uniform_grid(lower, upper, spacing)
         except GLevyError as exc:
@@ -438,9 +440,7 @@ def parse_config(text: str) -> JobConfig:
 
     if command == "generator":
         if "delta" in kv:
-            job.delta = _float(kv, "delta")
-            if job.delta <= 0:
-                raise _bad("delta", "must be positive")
+            job.delta = _positive(kv, "delta")
         else:
             job.test_function = _build_test_function(job.payoff_kind, params, job.payoff, job.dim)
         return job
@@ -453,9 +453,7 @@ def parse_config(text: str) -> JobConfig:
         b <= a for a, b in zip(job.times, job.times[1:])
     ):
         raise _bad("times", "must be strictly increasing positive reals")
-    job.engine_dx = _float(kv, "engine.dx", 0.05)
-    if job.engine_dx <= 0:
-        raise _bad("engine.dx", "must be positive")
+    job.engine_dx = _positive(kv, "engine.dx", 0.05)
     job.engine_node_budget = _int(kv, "engine.node_budget", 400_000)
     job.engine_tail = _float(kv, "engine.tail", 1e-10)
     if not (0.0 < job.engine_tail < 1.0):

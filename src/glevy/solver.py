@@ -132,15 +132,15 @@ def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple
 def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec):
     """Compile each scenario's terms against ``spec`` for :func:`apply_stencil`.
 
-    Returns (index, windows): ``index`` is an open mesh of clamped node
-    indices that edge-pads node values by the widest offset per axis, and
+    Returns (index, windows): ``index`` is ``...`` and an open mesh of clamped
+    node indices that edge-pads node values by the widest offset per axis, and
     ``windows`` holds per scenario the (c, slices) pairs whose slice of the
     padded array is u(x + o * h).  Node values may carry leading batch axes.
     """
     shape = spec.shape
     terms = [_scenario_terms(s, spec.spacing) for s in scenarios]
     reach = [max((abs(off[k]) for t in terms for _, off in t), default=0) for k in range(spec.dim)]
-    index = np.ix_(*(np.clip(np.arange(-r, n + r), 0, n - 1) for r, n in zip(reach, shape)))
+    index = (..., *np.ix_(*(np.clip(np.arange(-r, n + r), 0, n - 1) for r, n in zip(reach, shape))))
     windows = [
         [(c, (...,) + tuple(slice(r + o, r + o + n) for r, o, n in zip(reach, off, shape)))
          for c, off in t]
@@ -157,8 +157,7 @@ def apply_stencil(stencil, values: np.ndarray) -> np.ndarray:
     reproducible and each batch row is what it would be on its own.
     """
     index, windows = stencil
-    # batch axes need a leading ``...``, which makes the gather ~1 us slower
-    padded = values[index] if values.ndim == len(index) else values[(..., *index)]
+    padded = values[index]
     out = None
     for terms in windows:
         (c, window), *rest = terms

@@ -72,6 +72,34 @@ def test_parse_rejections():
     assert e.value.code == "VALIDATION_ERROR" and "command" in e.value.message
 
 
+GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (GPOISSON_CFG + "payoff = clip-linear\npayoff.clip = 0\n", "payoff.clip"),
+        (GPOISSON_CFG + "payoff = quadratic-clip\npayoff.clip = -1\n", "payoff.clip"),
+        (GPOISSON_CFG + "payoff = indicator-ramp\npayoff.width = 0\n", "payoff.width"),
+        (SOLVE_CFG.replace("grid.spacing = 0.1", "grid.spacing = 0"), "grid.spacing"),
+        (
+            SOLVE_CFG.replace("command = solve", "command = generator")
+            .replace("output_times = 0.5, 1", "delta = -0.1"),
+            "delta",
+        ),
+        (
+            "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n"
+            "engine.dx = 0\n",
+            "engine.dx",
+        ),
+    ],
+)
+def test_nonpositive_values_rejected(text, key):
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert e.value.code == "VALIDATION_ERROR" and e.value.message == f"{key}: must be positive"
+
+
 def test_comments_and_blank_lines_ignored():
     job = parse_config(
         "# job header\n\ncommand = gpoisson  # trailing note\nlambda = 0\nt = 2\npayoff = clip-linear\n"
