@@ -46,6 +46,7 @@ pad the origin the same way over each increment's horizon (UNPADDED_GRID).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import re
 import sys
@@ -481,15 +482,16 @@ def _enforce_padding(job: JobConfig, horizon: float) -> None:
 def _run_solve(job: JobConfig) -> str:
     _enforce_padding(job, job.scheme.final_time)
     result = solve(job.payoff, job.uset, job.grid, job.scheme, job.output_times)
-    nodes = job.grid.nodes()
+    # each axis is formatted once; the product runs over nodes in row-major order
+    axes = [[_fmt(c) for c in axis.tolist()] for axis in job.grid.axes()]
     header = "t," + ",".join(f"x{i + 1}" for i in range(job.grid.dim)) + ",u"
     lines = [header]
     for snap in result.snapshots:
         t_str = _fmt(snap.time_label)
-        flat = snap.values.ravel()
-        for point, value in zip(nodes, flat):
-            coords = ",".join(_fmt(c) for c in point)
-            lines.append(f"{t_str},{coords},{_fmt(value)}")
+        nodes = itertools.product(*axes)
+        lines += [
+            f"{t_str},{','.join(p)},{v:.17g}" for p, v in zip(nodes, snap.values.ravel().tolist())
+        ]
     return "\n".join(lines) + "\n"
 
 

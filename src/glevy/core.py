@@ -163,6 +163,11 @@ class UncertaintySet:
 
     def max_sigma(self) -> float:
         """Largest spectral norm of a diffusion factor across scenarios."""
+        return self._max_sigma
+
+    @cached_property
+    def _max_sigma(self) -> float:
+        # one SVD per scenario, paid once per set: every padding check needs it
         return max(float(np.linalg.norm(s.diffusion, 2)) for s in self.scenarios)
 
     def max_total_rate(self) -> float:
@@ -393,6 +398,11 @@ def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
     if overshoot > 1e-9 * max(1.0, bound):
         raise ValidationError("PAYOFF_BOUND", f"payoff exceeds its stated bound by {overshoot:.3g}")
     return vals
+
+
+def pads_origin(grid: GridSpec, pad: float) -> bool:
+    """Whether ``grid`` reaches ``pad`` beyond the origin on every axis, to 1e-12."""
+    return bool(np.all(grid.lower <= -pad + 1e-12) and np.all(grid.upper >= pad - 1e-12))
 
 
 def min_padding(uset: UncertaintySet, horizon: float) -> float:

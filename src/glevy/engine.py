@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
-from .core import check_samples, interpolate_values, sample_points
+from .core import check_samples, interpolate_values, pads_origin, sample_points
 from .errors import EngineError, ValidationError
 from .solver import march, prepare_march
 
@@ -160,7 +160,7 @@ def _integrate_levels(
             if g.dim != d:
                 raise ValidationError("BAD_SHAPE", "variable grid dimension mismatch")
             pad = min_padding(uset, horizons[k])
-            if np.any(g.lower > -pad + 1e-12) or np.any(g.upper < pad - 1e-12):
+            if not pads_origin(g, pad):
                 raise EngineError(
                     "UNPADDED_GRID",
                     f"grid of increment {k + 1} must pad the origin by >= {pad:.6g}"

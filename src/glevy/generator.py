@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _require_finite
-from .core import interpolate_values, sample_payoff
-from .errors import ValidationError
+from .core import interpolate_values, min_padding, pads_origin, sample_payoff
+from .errors import SolverError, ValidationError
 from .solver import march, prepare_march
 
 
@@ -89,12 +89,18 @@ def small_time_quotient(
     """u(delta, 0) / delta for the worst-case equation started from ``phi``.
 
     Converges to the generator value as delta -> 0 when the grid is refined
-    alongside; the grid must contain the origin and every atom displacement.
-    Solver errors (grid/CFL) propagate unchanged.
+    alongside.  The grid must pad the origin by :func:`glevy.core.min_padding`
+    over ``delta`` on every axis, else UNPADDED_GRID is raised.  Solver errors
+    (grid/CFL) propagate unchanged.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("BAD_SHAPE", f"delta {delta!r} must be positive")
+    pad = min_padding(uset, delta)
+    if not pads_origin(grid, pad):
+        raise SolverError(
+            "UNPADDED_GRID", f"grid must pad the origin by >= {pad:.6g} over delta {delta:.6g}"
+        )
     plan = prepare_march(uset, grid, cfg)
     (u,), _ = march(sample_payoff(phi, grid), plan, [delta])
     return float(interpolate_values(grid, u, np.zeros((1, grid.dim)))[0]) / delta

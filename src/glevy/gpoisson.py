@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, Scenario, UncertaintySet, sample_payoff
 from .errors import ValidationError
-from .solver import apply_stencil, build_stencil
+from .solver import Workspace, build_stencil
 
 MAX_SERIES_LEVELS = 1_000_000
 MAX_POISSON_TERMS = 10_000_000
@@ -148,8 +148,9 @@ def series_solution(
     and the result is sum_{i<=N} (t^i / i!) phi_i with N fixed from the tail
     bound sum_{i>N} (2*Lambda*t)^i/i! * bound(phi0) < tol, Lambda the largest
     total mass.  Each level is one application of the solver's jump stencil
-    (:func:`glevy.solver.apply_stencil`), so off-lattice jumps use the same
-    clamped multilinear rule and boundary effects stay local.
+    (:meth:`glevy.solver.Workspace.apply`, one workspace for all levels), so
+    off-lattice jumps use the same clamped multilinear rule and boundary
+    effects stay local.
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
@@ -169,12 +170,14 @@ def series_solution(
     big_lambda = max(s.total_rate for s in scenarios)
     levels = _series_levels(2.0 * big_lambda * t, phi0.bound, tol)
 
-    stencil = build_stencil(scenarios, grid)
-    cur = sample_payoff(phi0, grid)
-    total = cur.copy()
+    total = sample_payoff(phi0, grid)
+    work = Workspace(build_stencil(scenarios, grid), total.shape)
+    work.u[...] = total
     coef = 1.0
     for i in range(1, levels + 1):
-        cur = apply_stencil(stencil, cur)
+        cur = work.apply()
+        work.u[...] = cur
         coef *= t / i
-        total += coef * cur
+        cur *= coef
+        total += cur
     return GridFunction(grid, total, t)

@@ -32,13 +32,24 @@ constant has zero differences, so it is preserved exactly.
 Values beyond the box are clamp-extended (nearest boundary node), so the
 scheme degrades to lower order near edges; callers pad the box beyond the
 region of interest (see :func:`glevy.core.min_padding`).
+
+:func:`build_stencil` compiles the terms of all scenarios at once: the
+distinct offsets in first-seen order, one window each, and per scenario its
+(c, k) terms in formula order, k indexing the windows.  A :class:`Workspace`
+holds the node values inside an edge-padded array, one difference buffer per
+distinct offset and the out/acc/tmp buffers, allocated once per march (and
+once per series).  A step refreshes the padding by copies, takes each
+difference u(x + o * h) - u(x) once, sums and maximizes into the buffers
+and updates the values in place; it allocates no array.  Terms that share an
+offset are not merged, and every sum runs in formula order, so the bits are
+those of the direct formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,43 +140,99 @@ def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple
     return terms or [(0.0, (0,) * d)]
 
 
-def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec):
-    """Compile each scenario's terms against ``spec`` for :func:`apply_stencil`.
+class Stencil(NamedTuple):
+    """Every scenario's terms compiled against one grid, for :class:`Workspace`.
 
-    Returns (index, windows): ``index`` is ``...`` and an open mesh of clamped
-    node indices that edge-pads node values by the widest offset per axis, and
-    ``windows`` holds per scenario the (c, slices) pairs whose slice of the
-    padded array is u(x + o * h).  Node values may carry leading batch axes.
+    Index tuples all start with ``...``, so node values may carry leading
+    batch axes.  ``pads`` is the (before, after) edge padding per axis,
+    ``interior`` the slice of the padded array that holds the nodes and
+    ``edges`` the (destination, source) slices whose copies, made in order,
+    clamp-extend it.  ``windows`` holds one slice per distinct offset o, in
+    first-seen order, that reads u(x + o * h); ``terms`` holds per scenario
+    its (c, k) pairs in formula order, k indexing ``windows``.
     """
-    shape = spec.shape
+
+    pads: tuple[tuple[int, int], ...]
+    interior: tuple
+    edges: tuple[tuple[tuple, tuple], ...]
+    windows: tuple[tuple, ...]
+    terms: tuple[tuple[tuple[float, int], ...], ...]
+
+
+def _on_axis(d: int, axis: int, start: int, stop: int) -> tuple:
+    """Index of slice(start, stop) on ``axis`` of the last ``d`` axes, whole on the others."""
+    return (...,) + tuple(slice(start, stop) if k == axis else slice(None) for k in range(d))
+
+
+def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
+    """Compile each scenario's terms against ``spec`` (see :class:`Stencil`)."""
+    shape, d = spec.shape, spec.dim
     terms = [_scenario_terms(s, spec.spacing) for s in scenarios]
-    reach = [max((abs(off[k]) for t in terms for _, off in t), default=0) for k in range(spec.dim)]
-    index = (..., *np.ix_(*(np.clip(np.arange(-r, n + r), 0, n - 1) for r, n in zip(reach, shape))))
-    windows = [
-        [(c, (...,) + tuple(slice(r + o, r + o + n) for r, o, n in zip(reach, off, shape)))
-         for c, off in t]
-        for t in terms
-    ]
-    return index, windows
+    offsets = list(dict.fromkeys(off for t in terms for _, off in t))
+    pads = tuple(
+        (max(0, -min(off[a] for off in offsets)), max(0, max(off[a] for off in offsets)))
+        for a in range(d)
+    )
+    interior = (...,) + tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, shape))
+    edges = []
+    for a, ((lo, hi), n) in enumerate(zip(pads, shape)):
+        if lo:
+            edges.append((_on_axis(d, a, 0, lo), _on_axis(d, a, lo, lo + 1)))
+        if hi:
+            edges.append((_on_axis(d, a, lo + n, lo + n + hi), _on_axis(d, a, lo + n - 1, lo + n)))
+    windows = tuple(
+        (...,) + tuple(slice(lo + o, lo + o + n) for (lo, _), o, n in zip(pads, off, shape))
+        for off in offsets
+    )
+    where = {off: k for k, off in enumerate(offsets)}
+    terms = tuple(tuple((c, where[off]) for c, off in t) for t in terms)
+    return Stencil(pads, interior, tuple(edges), windows, terms)
 
 
-def apply_stencil(stencil, values: np.ndarray) -> np.ndarray:
-    """max over scenarios of sum c * (u(x + o * h) - u(x)), clamped at the edges.
+class Workspace:
+    """The buffers of one stencil for node values of one shape, allocated once.
 
-    The array is padded once for all scenarios; terms are summed in order and
-    scenarios reduced with ``np.maximum`` in order, so results are bitwise
-    reproducible and each batch row is what it would be on its own.
+    ``u`` is the interior view of an edge-padded state array: load node
+    values into it, step it in place and copy it for a snapshot.  Each
+    distinct offset has one difference buffer; :meth:`apply` fills them and
+    reduces the scenarios into ``out`` without allocating an array.
     """
-    index, windows = stencil
-    padded = values[index]
-    out = None
-    for terms in windows:
-        (c, window), *rest = terms
-        acc = c * (padded[window] - values)
-        for c, window in rest:
-            acc += c * (padded[window] - values)
-        out = acc if out is None else np.maximum(out, acc)
-    return out
+
+    def __init__(self, stencil: Stencil, shape: tuple[int, ...]):
+        lead = shape[: len(shape) - len(stencil.pads)]
+        grid = shape[len(lead) :]
+        padded = np.empty(lead + tuple(lo + n + hi for (lo, hi), n in zip(stencil.pads, grid)))
+        self.u = padded[stencil.interior]
+        self._edges = [(padded[dst], padded[src]) for dst, src in stencil.edges]
+        diffs = [np.empty(shape) for _ in stencil.windows]
+        self._diffs = [(padded[w], diff) for w, diff in zip(stencil.windows, diffs)]
+        self._terms = [
+            (c0, diffs[k0], [(c, diffs[k]) for c, k in rest]) for (c0, k0), *rest in stencil.terms
+        ]
+        self.out, self._acc, self._tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def apply(self) -> np.ndarray:
+        """``out`` = max over scenarios of sum c * (u(x + o * h) - u(x)), clamped at the edges.
+
+        Terms are summed in order and scenarios reduced with ``np.maximum``
+        in order, so results are bitwise reproducible and each batch row is
+        what it would be on its own.
+        """
+        for dst, src in self._edges:
+            np.copyto(dst, src)
+        u, out, tmp = self.u, self.out, self._tmp
+        for window, diff in self._diffs:
+            np.subtract(window, u, out=diff)
+        acc = out
+        for c, diff, rest in self._terms:
+            np.multiply(diff, c, out=acc)
+            for c, diff in rest:
+                np.multiply(diff, c, out=tmp)
+                np.add(acc, tmp, out=acc)
+            if acc is not out:
+                np.maximum(out, acc, out=out)
+            acc = self._acc
+        return out
 
 
 def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
@@ -176,7 +243,9 @@ def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     """
     if s.dim != g.spec.dim:
         raise ValidationError("BAD_SHAPE", f"scenario dim {s.dim} != grid dim {g.spec.dim}")
-    return apply_stencil(build_stencil((s,), g.spec), g.values)
+    work = Workspace(build_stencil((s,), g.spec), g.values.shape)
+    work.u[...] = g.values
+    return work.apply()
 
 
 def _scenario_rate(s: Scenario, h: np.ndarray) -> float:
@@ -241,8 +310,13 @@ def march(values: np.ndarray, plan, times) -> tuple[list[np.ndarray], int]:
 
     Axes of ``values`` before the grid's are batch axes.  Steps are shortened
     so every time is hit exactly; snapshots are checked finite (NON_FINITE).
+    One :class:`Workspace` serves the whole march: each step updates its
+    state in place, and each snapshot is a copy.
     """
     stencil, dt_max = plan
+    work = Workspace(stencil, values.shape)
+    u = work.u
+    u[...] = values
     snapshots = []
     steps = 0
     t = 0.0
@@ -252,11 +326,13 @@ def march(values: np.ndarray, plan, times) -> tuple[list[np.ndarray], int]:
             n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
             dt = span / n
             for _ in range(n):
-                values = values + dt * apply_stencil(stencil, values)
+                g = work.apply()
+                g *= dt
+                u += g
             steps += n
             t = float(target)
-        _require_finite(values, "grid values")
-        snapshots.append(values)
+        _require_finite(u, "grid values")
+        snapshots.append(u.copy())
     return snapshots, steps
 
 

@@ -251,6 +251,24 @@ def test_expect_rejects_unpadded_box(capsys, tmp_path, lower, upper, code):
     assert f"error[{code}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, code",
+    [("grid.lower = -0.5\ngrid.upper = 0.5\n", "VALIDATION_ERROR"),
+     ("grid.lower = 1\ngrid.upper = 5\neval.x = 3\n", "UNPADDED_GRID")],
+    ids=["tight", "away-from-origin"],
+)
+def test_generator_quotient_rejects_unpadded_box(capsys, tmp_path, extra, code):
+    # the CLI pads the evaluation points; the quotient is read at the origin
+    cfg = tmp_path / "generator.cfg"
+    cfg.write_text(
+        "command = generator\ndim = 1\nscenario.0.atoms = 1:0.5\nscenario.0.drift = 0.3\n"
+        "grid.spacing = 0.02\npayoff = clip-linear\ndelta = 0.01\n" + extra,
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg)]) == 1
+    assert f"error[{code}]" in capsys.readouterr().err
+
+
 def test_threads_are_accepted_and_ignored(capsys, tmp_path):
     plain = tmp_path / "plain.cfg"
     plain.write_text(SOLVE_CFG, encoding="utf-8")

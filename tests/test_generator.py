@@ -12,7 +12,7 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
-from glevy.errors import GLevyError
+from glevy.errors import GLevyError, SolverError
 
 
 def x1(x):
@@ -140,3 +140,18 @@ def test_quotient_rejects_nonpositive_delta():
     grid = uniform_grid([-2.0], [2.0], 0.1)
     with pytest.raises(GLevyError):
         small_time_quotient(zero, GPOISSON, 0.0, grid, SchemeConfig())
+
+
+def test_quotient_rejects_unpadded_grid():
+    # the jump of size 1 must stay inside the box, else the clamp answers:
+    # without the check these boxes returned plausible but wrong quotients
+    hat = Payoff(
+        eval=lambda x: np.clip(1.0 - np.abs(x1(x) - 1.0) / 0.5, 0.0, 1.0), bound=1.0, lipschitz=2.0
+    )
+    cfg = SchemeConfig(cfl_safety=0.5)
+    for lower, upper in ((-0.5, 0.5), (0.5, 4.0)):
+        with pytest.raises(SolverError) as e:
+            small_time_quotient(hat, GPOISSON, 0.05, uniform_grid([lower], [upper], 0.05), cfg)
+        assert e.value.code == "UNPADDED_GRID"
+    q = small_time_quotient(hat, GPOISSON, 0.05, uniform_grid([-1.0], [2.0], 0.05), cfg)
+    assert abs(q - 1.0) < 0.1

@@ -1,0 +1,221 @@
+"""Property tests on random uncertainty sets: the march kernel and the solution map.
+
+Sets are drawn in 1-3 dimensions with off-lattice jump atoms, drift of both
+signs and cross diffusion shrunk until it passes the monotone test of
+:func:`glevy.solver.prepare_march`.  The kernel is compared bit for bit with
+a reference kept here: np.pad(mode="edge"), the terms of
+``_scenario_terms`` summed in order, the max over scenarios in order.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from glevy import GridSpec, Payoff, Scenario, SchemeConfig, UncertaintySet, solve
+from glevy.errors import SolverError
+from glevy.solver import Workspace, _scenario_terms, build_stencil, march, prepare_march
+
+MAX_POINTS = {1: 30, 2: 9, 3: 6}
+LEADS = st.sampled_from([(), (2,), (2, 3)])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grids(draw):
+    d = draw(st.integers(1, 3))
+    points = [draw(st.integers(3, MAX_POINTS[d])) for _ in range(d)]
+    h = np.array([draw(unit(0.2, 0.5)) for _ in range(d)])
+    lower = np.array([draw(unit(-2.0, 0.0)) for _ in range(d)])
+    return GridSpec(lower=lower, upper=lower + h * (np.array(points) - 1), points=points)
+
+
+@st.composite
+def scenarios(draw, grid):
+    d, h = grid.dim, grid.spacing
+    atoms = []
+    for _ in range(draw(st.integers(0, 2))):
+        z = np.array([draw(unit(-2.5, 2.5)) for _ in range(d)]) * h
+        assume(np.linalg.norm(z) >= float(np.min(h)))
+        atoms.append((z, draw(unit(0.05, 2.0))))
+    drift = [draw(unit(-1.0, 1.0)) for _ in range(d)]
+    q = np.zeros((d, d))
+    if draw(st.booleans()):
+        q = np.diag([draw(unit(0.1, 0.6)) for _ in range(d)])
+        for i in range(d):
+            for j in range(i):
+                q[i, j] = draw(unit(-0.4, 0.4))
+    return atoms, drift, q
+
+
+def monotone(atoms, drift, q, grid):
+    """The scenario with its cross diffusion halved until prepare_march accepts it."""
+    q = np.array(q)
+    for _ in range(12):
+        s = Scenario(atoms=tuple(atoms), drift=drift, diffusion=q)
+        try:
+            prepare_march(UncertaintySet((s,)), grid, SchemeConfig())
+            return s
+        except SolverError as e:
+            assert e.code == "NONMONOTONE_DIFFUSION"
+        q = np.diag(np.diag(q)) + 0.5 * np.tril(q, -1)
+    return Scenario(atoms=tuple(atoms), drift=drift, diffusion=np.diag(np.diag(q)))
+
+
+@st.composite
+def models(draw):
+    grid = draw(grids())
+    raw = [draw(scenarios(grid)) for _ in range(draw(st.integers(1, 3)))]
+    return UncertaintySet(tuple(monotone(*r, grid) for r in raw)), grid
+
+
+def reference_generator(uset, grid, u):
+    d = grid.dim
+    out = None
+    for s in uset.scenarios:
+        terms = _scenario_terms(s, grid.spacing)
+        reach = [max(abs(off[a]) for _, off in terms) for a in range(d)]
+        padded = np.pad(u, [(0, 0)] * (u.ndim - d) + [(r, r) for r in reach], mode="edge")
+        acc = None
+        for c, off in terms:
+            window = (...,) + tuple(
+                slice(r + o, r + o + n) for r, o, n in zip(reach, off, grid.shape)
+            )
+            term = c * (padded[window] - u)
+            acc = term if acc is None else acc + term
+        out = acc if out is None else np.maximum(out, acc)
+    return out
+
+
+@given(model=models(), lead=LEADS, seed=SEEDS)
+def test_kernel_matches_reference_bitwise(model, lead, seed):
+    uset, grid = model
+    u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+    work = Workspace(build_stencil(uset.scenarios, grid), u.shape)
+    for _ in range(2):  # a second load checks that the padding is refreshed
+        work.u[...] = u
+        assert np.array_equal(work.apply(), reference_generator(uset, grid, u))
+        u = np.cos(3.0 * u)
+
+
+@given(model=models(), lead=LEADS, seed=SEEDS, horizon=unit(0.01, 0.2))
+def test_march_matches_reference_steps(model, lead, seed, horizon):
+    uset, grid = model
+    u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+    plan = prepare_march(uset, grid, SchemeConfig(cfl_safety=0.9, final_time=horizon))
+    times = [0.0, 0.5 * horizon, horizon]
+    got, steps = march(u, plan, times)
+    want, total, t = [], 0, 0.0
+    for target in times:
+        if target > t:
+            n = 1 if math.isinf(plan[1]) else max(1, math.ceil((target - t) / plan[1] - 1e-9))
+            dt = (target - t) / n
+            for _ in range(n):
+                u = u + dt * reference_generator(uset, grid, u)
+            total, t = total + n, target
+        want.append(u)
+    assert steps == total
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# ------------------------------------------------------------- solution map
+#
+# Constants and scaling by powers of two pass through every operation of
+# the scheme exactly.  The other axioms hold for the exact monotone map and
+# to rounding for the computed one: TOL bounds the rounding of a few dozen
+# steps on values of order one.
+
+TOL = 1e-11
+
+
+@st.composite
+def waves(draw, d):
+    """A sum of cosines over the axes, as a Payoff with exact bound and Lipschitz constant."""
+    a = np.array([draw(unit(-1.0, 1.0)) for _ in range(d)])
+    b = np.array([draw(unit(0.2, 2.0)) for _ in range(d)])
+    c = np.array([draw(unit(0.0, 6.3)) for _ in range(d)])
+
+    def ev(x):
+        return np.sum(a * np.cos(b * np.asarray(x, dtype=float) + c), axis=-1)
+
+    return Payoff(eval=ev, bound=float(np.sum(np.abs(a))), lipschitz=float(np.sum(np.abs(a * b))))
+
+
+def shifted(phi, scale=1.0, add=0.0):
+    return Payoff(
+        eval=lambda x: scale * phi.eval(x) + add,
+        bound=abs(scale) * phi.bound + abs(add),
+        lipschitz=abs(scale) * phi.lipschitz,
+    )
+
+
+def summed(phi, psi):
+    return Payoff(
+        eval=lambda x: phi.eval(x) + psi.eval(x),
+        bound=phi.bound + psi.bound,
+        lipschitz=phi.lipschitz + psi.lipschitz,
+    )
+
+
+@st.composite
+def problems(draw):
+    uset, grid = draw(models())
+    cfg = SchemeConfig(cfl_safety=draw(unit(0.1, 1.0)), final_time=draw(unit(0.01, 0.2)))
+    return uset, grid, cfg, draw(waves(grid.dim)), draw(waves(grid.dim))
+
+
+def final(phi, uset, grid, cfg):
+    return solve(phi, uset, grid, cfg).snapshots[-1].values
+
+
+@given(problem=problems(), value=unit(-10.0, 10.0))
+def test_constants_preserved_exactly(problem, value):
+    uset, grid, cfg, _, _ = problem
+    const = Payoff(eval=lambda x: np.full(np.shape(x)[:-1], value), bound=abs(value), lipschitz=0.0)
+    assert np.array_equal(final(const, uset, grid, cfg), np.full(grid.shape, value))
+
+
+@given(problem=problems(), power=st.integers(-4, 4))
+def test_positive_homogeneity_power_of_two_exact(problem, power):
+    uset, grid, cfg, phi, _ = problem
+    scale = 2.0**power
+    scaled = final(shifted(phi, scale=scale), uset, grid, cfg)
+    assert np.array_equal(scaled, scale * final(phi, uset, grid, cfg))
+
+
+@given(problem=problems(), lift=unit(0.0, 1.0))
+def test_monotone(problem, lift):
+    uset, grid, cfg, phi, psi = problem
+    # phi + lift * (psi + bound(psi)) >= phi everywhere
+    higher = summed(phi, shifted(psi, scale=lift, add=lift * psi.bound))
+    gap = final(higher, uset, grid, cfg) - final(phi, uset, grid, cfg)
+    assert np.min(gap) >= -TOL
+
+
+@given(problem=problems(), cash=unit(-5.0, 5.0))
+def test_cash_translation(problem, cash):
+    uset, grid, cfg, phi, _ = problem
+    moved = final(shifted(phi, add=cash), uset, grid, cfg) - final(phi, uset, grid, cfg)
+    assert np.max(np.abs(moved - cash)) <= TOL * (1.0 + abs(cash))
+
+
+@given(problem=problems())
+def test_subadditive(problem):
+    uset, grid, cfg, phi, psi = problem
+    both = final(summed(phi, psi), uset, grid, cfg)
+    gap = both - final(phi, uset, grid, cfg) - final(psi, uset, grid, cfg)
+    assert np.max(gap) <= TOL
+
+
+@given(problem=problems())
+def test_maximum_principle(problem):
+    uset, grid, cfg, phi, _ = problem
+    samples = solve(phi, uset, grid, SchemeConfig(final_time=0.0)).snapshots[0].values
+    vals = final(phi, uset, grid, cfg)
+    assert np.min(vals) >= np.min(samples) - TOL
+    assert np.max(vals) <= np.max(samples) + TOL

@@ -4,6 +4,8 @@ The fixed benchmark family mixes the two-rate unit jump with two diffusion
 levels, so every term of the generator is exercised.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from glevy import (
     validate_uncertainty_set,
 )
 from glevy.errors import GLevyError, SolverError
+from glevy.solver import Workspace, march, prepare_march
 
 
 def x1(x):
@@ -106,6 +109,32 @@ def test_generator_cross_terms_in_three_dimensions():
     # the Hessian of xy + yz + xz is 1 off the diagonal and 0 on it
     want = a[0, 1] + a[0, 2] + a[1, 2]
     assert np.max(np.abs(out[1:-1, 1:-1, 1:-1] - want)) < 1e-10
+
+
+def test_march_allocates_no_array_per_step(monkeypatch):
+    grid = uniform_grid([-50.0], [50.0], 0.01)
+    uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.4), (((-0.7, 1.0),), -0.2, 0.5)])
+    plan = prepare_march(uset, grid, SchemeConfig())
+    u = np.cos(grid.axes()[0])
+    # traced bytes above the live ones, per interval between kernel calls:
+    # each interval holds one kernel call and one in-place Euler update
+    spikes = []
+    apply = Workspace.apply
+
+    def traced(work):
+        live, peak = tracemalloc.get_traced_memory()
+        spikes.append(peak - live)
+        tracemalloc.reset_peak()
+        return apply(work)
+
+    monkeypatch.setattr(Workspace, "apply", traced)
+    tracemalloc.start()
+    try:
+        _, steps = march(u, plan, [20 * plan[1]])
+    finally:
+        tracemalloc.stop()
+    assert steps == len(spikes) == 20
+    assert max(spikes) < u.nbytes // 2
 
 
 def test_atom_smaller_than_half_cell_rejected():
