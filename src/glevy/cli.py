@@ -25,7 +25,7 @@ solve           dim, scenarios, grid, scheme, payoff, output_times, eval.x
 gpoisson        lambda, t, direction (increasing|decreasing), x, payoff,
                 scheme.tolerance
 generator       dim, scenarios, grid, scheme, payoff, delta (optional:
-                present -> small-time quotient, absent -> closed form), eval.x
+                present -> small-time quotient, absent -> closed form)
 expect          dim, scenarios, times, scheme, payoff (applied to the summed
                 increments), engine.dx, engine.node_budget, engine.tail,
                 optional grid.* pinning every increment variable's box
@@ -37,10 +37,10 @@ single-value CSV; ``check`` writes ``suite,name,measured,threshold,PASS|FAIL``
 lines and exits nonzero if any suite fails.  All numbers are printed with 17
 significant digits, and a given config reproduces its output bitwise.
 
-For ``solve`` and ``generator`` the grid box must pad the evaluation points
-by at least one jump range plus drift and four diffusion deviations over the
-horizon (see :func:`glevy.core.min_padding`); a pinned ``expect`` box must
-pad the origin the same way over each increment's horizon (UNPADDED_GRID).
+The grid box must pad the evaluation points of ``solve`` and the origin of
+``generator`` by at least one jump range plus drift and four diffusion
+deviations over the horizon (see :func:`glevy.core.min_padding`); a pinned
+``expect`` box must pad the origin so over each increment's (UNPADDED_GRID).
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ _PAYOFF = {"payoff"} | {f"payoff.{key}" for kind in _PAYOFF_KINDS.values() for k
 _ALLOWED = {
     "solve": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "output_times", "eval.x"},
     "gpoisson": _COMMON | _PAYOFF | {"lambda", "t", "direction", "x", "scheme.tolerance"},
-    "generator": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "delta", "eval.x"},
+    "generator": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "delta"},
     "expect": _COMMON | _SCHEME | _GRID | _PAYOFF
     | {"dim", "times", "engine.dx", "engine.node_budget", "engine.tail"},
     "check": _COMMON,

@@ -35,14 +35,14 @@ region of interest (see :func:`glevy.core.min_padding`).
 
 :func:`build_stencil` compiles the terms of all scenarios at once: the
 distinct offsets in first-seen order, one window each, and per scenario its
-(c, k) terms in formula order, k indexing the windows.  A :class:`Workspace`
-holds the node values inside an edge-padded array, one difference buffer per
-distinct offset and the out/acc/tmp buffers, allocated once per march (and
-once per series).  A step refreshes the padding by copies, takes each
-difference u(x + o * h) - u(x) once, sums and maximizes into the buffers
-and updates the values in place; it allocates no array.  Terms that share an
-offset are not merged, and every sum runs in formula order, so the bits are
-those of the direct formula.
+(c, k) terms in formula order, k indexing the windows (:func:`coarsen` moves
+them to a sublattice).  A :class:`Workspace` holds the node values inside an
+edge-padded array, one difference buffer per distinct offset and the
+out/acc/tmp buffers, allocated once per march (and once per series).  A step
+refreshes the padding by copies, takes each difference u(x + o * h) - u(x)
+once, sums and maximizes into the buffers and updates the values in place;
+it allocates no array.  Terms that share an offset are not merged, and every
+sum runs in formula order, so the bits are those of the direct formula.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ class Stencil(NamedTuple):
     batch axes.  ``pads`` is the (before, after) edge padding per axis,
     ``interior`` the slice of the padded array that holds the nodes and
     ``edges`` the (destination, source) slices whose copies, made in order,
-    clamp-extend it.  ``windows`` holds one slice per distinct offset o, in
-    first-seen order, that reads u(x + o * h); ``terms`` holds per scenario
-    its (c, k) pairs in formula order, k indexing ``windows``.
+    clamp-extend it.  ``windows`` holds one slice per distinct offset o of
+    ``offsets`` (first-seen order) that reads u(x + o * h); ``terms`` holds
+    per scenario its (c, k) pairs in formula order, k indexing both.
     """
 
     pads: tuple[tuple[int, int], ...]
@@ -157,6 +157,7 @@ class Stencil(NamedTuple):
     edges: tuple[tuple[tuple, tuple], ...]
     windows: tuple[tuple, ...]
     terms: tuple[tuple[tuple[float, int], ...], ...]
+    offsets: tuple[tuple[int, ...], ...]
 
 
 def _on_axis(d: int, axis: int, start: int, stop: int) -> tuple:
@@ -166,9 +167,16 @@ def _on_axis(d: int, axis: int, start: int, stop: int) -> tuple:
 
 def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     """Compile each scenario's terms against ``spec`` (see :class:`Stencil`)."""
-    shape, d = spec.shape, spec.dim
     terms = [_scenario_terms(s, spec.spacing) for s in scenarios]
-    offsets = list(dict.fromkeys(off for t in terms for _, off in t))
+    offsets = tuple(dict.fromkeys(off for t in terms for _, off in t))
+    where = {off: k for k, off in enumerate(offsets)}
+    terms = tuple(tuple((c, where[off]) for c, off in t) for t in terms)
+    return _compile(offsets, terms, spec.shape)
+
+
+def _compile(offsets, terms, shape: tuple[int, ...]) -> Stencil:
+    """The pads, edges and windows of ``offsets`` on a grid of ``shape``."""
+    d = len(shape)
     pads = tuple(
         (max(0, -min(off[a] for off in offsets)), max(0, max(off[a] for off in offsets)))
         for a in range(d)
@@ -184,9 +192,28 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
         (...,) + tuple(slice(lo + o, lo + o + n) for (lo, _), o, n in zip(pads, off, shape))
         for off in offsets
     )
-    where = {off: k for k, off in enumerate(offsets)}
-    terms = tuple(tuple((c, where[off]) for c, off in t) for t in terms)
-    return Stencil(pads, interior, tuple(edges), windows, terms)
+    return Stencil(pads, interior, tuple(edges), windows, terms, offsets)
+
+
+def coarsen(stencil: Stencil, strides: Sequence[int], shape: tuple[int, ...]) -> Stencil:
+    """``stencil`` on every ``strides[a]``-th node: offsets divided, terms and coefficients kept."""
+    offsets = tuple(tuple(o // g for o, g in zip(off, strides)) for off in stencil.offsets)
+    return _compile(offsets, stencil.terms, shape)
+
+
+def origin_strides(grid: GridSpec, stencil: Stencil) -> tuple[int, ...]:
+    """Per axis gcd(i0, N - 1 - i0, the offsets) if the origin is inner node i0, else 1.
+
+    i0 is snapped as in the corner rule.  The stride-g sublattice through the
+    origin then holds both clamp edges, so a march maps its values to themselves.
+    """
+    strides = []
+    for a, (u, n) in enumerate(zip((-grid.lower / grid.spacing).tolist(), grid.shape)):
+        frac = u - math.floor(u)
+        i0 = math.floor(u) if frac < SNAP_TOL else math.ceil(u) if frac > 1.0 - SNAP_TOL else 0
+        g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
+        strides.append(g if 0 < i0 < n - 1 else 1)
+    return tuple(strides)
 
 
 class Workspace:
@@ -275,10 +302,11 @@ def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> 
     return dt
 
 
-def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
+def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig, stencil=None):
     """Check ``uset`` on ``grid`` and return the (stencil, dt_max) plan of :func:`march`.
 
     Raises BAD_SHAPE, GRID_TOO_COARSE, NONMONOTONE_DIFFUSION and CFL_UNSATISFIABLE.
+    A ``stencil`` passed in, built for ``grid`` earlier, is the plan's.
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
@@ -302,7 +330,7 @@ def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
                     f"sum |a_ij|/dx_j = {off:.3g}; no monotone stencil",
                 )
     dt_max = max_stable_step(uset, grid, cfg)
-    return build_stencil(uset.scenarios, grid), dt_max
+    return stencil or build_stencil(uset.scenarios, grid), dt_max
 
 
 def march(values: np.ndarray, plan, times) -> tuple[list[np.ndarray], int]:

@@ -251,22 +251,36 @@ def test_expect_rejects_unpadded_box(capsys, tmp_path, lower, upper, code):
     assert f"error[{code}]" in capsys.readouterr().err
 
 
+GENERATOR_QUOTIENT = (
+    "command = generator\ndim = 1\nscenario.0.atoms = 1:0.5\nscenario.0.drift = 0.3\n"
+    "grid.spacing = 0.02\npayoff = clip-linear\ndelta = 0.01\n"
+)
+
+
 @pytest.mark.parametrize(
-    "extra, code",
-    [("grid.lower = -0.5\ngrid.upper = 0.5\n", "VALIDATION_ERROR"),
-     ("grid.lower = 1\ngrid.upper = 5\neval.x = 3\n", "UNPADDED_GRID")],
+    "lower, upper",
+    [("-0.5", "0.5"), ("1", "5")],
     ids=["tight", "away-from-origin"],
 )
-def test_generator_quotient_rejects_unpadded_box(capsys, tmp_path, extra, code):
-    # the CLI pads the evaluation points; the quotient is read at the origin
+def test_generator_quotient_rejects_unpadded_box(capsys, tmp_path, lower, upper):
+    # the quotient is read at the origin, so the CLI pads the origin
     cfg = tmp_path / "generator.cfg"
     cfg.write_text(
-        "command = generator\ndim = 1\nscenario.0.atoms = 1:0.5\nscenario.0.drift = 0.3\n"
-        "grid.spacing = 0.02\npayoff = clip-linear\ndelta = 0.01\n" + extra,
-        encoding="utf-8",
+        GENERATOR_QUOTIENT + f"grid.lower = {lower}\ngrid.upper = {upper}\n", encoding="utf-8"
     )
     assert main(["--config", str(cfg)]) == 1
-    assert f"error[{code}]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[VALIDATION_ERROR]" in err and "pad" in err
+
+
+def test_generator_rejects_eval_x(capsys, tmp_path):
+    # the quotient and the closed form are both values at the origin
+    for extra in ("", "delta = 0.01\n"):
+        cfg = tmp_path / "generator.cfg"
+        text = GENERATOR_QUOTIENT.replace("delta = 0.01\n", extra)
+        cfg.write_text(text + "grid.lower = -3\ngrid.upper = 3\neval.x = 0\n", encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+        assert "error[VALIDATION_ERROR] eval.x: unknown key" in capsys.readouterr().err
 
 
 def test_threads_are_accepted_and_ignored(capsys, tmp_path):

@@ -1,7 +1,11 @@
 """Nested expectation over increments: levels, conditionals, and axioms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import glevy.engine
@@ -23,6 +27,7 @@ from glevy import (
 )
 from glevy.engine import _centered_box
 from glevy.errors import EngineError, GLevyError
+from glevy.solver import build_stencil, origin_strides
 
 CLASSICAL = validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.0)])
 GPOISSON = validate_uncertainty_set(
@@ -428,3 +433,155 @@ def test_node_budget_applies_to_the_largest_frozen_grid():
         expectation(xi, GPOISSON, cfg, node_budget=100, var_grids=grids)
     assert e.value.code == "DIMENSION_OVERFLOW"
     conditional_expectation(xi, 2, GPOISSON, cfg, node_budget=289, var_grids=grids)
+
+
+# --- sublattice march --------------------------------------------------------
+
+
+def strides(uset, grid):
+    return origin_strides(grid, build_stencil(uset.scenarios, grid))
+
+
+def test_origin_strides():
+    unit = validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.0)])  # configs/expect.cfg
+    box = _centered_box(increment_radius(unit, 0.5), 0.05, 1)
+    assert box.shape == (401,) and strides(unit, box) == (20,)
+    off_lattice = validate_uncertainty_set([(((0.73, 1.0),), 0.0, 0.0)])
+    assert strides(off_lattice, box) == (1,)
+    assert strides(validate_uncertainty_set([(((1.0, 1.0),), 0.1, 0.0)]), box) == (1,)
+    assert strides(validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.2)]), box) == (1,)
+    # the origin between nodes, then on a node but the far edge off the lattice
+    assert strides(unit, GridSpec([-4.0], [4.0], [40])) == (1,)
+    assert strides(unit, GridSpec([-2.0], [2.5], [19])) == (2,)
+    plane = _centered_box(2.0, 0.05, 2)
+    jump = ((1.0, -0.5), 1.0)
+    drift = validate_uncertainty_set([((jump,), (0.0, 0.3), np.zeros((2, 2)))])
+    assert strides(drift, plane) == (20, 1)
+    diffusion = validate_uncertainty_set([((jump,), (0.0, 0.0), np.diag([0.2, 0.0]))])
+    assert strides(diffusion, plane) == (1, 10)
+    # an inert set needs no padding, so the origin may be an edge node
+    inert = validate_uncertainty_set([((), 0.0, 0.0)])
+    edge = GridSpec([0.0], [2.0], [5])
+    assert strides(inert, edge) == (1,)
+    xi = CylinderFunctional(times=(1.0,), payoff=clip40, bound=40.0, lipschitz=1.0)
+    assert expectation(xi, inert, FINE, var_grids=[edge]) == 0.0
+
+
+def test_sublattice_is_what_the_engine_marches(monkeypatch):
+    # configs/expect.cfg: 21 of 401 nodes per increment; conditioning on the
+    # first increment keeps its 401 nodes in the result
+    shapes = []
+    march = glevy.engine.march
+
+    def recording(values, plan, times):
+        shapes.append(values.shape)
+        return march(values, plan, times)
+
+    monkeypatch.setattr(glevy.engine, "march", recording)
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    expectation(xi, CLASSICAL, FINE, dx=0.05)
+    assert shapes == [(21, 21), (1, 21)]
+    shapes.clear()
+    cond = conditional_expectation(xi, 1, CLASSICAL, FINE, dx=0.05)
+    assert cond.spec.shape == (401,) and {s[1:] for s in shapes} == {(21,)}
+    assert sum(s[0] for s in shapes) == 401
+
+
+def lattice_payoff(a):
+    arr = np.asarray(a, dtype=float)
+    w = np.linspace(1.0, -0.5, arr.shape[-1])
+    return np.tanh(arr @ w) + 0.3 * np.cos(arr.sum(axis=-1))
+
+
+@st.composite
+def lattice_problems(draw):
+    """Pure-jump sets on the lattice of step g * dx, with pinned or default boxes."""
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3 if d == 1 else 2))
+    dx, g = draw(st.sampled_from([0.25, 0.5])), draw(st.integers(2, 3))
+    reach = 2 if d == 1 else 1
+    steps = st.lists(st.integers(-reach, reach), min_size=d, max_size=d).filter(any)
+    scenarios = []
+    for _ in range(draw(st.integers(1, 2))):
+        atoms = [
+            (tuple(g * k * dx for k in draw(steps)), draw(st.sampled_from([0.3, 0.6, 1.0])))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        scenarios.append((tuple(atoms), np.zeros(d), np.zeros((d, d))))
+    uset = validate_uncertainty_set(scenarios)
+    gaps = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3]), min_size=m, max_size=m))
+    xi = CylinderFunctional(
+        times=tuple(np.cumsum(gaps)), payoff=lattice_payoff, bound=1.3, lipschitz=3.0, dim=d
+    )
+    if draw(st.booleans()):
+        return xi, uset, dx, None
+    # pinned: the same box for every increment, padded to a multiple of g
+    # below the origin and, when ``extra`` is 0, above it
+    half = g * math.ceil(uset.max_jump_norm() / (g * dx) - 1e-9)
+    extra = draw(st.sampled_from([0, 1, g]))
+    grid = GridSpec(np.full(d, -half * dx), np.full(d, (half + extra) * dx), [2 * half + extra + 1] * d)
+    return xi, uset, dx, [grid] * m
+
+
+@settings(max_examples=30)
+@given(lattice_problems(), st.sampled_from([5, 64, glevy.engine.BLOCK_ELEMENTS]))
+def test_sublattice_engine_equals_per_node_reference(problem, block):
+    xi, uset, dx, pinned = problem
+    cfg, tail = SchemeConfig(cfl_safety=0.5), 0.2
+    grids = pinned or default_grids(xi, uset, dx, tail)
+    kw = dict(dx=dx, tail=tail, var_grids=pinned)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glevy.engine, "BLOCK_ELEMENTS", block)
+        assert expectation(xi, uset, cfg, **kw) == per_node_reference(xi, uset, cfg, 0, grids)
+        for j in range(1, xi.m):
+            got = conditional_expectation(xi, j, uset, cfg, **kw)
+            want = per_node_reference(xi, uset, cfg, j, grids)
+            assert got.spec.shape == want.spec.shape
+            assert np.array_equal(got.values, want.values)
+
+
+def test_sublattice_on_one_axis_equals_per_node_reference():
+    # axis 0 reduces by 4; axis 1 has drift and the origin between its nodes
+    uset = validate_uncertainty_set([((((1.0, 0.37), 0.8),), (0.0, 0.3), np.zeros((2, 2)))])
+    grid = GridSpec([-2.0, -2.6], [2.0, 2.4], [17, 21])
+    assert strides(uset, grid) == (4, 1)
+    xi = CylinderFunctional(
+        times=(0.2, 0.4), payoff=lattice_payoff, bound=1.3, lipschitz=3.0, dim=2
+    )
+    grids = [grid, grid]
+    got = expectation(xi, uset, STEPPED, var_grids=grids)
+    assert got == per_node_reference(xi, uset, STEPPED, 0, grids)
+    cond = conditional_expectation(xi, 1, uset, STEPPED, var_grids=grids)
+    assert np.array_equal(cond.values, per_node_reference(xi, uset, STEPPED, 1, grids).values)
+
+
+def clip3(x):
+    return np.clip(np.asarray(x, dtype=float)[..., 0], -3.0, 3.0)
+
+
+def test_nested_value_is_one_solve_on_the_lattice():
+    # configs/expect.cfg: E[clip(D1 + D2, +-3)] under unit rate is the solve
+    # of clip over [0, 1] stepped to 0.5 and on, read at the origin
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    nested = expectation(xi, CLASSICAL, FINE, dx=0.05)
+    assert nested == 0.9784866738021257
+    phi = Payoff(eval=clip3, bound=3.0, lipschitz=1.0)
+    cfg = SchemeConfig(cfl_safety=0.02, final_time=1.0)
+    for grid in (GridSpec([-10.0], [10.0], [401]), GridSpec([-10.0], [10.0], [21]),
+                 GridSpec([-20.0], [20.0], [41])):
+        res = solve(phi, CLASSICAL, grid, cfg, [0.5, 1.0])
+        assert evaluate(res, 1.0, [0.0]) == nested
+
+
+def test_nested_error_is_first_order_in_dt():
+    # E[min(N_1, 3)] from the pmf; each halving of cfl_safety halves the error
+    k = np.arange(60)
+    exact = float(np.sum(stats.poisson.pmf(k, 1.0) * np.minimum(k, 3)))
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    errors = [
+        abs(expectation(xi, CLASSICAL, SchemeConfig(cfl_safety=c), dx=0.05) - exact)
+        for c in (0.04, 0.02, 0.01, 0.005)
+    ]
+    assert errors[0] < 4e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
