@@ -40,7 +40,8 @@ significant digits, and a given config reproduces its output bitwise.
 The grid box must pad the evaluation points of ``solve`` and the origin of
 ``generator`` by at least one jump range plus drift and four diffusion
 deviations over the horizon (see :func:`glevy.core.min_padding`); a pinned
-``expect`` box must pad the origin so over each increment's (UNPADDED_GRID).
+``expect`` box must pad the origin the same way over each increment's
+horizon (UNPADDED_GRID).
 """
 
 from __future__ import annotations

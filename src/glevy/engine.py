@@ -180,10 +180,10 @@ def _integrate_levels(
     current = None  # the previous level's values, over this level's nodes
     for level in range(m, stop_at, -1):
         ygrid, horizon, yaxes = var_grids[level - 1], horizons[level - 1], axes[level - 1]
-        stencil, dt_max = prepare_march(uset, ygrid, cfg, stencils[level - 1])
+        _, dt_max = prepare_march(uset, ygrid, cfg)
         frozen = [x for k in range(level - 1) for x in axes[k]]
         fshape, yshape = tuple(len(x) for x in frozen), tuple(len(x) for x in yaxes)
-        plan = coarsen(stencil, strides[level - 1], yshape), dt_max
+        plan = coarsen(stencils[level - 1], strides[level - 1], yshape), dt_max
         coarse = GridSpec(ygrid.lower, ygrid.upper, yshape)
         n_rows, ny = math.prod(fshape), math.prod(yshape)
         rows = max(1, BLOCK_ELEMENTS // ny)
@@ -222,7 +222,8 @@ def expectation(
     them.  A pinned grid must pad the origin by :func:`glevy.core.min_padding`
     over its increment's horizon on every axis, else UNPADDED_GRID is raised.
     DIMENSION_OVERFLOW is raised when a frozen tensor grid would exceed
-    ``node_budget`` nodes.
+    ``node_budget`` nodes.  Payoff samples are checked finite and within the
+    bound (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 
@@ -242,8 +243,9 @@ def conditional_expectation(
 
     Returned on the tensor grid of the first j increment variables (axes in
     increment order, ``j * dim`` of them); evaluate with
-    :func:`glevy.core.interpolate`.  Grids, UNPADDED_GRID and
-    DIMENSION_OVERFLOW are as in :func:`expectation`.
+    :func:`glevy.core.interpolate`.  Grids, UNPADDED_GRID, DIMENSION_OVERFLOW
+    and the payoff checks are as in :func:`expectation`; the value reads every
+    node of the first j increments.
     """
     j = int(j)
     if not (1 <= j < xi.m):

@@ -302,11 +302,10 @@ def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> 
     return dt
 
 
-def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig, stencil=None):
+def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
     """Check ``uset`` on ``grid`` and return the (stencil, dt_max) plan of :func:`march`.
 
     Raises BAD_SHAPE, GRID_TOO_COARSE, NONMONOTONE_DIFFUSION and CFL_UNSATISFIABLE.
-    A ``stencil`` passed in, built for ``grid`` earlier, is the plan's.
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
@@ -330,7 +329,7 @@ def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig, stenc
                     f"sum |a_ij|/dx_j = {off:.3g}; no monotone stencil",
                 )
     dt_max = max_stable_step(uset, grid, cfg)
-    return stencil or build_stencil(uset.scenarios, grid), dt_max
+    return build_stencil(uset.scenarios, grid), dt_max
 
 
 def march(values: np.ndarray, plan, times) -> tuple[list[np.ndarray], int]:

@@ -408,6 +408,31 @@ def test_payoff_with_nan_nodes_is_rejected():
     assert e.value.code == "NON_FINITE" and "payoff samples" in e.value.message
 
 
+def test_payoff_is_checked_only_at_the_nodes_the_value_reads():
+    # configs/expect.cfg reads D_2 on the integers only, and D_1 too unless
+    # conditioned on: a payoff spoiled off those nodes gives the clean value
+    def spoiled(bad, axis):
+        def payoff(a):
+            arr = np.asarray(a, dtype=float)
+            off = np.abs(arr[..., axis] - np.round(arr[..., axis])) > 1e-6
+            return np.where(off, bad, clip_sum(arr))
+
+        return CylinderFunctional(times=(0.5, 1.0), payoff=payoff, bound=3.0, lipschitz=2.0)
+
+    clean = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    want = expectation(clean, CLASSICAL, FINE)
+    want_cond = conditional_expectation(clean, 1, CLASSICAL, FINE).values
+    for bad, code in ((np.nan, "NON_FINITE"), (4.0, "PAYOFF_BOUND")):
+        assert expectation(spoiled(bad, 0), CLASSICAL, FINE) == want
+        assert expectation(spoiled(bad, 1), CLASSICAL, FINE) == want
+        got = conditional_expectation(spoiled(bad, 1), 1, CLASSICAL, FINE).values
+        assert np.array_equal(got, want_cond)
+        # conditioning on D_1 reads all of its nodes, the spoiled ones included
+        with pytest.raises(GLevyError) as e:
+            conditional_expectation(spoiled(bad, 0), 1, CLASSICAL, FINE)
+        assert e.value.code == code
+
+
 def test_march_that_overflows_is_rejected():
     # finite samples whose differences overflow: the marched values are not
     def cliff(a):
