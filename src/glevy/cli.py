@@ -15,7 +15,7 @@ scenarios       scenario.<i>.atoms   "z:w; z:w; ..."  (z comma-separated per axi
                 scenario.<i>.diffusion  row-major d*d comma list (scalar for d=1)
 grid            grid.lower, grid.upper (comma lists), grid.spacing or grid.points
 scheme          scheme.cfl_safety, scheme.final_time, scheme.tolerance,
-                scheme.boundary_mode
+                scheme.boundary_mode (only "clamp")
 payoff          payoff = clip-linear | indicator-ramp | quadratic-clip |
                          constant | table
                 payoff.scale, payoff.clip, payoff.center, payoff.width,
@@ -343,14 +343,17 @@ def _build_grid(kv) -> GridSpec:
 
 def _build_scheme(kv) -> SchemeConfig:
     try:
-        return SchemeConfig(
+        scheme = SchemeConfig(
             cfl_safety=_float(kv, "scheme.cfl_safety", 0.9),
             final_time=_float(kv, "scheme.final_time", 1.0),
             tolerance=_float(kv, "scheme.tolerance", 1e-8),
-            boundary_mode=kv.get("scheme.boundary_mode", "clamp"),
         )
     except GLevyError as exc:
         raise _bad("scheme", exc.args[0])
+    mode = kv.get("scheme.boundary_mode", "clamp")
+    if mode != "clamp":  # the solver's only extension rule
+        raise _bad("scheme", f"BAD_SHAPE: unknown boundary_mode {mode!r}")
+    return scheme
 
 
 def parse_config(text: str) -> JobConfig:
@@ -424,6 +427,8 @@ def parse_config(text: str) -> JobConfig:
                 if len(p) != job.dim:
                     raise _bad("eval.x", f"point needs {job.dim} coordinates")
                 pts.append(np.array(p))
+        if not pts:
+            raise _bad("eval.x", "needs at least one point")
         job.eval_points = pts
     else:
         job.eval_points = [np.zeros(job.dim)]

@@ -306,15 +306,13 @@ class SchemeConfig:
 
     cfl_safety in (0, 1] scales the monotone step bound; final_time is the
     solve horizon; tolerance is the accuracy budget handed to series /
-    truncation decisions; boundary_mode selects the extension rule (only
-    "clamp" is implemented: evaluations beyond the box take the nearest
-    boundary value).
+    truncation decisions.  Evaluations beyond the box always take the
+    nearest boundary value (clamp extension).
     """
 
     cfl_safety: float = 0.9
     final_time: float = 1.0
     tolerance: float = 1e-8
-    boundary_mode: str = "clamp"
 
     def __post_init__(self):
         if not (0.0 < self.cfl_safety <= 1.0):
@@ -323,8 +321,6 @@ class SchemeConfig:
             raise ValidationError("BAD_SHAPE", f"final_time {self.final_time} invalid")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValidationError("BAD_SHAPE", f"tolerance {self.tolerance} must be positive")
-        if self.boundary_mode != "clamp":
-            raise ValidationError("BAD_SHAPE", f"unknown boundary_mode {self.boundary_mode!r}")
 
 
 def interpolate(g: GridFunction, x) -> float | np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
 from .core import check_samples, interpolate_values, pads_origin, sample_points
 from .errors import EngineError, ValidationError
-from .solver import build_stencil, coarsen, march, origin_strides, prepare_march
+from .solver import build_stencil, check_march, coarsen, march, origin_strides
 
 # Frozen nodes are marched in blocks of about this many node values.  On a
 # nested-band job (401 x 401 values per level) the whole level in one block
@@ -180,7 +180,7 @@ def _integrate_levels(
     current = None  # the previous level's values, over this level's nodes
     for level in range(m, stop_at, -1):
         ygrid, horizon, yaxes = var_grids[level - 1], horizons[level - 1], axes[level - 1]
-        _, dt_max = prepare_march(uset, ygrid, cfg)
+        dt_max = check_march(uset, ygrid, cfg)
         frozen = [x for k in range(level - 1) for x in axes[k]]
         fshape, yshape = tuple(len(x) for x in frozen), tuple(len(x) for x in yaxes)
         plan = coarsen(stencils[level - 1], strides[level - 1], yshape), dt_max

@@ -25,7 +25,7 @@ with o an integer offset per axis and h the grid spacing:
 Only the cross terms are negative.  Merged per axis neighbor, the
 coefficient a_ii / (2 h_i^2) - sum_{j != i} |a_ij| / (2 h_i h_j) is
 nonnegative exactly when a_ii / h_i >= sum_{j != i} |a_ij| / h_j, which is
-the test :func:`prepare_march` applies before a march; then every step is
+the test :func:`check_march` applies before a march; then every step is
 a monotone map of the node values once dt satisfies the step bound.  A
 constant has zero differences, so it is preserved exactly.
 
@@ -33,21 +33,28 @@ Values beyond the box are clamp-extended (nearest boundary node), so the
 scheme degrades to lower order near edges; callers pad the box beyond the
 region of interest (see :func:`glevy.core.min_padding`).
 
-:func:`build_stencil` compiles the terms of all scenarios at once: the
-distinct offsets in first-seen order, one window each, and per scenario its
-(c, k) terms in formula order, k indexing the windows (:func:`coarsen` moves
-them to a sublattice).  A :class:`Workspace` holds the node values inside an
-edge-padded array, one difference buffer per distinct offset and the
-out/acc/tmp buffers, allocated once per march (and once per series).  A step
-refreshes the padding by copies, takes each difference u(x + o * h) - u(x)
-once, sums and maximizes into the buffers and updates the values in place;
-it allocates no array.  Terms that share an offset are not merged, and every
-sum runs in formula order, so the bits are those of the direct formula.
+:func:`build_stencil` merges each scenario's terms by offset, one (c, k)
+term per distinct offset: c is the sum, in formula order, of the scenario's
+coefficients at that offset, and the term sits where the offset first
+appears in the formula (solve-2d: 30 terms on 20 offsets, not 48).  The
+distinct offsets of all scenarios are kept in first-seen order, k indexes
+them, and each becomes one integer shift in the flattened edge-padded
+array (:func:`coarsen` moves them to a sublattice).  A :class:`Workspace`
+holds the node values inside that padded array, one difference buffer per
+offset that several terms read and the out/acc/tmp buffers, allocated once
+per march (and once per series).  A step refreshes the padding by copies
+and works on the band of the flat padded array from the first interior node
+to the last: each difference u(x + o * h) - u(x) is one 1-D subtract at a
+shift, taken once per step, and the sums and maxima are 1-D contiguous
+operations.  The band's pad elements get finite values that no node reads.
+A step allocates no array, and every sum runs in a fixed order, so the bits
+depend only on the merged coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -84,25 +91,22 @@ def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple
     Returns corner terms (weight, offsets) with weights summing to one; the
     same snap rule as point interpolation keeps lattice-aligned jumps exact.
     """
-    u = z / spacing
-    base = np.floor(u).astype(int)
-    frac = u - base
-    for a in range(len(frac)):
-        if frac[a] < SNAP_TOL:
-            frac[a] = 0.0
-        elif frac[a] > 1.0 - SNAP_TOL:
-            base[a] += 1
-            frac[a] = 0.0
-    terms = [(1.0, tuple())]
-    for a in range(len(frac)):
-        new = []
-        for w, off in terms:
-            if frac[a] == 0.0:
-                new.append((w, off + (int(base[a]),)))
-            else:
-                new.append((w * (1.0 - frac[a]), off + (int(base[a]),)))
-                new.append((w * frac[a], off + (int(base[a]) + 1,)))
-        terms = new
+    terms = [(1.0, ())]
+    for u in (z / spacing).tolist():
+        base = math.floor(u)
+        frac = u - base
+        if frac < SNAP_TOL:
+            frac = 0.0
+        elif frac > 1.0 - SNAP_TOL:
+            base, frac = base + 1, 0.0
+        if frac == 0.0:
+            terms = [(w, off + (base,)) for w, off in terms]
+        else:
+            terms = [
+                term
+                for w, off in terms
+                for term in ((w * (1.0 - frac), off + (base,)), (w * frac, off + (base + 1,)))
+            ]
     return [(w, off) for w, off in terms if w != 0.0]
 
 
@@ -113,9 +117,9 @@ def _unit(d: int, axis: int, step: int) -> tuple[int, ...]:
 def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
     """The scenario's (c, o) terms in formula order: jumps, drift, diffusion, cross.
 
-    Terms that share an offset are kept apart, so the sum runs in the same
-    order as the formula in the module docstring.  An inert scenario gets one
-    zero term, so every scenario has a first term.
+    Terms that share an offset are kept apart here; :func:`build_stencil`
+    sums them in this order.  An inert scenario gets one zero term, so every
+    scenario has a first term.
     """
     h = spacing
     d = len(h)
@@ -141,21 +145,25 @@ def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple
 
 
 class Stencil(NamedTuple):
-    """Every scenario's terms compiled against one grid, for :class:`Workspace`.
+    """Every scenario's merged terms compiled against one grid, for :class:`Workspace`.
 
-    Index tuples all start with ``...``, so node values may carry leading
-    batch axes.  ``pads`` is the (before, after) edge padding per axis,
-    ``interior`` the slice of the padded array that holds the nodes and
-    ``edges`` the (destination, source) slices whose copies, made in order,
-    clamp-extend it.  ``windows`` holds one slice per distinct offset o of
-    ``offsets`` (first-seen order) that reads u(x + o * h); ``terms`` holds
-    per scenario its (c, k) pairs in formula order, k indexing both.
+    ``padded`` is the edge-padded grid shape and ``interior`` the slice of
+    the padded array that holds the nodes; ``edges`` are the (destination,
+    source) slices whose copies, made in order, clamp-extend it.  Index
+    tuples start with ``...``, so node values may carry leading batch axes.
+    ``offsets`` holds the distinct offsets o of all scenarios (first-seen
+    order) and ``shifts`` the flat index shift of each in a C-contiguous
+    padded array, the same for any batch axes.  ``band`` is the (head, tail)
+    count of padded elements before the first interior node and after the
+    last.  ``terms`` holds per scenario its merged (c, k) pairs, k indexing
+    ``offsets`` and ``shifts``, one per offset that the scenario uses.
     """
 
-    pads: tuple[tuple[int, int], ...]
+    padded: tuple[int, ...]
     interior: tuple
     edges: tuple[tuple[tuple, tuple], ...]
-    windows: tuple[tuple, ...]
+    shifts: tuple[int, ...]
+    band: tuple[int, int]
     terms: tuple[tuple[tuple[float, int], ...], ...]
     offsets: tuple[tuple[int, ...], ...]
 
@@ -166,21 +174,27 @@ def _on_axis(d: int, axis: int, start: int, stop: int) -> tuple:
 
 
 def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
-    """Compile each scenario's terms against ``spec`` (see :class:`Stencil`)."""
-    terms = [_scenario_terms(s, spec.spacing) for s in scenarios]
-    offsets = tuple(dict.fromkeys(off for t in terms for _, off in t))
+    """Compile each scenario's terms against ``spec``, merged per offset (see :class:`Stencil`)."""
+    merged = []
+    for s in scenarios:
+        coef = {}
+        for c, off in _scenario_terms(s, spec.spacing):
+            coef[off] = coef[off] + c if off in coef else c
+        merged.append(coef)
+    offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))
     where = {off: k for k, off in enumerate(offsets)}
-    terms = tuple(tuple((c, where[off]) for c, off in t) for t in terms)
+    terms = tuple(tuple((c, where[off]) for off, c in coef.items()) for coef in merged)
     return _compile(offsets, terms, spec.shape)
 
 
 def _compile(offsets, terms, shape: tuple[int, ...]) -> Stencil:
-    """The pads, edges and windows of ``offsets`` on a grid of ``shape``."""
+    """The padding, edges, shifts and band of ``offsets`` on a grid of ``shape``."""
     d = len(shape)
-    pads = tuple(
+    pads = [
         (max(0, -min(off[a] for off in offsets)), max(0, max(off[a] for off in offsets)))
         for a in range(d)
-    )
+    ]
+    padded = tuple(lo + n + hi for (lo, hi), n in zip(pads, shape))
     interior = (...,) + tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, shape))
     edges = []
     for a, ((lo, hi), n) in enumerate(zip(pads, shape)):
@@ -188,11 +202,13 @@ def _compile(offsets, terms, shape: tuple[int, ...]) -> Stencil:
             edges.append((_on_axis(d, a, 0, lo), _on_axis(d, a, lo, lo + 1)))
         if hi:
             edges.append((_on_axis(d, a, lo + n, lo + n + hi), _on_axis(d, a, lo + n - 1, lo + n)))
-    windows = tuple(
-        (...,) + tuple(slice(lo + o, lo + o + n) for (lo, _), o, n in zip(pads, off, shape))
-        for off in offsets
-    )
-    return Stencil(pads, interior, tuple(edges), windows, terms, offsets)
+    strides = [math.prod(padded[a + 1 :]) for a in range(d)]
+    shifts = tuple(sum(map(operator.mul, off, strides)) for off in offsets)
+    head = tail = 0
+    for (lo, hi), st in zip(pads, strides):
+        head += lo * st
+        tail += hi * st
+    return Stencil(padded, interior, tuple(edges), shifts, (head, tail), terms, offsets)
 
 
 def coarsen(stencil: Stencil, strides: Sequence[int], shape: tuple[int, ...]) -> Stencil:
@@ -219,47 +235,66 @@ def origin_strides(grid: GridSpec, stencil: Stencil) -> tuple[int, ...]:
 class Workspace:
     """The buffers of one stencil for node values of one shape, allocated once.
 
-    ``u`` is the interior view of an edge-padded state array: load node
-    values into it, step it in place and copy it for a snapshot.  Each
-    distinct offset has one difference buffer; :meth:`apply` fills them and
-    reduces the scenarios into ``out`` without allocating an array.
+    ``u`` is the interior view of a C-contiguous edge-padded state array:
+    load node values into it, step it in place and copy it for a snapshot.
+    The kernel works on the flat band of that array from the first interior
+    node to the last, batch rows included.  Each offset that several terms
+    read has one band-shaped difference buffer; a term on any other offset
+    takes its difference into acc or tmp, which are band-shaped too, as is
+    the band of ``out``.  :meth:`apply` fills them without allocating an
+    array and returns ``out``'s interior view.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple[int, ...]):
-        lead = shape[: len(shape) - len(stencil.pads)]
-        grid = shape[len(lead) :]
-        padded = np.empty(lead + tuple(lo + n + hi for (lo, hi), n in zip(stencil.pads, grid)))
-        self.u = padded[stencil.interior]
+        padded = np.empty(shape[: len(shape) - len(stencil.padded)] + stencil.padded)
+        out = np.empty(padded.shape)
+        self.u, self.out = padded[stencil.interior], out[stencil.interior]
         self._edges = [(padded[dst], padded[src]) for dst, src in stencil.edges]
-        diffs = [np.empty(shape) for _ in stencil.windows]
-        self._diffs = [(padded[w], diff) for w, diff in zip(stencil.windows, diffs)]
+        head, tail = stencil.band
+        stop = padded.size - tail
+        flat = padded.reshape(-1)
+        self._band, self._out = flat[head:stop], out.reshape(-1)[head:stop]
+        self._acc, self._tmp = np.empty(stop - head), np.empty(stop - head)
+        # an offset read by several terms keeps its difference in a buffer,
+        # filled once per step; any other term takes its own difference
+        uses = [0] * len(stencil.shifts)
+        for t in stencil.terms:
+            for _, k in t:
+                uses[k] += 1
+        windows = [flat[head + k : stop + k] for k in stencil.shifts]
+        diffs = [np.empty(stop - head) if n > 1 else None for n in uses]
+        self._diffs = [(w, diff) for w, diff in zip(windows, diffs) if diff is not None]
         self._terms = [
-            (c0, diffs[k0], [(c, diffs[k]) for c, k in rest]) for (c0, k0), *rest in stencil.terms
+            (c0, diffs[k0], windows[k0], [(c, diffs[k], windows[k]) for c, k in rest])
+            for (c0, k0), *rest in stencil.terms
         ]
-        self.out, self._acc, self._tmp = np.empty(shape), np.empty(shape), np.empty(shape)
 
     def apply(self) -> np.ndarray:
         """``out`` = max over scenarios of sum c * (u(x + o * h) - u(x)), clamped at the edges.
 
-        Terms are summed in order and scenarios reduced with ``np.maximum``
-        in order, so results are bitwise reproducible and each batch row is
-        what it would be on its own.
+        Merged terms are summed in order and scenarios reduced with
+        ``np.maximum`` in order, elementwise on the band, so results are
+        bitwise reproducible and each batch row is what it would be on its own.
         """
         for dst, src in self._edges:
             np.copyto(dst, src)
-        u, out, tmp = self.u, self.out, self._tmp
+        u, out, tmp = self._band, self._out, self._tmp
         for window, diff in self._diffs:
             np.subtract(window, u, out=diff)
         acc = out
-        for c, diff, rest in self._terms:
+        for c, diff, window, rest in self._terms:
+            if diff is None:
+                diff = np.subtract(window, u, out=acc)
             np.multiply(diff, c, out=acc)
-            for c, diff in rest:
+            for c, diff, window in rest:
+                if diff is None:
+                    diff = np.subtract(window, u, out=tmp)
                 np.multiply(diff, c, out=tmp)
                 np.add(acc, tmp, out=acc)
             if acc is not out:
                 np.maximum(out, acc, out=out)
             acc = self._acc
-        return out
+        return self.out
 
 
 def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
@@ -302,8 +337,8 @@ def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> 
     return dt
 
 
-def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
-    """Check ``uset`` on ``grid`` and return the (stencil, dt_max) plan of :func:`march`.
+def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> float:
+    """Check ``uset`` on ``grid`` and return the step bound :func:`max_stable_step`.
 
     Raises BAD_SHAPE, GRID_TOO_COARSE, NONMONOTONE_DIFFUSION and CFL_UNSATISFIABLE.
     """
@@ -328,7 +363,12 @@ def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
                     f"axis {i}: a_ii/dx_i = {a[i, i] / h[i]:.3g} < "
                     f"sum |a_ij|/dx_j = {off:.3g}; no monotone stencil",
                 )
-    dt_max = max_stable_step(uset, grid, cfg)
+    return max_stable_step(uset, grid, cfg)
+
+
+def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
+    """The (stencil, dt_max) plan of :func:`march`, checked first by :func:`check_march`."""
+    dt_max = check_march(uset, grid, cfg)
     return build_stencil(uset.scenarios, grid), dt_max
 
 

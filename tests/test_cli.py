@@ -72,6 +72,28 @@ def test_parse_rejections():
     assert e.value.code == "VALIDATION_ERROR" and "command" in e.value.message
 
 
+def test_boundary_mode_accepts_only_clamp():
+    assert parse_config(SOLVE_CFG + "scheme.boundary_mode = clamp\n").scheme == SchemeConfig(
+        cfl_safety=0.5, final_time=1.0
+    )
+    with pytest.raises(ConfigError) as e:
+        parse_config(SOLVE_CFG + "scheme.boundary_mode = reflect\n")
+    assert e.value.code == "VALIDATION_ERROR"
+    assert e.value.message == "scheme: BAD_SHAPE: unknown boundary_mode 'reflect'"
+    # a bad step bound is reported first, as before
+    unstable = SOLVE_CFG.replace("cfl_safety = 0.5", "cfl_safety = 2")
+    with pytest.raises(ConfigError) as e:
+        parse_config(unstable + "scheme.boundary_mode = reflect\n")
+    assert "cfl_safety" in e.value.message
+
+
+def test_empty_eval_x_rejected(capsys, tmp_path):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CFG + "eval.x = ;\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    assert "error[VALIDATION_ERROR] eval.x: needs at least one point" in capsys.readouterr().err
+
+
 GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
 
 

@@ -204,8 +204,6 @@ def test_scheme_config_validation():
         SchemeConfig(cfl_safety=1.5)
     with pytest.raises(GLevyError):
         SchemeConfig(tolerance=-1.0)
-    with pytest.raises(GLevyError):
-        SchemeConfig(boundary_mode="reflect")
 
 
 def test_min_padding_combines_jump_drift_diffusion():

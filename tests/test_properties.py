@@ -4,7 +4,9 @@ Sets are drawn in 1-3 dimensions with off-lattice jump atoms, drift of both
 signs and cross diffusion shrunk until it passes the monotone test of
 :func:`glevy.solver.prepare_march`.  The kernel is compared bit for bit with
 a reference kept here: np.pad(mode="edge"), the terms of
-``_scenario_terms`` summed in order, the max over scenarios in order.
+``_scenario_terms`` merged per offset (coefficients summed in formula order,
+each merged term where its offset first appears) and summed in that order,
+the max over scenarios in order.
 """
 
 import math
@@ -78,11 +80,13 @@ def reference_generator(uset, grid, u):
     d = grid.dim
     out = None
     for s in uset.scenarios:
-        terms = _scenario_terms(s, grid.spacing)
-        reach = [max(abs(off[a]) for _, off in terms) for a in range(d)]
+        merged = {}
+        for c, off in _scenario_terms(s, grid.spacing):
+            merged[off] = merged[off] + c if off in merged else c
+        reach = [max(abs(off[a]) for off in merged) for a in range(d)]
         padded = np.pad(u, [(0, 0)] * (u.ndim - d) + [(r, r) for r in reach], mode="edge")
         acc = None
-        for c, off in terms:
+        for off, c in merged.items():
             window = (...,) + tuple(
                 slice(r + o, r + o + n) for r, o, n in zip(reach, off, grid.shape)
             )

@@ -25,7 +25,7 @@ from glevy import (
     validate_uncertainty_set,
 )
 from glevy.errors import GLevyError, SolverError
-from glevy.solver import Workspace, march, prepare_march
+from glevy.solver import Workspace, _scenario_terms, build_stencil, march, prepare_march
 
 
 def x1(x):
@@ -135,6 +135,38 @@ def test_march_allocates_no_array_per_step(monkeypatch):
         tracemalloc.stop()
     assert steps == len(spikes) == 20
     assert max(spikes) < u.nbytes // 2
+
+
+def test_stencil_merges_terms_per_offset():
+    # the solve-2d base family: (atom z, rate, drift, (s1, s2, rho)) per scenario
+    family = (
+        ((0.37, 0.21), 0.8, (0.30, -0.20), (0.30, 0.25, 0.40)),
+        ((-0.53, 0.29), 0.6, (-0.25, 0.35), (0.28, 0.32, -0.45)),
+        ((0.18, -0.61), 1.0, (0.10, -0.40), (0.33, 0.30, 0.20)),
+    )
+    scenarios = [
+        Scenario(
+            atoms=((np.array(z), w),),
+            drift=q,
+            diffusion=[[s1, 0.0], [rho * s2, s2 * np.sqrt(1.0 - rho * rho)]],
+        )
+        for z, w, q, (s1, s2, rho) in family
+    ]
+    grid = uniform_grid([-4.0, -4.0], [4.0, 4.0], 0.04)
+    stencil = build_stencil(scenarios, grid)
+    assert len(stencil.offsets) == len(stencil.shifts) == 20
+    assert sum(len(t) for t in stencil.terms) == 30
+    for s, terms in zip(scenarios, stencil.terms):
+        offsets = [stencil.offsets[k] for _, k in terms]
+        assert len(set(offsets)) == len(offsets)
+        formula = _scenario_terms(s, grid.spacing)
+        assert offsets == list(dict.fromkeys(off for _, off in formula))
+        for (c, _), off in zip(terms, offsets):
+            want = None
+            for term_c, term_off in formula:
+                if term_off == off:
+                    want = term_c if want is None else want + term_c
+            assert c == want
 
 
 def test_atom_smaller_than_half_cell_rejected():
