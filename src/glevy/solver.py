@@ -40,15 +40,14 @@ appears in the formula (solve-2d: 30 terms on 20 offsets, not 48).  The
 distinct offsets of all scenarios are kept in first-seen order, k indexes
 them, and each becomes one integer shift in the flattened edge-padded
 array (:func:`coarsen` moves them to a sublattice).  A :class:`Workspace`
-holds the node values inside that padded array, one difference buffer per
-offset that several terms read and the out/acc/tmp buffers, allocated once
-per march (and once per series).  A step refreshes the padding by copies
-and works on the band of the flat padded array from the first interior node
-to the last: each difference u(x + o * h) - u(x) is one 1-D subtract at a
-shift, taken once per step, and the sums and maxima are 1-D contiguous
-operations.  The band's pad elements get finite values that no node reads.
-A step allocates no array, and every sum runs in a fixed order, so the bits
-depend only on the merged coefficients.
+holds the node values inside that padded array and the out/acc/tmp
+buffers, allocated once per march (and once per series).  A step refreshes
+the padding by copies and works on the band of the flat padded array from
+the first interior node to the last: each term's difference u(x + o * h) -
+u(x) is one 1-D subtract at a shift, and the products, sums and maxima are
+1-D contiguous operations.  The band's pad elements get finite values that
+no node reads.  A step allocates no array, and every sum runs in a fixed
+order, so the bits depend only on the merged coefficients.
 """
 
 from __future__ import annotations
@@ -238,11 +237,10 @@ class Workspace:
     ``u`` is the interior view of a C-contiguous edge-padded state array:
     load node values into it, step it in place and copy it for a snapshot.
     The kernel works on the flat band of that array from the first interior
-    node to the last, batch rows included.  Each offset that several terms
-    read has one band-shaped difference buffer; a term on any other offset
-    takes its difference into acc or tmp, which are band-shaped too, as is
-    the band of ``out``.  :meth:`apply` fills them without allocating an
-    array and returns ``out``'s interior view.
+    node to the last, batch rows included: each term takes its difference
+    straight into the band-shaped acc or tmp buffer (the first scenario's
+    acc is the band of ``out``).  :meth:`apply` fills them without
+    allocating an array and returns ``out``'s interior view.
     """
 
     def __init__(self, stencil: Stencil, shape: tuple[int, ...]):
@@ -255,17 +253,9 @@ class Workspace:
         flat = padded.reshape(-1)
         self._band, self._out = flat[head:stop], out.reshape(-1)[head:stop]
         self._acc, self._tmp = np.empty(stop - head), np.empty(stop - head)
-        # an offset read by several terms keeps its difference in a buffer,
-        # filled once per step; any other term takes its own difference
-        uses = [0] * len(stencil.shifts)
-        for t in stencil.terms:
-            for _, k in t:
-                uses[k] += 1
         windows = [flat[head + k : stop + k] for k in stencil.shifts]
-        diffs = [np.empty(stop - head) if n > 1 else None for n in uses]
-        self._diffs = [(w, diff) for w, diff in zip(windows, diffs) if diff is not None]
         self._terms = [
-            (c0, diffs[k0], windows[k0], [(c, diffs[k], windows[k]) for c, k in rest])
+            (c0, windows[k0], [(c, windows[k]) for c, k in rest])
             for (c0, k0), *rest in stencil.terms
         ]
 
@@ -279,17 +269,13 @@ class Workspace:
         for dst, src in self._edges:
             np.copyto(dst, src)
         u, out, tmp = self._band, self._out, self._tmp
-        for window, diff in self._diffs:
-            np.subtract(window, u, out=diff)
         acc = out
-        for c, diff, window, rest in self._terms:
-            if diff is None:
-                diff = np.subtract(window, u, out=acc)
-            np.multiply(diff, c, out=acc)
-            for c, diff, window in rest:
-                if diff is None:
-                    diff = np.subtract(window, u, out=tmp)
-                np.multiply(diff, c, out=tmp)
+        for c, window, rest in self._terms:
+            np.subtract(window, u, out=acc)
+            np.multiply(acc, c, out=acc)
+            for c, window in rest:
+                np.subtract(window, u, out=tmp)
+                np.multiply(tmp, c, out=tmp)
                 np.add(acc, tmp, out=acc)
             if acc is not out:
                 np.maximum(out, acc, out=out)
@@ -300,14 +286,14 @@ class Workspace:
 def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     """Evaluate one scenario's generator on every node of ``g``.
 
-    Returns an array shaped like ``g.values``; boundary nodes see clamped
-    (zero-difference) one-sided terms.
+    Returns a new C-contiguous array shaped like ``g.values``; boundary
+    nodes see clamped (zero-difference) one-sided terms.
     """
     if s.dim != g.spec.dim:
         raise ValidationError("BAD_SHAPE", f"scenario dim {s.dim} != grid dim {g.spec.dim}")
     work = Workspace(build_stencil((s,), g.spec), g.values.shape)
     work.u[...] = g.values
-    return work.apply()
+    return work.apply().copy()
 
 
 def _scenario_rate(s: Scenario, h: np.ndarray) -> float:
