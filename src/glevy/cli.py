@@ -207,9 +207,12 @@ def _float(kv, key, default=None):
             raise _bad(key, "required key is missing")
         return default
     try:
-        return float(kv[key])
+        value = float(kv[key])
     except ValueError:
         raise _bad(key, f"not a number: {kv[key]!r}")
+    if not math.isfinite(value):
+        raise _bad(key, f"must be finite, got {value!r}")
+    return value
 
 
 def _positive(kv, key, default=None):
@@ -228,11 +231,11 @@ def _int(kv, key, default):
         raise _bad(key, f"not an integer: {kv[key]!r}")
 
 
-def _floats(text, key):
+def _floats(text, key, kind=float, what="number"):
     try:
-        return [float(p) for p in text.split(",")]
+        return [kind(p) for p in text.split(",")]
     except ValueError:
-        raise _bad(key, f"not a comma-separated number list: {text!r}")
+        raise _bad(key, f"not a comma-separated {what} list: {text!r}")
 
 
 def _parse_atoms(text, key):
@@ -325,7 +328,7 @@ def _build_grid(kv) -> GridSpec:
     if len(lower) != len(upper):
         raise _bad("grid.upper", "lower/upper length mismatch")
     if "grid.points" in kv:
-        points = [int(p) for p in kv["grid.points"].split(",")]
+        points = _floats(kv["grid.points"], "grid.points", int, "integer")
         if len(points) == 1:
             points = points * len(lower)
         try:
@@ -530,22 +533,11 @@ def run(job: JobConfig) -> tuple[int, str]:
             total = arr.reshape(lead + (len(job.times), job.dim)).sum(axis=-2)
             return inner.eval(total)
 
-        xi = CylinderFunctional(
-            times=tuple(job.times),
-            payoff=summed,
-            bound=inner.bound,
-            lipschitz=inner.lipschitz,
-            dim=job.dim,
-        )
+        xi = CylinderFunctional(tuple(job.times), summed, inner.bound, inner.lipschitz, job.dim)
         var_grids = [job.grid] * len(job.times) if job.grid is not None else None
         value = expectation(
-            xi,
-            job.uset,
-            job.scheme,
-            dx=job.engine_dx,
-            node_budget=job.engine_node_budget,
-            tail=job.engine_tail,
-            var_grids=var_grids,
+            xi, job.uset, job.scheme, dx=job.engine_dx, node_budget=job.engine_node_budget,
+            tail=job.engine_tail, var_grids=var_grids,
         )
         return 0, _run_value(value)
     # check

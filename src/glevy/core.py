@@ -155,20 +155,24 @@ class UncertaintySet:
         return max(s.mass() for s in self.scenarios)
 
     def max_jump_norm(self) -> float:
-        norms = [np.linalg.norm(z) for s in self.scenarios for z, _ in s.atoms]
-        return float(max(norms)) if norms else 0.0
+        return self._reach[0]
 
     def max_drift_norm(self) -> float:
-        return max(float(np.linalg.norm(s.drift)) for s in self.scenarios)
+        return self._reach[1]
 
     def max_sigma(self) -> float:
         """Largest spectral norm of a diffusion factor across scenarios."""
-        return self._max_sigma
+        return self._reach[2]
 
     @cached_property
-    def _max_sigma(self) -> float:
-        # one SVD per scenario, paid once per set: every padding check needs it
-        return max(float(np.linalg.norm(s.diffusion, 2)) for s in self.scenarios)
+    def _reach(self) -> tuple[float, float, float]:
+        # paid once per set (one SVD per scenario): every padding check needs it
+        jumps = [np.linalg.norm(z) for s in self.scenarios for z, _ in s.atoms]
+        return (
+            float(max(jumps)) if jumps else 0.0,
+            max(float(np.linalg.norm(s.drift)) for s in self.scenarios),
+            max(float(np.linalg.norm(s.diffusion, 2)) for s in self.scenarios),
+        )
 
     def max_total_rate(self) -> float:
         return max(s.total_rate for s in self.scenarios)
@@ -337,32 +341,23 @@ def interpolate(g: GridFunction, x) -> float | np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != spec.dim:
         raise ValidationError("BAD_SHAPE", f"query points must have {spec.dim} coordinates")
-    out = interpolate_values(spec, g.values, pts.reshape(-1, spec.dim))
-    return float(out[0]) if scalar else out.reshape(pts.shape[:-1])
-
-
-def interpolate_values(spec: GridSpec, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The corner rule of :func:`interpolate` on node ``values`` at (n, d) points.
-
-    Axes of ``values`` before the grid's are batch axes: the result has
-    shape ``values.shape[:-d] + (n,)``, each batch row interpolated alone.
-    """
-    u = (pts - spec.lower) / spec.spacing
+    flat = pts.reshape(-1, spec.dim)
+    u = (flat - spec.lower) / spec.spacing
     u = np.clip(u, 0.0, (spec.points - 1).astype(float))
     base = np.minimum(np.floor(u).astype(int), spec.points - 2)
     frac = u - base
     frac[frac < SNAP_TOL] = 0.0
     frac[frac > 1.0 - SNAP_TOL] = 1.0
 
-    out = np.zeros(values.shape[: values.ndim - spec.dim] + (pts.shape[0],))
+    out = np.zeros(flat.shape[0])
     for corner in itertools.product((0, 1), repeat=spec.dim):
-        w = np.ones(pts.shape[0])
+        w = np.ones(flat.shape[0])
         idx = []
         for axis, c in enumerate(corner):
             w = w * (frac[:, axis] if c else 1.0 - frac[:, axis])
             idx.append(base[:, axis] + c)
-        out += w * values[(..., *idx)]
-    return out
+        out += w * g.values[tuple(idx)]
+    return float(out[0]) if scalar else out.reshape(pts.shape[:-1])
 
 
 def sample_payoff(phi: Payoff, spec: GridSpec) -> np.ndarray:

@@ -11,9 +11,10 @@ then repeat on the result until a scalar phi_m remains.  Each level is one
 march (:func:`glevy.solver.march`) of an array whose leading axes are the
 frozen nodes, in blocks of rows: it starts from phi sampled on the tensor
 grid of all m variables, or from the previous level's values (its nodes are
-exactly the sample points), and each row is read at the origin with the
-corner rule of :func:`glevy.core.interpolate`.  Conditional expectations are
-those intermediates, returned as grid functions of the first j increments.
+exactly the sample points); each row is read at the origin by the corner
+rule of :func:`glevy.core.interpolate`, as a weighted sum over corner nodes
+found once per level.  Conditional expectations are those intermediates,
+returned as grid functions of the first j increments.
 
 An increment read only at the origin (all in :func:`expectation`, those
 after the j-th in :func:`conditional_expectation`) is marched with the fine
@@ -28,15 +29,16 @@ all values unchanged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
-from .core import check_samples, interpolate_values, pads_origin, sample_points
+from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
-from .solver import build_stencil, check_march, coarsen, march, origin_strides
+from .solver import _atom_stencil, build_stencil, check_march, coarsen, march, origin_strides
 
 # Frozen nodes are marched in blocks of about this many node values.  On a
 # nested-band job (401 x 401 values per level) the whole level in one block
@@ -123,13 +125,6 @@ def _centered_box(radius: float, dx: float, d: int) -> GridSpec:
     )
 
 
-def _frozen_spec(var_grids: Sequence[GridSpec], count: int) -> GridSpec:
-    lower = np.concatenate([var_grids[i].lower for i in range(count)])
-    upper = np.concatenate([var_grids[i].upper for i in range(count)])
-    points = np.concatenate([var_grids[i].points for i in range(count)])
-    return GridSpec(lower=lower, upper=upper, points=points)
-
-
 def _integrate_levels(
     xi: CylinderFunctional,
     uset: UncertaintySet,
@@ -145,6 +140,10 @@ def _integrate_levels(
     Returns a scalar float when stop_at == 0, else a GridFunction over the
     first ``stop_at`` variables.
     """
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise ValidationError("BAD_SHAPE", f"dx {dx!r} must be finite and positive")
+    if not 0.0 < tail < 1.0:
+        raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
     if uset.dim != xi.dim:
         raise ValidationError("BAD_SHAPE", f"set dim {uset.dim} != functional dim {xi.dim}")
     m, d = xi.m, xi.dim
@@ -183,8 +182,14 @@ def _integrate_levels(
         dt_max = check_march(uset, ygrid, cfg)
         frozen = [x for k in range(level - 1) for x in axes[k]]
         fshape, yshape = tuple(len(x) for x in frozen), tuple(len(x) for x in yaxes)
-        plan = coarsen(stencils[level - 1], strides[level - 1], yshape), dt_max
-        coarse = GridSpec(ygrid.lower, ygrid.upper, yshape)
+        stride = strides[level - 1]
+        stencil = coarsen(stencils[level - 1], stride, yshape)
+        # interpolate's corners of the origin clamped into the box, on the sublattice
+        origin = np.clip(-ygrid.lower, 0.0, ygrid.upper - ygrid.lower)
+        corners = [
+            (w, (..., *map(operator.floordiv, off, stride)))
+            for w, off in _atom_stencil(origin, ygrid.spacing)
+        ]
         n_rows, ny = math.prod(fshape), math.prod(yshape)
         rows = max(1, BLOCK_ELEMENTS // ny)
         out = np.empty(n_rows)
@@ -197,12 +202,14 @@ def _integrate_levels(
                 block = sample_points(phi, nodes)
             else:
                 block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
-            (block,), _ = march(block.reshape((b - a,) + yshape), plan, [horizon])
-            out[a:b] = interpolate_values(coarse, block, np.zeros((1, d)))[:, 0]
+            (block,), _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])
+            out[a:b] = sum(w * block[corner] for w, corner in corners)
         current = out.reshape(fshape)
     if stop_at == 0:
         return float(current)
-    return GridFunction(_frozen_spec(var_grids, stop_at), current)
+    # the tensor grid of the first stop_at variables, axes in increment order
+    kept = [(g.lower, g.upper, g.points) for g in var_grids[:stop_at]]
+    return GridFunction(GridSpec(*map(np.concatenate, zip(*kept))), current)
 
 
 def expectation(
@@ -220,10 +227,11 @@ def expectation(
     Per-variable grids default to centered boxes of radius
     :func:`increment_radius` at spacing ``dx``; pass ``var_grids`` to pin
     them.  A pinned grid must pad the origin by :func:`glevy.core.min_padding`
-    over its increment's horizon on every axis, else UNPADDED_GRID is raised.
-    DIMENSION_OVERFLOW is raised when a frozen tensor grid would exceed
-    ``node_budget`` nodes.  Payoff samples are checked finite and within the
-    bound (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.
+    over its increment's horizon on every axis, else UNPADDED_GRID is raised;
+    ``dx`` must be finite and positive (BAD_SHAPE), ``tail`` in (0, 1)
+    (BAD_TOLERANCE).  DIMENSION_OVERFLOW is raised when a frozen tensor grid
+    would exceed ``node_budget`` nodes.  Payoff samples are checked finite and
+    within the bound (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 

@@ -8,7 +8,8 @@ the closed form
                                    + 1/2 tr(D^2 f(0) Q Q^T) ],
 
 and it is recovered dynamically as the limit of u(delta, 0) / delta where u
-solves the worst-case equation started from f.
+solves the worst-case equation started from f; u(delta, 0) is the worst-case
+expectation of f(X_delta), one increment (:func:`glevy.engine.expectation`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _require_finite
-from .core import interpolate_values, min_padding, pads_origin, sample_payoff
+from .core import min_padding, pads_origin
+from .engine import CylinderFunctional, expectation
 from .errors import SolverError, ValidationError
-from .solver import march, prepare_march
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,10 @@ def small_time_quotient(
 
     Converges to the generator value as delta -> 0 when the grid is refined
     alongside.  The grid must pad the origin by :func:`glevy.core.min_padding`
-    over ``delta`` on every axis, else UNPADDED_GRID is raised.  Solver errors
+    over ``delta`` on every axis, else UNPADDED_GRID is raised.  The value is
+    :func:`glevy.engine.expectation` of phi(D_1), D_1 over ``delta`` on the
+    pinned ``grid``: it marches the sublattice the origin reads, and checks
+    payoff samples only at the nodes the value reads.  Solver errors
     (grid/CFL) propagate unchanged.
     """
     delta = float(delta)
@@ -101,6 +105,5 @@ def small_time_quotient(
         raise SolverError(
             "UNPADDED_GRID", f"grid must pad the origin by >= {pad:.6g} over delta {delta:.6g}"
         )
-    plan = prepare_march(uset, grid, cfg)
-    (u,), _ = march(sample_payoff(phi, grid), plan, [delta])
-    return float(interpolate_values(grid, u, np.zeros((1, grid.dim)))[0]) / delta
+    xi = CylinderFunctional((delta,), phi.eval, phi.bound, phi.lipschitz, grid.dim)
+    return expectation(xi, uset, cfg, var_grids=[grid]) / delta

@@ -91,7 +91,7 @@ def gpoisson_closed_form(
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
     tol = float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
 
     mu = t if direction == "increasing" else lam * t
@@ -156,7 +156,7 @@ def series_solution(
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
     tol = float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
 
     d = grid.dim

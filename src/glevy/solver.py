@@ -25,7 +25,8 @@ with o an integer offset per axis and h the grid spacing:
 Only the cross terms are negative.  Merged per axis neighbor, the
 coefficient a_ii / (2 h_i^2) - sum_{j != i} |a_ij| / (2 h_i h_j) is
 nonnegative exactly when a_ii / h_i >= sum_{j != i} |a_ij| / h_j, which is
-the test :func:`check_march` applies before a march; then every step is
+the test :func:`check_march` applies before a march, and it returns the
+step bound that :func:`march` takes with the stencil; then every step is
 a monotone map of the node values once dt satisfies the step bound.  A
 constant has zero differences, so it is preserved exactly.
 
@@ -211,7 +212,9 @@ def _compile(offsets, terms, shape: tuple[int, ...]) -> Stencil:
 
 
 def coarsen(stencil: Stencil, strides: Sequence[int], shape: tuple[int, ...]) -> Stencil:
-    """``stencil`` on every ``strides[a]``-th node: offsets divided, terms and coefficients kept."""
+    """``stencil`` on every ``strides[a]``-th node (itself at stride 1): offsets divided."""
+    if all(g == 1 for g in strides):
+        return stencil
     offsets = tuple(tuple(o // g for o, g in zip(off, strides)) for off in stencil.offsets)
     return _compile(offsets, stencil.terms, shape)
 
@@ -352,21 +355,15 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> floa
     return max_stable_step(uset, grid, cfg)
 
 
-def prepare_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
-    """The (stencil, dt_max) plan of :func:`march`, checked first by :func:`check_march`."""
-    dt_max = check_march(uset, grid, cfg)
-    return build_stencil(uset.scenarios, grid), dt_max
-
-
-def march(values: np.ndarray, plan, times) -> tuple[list[np.ndarray], int]:
+def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[list, int]:
     """Step node values through the sorted ``times``; return (snapshots, steps).
 
-    Axes of ``values`` before the grid's are batch axes.  Steps are shortened
-    so every time is hit exactly; snapshots are checked finite (NON_FINITE).
-    One :class:`Workspace` serves the whole march: each step updates its
-    state in place, and each snapshot is a copy.
+    ``dt_max`` is the step bound of :func:`check_march`.  Axes of ``values``
+    before the grid's are batch axes.  Steps are shortened so every time is
+    hit exactly; snapshots are checked finite (NON_FINITE).  One
+    :class:`Workspace` serves the whole march: each step updates its state
+    in place, and each snapshot is a copy.
     """
-    stencil, dt_max = plan
     work = Workspace(stencil, values.shape)
     u = work.u
     u[...] = values
@@ -402,7 +399,7 @@ def solve(
     ----------
     output_times : sequence of floats in [0, cfg.final_time]
         Snapshot times; defaults to [cfg.final_time].  Other errors are
-        those of :func:`prepare_march`, :func:`sample_payoff` and :func:`march`.
+        those of :func:`check_march`, :func:`sample_payoff` and :func:`march`.
     """
     if output_times is None or len(output_times) == 0:
         output_times = [cfg.final_time]
@@ -411,10 +408,11 @@ def solve(
         raise ValidationError(
             "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
         )
-    plan = prepare_march(uset, grid, cfg)
-    snapshots, steps = march(sample_payoff(phi, grid), plan, times)
+    dt_max = check_march(uset, grid, cfg)
+    stencil = build_stencil(uset.scenarios, grid)
+    snapshots, steps = march(sample_payoff(phi, grid), stencil, dt_max, times)
     snapshots = tuple(GridFunction(grid, v, float(t)) for v, t in zip(snapshots, times))
-    return SolveResult(snapshots=snapshots, dt_used=plan[1], steps=steps)
+    return SolveResult(snapshots=snapshots, dt_used=dt_max, steps=steps)
 
 
 def evaluate(result: SolveResult, t: float, x) -> float:

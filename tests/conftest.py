@@ -1,8 +1,8 @@
 """Hypothesis runs derandomized: every run draws the same examples, none are stored.
 
 The "glevy" profile is the default; "glevy-thorough" draws 300 examples per
-test (``python -m pytest tests/test_properties.py --hypothesis-profile
-glevy-thorough``).
+test (``python -m pytest tests/ -m hypothesis --hypothesis-profile
+glevy-thorough`` runs every hypothesis test under it).
 """
 
 from hypothesis import settings

@@ -122,6 +122,58 @@ def test_nonpositive_values_rejected(text, key):
     assert e.value.code == "VALIDATION_ERROR" and e.value.message == f"{key}: must be positive"
 
 
+DIFFUSION_SOLVE_CFG = (
+    "command = solve\ndim = 1\nscenario.0.diffusion = 0.3\n"
+    "grid.lower = -4\ngrid.upper = 4\npayoff = clip-linear\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (DIFFUSION_SOLVE_CFG + "grid.spacing = nan\n", "grid.spacing"),
+        (DIFFUSION_SOLVE_CFG + "grid.spacing = inf\n", "grid.spacing"),
+        (GPOISSON_CFG + "payoff = clip-linear\npayoff.clip = nan\n", "payoff.clip"),
+        (GPOISSON_CFG + "payoff = indicator-ramp\npayoff.width = nan\n", "payoff.width"),
+        (GPOISSON_CFG + "x = nan\npayoff = clip-linear\n", "x"),
+        (GPOISSON_CFG + "x = -inf\npayoff = clip-linear\n", "x"),
+        (
+            SOLVE_CFG.replace("command = solve", "command = generator")
+            .replace("output_times = 0.5, 1", "delta = nan"),
+            "delta",
+        ),
+        (
+            "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n"
+            "engine.dx = nan\n",
+            "engine.dx",
+        ),
+    ],
+)
+def test_non_finite_values_rejected(text, key):
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
+    assert e.value.code == "VALIDATION_ERROR"
+    assert e.value.message.startswith(f"{key}: must be finite, got ")
+
+
+def test_non_finite_spacing_writes_no_artifact(capsys, tmp_path):
+    # a nan spacing once fell through to a 3-node grid and a plausible CSV
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(DIFFUSION_SOLVE_CFG + "grid.spacing = nan\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[VALIDATION_ERROR] grid.spacing: must be finite, got nan" in captured.err
+
+
+def test_non_integer_grid_points_rejected(capsys, tmp_path):
+    cfg = tmp_path / "points.cfg"
+    cfg.write_text(DIFFUSION_SOLVE_CFG + "grid.points = 4.5\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error[VALIDATION_ERROR] grid.points: not a comma-separated integer list: '4.5'" in err
+
+
 def test_comments_and_blank_lines_ignored():
     job = parse_config(
         "# job header\n\ncommand = gpoisson  # trailing note\nlambda = 0\nt = 2\npayoff = clip-linear\n"

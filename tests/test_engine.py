@@ -50,6 +50,36 @@ def test_functional_validation():
         CylinderFunctional(times=(0.0,), payoff=lambda a: 0.0, bound=0.0, lipschitz=0.0)
 
 
+@pytest.mark.parametrize(
+    "kw, code",
+    [
+        (dict(dx=float("nan")), "BAD_SHAPE"),
+        (dict(dx=0.0), "BAD_SHAPE"),
+        (dict(dx=-0.05), "BAD_SHAPE"),
+        (dict(dx=math.inf), "BAD_SHAPE"),
+        (dict(tail=float("nan")), "BAD_TOLERANCE"),
+        (dict(tail=0.0), "BAD_TOLERANCE"),
+        (dict(tail=1.0), "BAD_TOLERANCE"),
+        (dict(tail=2.0), "BAD_TOLERANCE"),
+    ],
+)
+def test_dx_and_tail_are_checked(kw, code):
+    # tail = nan or 2 once cut the box to one jump and returned a wrong value;
+    # tail = 0 spun in the Poisson quantile, dx = nan or 0 raised uncoded
+    one = CylinderFunctional((1.0,), clip3, 3.0, 1.0)
+    two = CylinderFunctional((0.5, 1.0), clip_sum, 3.0, 2.0)
+    pinned = [GridSpec([-4.0], [4.0], [33])] * 2
+    for call in (
+        lambda: expectation(one, GPOISSON, FINE, **kw),
+        lambda: expectation(one, GPOISSON, FINE, var_grids=pinned[:1], **kw),
+        lambda: conditional_expectation(two, 1, GPOISSON, FINE, **kw),
+        lambda: conditional_expectation(two, 1, GPOISSON, FINE, var_grids=pinned, **kw),
+    ):
+        with pytest.raises(GLevyError) as e:
+            call()
+        assert e.value.code == code
+
+
 def test_m1_matches_direct_solve_exactly():
     ramp = Payoff(eval=lambda x: np.clip(np.asarray(x, float)[..., 0], -1.0, 1.0), bound=1.0, lipschitz=1.0)
     grid = uniform_grid([-6.0], [10.0], 0.1)
@@ -498,9 +528,9 @@ def test_sublattice_is_what_the_engine_marches(monkeypatch):
     shapes = []
     march = glevy.engine.march
 
-    def recording(values, plan, times):
+    def recording(values, stencil, dt_max, times):
         shapes.append(values.shape)
-        return march(values, plan, times)
+        return march(values, stencil, dt_max, times)
 
     monkeypatch.setattr(glevy.engine, "march", recording)
     xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)

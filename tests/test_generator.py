@@ -1,14 +1,23 @@
 """Closed-form worst-case generator values and the small-time quotient."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import glevy.engine
 from glevy import (
+    GridSpec,
     Payoff,
     SchemeConfig,
     TestFunction,
+    evaluate,
     g_operator,
+    min_padding,
     small_time_quotient,
+    solve,
     uniform_grid,
     validate_uncertainty_set,
 )
@@ -155,3 +164,108 @@ def test_quotient_rejects_unpadded_grid():
         assert e.value.code == "UNPADDED_GRID"
     q = small_time_quotient(hat, GPOISSON, 0.05, uniform_grid([-1.0], [2.0], 0.05), cfg)
     assert abs(q - 1.0) < 0.1
+
+
+# --- the quotient as a one-increment expectation ------------------------------
+
+
+def wave(x):
+    arr = np.asarray(x, dtype=float)
+    w = np.linspace(1.0, -0.5, arr.shape[-1])
+    return np.tanh(arr @ w) + 0.3 * np.cos(arr.sum(axis=-1))
+
+
+WAVE = Payoff(eval=wave, bound=1.3, lipschitz=2.0)
+
+
+def full_grid_quotient(phi, uset, delta, grid, cfg):
+    """u(delta, 0) / delta from one solve over every node of ``grid``."""
+    return evaluate(solve(phi, uset, grid, cfg), delta, np.zeros(grid.dim)) / delta
+
+
+def axis_box(draw, h, pad, g):
+    """(lower, upper, points) of one axis at spacing h, padding the origin by pad.
+
+    The origin sits on a node (then both node counts beside it are multiples
+    of g) or a fraction of a cell past one.
+    """
+    frac = draw(st.sampled_from([0.0, 0.0, 0.3, 0.5]))
+    below, above = (
+        g * (math.ceil(pad / (g * h)) + draw(st.integers(0, 1))) for _ in range(2)
+    )
+    lower = -(below + frac) * h
+    upper = above * h + (1.0 - frac) * h if frac else above * h
+    return lower, upper, below + above + 1 + (frac > 0)
+
+
+@st.composite
+def quotient_problems(draw, kind):
+    """Sets of ``kind`` on pinned boxes: lattice-aligned or off-lattice atoms
+    with drift and diffusion now and then, or an inert set, whose box may put
+    the origin on an edge node or up to 1e-12 outside (at spacing 1e-4 that
+    is 1e-8 of a cell, beyond the 1e-9 snap)."""
+    d = draw(st.integers(1, 2))
+    delta = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    if kind == "inert":
+        h = draw(st.sampled_from([0.1, 0.125, 1e-4]))
+        uset = validate_uncertainty_set([((), np.zeros(d), np.zeros((d, d)))])
+        n = [draw(st.integers(3, 6)) for _ in range(d)]
+        boxes = []
+        for k in n:
+            gap = draw(st.sampled_from([0.0, 3e-13, 1e-12]))
+            width = (k - 1) * h
+            boxes.append((gap, gap + width) if draw(st.booleans()) else (-gap - width, -gap))
+        lower, upper = zip(*boxes)
+        return uset, delta, GridSpec(lower, upper, n)
+    h = draw(st.sampled_from([0.1, 0.125]))
+    g = draw(st.integers(2, 3)) if kind == "lattice" else 1
+    if kind == "lattice":
+        jump = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+        jump = jump.map(lambda k: tuple(g * h * i for i in k))
+    else:
+        side = st.floats(0.15, 0.6) | st.floats(-0.6, -0.15)
+        jump = st.lists(side, min_size=d, max_size=d).map(tuple)
+    # drift and diffusion put offsets of one node in the stencil: stride 1
+    moves = st.sampled_from([0.0, 0.4, -0.7]) if draw(st.booleans()) else st.just(0.0)
+    spreads = st.sampled_from([0.0, 0.2]) if draw(st.booleans()) else st.just(0.0)
+    scenarios = []
+    for _ in range(draw(st.integers(1, 2))):
+        rates = st.sampled_from([0.3, 1.0])
+        atoms = [(draw(jump), draw(rates)) for _ in range(draw(st.integers(1, 2)))]
+        drift = [draw(moves) for _ in range(d)]
+        sigma = np.diag([draw(spreads) for _ in range(d)])
+        scenarios.append((tuple(atoms), drift, sigma))
+    uset = validate_uncertainty_set(scenarios)
+    pad = min_padding(uset, delta)
+    lower, upper, n = zip(*(axis_box(draw, h, pad, g) for _ in range(d)))
+    return uset, delta, GridSpec(lower, upper, n)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "off-lattice", "inert"])
+@given(data=st.data())
+def test_quotient_equals_full_grid_solve(kind, data):
+    uset, delta, grid = data.draw(quotient_problems(kind))
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=delta)
+    want = full_grid_quotient(WAVE, uset, delta, grid, cfg)
+    assert small_time_quotient(WAVE, uset, delta, grid, cfg) == want
+
+
+def test_lattice_quotient_marches_the_sublattice(monkeypatch):
+    # unit jumps at spacing 0.05 on [-4, 4]: every 20th of 161 nodes, 9 in all;
+    # a drift puts an offset of one node in the stencil, so all 161 march
+    shapes = []
+    march = glevy.engine.march
+
+    def recording(values, stencil, dt_max, times):
+        shapes.append(values.shape)
+        return march(values, stencil, dt_max, times)
+
+    monkeypatch.setattr(glevy.engine, "march", recording)
+    grid = uniform_grid([-4.0], [4.0], 0.05)
+    drifting = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.0), (((1.0, 1.0),), 0.0, 0.0)])
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=0.05)
+    for uset, marched in ((GPOISSON, (1, 9)), (drifting, (1, 161))):
+        shapes.clear()
+        q = small_time_quotient(WAVE, uset, 0.05, grid, cfg)
+        assert shapes == [marched]
+        assert q == full_grid_quotient(WAVE, uset, 0.05, grid, cfg)

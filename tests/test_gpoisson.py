@@ -119,6 +119,20 @@ def test_closed_form_input_checks():
     assert e.value.code == "LAMBDA_RANGE"
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8])
+def test_tolerance_must_be_positive(tol):
+    # a nan tolerance once ran the closed form to MAX_POISSON_TERMS and the
+    # series level count to "exploded"
+    phi = clipped_identity(3.0)
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(phi, "increasing", 0.5, 1.0, 0.0, tol=tol)
+    assert e.value.code == "BAD_TOLERANCE"
+    grid = uniform_grid([-2.0], [8.0], 0.5)
+    with pytest.raises(GLevyError) as e:
+        series_solution(phi, grid, GPoissonSpec(0.5).jump_measures(), 1.0, tol=tol)
+    assert e.value.code == "BAD_TOLERANCE"
+
+
 def test_series_constant_stays_constant():
     grid = uniform_grid([-5.0], [5.0], 0.1)
     const = Payoff(eval=lambda x: np.full(np.asarray(x, float).shape[:-1], -0.4), bound=0.4, lipschitz=0.0)

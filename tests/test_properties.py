@@ -2,7 +2,7 @@
 
 Sets are drawn in 1-3 dimensions with off-lattice jump atoms, drift of both
 signs and cross diffusion shrunk until it passes the monotone test of
-:func:`glevy.solver.prepare_march`.  The kernel is compared bit for bit with
+:func:`glevy.solver.check_march`.  The kernel is compared bit for bit with
 a reference kept here: np.pad(mode="edge"), the terms of
 ``_scenario_terms`` merged per offset (coefficients summed in formula order,
 each merged term where its offset first appears) and summed in that order,
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from glevy import GridSpec, Payoff, Scenario, SchemeConfig, UncertaintySet, solve
 from glevy.errors import SolverError
-from glevy.solver import Workspace, _scenario_terms, build_stencil, march, prepare_march
+from glevy.solver import Workspace, _scenario_terms, build_stencil, check_march, march
 
 MAX_POINTS = {1: 30, 2: 9, 3: 6}
 LEADS = st.sampled_from([(), (2,), (2, 3)])
@@ -56,12 +56,12 @@ def scenarios(draw, grid):
 
 
 def monotone(atoms, drift, q, grid):
-    """The scenario with its cross diffusion halved until prepare_march accepts it."""
+    """The scenario with its cross diffusion halved until check_march accepts it."""
     q = np.array(q)
     for _ in range(12):
         s = Scenario(atoms=tuple(atoms), drift=drift, diffusion=q)
         try:
-            prepare_march(UncertaintySet((s,)), grid, SchemeConfig())
+            check_march(UncertaintySet((s,)), grid, SchemeConfig())
             return s
         except SolverError as e:
             assert e.code == "NONMONOTONE_DIFFUSION"
@@ -111,13 +111,13 @@ def test_kernel_matches_reference_bitwise(model, lead, seed):
 def test_march_matches_reference_steps(model, lead, seed, horizon):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
-    plan = prepare_march(uset, grid, SchemeConfig(cfl_safety=0.9, final_time=horizon))
+    dt_max = check_march(uset, grid, SchemeConfig(cfl_safety=0.9, final_time=horizon))
     times = [0.0, 0.5 * horizon, horizon]
-    got, steps = march(u, plan, times)
+    got, steps = march(u, build_stencil(uset.scenarios, grid), dt_max, times)
     want, total, t = [], 0, 0.0
     for target in times:
         if target > t:
-            n = 1 if math.isinf(plan[1]) else max(1, math.ceil((target - t) / plan[1] - 1e-9))
+            n = 1 if math.isinf(dt_max) else max(1, math.ceil((target - t) / dt_max - 1e-9))
             dt = (target - t) / n
             for _ in range(n):
                 u = u + dt * reference_generator(uset, grid, u)

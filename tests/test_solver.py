@@ -25,7 +25,7 @@ from glevy import (
     validate_uncertainty_set,
 )
 from glevy.errors import GLevyError, SolverError
-from glevy.solver import Workspace, _scenario_terms, build_stencil, march, prepare_march
+from glevy.solver import Workspace, _scenario_terms, build_stencil, check_march, march
 
 
 def x1(x):
@@ -114,7 +114,8 @@ def test_generator_cross_terms_in_three_dimensions():
 def test_march_allocates_no_array_per_step(monkeypatch):
     grid = uniform_grid([-50.0], [50.0], 0.01)
     uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.4), (((-0.7, 1.0),), -0.2, 0.5)])
-    plan = prepare_march(uset, grid, SchemeConfig())
+    dt_max = check_march(uset, grid, SchemeConfig())
+    stencil = build_stencil(uset.scenarios, grid)
     u = np.cos(grid.axes()[0])
     # traced bytes above the live ones, per interval between kernel calls:
     # each interval holds one kernel call and one in-place Euler update
@@ -130,7 +131,7 @@ def test_march_allocates_no_array_per_step(monkeypatch):
     monkeypatch.setattr(Workspace, "apply", traced)
     tracemalloc.start()
     try:
-        _, steps = march(u, plan, [20 * plan[1]])
+        _, steps = march(u, stencil, dt_max, [20 * dt_max])
     finally:
         tracemalloc.stop()
     assert steps == len(spikes) == 20
