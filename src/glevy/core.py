@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -237,7 +237,11 @@ class GridSpec:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        points = np.atleast_1d(np.asarray(self.points, dtype=int))
+        points = np.atleast_1d(np.asarray(self.points))
+        if points.dtype.kind == "f" and np.all(np.isfinite(points) & (points == np.floor(points))):
+            points = points.astype(int)
+        if points.dtype.kind not in "iu":
+            raise ValidationError("BAD_SHAPE", f"grid points {self.points!r} must be integers")
         if not (lower.shape == upper.shape == points.shape) or lower.ndim != 1:
             raise ValidationError("BAD_SHAPE", "lower/upper/points must be equal-length vectors")
         _require_finite(lower, "grid lower")

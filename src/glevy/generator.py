@@ -95,7 +95,7 @@ def small_time_quotient(
     :func:`glevy.engine.expectation` of phi(D_1), D_1 over ``delta`` on the
     pinned ``grid``: it marches the sublattice the origin reads, and checks
     payoff samples only at the nodes the value reads.  Solver errors
-    (grid/CFL) propagate unchanged.
+    (grid/CFL) propagate unchanged; a quotient that overflows raises NON_FINITE.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
@@ -106,4 +106,7 @@ def small_time_quotient(
             "UNPADDED_GRID", f"grid must pad the origin by >= {pad:.6g} over delta {delta:.6g}"
         )
     xi = CylinderFunctional((delta,), phi.eval, phi.bound, phi.lipschitz, grid.dim)
-    return expectation(xi, uset, cfg, var_grids=[grid]) / delta
+    quotient = expectation(xi, uset, cfg, var_grids=[grid]) / delta
+    if not math.isfinite(quotient):
+        raise ValidationError("NON_FINITE", f"quotient u(delta, 0) / delta = {quotient}")
+    return quotient

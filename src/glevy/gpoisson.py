@@ -17,6 +17,7 @@ worst-case nonlocal operator with factorial weights.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,8 @@ def gpoisson_closed_form(
 
     Monotonicity in the stated direction is the caller's assertion.  The
     series stops once the remaining Poisson tail mass times ``phi.bound``
-    drops below ``tol``.
+    drops below ``tol``.  NON_FINITE is raised, before phi is called, when
+    the first weight e^{-mu} is not a normal float (mu above about 708.4).
     """
     lam = _check_lambda(lam)
     if direction not in ("increasing", "decreasing"):
@@ -96,6 +98,8 @@ def gpoisson_closed_form(
 
     mu = t if direction == "increasing" else lam * t
     weight = math.exp(-mu)
+    if weight < sys.float_info.min:
+        raise ValidationError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
     cumulative = 0.0
     acc = 0.0
     i = 0
@@ -171,8 +175,7 @@ def series_solution(
     levels = _series_levels(2.0 * big_lambda * t, phi0.bound, tol)
 
     total = sample_payoff(phi0, grid)
-    work = Workspace(build_stencil(scenarios, grid), total.shape)
-    work.u[...] = total
+    work = Workspace(build_stencil(scenarios, grid), total)
     coef = 1.0
     for i in range(1, levels + 1):
         cur = work.apply()

@@ -39,16 +39,17 @@ term per distinct offset: c is the sum, in formula order, of the scenario's
 coefficients at that offset, and the term sits where the offset first
 appears in the formula (solve-2d: 30 terms on 20 offsets, not 48).  The
 distinct offsets of all scenarios are kept in first-seen order, k indexes
-them, and each becomes one integer shift in the flattened edge-padded
-array (:func:`coarsen` moves them to a sublattice).  A :class:`Workspace`
-holds the node values inside that padded array and the out/acc/tmp
-buffers, allocated once per march (and once per series).  A step refreshes
-the padding by copies and works on the band of the flat padded array from
-the first interior node to the last: each term's difference u(x + o * h) -
-u(x) is one 1-D subtract at a shift, and the products, sums and maxima are
-1-D contiguous operations.  The band's pad elements get finite values that
-no node reads.  A step allocates no array, and every sum runs in a fixed
-order, so the bits depend only on the merged coefficients.
+them, and no grid shape enters (:func:`coarsen` divides the offsets).  A
+:class:`Workspace` loads node values of one shape into an array padded by
+the stencil's reach, turns each offset into one shift in the flat padded
+array and allocates the out/acc/tmp buffers, once per march (and once per
+series).  A step refreshes the padding by copies and works on the band of
+the flat padded array from the first interior node to the last: each term's
+difference u(x + o * h) - u(x) is one 1-D subtract at a shift, and the
+products, sums and maxima are 1-D contiguous operations.  The band's pad
+elements get finite values that no node reads.  A step allocates no array,
+and every sum runs in a fixed order, so the bits depend only on the merged
+coefficients.
 """
 
 from __future__ import annotations
@@ -145,36 +146,20 @@ def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple
 
 
 class Stencil(NamedTuple):
-    """Every scenario's merged terms compiled against one grid, for :class:`Workspace`.
+    """Every scenario's merged generator terms on one grid spacing.
 
-    ``padded`` is the edge-padded grid shape and ``interior`` the slice of
-    the padded array that holds the nodes; ``edges`` are the (destination,
-    source) slices whose copies, made in order, clamp-extend it.  Index
-    tuples start with ``...``, so node values may carry leading batch axes.
-    ``offsets`` holds the distinct offsets o of all scenarios (first-seen
-    order) and ``shifts`` the flat index shift of each in a C-contiguous
-    padded array, the same for any batch axes.  ``band`` is the (head, tail)
-    count of padded elements before the first interior node and after the
-    last.  ``terms`` holds per scenario its merged (c, k) pairs, k indexing
-    ``offsets`` and ``shifts``, one per offset that the scenario uses.
+    ``offsets`` holds the distinct integer offsets o of all scenarios in
+    first-seen order and ``terms`` per scenario its merged (c, k) pairs, k
+    indexing ``offsets``, one per offset that the scenario uses.  The array
+    layout for node values of a given shape is :class:`Workspace`'s.
     """
 
-    padded: tuple[int, ...]
-    interior: tuple
-    edges: tuple[tuple[tuple, tuple], ...]
-    shifts: tuple[int, ...]
-    band: tuple[int, int]
-    terms: tuple[tuple[tuple[float, int], ...], ...]
     offsets: tuple[tuple[int, ...], ...]
-
-
-def _on_axis(d: int, axis: int, start: int, stop: int) -> tuple:
-    """Index of slice(start, stop) on ``axis`` of the last ``d`` axes, whole on the others."""
-    return (...,) + tuple(slice(start, stop) if k == axis else slice(None) for k in range(d))
+    terms: tuple[tuple[tuple[float, int], ...], ...]
 
 
 def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
-    """Compile each scenario's terms against ``spec``, merged per offset (see :class:`Stencil`)."""
+    """Each scenario's terms at ``spec.spacing``, merged per offset (see :class:`Stencil`)."""
     merged = []
     for s in scenarios:
         coef = {}
@@ -184,79 +169,79 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))
     where = {off: k for k, off in enumerate(offsets)}
     terms = tuple(tuple((c, where[off]) for off, c in coef.items()) for coef in merged)
-    return _compile(offsets, terms, spec.shape)
+    return Stencil(offsets, terms)
 
 
-def _compile(offsets, terms, shape: tuple[int, ...]) -> Stencil:
-    """The padding, edges, shifts and band of ``offsets`` on a grid of ``shape``."""
-    d = len(shape)
-    pads = [
-        (max(0, -min(off[a] for off in offsets)), max(0, max(off[a] for off in offsets)))
-        for a in range(d)
-    ]
-    padded = tuple(lo + n + hi for (lo, hi), n in zip(pads, shape))
-    interior = (...,) + tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, shape))
-    edges = []
-    for a, ((lo, hi), n) in enumerate(zip(pads, shape)):
-        if lo:
-            edges.append((_on_axis(d, a, 0, lo), _on_axis(d, a, lo, lo + 1)))
-        if hi:
-            edges.append((_on_axis(d, a, lo + n, lo + n + hi), _on_axis(d, a, lo + n - 1, lo + n)))
-    strides = [math.prod(padded[a + 1 :]) for a in range(d)]
-    shifts = tuple(sum(map(operator.mul, off, strides)) for off in offsets)
-    head = tail = 0
-    for (lo, hi), st in zip(pads, strides):
-        head += lo * st
-        tail += hi * st
-    return Stencil(padded, interior, tuple(edges), shifts, (head, tail), terms, offsets)
-
-
-def coarsen(stencil: Stencil, strides: Sequence[int], shape: tuple[int, ...]) -> Stencil:
-    """``stencil`` on every ``strides[a]``-th node (itself at stride 1): offsets divided."""
-    if all(g == 1 for g in strides):
-        return stencil
+def coarsen(stencil: Stencil, strides: Sequence[int]) -> Stencil:
+    """``stencil`` on every ``strides[a]``-th node: each offset component divided by its stride."""
     offsets = tuple(tuple(o // g for o, g in zip(off, strides)) for off in stencil.offsets)
-    return _compile(offsets, stencil.terms, shape)
+    return Stencil(offsets, stencil.terms)
+
+
+def origin_corners(grid: GridSpec) -> list[tuple[float, tuple[int, ...]]]:
+    """The (weight, node index) corners of the origin clamped into ``grid``, as interpolated."""
+    return _atom_stencil(np.clip(-grid.lower, 0.0, grid.upper - grid.lower), grid.spacing)
 
 
 def origin_strides(grid: GridSpec, stencil: Stencil) -> tuple[int, ...]:
     """Per axis gcd(i0, N - 1 - i0, the offsets) if the origin is inner node i0, else 1.
 
-    i0 is snapped as in the corner rule.  The stride-g sublattice through the
-    origin then holds both clamp edges, so a march maps its values to themselves.
+    i0 is the index that every corner of :func:`origin_corners` shares on the
+    axis, if they share one.  The stride-g sublattice through the origin then
+    holds both clamp edges, so a march maps its values to themselves.
     """
+    corners = [off for _, off in origin_corners(grid)]
     strides = []
-    for a, (u, n) in enumerate(zip((-grid.lower / grid.spacing).tolist(), grid.shape)):
-        frac = u - math.floor(u)
-        i0 = math.floor(u) if frac < SNAP_TOL else math.ceil(u) if frac > 1.0 - SNAP_TOL else 0
+    for a, n in enumerate(grid.shape):
+        i0 = {off[a] for off in corners}
+        i0 = i0.pop() if len(i0) == 1 else 0
         g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
         strides.append(g if 0 < i0 < n - 1 else 1)
     return tuple(strides)
 
 
 class Workspace:
-    """The buffers of one stencil for node values of one shape, allocated once.
+    """A stencil laid out for node values of one shape: state and buffers, allocated once.
 
-    ``u`` is the interior view of a C-contiguous edge-padded state array:
-    load node values into it, step it in place and copy it for a snapshot.
-    The kernel works on the flat band of that array from the first interior
-    node to the last, batch rows included: each term takes its difference
-    straight into the band-shaped acc or tmp buffer (the first scenario's
-    acc is the band of ``out``).  :meth:`apply` fills them without
-    allocating an array and returns ``out``'s interior view.
+    The last ``len(stencil.offsets[0])`` axes of ``values`` are the grid's,
+    any before them batch axes.  ``u`` is the interior view of a C-contiguous
+    state padded by the stencil's reach, loaded with ``values``: step it in
+    place and copy it for a snapshot.  Each offset is one flat index shift,
+    the same for every batch row.  The kernel works on the flat band from the
+    first interior node to the last: each term takes its difference straight
+    into the band-shaped acc or tmp buffer (the first scenario's acc is the
+    band of ``out``).  :meth:`apply` fills them without allocating an array
+    and returns ``out``'s interior view.
     """
 
-    def __init__(self, stencil: Stencil, shape: tuple[int, ...]):
-        padded = np.empty(shape[: len(shape) - len(stencil.padded)] + stencil.padded)
+    def __init__(self, stencil: Stencil, values: np.ndarray):
+        d = len(stencil.offsets[0])
+        lead, shape = values.shape[:-d], values.shape[-d:]
+        pads = [(max(0, -min(c)), max(0, max(c))) for c in zip(*stencil.offsets)]
+        padded = np.empty(lead + tuple(lo + n + hi for (lo, hi), n in zip(pads, shape)))
         out = np.empty(padded.shape)
-        self.u, self.out = padded[stencil.interior], out[stencil.interior]
-        self._edges = [(padded[dst], padded[src]) for dst, src in stencil.edges]
-        head, tail = stencil.band
-        stop = padded.size - tail
+        interior = (...,) + tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, shape))
+        self.u, self.out = padded[interior], out[interior]
+        self.u[...] = values
+
+        def on_axis(a, start, stop):
+            return padded[(slice(None),) * (len(lead) + a) + (slice(start, stop),)]
+
+        # copied in order, these clamp-extend the state
+        self._edges = [
+            (on_axis(a, start, stop), on_axis(a, src, src + 1))
+            for a, ((lo, hi), n) in enumerate(zip(pads, shape))
+            for start, stop, src in ((0, lo, lo), (lo + n, lo + n + hi, lo + n - 1))
+            if stop > start
+        ]
+        strides = [math.prod(padded.shape[len(lead) + a + 1 :]) for a in range(d)]
+        head = sum(lo * st for (lo, _), st in zip(pads, strides))
+        stop = padded.size - sum(hi * st for (_, hi), st in zip(pads, strides))
         flat = padded.reshape(-1)
         self._band, self._out = flat[head:stop], out.reshape(-1)[head:stop]
         self._acc, self._tmp = np.empty(stop - head), np.empty(stop - head)
-        windows = [flat[head + k : stop + k] for k in stencil.shifts]
+        shifts = [sum(map(operator.mul, o, strides)) for o in stencil.offsets]
+        windows = [flat[head + k : stop + k] for k in shifts]
         self._terms = [
             (c0, windows[k0], [(c, windows[k]) for c, k in rest])
             for (c0, k0), *rest in stencil.terms
@@ -294,9 +279,7 @@ def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     """
     if s.dim != g.spec.dim:
         raise ValidationError("BAD_SHAPE", f"scenario dim {s.dim} != grid dim {g.spec.dim}")
-    work = Workspace(build_stencil((s,), g.spec), g.values.shape)
-    work.u[...] = g.values
-    return work.apply().copy()
+    return Workspace(build_stencil((s,), g.spec), g.values).apply().copy()
 
 
 def _scenario_rate(s: Scenario, h: np.ndarray) -> float:
@@ -358,15 +341,15 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> floa
 def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[list, int]:
     """Step node values through the sorted ``times``; return (snapshots, steps).
 
-    ``dt_max`` is the step bound of :func:`check_march`.  Axes of ``values``
-    before the grid's are batch axes.  Steps are shortened so every time is
-    hit exactly; snapshots are checked finite (NON_FINITE).  One
-    :class:`Workspace` serves the whole march: each step updates its state
-    in place, and each snapshot is a copy.
+    ``dt_max`` is the step bound of :func:`check_march`.  The last
+    ``len(stencil.offsets[0])`` axes of ``values`` are the grid's, any before
+    them batch axes.  Steps are shortened so every time is hit exactly;
+    snapshots are checked finite (NON_FINITE).  One :class:`Workspace`,
+    loaded with ``values``, serves the whole march: each step updates its
+    state in place, and each snapshot is a copy.
     """
-    work = Workspace(stencil, values.shape)
+    work = Workspace(stencil, values)
     u = work.u
-    u[...] = values
     snapshots = []
     steps = 0
     t = 0.0

@@ -174,6 +174,18 @@ def test_non_integer_grid_points_rejected(capsys, tmp_path):
     assert "error[VALIDATION_ERROR] grid.points: not a comma-separated integer list: '4.5'" in err
 
 
+def test_gpoisson_underflowing_weight_rejected(capsys, tmp_path):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(
+        "command = gpoisson\nlambda = 0.5\nt = 740\npayoff = clip-linear\npayoff.clip = 1e6\n",
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[NON_FINITE]" in captured.err
+
+
 def test_comments_and_blank_lines_ignored():
     job = parse_config(
         "# job header\n\ncommand = gpoisson  # trailing note\nlambda = 0\nt = 2\npayoff = clip-linear\n"

@@ -108,6 +108,18 @@ def test_grid_needs_three_points():
     assert code_of(e) == "BAD_SHAPE"
 
 
+@pytest.mark.parametrize("points", [[4.5], [np.nan], [np.inf], ["5"]])
+def test_grid_points_must_be_integers(points):
+    # 4.5 was once truncated to a 4-node grid
+    with pytest.raises(GLevyError) as e:
+        GridSpec(lower=[-1.0], upper=[1.0], points=points)
+    assert code_of(e) == "BAD_SHAPE"
+
+
+def test_grid_points_accept_integral_floats():
+    assert GridSpec(lower=[-1.0], upper=[1.0], points=[5.0]).shape == (5,)
+
+
 def test_interpolate_node_identity():
     g = GridSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0], points=[11, 9])
     rng = np.random.default_rng(3)

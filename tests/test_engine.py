@@ -233,6 +233,25 @@ def test_increment_radius_grows_with_horizon():
     assert 0.0 < r1 <= r2
 
 
+@pytest.mark.parametrize("tail", [float("nan"), 0.0, 1.0, 2.0])
+def test_increment_radius_rejects_tail_outside_unit_interval(tail):
+    # nan and 2.0 once gave one jump range (1.0) where the default gives 12.0
+    with pytest.raises(GLevyError) as e:
+        increment_radius(GPOISSON, 1.0, tail=tail)
+    assert e.value.code == "BAD_TOLERANCE"
+
+
+def test_poisson_quantile_rejects_underflowing_weight():
+    # exp(-740) is subnormal: the quantile came out as 817, below 897 at mu = 720
+    assert glevy.engine.poisson_tail_quantile(708.0, 1e-10) > 0
+    with pytest.raises(GLevyError) as e:
+        glevy.engine.poisson_tail_quantile(740.0, 1e-10)
+    assert e.value.code == "NON_FINITE"
+    with pytest.raises(GLevyError) as e:
+        increment_radius(CLASSICAL, 740.0)
+    assert e.value.code == "NON_FINITE"
+
+
 def clip40(a):
     return np.clip(np.sum(np.asarray(a, dtype=float), axis=-1), -40.0, 40.0)
 
@@ -507,6 +526,7 @@ def test_origin_strides():
     assert strides(validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.2)]), box) == (1,)
     # the origin between nodes, then on a node but the far edge off the lattice
     assert strides(unit, GridSpec([-4.0], [4.0], [40])) == (1,)
+    assert strides(unit, GridSpec([-4.25], [4.75], [19])) == (1,)  # jumps of 2 nodes
     assert strides(unit, GridSpec([-2.0], [2.5], [19])) == (2,)
     plane = _centered_box(2.0, 0.05, 2)
     jump = ((1.0, -0.5), 1.0)

@@ -144,6 +144,15 @@ def test_quotient_ladder_approaches_two_rate_max(sign, target):
     assert errs[2] < 5e-2
 
 
+def test_quotient_overflow_raises():
+    # u(0.05, 0) = 1e308 of a constant once came back as the quotient inf
+    huge = Payoff(eval=lambda x: np.full(np.shape(x)[:-1], 1e308), bound=1e308, lipschitz=0.0)
+    grid = uniform_grid([-2.0], [2.0], 0.1)
+    with pytest.raises(GLevyError) as e:
+        small_time_quotient(huge, GPOISSON, 0.05, grid, SchemeConfig())
+    assert e.value.code == "NON_FINITE"
+
+
 def test_quotient_rejects_nonpositive_delta():
     zero = Payoff(eval=lambda x: 0.0 * x1(x), bound=0.0, lipschitz=0.0)
     grid = uniform_grid([-2.0], [2.0], 0.1)

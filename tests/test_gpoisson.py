@@ -133,6 +133,30 @@ def test_tolerance_must_be_positive(tol):
     assert e.value.code == "BAD_TOLERANCE"
 
 
+@pytest.mark.parametrize(
+    "direction, lam, t", [("increasing", 0.5, 740.0), ("decreasing", 0.25, 2960.0)]
+)
+def test_closed_form_rejects_underflowing_weight(direction, lam, t):
+    # e^{-740} is subnormal: E[N_740] once came out as 739.84; t = 720 spun for a minute
+    calls = []
+
+    def ev(x):
+        calls.append(x)
+        return np.clip(x1(x), -1e6, 1e6)
+
+    phi = Payoff(eval=ev, bound=1e6, lipschitz=1.0)
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(phi, direction, lam, t, 0.0, tol=1e-6)
+    assert e.value.code == "NON_FINITE"
+    assert calls == []
+
+
+def test_closed_form_at_large_normal_mean():
+    phi = Payoff(eval=lambda x: np.clip(x1(x), -1e6, 1e6), bound=1e6, lipschitz=1.0)
+    value = gpoisson_closed_form(phi, "increasing", 0.5, 700.0, 0.0, tol=1e-6)
+    assert value == pytest.approx(700.0)
+
+
 def test_series_constant_stays_constant():
     grid = uniform_grid([-5.0], [5.0], 0.1)
     const = Payoff(eval=lambda x: np.full(np.asarray(x, float).shape[:-1], -0.4), bound=0.4, lipschitz=0.0)

@@ -15,7 +15,19 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from glevy import GridSpec, Payoff, Scenario, SchemeConfig, UncertaintySet, solve
+from glevy import (
+    CylinderFunctional,
+    GridSpec,
+    Payoff,
+    Scenario,
+    SchemeConfig,
+    UncertaintySet,
+    expectation,
+    min_padding,
+    series_solution,
+    solve,
+)
+from glevy.core import pads_origin
 from glevy.errors import SolverError
 from glevy.solver import Workspace, _scenario_terms, build_stencil, check_march, march
 
@@ -100,7 +112,7 @@ def reference_generator(uset, grid, u):
 def test_kernel_matches_reference_bitwise(model, lead, seed):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
-    work = Workspace(build_stencil(uset.scenarios, grid), u.shape)
+    work = Workspace(build_stencil(uset.scenarios, grid), u)
     for _ in range(2):  # a second load checks that the padding is refreshed
         work.u[...] = u
         assert np.array_equal(work.apply(), reference_generator(uset, grid, u))
@@ -223,3 +235,134 @@ def test_maximum_principle(problem):
     vals = final(phi, uset, grid, cfg)
     assert np.min(vals) >= np.min(samples) - TOL
     assert np.max(vals) <= np.max(samples) + TOL
+
+
+# ------------------------------------------------ expectation and the series
+#
+# expectation reads the origin by corner weights, which may not sum to
+# exactly one, so a constant is kept to CONST_TOL; the other axioms are those
+# of solve.  The series keeps constants and scaling by two exactly (the
+# scaled tolerance keeps its level count) and cash to TOL; its level
+# operator is not monotone, so neither is it, nor is it subadditive.
+# Rounding to a subnormal does not commute with scaling by two, so the exact
+# scaling tests take payoffs above TINY.
+
+CONST_TOL = 1e-12
+TINY = 1e-200
+
+
+@st.composite
+def pinned(draw):
+    """A set, m = 1 or 2 increments over one horizon, and one grid padding the origin for each."""
+    d, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    h = draw(unit(0.2, 0.5))
+    # 5-7 nodes on each side of the origin, which is a node or lies between
+    # two; one spacing on every axis keeps the jumps (|z| < 3.6 h) inside
+    below = np.array([draw(st.integers(5, 7)) for _ in range(d)])
+    above = np.array([draw(st.integers(5, 7)) for _ in range(d)])
+    frac = np.array([draw(st.sampled_from([0.0, 0.5]) | unit(0.0, 1.0)) for _ in range(d)])
+    lower = -h * (below + frac)
+    grid = GridSpec(lower=lower, upper=lower + h * (below + above), points=below + above + 1)
+    raw = [draw(scenarios(grid)) for _ in range(draw(st.integers(1, 2)))]
+    uset = UncertaintySet(tuple(monotone(*r, grid) for r in raw))
+    horizon = draw(unit(0.005, 0.05))
+    while not pads_origin(grid, min_padding(uset, horizon)):
+        horizon /= 2.0
+    times = tuple(horizon * (k + 1) for k in range(m))
+    cfg = SchemeConfig(cfl_safety=draw(unit(0.3, 1.0)))
+    return uset, grid, times, cfg, draw(waves(m * d)), draw(waves(m * d))
+
+
+def expect(phi, uset, grid, times, cfg):
+    xi = CylinderFunctional(times, phi.eval, phi.bound, phi.lipschitz, grid.dim)
+    return expectation(xi, uset, cfg, var_grids=[grid] * len(times))
+
+
+@given(problem=pinned(), value=unit(-10.0, 10.0))
+def test_expectation_keeps_constants(problem, value):
+    uset, grid, times, cfg, _, _ = problem
+    const = Payoff(eval=lambda x: np.full(np.shape(x)[:-1], value), bound=abs(value), lipschitz=0.0)
+    assert abs(expect(const, uset, grid, times, cfg) - value) <= CONST_TOL * (1.0 + abs(value))
+
+
+@given(problem=pinned(), power=st.integers(-4, 4))
+def test_expectation_positive_homogeneity_power_of_two_exact(problem, power):
+    uset, grid, times, cfg, phi, _ = problem
+    assume(phi.bound == 0.0 or phi.bound > TINY)
+    scale = 2.0**power
+    scaled = expect(shifted(phi, scale=scale), uset, grid, times, cfg)
+    assert scaled == scale * expect(phi, uset, grid, times, cfg)
+
+
+@given(problem=pinned(), lift=unit(0.0, 1.0))
+def test_expectation_monotone(problem, lift):
+    uset, grid, times, cfg, phi, psi = problem
+    higher = summed(phi, shifted(psi, scale=lift, add=lift * psi.bound))
+    gap = expect(higher, uset, grid, times, cfg) - expect(phi, uset, grid, times, cfg)
+    assert gap >= -TOL
+
+
+@given(problem=pinned(), cash=unit(-5.0, 5.0))
+def test_expectation_cash_translation(problem, cash):
+    uset, grid, times, cfg, phi, _ = problem
+    moved = expect(shifted(phi, add=cash), uset, grid, times, cfg) - expect(
+        phi, uset, grid, times, cfg
+    )
+    assert abs(moved - cash) <= TOL * (1.0 + abs(cash))
+
+
+@given(problem=pinned())
+def test_expectation_subadditive(problem):
+    uset, grid, times, cfg, phi, psi = problem
+    both = expect(summed(phi, psi), uset, grid, times, cfg)
+    gap = both - expect(phi, uset, grid, times, cfg) - expect(psi, uset, grid, times, cfg)
+    assert gap <= TOL
+
+
+@given(problem=pinned())
+def test_expectation_maximum_principle(problem):
+    uset, grid, times, cfg, phi, _ = problem
+    tensor = GridSpec(*(np.tile(v, len(times)) for v in (grid.lower, grid.upper, grid.points)))
+    samples = phi.eval(tensor.nodes())
+    value = expect(phi, uset, grid, times, cfg)
+    assert np.min(samples) - TOL <= value <= np.max(samples) + TOL
+
+
+@st.composite
+def series_problems(draw):
+    grid = draw(grids())
+    d, h = grid.dim, grid.spacing
+    measures = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = []
+        for _ in range(draw(st.integers(1, 2))):
+            z = np.array([draw(unit(-2.5, 2.5)) for _ in range(d)]) * h
+            assume(np.any(z != 0.0))
+            atoms.append((z, draw(unit(0.05, 2.0))))
+        measures.append(atoms)
+    return grid, measures, draw(unit(0.0, 1.0)), draw(waves(d))
+
+
+@given(problem=series_problems(), value=unit(-10.0, 10.0))
+def test_series_keeps_constants_exactly(problem, value):
+    grid, measures, t, _ = problem
+    const = Payoff(eval=lambda x: np.full(np.shape(x)[:-1], value), bound=abs(value), lipschitz=0.0)
+    values = series_solution(const, grid, measures, t).values
+    assert np.array_equal(values, np.full(grid.shape, value))
+
+
+@given(problem=series_problems())
+def test_series_scaling_by_two_exact(problem):
+    grid, measures, t, phi = problem
+    assume(phi.bound == 0.0 or phi.bound > TINY)
+    doubled = series_solution(shifted(phi, scale=2.0), grid, measures, t, tol=2e-8).values
+    assert np.array_equal(doubled, 2.0 * series_solution(phi, grid, measures, t, tol=1e-8).values)
+
+
+@given(problem=series_problems(), cash=unit(-5.0, 5.0))
+def test_series_cash_translation(problem, cash):
+    grid, measures, t, phi = problem
+    # at tol 1e-13 the two level counts may differ by terms below TOL
+    moved = series_solution(shifted(phi, add=cash), grid, measures, t, tol=1e-13).values
+    moved = moved - series_solution(phi, grid, measures, t, tol=1e-13).values
+    assert np.max(np.abs(moved - cash)) <= TOL * (1.0 + abs(cash))
