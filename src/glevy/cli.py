@@ -1,33 +1,32 @@
 """Batch command-line front-end.
 
 Jobs are described by a flat key-value config file: one ``key = value`` per
-line, ``#`` starts a comment, unknown or duplicate keys are fatal.  Flags:
-``--config <path>`` (required), ``--seed <u64>``, ``--threads <n>``,
-``--out <path>`` (the last three override the config keys of the same name).
-``threads``/``--threads`` are accepted for compatibility and ignored: every
-job runs on one thread.  Values below 1 are still rejected.
+line, ``#`` starts a comment, duplicate keys are fatal, and so is any key the
+job does not read.  Flags: ``--config <path>`` (required), ``--out <path>``
+and, for ``check`` only, ``--seed <u64>``; each overrides the config key of
+the same name.
 
 Keys by command
 ---------------
-common          command, out, threads, seed
+common          command, out
 scenarios       scenario.<i>.atoms   "z:w; z:w; ..."  (z comma-separated per axis)
                 scenario.<i>.drift    "c1,c2,..."
                 scenario.<i>.diffusion  row-major d*d comma list (scalar for d=1)
 grid            grid.lower, grid.upper (comma lists), grid.spacing or grid.points
-scheme          scheme.cfl_safety, scheme.final_time, scheme.tolerance,
-                scheme.boundary_mode (only "clamp")
 payoff          payoff = clip-linear | indicator-ramp | quadratic-clip |
-                         constant | table
+                         constant | table, plus that kind's own keys among
                 payoff.scale, payoff.clip, payoff.center, payoff.width,
                 payoff.value, payoff.table ("x:y; x:y; ...")
 
-solve           dim, scenarios, grid, scheme, payoff, output_times, eval.x
+solve           dim, scenarios, grid, scheme.cfl_safety, scheme.final_time,
+                payoff, output_times, eval.x
 gpoisson        lambda, t, direction (increasing|decreasing), x, payoff,
                 scheme.tolerance
-generator       dim, scenarios, grid, scheme, payoff, delta (optional:
-                present -> small-time quotient, absent -> closed form)
-expect          dim, scenarios, times, scheme, payoff (applied to the summed
-                increments), engine.dx, engine.node_budget, engine.tail,
+generator       dim, scenarios, payoff, delta (optional: present -> small-time
+                quotient, which also takes grid and scheme.cfl_safety;
+                absent -> closed form, which takes neither)
+expect          dim, scenarios, times, scheme.cfl_safety, payoff (applied to the
+                summed increments), engine.dx, engine.node_budget, engine.tail,
                 optional grid.* pinning every increment variable's box
 check           seed
 
@@ -155,19 +154,18 @@ _PAYOFF_KINDS = {
 
 _SCENARIO_KEY = re.compile(r"^scenario\.(\d+)\.(atoms|drift|diffusion)$")
 
-_COMMON = {"command", "out", "threads", "seed"}
-_SCHEME = {"scheme.cfl_safety", "scheme.final_time", "scheme.tolerance", "scheme.boundary_mode"}
+_COMMON = {"command", "out"}
 _GRID = {"grid.lower", "grid.upper", "grid.spacing", "grid.points"}
-_PAYOFF = {"payoff"} | {f"payoff.{key}" for kind in _PAYOFF_KINDS.values() for key in kind.params}
+# the keys of every job that marches a grid; scenario keys go with "dim"
+_MARCH = _GRID | {"dim", "payoff", "scheme.cfl_safety"}
+# payoff.<key> is known only for the chosen kind's params (see parse_config)
 _ALLOWED = {
-    "solve": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "output_times", "eval.x"},
-    "gpoisson": _COMMON | _PAYOFF | {"lambda", "t", "direction", "x", "scheme.tolerance"},
-    "generator": _COMMON | _SCHEME | _GRID | _PAYOFF | {"dim", "delta"},
-    "expect": _COMMON | _SCHEME | _GRID | _PAYOFF
-    | {"dim", "times", "engine.dx", "engine.node_budget", "engine.tail"},
-    "check": _COMMON,
+    "solve": _COMMON | _MARCH | {"scheme.final_time", "output_times", "eval.x"},
+    "gpoisson": _COMMON | {"lambda", "t", "direction", "x", "payoff", "scheme.tolerance"},
+    "generator": _COMMON | {"dim", "payoff", "delta"},  # the closed form; delta adds _MARCH
+    "expect": _COMMON | _MARCH | {"times", "engine.dx", "engine.node_budget", "engine.tail"},
+    "check": _COMMON | {"seed"},
 }
-_SCENARIO_COMMANDS = {"solve", "generator", "expect"}
 
 
 @dataclass
@@ -188,6 +186,7 @@ class JobConfig:
     t: float = 1.0
     direction: str = "increasing"
     x: float = 0.0
+    tol: float = 1e-10
     times: list[float] | None = None
     delta: float | None = None
     engine_dx: float = 0.05
@@ -346,17 +345,12 @@ def _build_grid(kv) -> GridSpec:
 
 def _build_scheme(kv) -> SchemeConfig:
     try:
-        scheme = SchemeConfig(
+        return SchemeConfig(
             cfl_safety=_float(kv, "scheme.cfl_safety", 0.9),
             final_time=_float(kv, "scheme.final_time", 1.0),
-            tolerance=_float(kv, "scheme.tolerance", 1e-8),
         )
     except GLevyError as exc:
         raise _bad("scheme", exc.args[0])
-    mode = kv.get("scheme.boundary_mode", "clamp")
-    if mode != "clamp":  # the solver's only extension rule
-        raise _bad("scheme", f"BAD_SHAPE: unknown boundary_mode {mode!r}")
-    return scheme
 
 
 def parse_config(text: str) -> JobConfig:
@@ -382,22 +376,25 @@ def parse_config(text: str) -> JobConfig:
     if command not in _ALLOWED:
         raise _bad("command", f"unknown command {command!r}")
     allowed = _ALLOWED[command]
+    if command == "generator" and "delta" in kv:
+        allowed = allowed | _MARCH
+    # an unknown or missing kind takes any payoff.<key>: _build_payoff reports the kind
+    kind = _PAYOFF_KINDS.get(kv.get("payoff"))
     for key in kv:
-        if key in allowed:
-            continue
-        if command in _SCENARIO_COMMANDS and _SCENARIO_KEY.match(key):
-            continue
-        raise _bad(key, "unknown key")
+        if key.startswith("payoff.") and "payoff" in allowed:
+            known = kind is None or key[len("payoff."):] in kind.params
+        else:
+            known = key in allowed or "dim" in allowed and _SCENARIO_KEY.match(key)
+        if not known:
+            raise _bad(key, "unknown key")
 
     job = JobConfig(command=command)
     job.out = kv.get("out")
-    job.seed = _int(kv, "seed", 2026)
-    if _int(kv, "threads", 1) < 1:  # accepted for compatibility, otherwise ignored
-        raise _bad("threads", "must be >= 1")
-    if job.seed < 0:
-        raise _bad("seed", "must be a nonnegative integer")
 
     if command == "check":
+        job.seed = _int(kv, "seed", 2026)
+        if job.seed < 0:
+            raise _bad("seed", "must be a nonnegative integer")
         return job
 
     if command == "gpoisson":
@@ -411,7 +408,7 @@ def parse_config(text: str) -> JobConfig:
         if job.direction not in ("increasing", "decreasing"):
             raise _bad("direction", f"{job.direction!r} is not increasing|decreasing")
         job.x = _float(kv, "x", 0.0)
-        job.scheme = SchemeConfig(tolerance=_float(kv, "scheme.tolerance", 1e-10))
+        job.tol = _positive(kv, "scheme.tolerance", 1e-10)
         job.payoff_kind, job.payoff, _ = _build_payoff(kv)
         return job
 
@@ -436,7 +433,8 @@ def parse_config(text: str) -> JobConfig:
     else:
         job.eval_points = [np.zeros(job.dim)]
 
-    if command != "expect" or any(k in kv for k in _GRID):
+    # solve and the quotient need a grid, expect may pin one, the closed form has none
+    if command == "solve" or "delta" in kv or any(k in kv for k in _GRID):
         job.grid = _build_grid(kv)
         if job.grid.dim != job.dim:
             raise _bad("grid.lower", f"grid dimension != dim = {job.dim}")
@@ -514,7 +512,7 @@ def run(job: JobConfig) -> tuple[int, str]:
         return 0, _run_solve(job)
     if job.command == "gpoisson":
         value = gpoisson_closed_form(
-            job.payoff, job.direction, job.lam, job.t, job.x, tol=job.scheme.tolerance
+            job.payoff, job.direction, job.lam, job.t, job.x, tol=job.tol
         )
         return 0, _run_value(value)
     if job.command == "generator":
@@ -556,10 +554,7 @@ def main(argv=None) -> int:
         prog="glevy", description="Worst-case expectation batch jobs"
     )
     parser.add_argument("--config", required=True, help="path to a job config file")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="accepted for compatibility; ignored"
-    )
+    parser.add_argument("--seed", type=int, default=None, help="seed of the check command")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     args = parser.parse_args(argv)
 
@@ -573,11 +568,11 @@ def main(argv=None) -> int:
     try:
         job = parse_config(text)
         if args.seed is not None:
+            if job.command != "check":
+                raise _bad("seed", "unknown key")
             if args.seed < 0:
-                raise ConfigError("VALIDATION_ERROR", "seed: must be a nonnegative integer")
+                raise _bad("seed", "must be a nonnegative integer")
             job.seed = args.seed
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("VALIDATION_ERROR", "threads: must be >= 1")
         if args.out is not None:
             job.out = args.out
         status, artifact = run(job)

@@ -313,22 +313,18 @@ class SchemeConfig:
     """Explicit-scheme parameters.
 
     cfl_safety in (0, 1] scales the monotone step bound; final_time is the
-    solve horizon; tolerance is the accuracy budget handed to series /
-    truncation decisions.  Evaluations beyond the box always take the
-    nearest boundary value (clamp extension).
+    solve horizon.  Evaluations beyond the box always take the nearest
+    boundary value (clamp extension).
     """
 
     cfl_safety: float = 0.9
     final_time: float = 1.0
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValidationError("BAD_SHAPE", f"cfl_safety {self.cfl_safety} not in (0, 1]")
         if not (math.isfinite(self.final_time) and self.final_time >= 0):
             raise ValidationError("BAD_SHAPE", f"final_time {self.final_time} invalid")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValidationError("BAD_SHAPE", f"tolerance {self.tolerance} must be positive")
 
 
 def interpolate(g: GridFunction, x) -> float | np.ndarray:

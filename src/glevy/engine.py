@@ -180,7 +180,11 @@ def _integrate_levels(
             "DIMENSION_OVERFLOW", f"frozen tensor grid has {n_frozen} nodes > budget {node_budget}"
         )
     stencils = [None] * stop_at + [build_stencil(uset.scenarios, g) for g in var_grids[stop_at:]]
-    strides = [origin_strides(g, s) if s else (1,) * d for g, s in zip(var_grids, stencils)]
+    corners = [None] * stop_at + [origin_corners(g) for g in var_grids[stop_at:]]
+    strides = [
+        origin_strides(g.shape, c, s) if s else (1,) * d
+        for g, c, s in zip(var_grids, corners, stencils)
+    ]
     axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
     phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
     current = None  # the previous level's values, over this level's nodes
@@ -192,9 +196,7 @@ def _integrate_levels(
         stride = strides[level - 1]
         stencil = coarsen(stencils[level - 1], stride)
         # the origin's corners on the sublattice
-        corners = [
-            (w, (..., *map(operator.floordiv, off, stride))) for w, off in origin_corners(ygrid)
-        ]
+        reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners[level - 1]]
         n_rows, ny = math.prod(fshape), math.prod(yshape)
         rows = max(1, BLOCK_ELEMENTS // ny)
         out = np.empty(n_rows)
@@ -208,7 +210,7 @@ def _integrate_levels(
             else:
                 block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
             (block,), _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])
-            out[a:b] = sum(w * block[corner] for w, corner in corners)
+            out[a:b] = sum(w * block[corner] for w, corner in reads)
         current = out.reshape(fshape)
     if stop_at == 0:
         return float(current)
@@ -237,6 +239,7 @@ def expectation(
     (BAD_TOLERANCE).  DIMENSION_OVERFLOW is raised when a frozen tensor grid
     would exceed ``node_budget`` nodes.  Payoff samples are checked finite and
     within the bound (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.
+    Of ``cfg`` it reads only ``cfl_safety``: the horizons are the functional's.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 
@@ -258,7 +261,7 @@ def conditional_expectation(
     increment order, ``j * dim`` of them); evaluate with
     :func:`glevy.core.interpolate`.  Grids, UNPADDED_GRID, DIMENSION_OVERFLOW
     and the payoff checks are as in :func:`expectation`; the value reads every
-    node of the first j increments.
+    node of the first j increments.  Of ``cfg`` it reads only ``cfl_safety``.
     """
     j = int(j)
     if not (1 <= j < xi.m):

@@ -94,8 +94,9 @@ def small_time_quotient(
     over ``delta`` on every axis, else UNPADDED_GRID is raised.  The value is
     :func:`glevy.engine.expectation` of phi(D_1), D_1 over ``delta`` on the
     pinned ``grid``: it marches the sublattice the origin reads, and checks
-    payoff samples only at the nodes the value reads.  Solver errors
-    (grid/CFL) propagate unchanged; a quotient that overflows raises NON_FINITE.
+    payoff samples only at the nodes the value reads.  Of ``cfg`` it reads
+    only ``cfl_safety``.  Solver errors (grid/CFL) propagate unchanged; a
+    quotient that overflows raises NON_FINITE.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):

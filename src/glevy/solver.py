@@ -183,17 +183,17 @@ def origin_corners(grid: GridSpec) -> list[tuple[float, tuple[int, ...]]]:
     return _atom_stencil(np.clip(-grid.lower, 0.0, grid.upper - grid.lower), grid.spacing)
 
 
-def origin_strides(grid: GridSpec, stencil: Stencil) -> tuple[int, ...]:
+def origin_strides(shape: Sequence[int], corners, stencil: Stencil) -> tuple[int, ...]:
     """Per axis gcd(i0, N - 1 - i0, the offsets) if the origin is inner node i0, else 1.
 
-    i0 is the index that every corner of :func:`origin_corners` shares on the
-    axis, if they share one.  The stride-g sublattice through the origin then
-    holds both clamp edges, so a march maps its values to themselves.
+    ``corners`` are the grid's :func:`origin_corners`; i0 is the index that
+    every corner shares on the axis, if they share one.  The stride-g
+    sublattice through the origin then holds both clamp edges, so a march
+    maps its values to themselves.
     """
-    corners = [off for _, off in origin_corners(grid)]
     strides = []
-    for a, n in enumerate(grid.shape):
-        i0 = {off[a] for off in corners}
+    for a, n in enumerate(shape):
+        i0 = {off[a] for _, off in corners}
         i0 = i0.pop() if len(i0) == 1 else 0
         g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
         strides.append(g if 0 < i0 < n - 1 else 1)
@@ -296,14 +296,15 @@ def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> 
     """Largest monotone time step: cfl_safety over the worst scenario rate.
 
     Raises CFL_UNSATISFIABLE when the rate is non-finite or the step
-    underflows to zero; returns ``inf`` when every scenario is inert.
+    underflows to zero; returns ``math.inf`` when every scenario is inert or
+    the rate is so small (a subnormal drift, say) that the bound overflows.
     """
-    worst = max(_scenario_rate(s, grid.spacing) for s in uset.scenarios)
+    worst = float(max(_scenario_rate(s, grid.spacing) for s in uset.scenarios))
     if not math.isfinite(worst):
         raise SolverError("CFL_UNSATISFIABLE", f"scenario rate {worst} is not finite")
     if worst == 0.0:
         return math.inf
-    dt = cfg.cfl_safety / worst
+    dt = cfg.cfl_safety / worst  # a Python float: overflows to inf without a warning
     if dt <= 0.0:
         raise SolverError("CFL_UNSATISFIABLE", "stable step underflows to zero")
     return dt

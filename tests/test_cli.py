@@ -72,21 +72,6 @@ def test_parse_rejections():
     assert e.value.code == "VALIDATION_ERROR" and "command" in e.value.message
 
 
-def test_boundary_mode_accepts_only_clamp():
-    assert parse_config(SOLVE_CFG + "scheme.boundary_mode = clamp\n").scheme == SchemeConfig(
-        cfl_safety=0.5, final_time=1.0
-    )
-    with pytest.raises(ConfigError) as e:
-        parse_config(SOLVE_CFG + "scheme.boundary_mode = reflect\n")
-    assert e.value.code == "VALIDATION_ERROR"
-    assert e.value.message == "scheme: BAD_SHAPE: unknown boundary_mode 'reflect'"
-    # a bad step bound is reported first, as before
-    unstable = SOLVE_CFG.replace("cfl_safety = 0.5", "cfl_safety = 2")
-    with pytest.raises(ConfigError) as e:
-        parse_config(unstable + "scheme.boundary_mode = reflect\n")
-    assert "cfl_safety" in e.value.message
-
-
 def test_empty_eval_x_rejected(capsys, tmp_path):
     cfg = tmp_path / "solve.cfg"
     cfg.write_text(SOLVE_CFG + "eval.x = ;\n", encoding="utf-8")
@@ -103,9 +88,11 @@ GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
         (GPOISSON_CFG + "payoff = clip-linear\npayoff.clip = 0\n", "payoff.clip"),
         (GPOISSON_CFG + "payoff = quadratic-clip\npayoff.clip = -1\n", "payoff.clip"),
         (GPOISSON_CFG + "payoff = indicator-ramp\npayoff.width = 0\n", "payoff.width"),
+        (GPOISSON_CFG + "payoff = clip-linear\nscheme.tolerance = 0\n", "scheme.tolerance"),
         (SOLVE_CFG.replace("grid.spacing = 0.1", "grid.spacing = 0"), "grid.spacing"),
         (
             SOLVE_CFG.replace("command = solve", "command = generator")
+            .replace("scheme.final_time = 1\n", "")
             .replace("output_times = 0.5, 1", "delta = -0.1"),
             "delta",
         ),
@@ -139,6 +126,7 @@ DIFFUSION_SOLVE_CFG = (
         (GPOISSON_CFG + "x = -inf\npayoff = clip-linear\n", "x"),
         (
             SOLVE_CFG.replace("command = solve", "command = generator")
+            .replace("scheme.final_time = 1\n", "")
             .replace("output_times = 0.5, 1", "delta = nan"),
             "delta",
         ),
@@ -301,10 +289,10 @@ def test_main_reports_errors(tmp_path, capsys):
 
     ok = tmp_path / "ok.cfg"
     ok.write_text("command = gpoisson\nlambda = 0.5\nt = 1\npayoff = clip-linear\n", encoding="utf-8")
-    assert main(["--config", str(ok), "--threads", "0"]) == 1
-    assert "threads" in capsys.readouterr().err
-    assert main(["--config", str(ok), "--seed", "-3"]) == 1
-    assert "seed" in capsys.readouterr().err
+    check = tmp_path / "check.cfg"
+    check.write_text("command = check\n", encoding="utf-8")
+    assert main(["--config", str(check), "--seed", "-3"]) == 1
+    assert "error[VALIDATION_ERROR] seed: must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_solve_rejects_unpadded_box(capsys, tmp_path):
@@ -337,10 +325,11 @@ def test_expect_rejects_unpadded_box(capsys, tmp_path, lower, upper, code):
     assert f"error[{code}]" in capsys.readouterr().err
 
 
-GENERATOR_QUOTIENT = (
+GENERATOR_CLOSED_FORM = (
     "command = generator\ndim = 1\nscenario.0.atoms = 1:0.5\nscenario.0.drift = 0.3\n"
-    "grid.spacing = 0.02\npayoff = clip-linear\ndelta = 0.01\n"
+    "payoff = clip-linear\n"
 )
+GENERATOR_QUOTIENT = GENERATOR_CLOSED_FORM + "grid.spacing = 0.02\ndelta = 0.01\n"
 
 
 @pytest.mark.parametrize(
@@ -361,22 +350,72 @@ def test_generator_quotient_rejects_unpadded_box(capsys, tmp_path, lower, upper)
 
 def test_generator_rejects_eval_x(capsys, tmp_path):
     # the quotient and the closed form are both values at the origin
-    for extra in ("", "delta = 0.01\n"):
+    quotient = GENERATOR_QUOTIENT + "grid.lower = -3\ngrid.upper = 3\n"
+    for text in (GENERATOR_CLOSED_FORM, quotient):
         cfg = tmp_path / "generator.cfg"
-        text = GENERATOR_QUOTIENT.replace("delta = 0.01\n", extra)
-        cfg.write_text(text + "grid.lower = -3\ngrid.upper = 3\neval.x = 0\n", encoding="utf-8")
+        cfg.write_text(text + "eval.x = 0\n", encoding="utf-8")
         assert main(["--config", str(cfg)]) == 1
         assert "error[VALIDATION_ERROR] eval.x: unknown key" in capsys.readouterr().err
 
 
-def test_threads_are_accepted_and_ignored(capsys, tmp_path):
-    plain = tmp_path / "plain.cfg"
-    plain.write_text(SOLVE_CFG, encoding="utf-8")
-    threaded = tmp_path / "threaded.cfg"
-    threaded.write_text(SOLVE_CFG + "threads = 4\n", encoding="utf-8")
-    assert main(["--config", str(plain)]) == 0
-    want = capsys.readouterr().out
-    assert main(["--config", str(threaded)]) == 0
-    assert capsys.readouterr().out == want
-    assert main(["--config", str(plain), "--threads", "3"]) == 0
-    assert capsys.readouterr().out == want
+# One base config per command; each reads every key it accepts.
+JOBS = {
+    "solve": SOLVE_CFG,
+    "gpoisson": GPOISSON_CFG + "payoff = clip-linear\n",
+    "generator": GENERATOR_CLOSED_FORM,
+    "quotient": GENERATOR_QUOTIENT + "grid.lower = -3\ngrid.upper = 3\n",
+    "expect": "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n",
+    "check": "command = check\n",
+}
+# (job, config line or flag) inputs that change no output, each rejected
+IGNORED = (
+    [(job, "threads = 2") for job in JOBS]
+    + [(job, "--threads 1") for job in JOBS]
+    + [(job, "seed = 7") for job in JOBS if job != "check"]
+    + [(job, "--seed 7") for job in JOBS if job != "check"]
+    + [(job, "scheme.boundary_mode = clamp") for job in ("solve", "quotient", "expect")]
+    + [(job, "scheme.tolerance = 1e-6") for job in ("solve", "generator", "quotient", "expect")]
+    + [(job, "scheme.final_time = 7") for job in ("generator", "quotient", "expect")]
+    + [("generator", "scheme.cfl_safety = 0.5")]
+    + [("generator", f"grid.{key} = 1") for key in ("lower", "upper", "spacing", "points")]
+    + [
+        ("gpoisson", "payoff.center = 1"),
+        ("solve", "payoff.table = 0:0; 1:1"),
+        ("expect", "payoff.value = 1"),
+        ("quotient", "payoff.width = 2"),
+    ]
+)
+
+
+@pytest.mark.parametrize("job, extra", IGNORED, ids=[f"{j}-{x.split()[0]}" for j, x in IGNORED])
+def test_ignored_inputs_are_rejected(capsys, tmp_path, job, extra):
+    cfg = tmp_path / "job.cfg"
+    flag = extra.startswith("--")
+    cfg.write_text(JOBS[job] + ("" if flag else extra + "\n"), encoding="utf-8")
+    argv = ["--config", str(cfg)] + (extra.split() if flag else [])
+    if extra.startswith("--threads"):  # no such flag: an argparse usage error
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        return
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = extra.split()[0].lstrip("-")
+    assert f"error[VALIDATION_ERROR] {key}: unknown key" in captured.err
+
+
+def test_kept_inputs_are_parsed():
+    assert parse_config(JOBS["check"] + "seed = 7\n").seed == 7
+    assert parse_config(JOBS["gpoisson"] + "scheme.tolerance = 1e-6\n").tol == 1e-6
+    assert parse_config(JOBS["quotient"] + "scheme.cfl_safety = 0.5\n").scheme.cfl_safety == 0.5
+    assert parse_config(JOBS["expect"] + "scheme.cfl_safety = 0.5\n").scheme.cfl_safety == 0.5
+    ramp = JOBS["gpoisson"].replace("clip-linear", "indicator-ramp")
+    assert parse_config(ramp + "payoff.center = 1\n").payoff.eval(np.array([[1.5]])) == 0.5
+    closed = parse_config(JOBS["generator"])
+    assert closed.grid is None and closed.test_function is not None
+    # an unknown kind is reported as such, whatever payoff.<key> comes with it
+    with pytest.raises(ConfigError) as e:
+        parse_config(GPOISSON_CFG + "payoff = ramp\npayoff.center = 1\n")
+    assert e.value.message == "payoff: unknown payoff kind 'ramp'"

@@ -27,7 +27,7 @@ from glevy import (
 )
 from glevy.engine import _centered_box
 from glevy.errors import EngineError, GLevyError
-from glevy.solver import build_stencil, origin_strides
+from glevy.solver import build_stencil, origin_corners, origin_strides
 
 CLASSICAL = validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.0)])
 GPOISSON = validate_uncertainty_set(
@@ -513,7 +513,7 @@ def test_node_budget_applies_to_the_largest_frozen_grid():
 
 
 def strides(uset, grid):
-    return origin_strides(grid, build_stencil(uset.scenarios, grid))
+    return origin_strides(grid.shape, origin_corners(grid), build_stencil(uset.scenarios, grid))
 
 
 def test_origin_strides():

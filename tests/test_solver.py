@@ -4,7 +4,9 @@ The fixed benchmark family mixes the two-rate unit jump with two diffusion
 levels, so every term of the generator is exercised.
 """
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +196,15 @@ def test_unbounded_rate_rejected():
         with pytest.raises(SolverError) as e:
             max_stable_step(uset, uniform_grid([-1.0], [1.0], 0.1), SchemeConfig())
     assert e.value.code == "CFL_UNSATISFIABLE"
+
+
+def test_subnormal_rate_gives_infinite_step_without_warning():
+    # a numpy-scalar rate once overflowed cfl_safety / rate with a RuntimeWarning
+    uset = validate_uncertainty_set([((), [1e-310, 0.0], np.zeros((2, 2)))])
+    grid = uniform_grid([-1.0, -1.0], [1.0, 1.0], 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
 
 
 def test_zero_horizon_returns_sampled_payoff():
