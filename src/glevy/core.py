@@ -312,9 +312,10 @@ class GridFunction:
 class SchemeConfig:
     """Explicit-scheme parameters.
 
-    cfl_safety in (0, 1] scales the monotone step bound; final_time is the
-    solve horizon.  Evaluations beyond the box always take the nearest
-    boundary value (clamp extension).
+    cfl_safety in (0, 1] scales the monotone step bound, one over the largest
+    row sum of the merged stencil (:func:`glevy.solver.check_march`);
+    final_time is the solve horizon.  Evaluations beyond the box always take
+    the nearest boundary value (clamp extension).
     """
 
     cfl_safety: float = 0.9

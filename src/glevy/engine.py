@@ -39,7 +39,7 @@ import numpy as np
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
-from .solver import build_stencil, check_march, coarsen, march, origin_corners, origin_strides
+from .solver import check_march, coarsen, march, origin_corners, origin_strides
 
 # Frozen nodes are marched in blocks of about this many node values.  Two
 # increments with an off-lattice atom of 0.73 at dx 0.05 (293 x 293 values, 6
@@ -179,22 +179,22 @@ def _integrate_levels(
         raise EngineError(
             "DIMENSION_OVERFLOW", f"frozen tensor grid has {n_frozen} nodes > budget {node_budget}"
         )
-    stencils = [None] * stop_at + [build_stencil(uset.scenarios, g) for g in var_grids[stop_at:]]
+    checked = [None] * stop_at + [check_march(uset, g, cfg) for g in var_grids[stop_at:]]
     corners = [None] * stop_at + [origin_corners(g) for g in var_grids[stop_at:]]
     strides = [
-        origin_strides(g.shape, c, s) if s else (1,) * d
-        for g, c, s in zip(var_grids, corners, stencils)
+        origin_strides(g.shape, c, sd[0]) if sd else (1,) * d
+        for g, c, sd in zip(var_grids, corners, checked)
     ]
     axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
     phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
     current = None  # the previous level's values, over this level's nodes
     for level in range(m, stop_at, -1):
         ygrid, horizon, yaxes = var_grids[level - 1], horizons[level - 1], axes[level - 1]
-        dt_max = check_march(uset, ygrid, cfg)
+        stencil, dt_max = checked[level - 1]
         frozen = [x for k in range(level - 1) for x in axes[k]]
         fshape, yshape = tuple(len(x) for x in frozen), tuple(len(x) for x in yaxes)
         stride = strides[level - 1]
-        stencil = coarsen(stencils[level - 1], stride)
+        stencil = coarsen(stencil, stride)
         # the origin's corners on the sublattice
         reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners[level - 1]]
         n_rows, ny = math.prod(fshape), math.prod(yshape)
@@ -209,7 +209,7 @@ def _integrate_levels(
                 block = sample_points(phi, nodes)
             else:
                 block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
-            (block,), _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])
+            (block,), _, _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])
             out[a:b] = sum(w * block[corner] for w, corner in reads)
         current = out.reshape(fshape)
     if stop_at == 0:

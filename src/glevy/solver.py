@@ -22,13 +22,15 @@ with o an integer offset per axis and h the grid spacing:
   the diagonal (a_ij > 0) or antidiagonal (a_ij < 0) and -c at the four axis
   neighbors of i and j.
 
-Only the cross terms are negative.  Merged per axis neighbor, the
-coefficient a_ii / (2 h_i^2) - sum_{j != i} |a_ij| / (2 h_i h_j) is
-nonnegative exactly when a_ii / h_i >= sum_{j != i} |a_ij| / h_j, which is
-the test :func:`check_march` applies before a march, and it returns the
-step bound that :func:`march` takes with the stencil; then every step is
-a monotone map of the node values once dt satisfies the step bound.  A
-constant has zero differences, so it is preserved exactly.
+Only the cross terms are negative.  With scenario s's terms merged per
+offset (below) to coefficients c_{s,k}, its step u + dt * G_s u weighs u(x)
+by 1 - dt * sum_k c_{s,k} and u(x + o_k * h) by dt * c_{s,k}: monotone when
+every c_{s,k} >= 0 and dt * sum_k c_{s,k} <= 1 (Barles and Souganidis 1991),
+and so is the max over scenarios.  :func:`check_march` reads both off the
+merged stencil: it rejects a coefficient negative beyond rounding and returns
+the stencil with the step bound cfl_safety / max_s sum_k c_{s,k} that
+:func:`march` takes.  A constant has zero differences, so it is preserved
+exactly.
 
 Values beyond the box are clamp-extended (nearest boundary node), so the
 scheme degrades to lower order near edges; callers pad the box beyond the
@@ -42,18 +44,20 @@ distinct offsets of all scenarios are kept in first-seen order, k indexes
 them, and no grid shape enters (:func:`coarsen` divides the offsets).  A
 :class:`Workspace` loads node values of one shape into an array padded by
 the stencil's reach, turns each offset into one shift in the flat padded
-array and allocates the out/acc/tmp buffers, once per march (and once per
-series).  A step refreshes the padding by copies and works on the band of
-the flat padded array from the first interior node to the last: each term's
-difference u(x + o * h) - u(x) is one 1-D subtract at a shift, and the
-products, sums and maxima are 1-D contiguous operations.  The band's pad
-elements get finite values that no node reads.  A step allocates no array,
-and every sum runs in a fixed order, so the bits depend only on the merged
-coefficients.
+array and carves it and the out/acc/tmp buffers from one block, each band
+on a 64-byte boundary so that no store splits a cache line, once per march
+(and once per series).  A step refreshes the padding by copies and works on
+the band of the flat padded array from the first interior node to the last:
+each term's difference u(x + o * h) - u(x) is one 1-D subtract at a shift,
+and the products, sums, maxima and the Euler update are 1-D contiguous
+operations.  The band's pad elements get finite values that no node reads.
+A step allocates no array, and every sum runs in a fixed order, so the bits
+depend only on the merged coefficients.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 from dataclasses import dataclass
@@ -79,7 +83,7 @@ from .errors import SolverError, ValidationError
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Solution snapshots plus the time stepping actually used."""
+    """Solution snapshots, the steps taken and the largest of them (``dt_used``, 0.0 if none)."""
 
     snapshots: tuple[GridFunction, ...]
     dt_used: float
@@ -164,6 +168,7 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     for s in scenarios:
         coef = {}
         for c, off in _scenario_terms(s, spec.spacing):
+            c = float(c)  # a Python float sums infinities to nan without a warning
             coef[off] = coef[off] + c if off in coef else c
         merged.append(coef)
     offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))
@@ -218,10 +223,22 @@ class Workspace:
         d = len(stencil.offsets[0])
         lead, shape = values.shape[:-d], values.shape[-d:]
         pads = [(max(0, -min(c)), max(0, max(c))) for c in zip(*stencil.offsets)]
-        padded = np.empty(lead + tuple(lo + n + hi for (lo, hi), n in zip(pads, shape)))
-        out = np.empty(padded.shape)
+        pshape = lead + tuple(lo + n + hi for (lo, hi), n in zip(pads, shape))
+        size = math.prod(pshape)
+        strides = [math.prod(pshape[len(lead) + a + 1 :]) for a in range(d)]
+        head = sum(lo * st for (lo, _), st in zip(pads, strides))
+        stop = size - sum(hi * st for (_, hi), st in zip(pads, strides))
+        # one block, each band 64-byte aligned: an unaligned store splits cache lines
+        mem = np.empty(2 * size + 2 * (stop - head) + 32)
+        base, at, bufs = ctypes.addressof(ctypes.c_char.from_buffer(mem)) // 8, 0, []
+        for length, first in ((size, head), (size, head), (stop - head, 0), (stop - head, 0)):
+            at += -(base + at + first) % 8
+            bufs.append(mem[at : at + length])
+            at += length
+        flat, out, self._acc, self._tmp = bufs
+        padded = flat.reshape(pshape)
         interior = (...,) + tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, shape))
-        self.u, self.out = padded[interior], out[interior]
+        self.u, self.out = padded[interior], out.reshape(pshape)[interior]
         self.u[...] = values
 
         def on_axis(a, start, stop):
@@ -234,12 +251,7 @@ class Workspace:
             for start, stop, src in ((0, lo, lo), (lo + n, lo + n + hi, lo + n - 1))
             if stop > start
         ]
-        strides = [math.prod(padded.shape[len(lead) + a + 1 :]) for a in range(d)]
-        head = sum(lo * st for (lo, _), st in zip(pads, strides))
-        stop = padded.size - sum(hi * st for (_, hi), st in zip(pads, strides))
-        flat = padded.reshape(-1)
-        self._band, self._out = flat[head:stop], out.reshape(-1)[head:stop]
-        self._acc, self._tmp = np.empty(stop - head), np.empty(stop - head)
+        self._band, self._out = flat[head:stop], out[head:stop]
         shifts = [sum(map(operator.mul, o, strides)) for o in stencil.offsets]
         windows = [flat[head + k : stop + k] for k in shifts]
         self._terms = [
@@ -282,43 +294,23 @@ def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     return Workspace(build_stencil((s,), g.spec), g.values).apply().copy()
 
 
-def _scenario_rate(s: Scenario, h: np.ndarray) -> float:
-    a = s.diffusion_matrix
-    rate = s.total_rate
-    rate += float(np.sum(np.abs(s.drift) / h))
-    rate += float(np.sum(np.diag(a) / h**2))
-    d = len(h)
-    rate += sum(abs(a[i, j]) / (h[i] * h[j]) for i in range(d) for j in range(i + 1, d))
-    return rate
-
-
 def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> float:
-    """Largest monotone time step: cfl_safety over the worst scenario rate.
-
-    Raises CFL_UNSATISFIABLE when the rate is non-finite or the step
-    underflows to zero; returns ``math.inf`` when every scenario is inert or
-    the rate is so small (a subnormal drift, say) that the bound overflows.
-    """
-    worst = float(max(_scenario_rate(s, grid.spacing) for s in uset.scenarios))
-    if not math.isfinite(worst):
-        raise SolverError("CFL_UNSATISFIABLE", f"scenario rate {worst} is not finite")
-    if worst == 0.0:
-        return math.inf
-    dt = cfg.cfl_safety / worst  # a Python float: overflows to inf without a warning
-    if dt <= 0.0:
-        raise SolverError("CFL_UNSATISFIABLE", "stable step underflows to zero")
-    return dt
+    """Largest monotone time step: :func:`check_march`'s bound, raising its errors."""
+    return check_march(uset, grid, cfg)[1]
 
 
-def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> float:
-    """Check ``uset`` on ``grid`` and return the step bound :func:`max_stable_step`.
+def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tuple[Stencil, float]:
+    """Check ``uset`` on ``grid``; return its merged :class:`Stencil` and step bound.
 
-    Raises BAD_SHAPE, GRID_TOO_COARSE, NONMONOTONE_DIFFUSION and CFL_UNSATISFIABLE.
+    The bound is cfl_safety over the largest row sum (all of a scenario's
+    merged coefficients), ``math.inf`` if that is zero or the bound overflows.
+    A coefficient below -EPSILON times its row sum raises NONMONOTONE_DIFFUSION;
+    above that is rounding, as in an exactly balanced a_ii / h_i = sum |a_ij| / h_j.
+    Also raises BAD_SHAPE, GRID_TOO_COARSE and CFL_UNSATISFIABLE.
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
-    h = grid.spacing
-    floor = float(np.min(h)) / 2.0
+    floor = float(np.min(grid.spacing)) / 2.0
     for s in uset.scenarios:
         for z, _ in s.atoms:
             if np.linalg.norm(z) < floor:
@@ -326,48 +318,55 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> floa
                     "GRID_TOO_COARSE",
                     f"atom |z| = {np.linalg.norm(z):.3g} below half the finest spacing {floor:.3g}",
                 )
-    for s in uset.scenarios:
-        a = s.diffusion_matrix
-        for i in range(grid.dim):
-            off = sum(abs(a[i, j]) / h[j] for j in range(grid.dim) if j != i)
-            if a[i, i] / h[i] < off - EPSILON:
-                raise SolverError(
-                    "NONMONOTONE_DIFFUSION",
-                    f"axis {i}: a_ii/dx_i = {a[i, i] / h[i]:.3g} < "
-                    f"sum |a_ij|/dx_j = {off:.3g}; no monotone stencil",
-                )
-    return max_stable_step(uset, grid, cfg)
+    stencil = build_stencil(uset.scenarios, grid)
+    worst = 0.0
+    for i, terms in enumerate(stencil.terms):
+        row = sum(c for c, _ in terms)
+        c, k = min(terms)
+        if c < -EPSILON * row:
+            raise SolverError(
+                "NONMONOTONE_DIFFUSION",
+                f"scenario {i}: merged coefficient {c:.3g} at offset {stencil.offsets[k]} < 0",
+            )
+        if not math.isfinite(row):
+            raise SolverError("CFL_UNSATISFIABLE", f"scenario {i}: row sum {row} is not finite")
+        worst = max(worst, row)
+    dt = cfg.cfl_safety / worst if worst > 0.0 else math.inf  # a Python float: no overflow warning
+    if dt <= 0.0:
+        raise SolverError("CFL_UNSATISFIABLE", "stable step underflows to zero")
+    return stencil, dt
 
 
-def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[list, int]:
-    """Step node values through the sorted ``times``; return (snapshots, steps).
+def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[list, int, float]:
+    """Step node values through the sorted ``times``; return (snapshots, steps, largest step).
 
     ``dt_max`` is the step bound of :func:`check_march`.  The last
     ``len(stencil.offsets[0])`` axes of ``values`` are the grid's, any before
     them batch axes.  Steps are shortened so every time is hit exactly;
     snapshots are checked finite (NON_FINITE).  One :class:`Workspace`,
     loaded with ``values``, serves the whole march: each step updates its
-    state in place, and each snapshot is a copy.
+    flat band in place, pads too, and each snapshot is a copy.
     """
     work = Workspace(stencil, values)
-    u = work.u
+    u, band, out = work.u, work._band, work._out
     snapshots = []
     steps = 0
-    t = 0.0
+    dt_used = t = 0.0
     for target in times:
         span = float(target) - t
         if span > EPSILON:
             n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
             dt = span / n
             for _ in range(n):
-                g = work.apply()
-                g *= dt
-                u += g
+                work.apply()
+                out *= dt
+                band += out
             steps += n
+            dt_used = max(dt_used, dt)
             t = float(target)
         _require_finite(u, "grid values")
         snapshots.append(u.copy())
-    return snapshots, steps
+    return snapshots, steps, dt_used
 
 
 def solve(
@@ -392,11 +391,10 @@ def solve(
         raise ValidationError(
             "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
         )
-    dt_max = check_march(uset, grid, cfg)
-    stencil = build_stencil(uset.scenarios, grid)
-    snapshots, steps = march(sample_payoff(phi, grid), stencil, dt_max, times)
+    stencil, dt_max = check_march(uset, grid, cfg)
+    snapshots, steps, dt_used = march(sample_payoff(phi, grid), stencil, dt_max, times)
     snapshots = tuple(GridFunction(grid, v, float(t)) for v, t in zip(snapshots, times))
-    return SolveResult(snapshots=snapshots, dt_used=dt_max, steps=steps)
+    return SolveResult(snapshots=snapshots, dt_used=dt_used, steps=steps)
 
 
 def evaluate(result: SolveResult, t: float, x) -> float:

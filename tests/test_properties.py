@@ -119,13 +119,21 @@ def test_kernel_matches_reference_bitwise(model, lead, seed):
         u = np.cos(3.0 * u)
 
 
+@given(model=models(), lead=LEADS)
+def test_workspace_bands_are_64_byte_aligned(model, lead):
+    uset, grid = model
+    work = Workspace(build_stencil(uset.scenarios, grid), np.zeros(lead + grid.shape))
+    for band in (work._band, work._out, work._acc, work._tmp):
+        assert band.ctypes.data % 64 == 0
+
+
 @given(model=models(), lead=LEADS, seed=SEEDS, horizon=unit(0.01, 0.2))
 def test_march_matches_reference_steps(model, lead, seed, horizon):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
-    dt_max = check_march(uset, grid, SchemeConfig(cfl_safety=0.9, final_time=horizon))
+    stencil, dt_max = check_march(uset, grid, SchemeConfig(cfl_safety=0.9, final_time=horizon))
     times = [0.0, 0.5 * horizon, horizon]
-    got, steps = march(u, build_stencil(uset.scenarios, grid), dt_max, times)
+    got, steps, _ = march(u, stencil, dt_max, times)
     want, total, t = [], 0, 0.0
     for target in times:
         if target > t:

@@ -17,6 +17,7 @@ from glevy import (
     Payoff,
     Scenario,
     SchemeConfig,
+    UncertaintySet,
     apply_generator,
     evaluate,
     interpolate,
@@ -116,8 +117,7 @@ def test_generator_cross_terms_in_three_dimensions():
 def test_march_allocates_no_array_per_step(monkeypatch):
     grid = uniform_grid([-50.0], [50.0], 0.01)
     uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.4), (((-0.7, 1.0),), -0.2, 0.5)])
-    dt_max = check_march(uset, grid, SchemeConfig())
-    stencil = build_stencil(uset.scenarios, grid)
+    stencil, dt_max = check_march(uset, grid, SchemeConfig())
     u = np.cos(grid.axes()[0])
     # traced bytes above the live ones, per interval between kernel calls:
     # each interval holds one kernel call and one in-place Euler update
@@ -133,15 +133,15 @@ def test_march_allocates_no_array_per_step(monkeypatch):
     monkeypatch.setattr(Workspace, "apply", traced)
     tracemalloc.start()
     try:
-        _, steps = march(u, stencil, dt_max, [20 * dt_max])
+        _, steps, _ = march(u, stencil, dt_max, [20 * dt_max])
     finally:
         tracemalloc.stop()
     assert steps == len(spikes) == 20
     assert max(spikes) < u.nbytes // 2
 
 
-def test_stencil_merges_terms_per_offset():
-    # the solve-2d base family: (atom z, rate, drift, (s1, s2, rho)) per scenario
+def solve_2d_family():
+    """The solve-2d base family on its grid: (atom z, rate, drift, (s1, s2, rho)) per scenario."""
     family = (
         ((0.37, 0.21), 0.8, (0.30, -0.20), (0.30, 0.25, 0.40)),
         ((-0.53, 0.29), 0.6, (-0.25, 0.35), (0.28, 0.32, -0.45)),
@@ -155,7 +155,23 @@ def test_stencil_merges_terms_per_offset():
         )
         for z, w, q, (s1, s2, rho) in family
     ]
-    grid = uniform_grid([-4.0, -4.0], [4.0, 4.0], 0.04)
+    return scenarios, uniform_grid([-4.0, -4.0], [4.0, 4.0], 0.04)
+
+
+def old_rate(s, h):
+    """The step bound's rate before it was read off the merged stencil."""
+    a = s.diffusion_matrix
+    rate = s.total_rate + float(np.sum(np.abs(s.drift) / h)) + float(np.sum(np.diag(a) / h**2))
+    d = len(h)
+    return rate + sum(abs(a[i, j]) / (h[i] * h[j]) for i in range(d) for j in range(i + 1, d))
+
+
+def steps_for(span, dt_max):
+    return max(1, math.ceil(span / dt_max - 1e-9))
+
+
+def test_stencil_merges_terms_per_offset():
+    scenarios, grid = solve_2d_family()
     stencil = build_stencil(scenarios, grid)
     assert len(stencil.offsets) == 20
     assert sum(len(t) for t in stencil.terms) == 30
@@ -189,6 +205,71 @@ def test_dominant_cross_terms_rejected():
     assert e.value.code == "NONMONOTONE_DIFFUSION"
 
 
+def test_nonmonotone_message_names_scenario_offset_and_coefficient():
+    # a = [[1, 2], [2, 4.01]] at h = 0.1: the merged axis-0 neighbours get
+    # 1 / (2 h^2) - 2 / (2 h^2) = -50, the first of them at offset (1, 0)
+    fine = ((), [0.0, 0.0], np.eye(2))
+    bad = ((), [0.0, 0.0], [[1.0, 0.0], [2.0, 0.1]])
+    uset = validate_uncertainty_set([fine, bad])
+    grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points=[21, 21])
+    with pytest.raises(SolverError) as e:
+        check_march(uset, grid, SchemeConfig())
+    assert e.value.code == "NONMONOTONE_DIFFUSION"
+    assert "scenario 1:" in str(e.value)
+    assert "coefficient -50 at offset (1, 0)" in str(e.value)
+
+
+def old_test_rejects(s, h):
+    """The diffusion-only monotone test the merged stencil replaced."""
+    a, d = s.diffusion_matrix, len(h)
+    return any(
+        a[i, i] / h[i] < sum(abs(a[i, j]) / h[j] for j in range(d) if j != i) - 1e-12
+        for i in range(d)
+    )
+
+
+def test_drift_and_jump_fill_negative_cross_neighbours():
+    # a = [[1, 1.2], [1.2, 4]] at h = 0.1 leaves -10 on both axis-0
+    # neighbours; an upwind drift of 1.5 and a rate-15 jump of -h each add 15
+    grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points=[21, 21])
+    q = [[1.0, 0.0], [1.2, 1.6]]
+    s = Scenario(atoms=(((-0.1, 0.0), 15.0),), drift=[1.5, 0.0], diffusion=q)
+    assert old_test_rejects(s, grid.spacing)
+    uset = UncertaintySet((s,))
+    stencil, dt_max = check_march(uset, grid, SchemeConfig(cfl_safety=1.0))
+    (terms,) = stencil.terms
+    assert min(c for c, _ in terms) > 0.0
+    assert dt_max == 1.0 / sum(c for c, _ in terms)
+    # one full step is monotone: u <= v gives Su <= Sv
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((50,) + grid.shape)
+    v = u + rng.uniform(0.0, 1.0, u.shape) * (rng.uniform(size=u.shape) < 0.2)
+    (su,), steps, dt = march(u, stencil, dt_max, [dt_max])
+    (sv,), _, _ = march(v, stencil, dt_max, [dt_max])
+    assert steps == 1 and dt == dt_max
+    assert np.min(sv - su) >= -1e-12
+    # without the fill the set is rejected
+    bare = UncertaintySet((Scenario(drift=[0.0, 0.0], diffusion=q),))
+    with pytest.raises(SolverError) as e:
+        check_march(bare, grid, SchemeConfig())
+    assert e.value.code == "NONMONOTONE_DIFFUSION"
+
+
+def test_exactly_balanced_cross_diffusion_accepted():
+    # rank one a with a_00 / h_0 = a_01 / h_1 = 3 and a_11 / h_1 = a_01 / h_0 = 9:
+    # every axis-neighbour coefficient is zero up to rounding
+    grid = GridSpec(lower=[-1.0, -3.0], upper=[1.0, 3.0], points=[21, 21])
+    r = math.sqrt(0.3)
+    s = Scenario(drift=[0.0, 0.0], diffusion=[[r, 0.0], [0.9 / r, 0.0]])
+    assert not old_test_rejects(s, grid.spacing)
+    stencil, dt_max = check_march(UncertaintySet((s,)), grid, SchemeConfig())
+    (terms,) = stencil.terms
+    row = sum(c for c, _ in terms)
+    axis = [c for c, k in terms if sum(map(abs, stencil.offsets[k])) == 1]
+    assert len(axis) == 4 and max(map(abs, axis)) < 1e-12 * row
+    assert dt_max == 0.9 / row
+
+
 def test_unbounded_rate_rejected():
     # 1e200 squared overflows to inf inside the covariance product on purpose
     with np.errstate(over="ignore"):
@@ -205,6 +286,64 @@ def test_subnormal_rate_gives_infinite_step_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
+
+
+def test_step_bound_is_cfl_over_largest_row_sum():
+    scenarios, grid = solve_2d_family()
+    uset = UncertaintySet(tuple(scenarios))
+    stencil = build_stencil(scenarios, grid)
+    rows = [sum(c for c, _ in terms) for terms in stencil.terms]
+    assert max_stable_step(uset, grid, SchemeConfig(cfl_safety=0.7)) == 0.7 / max(rows)
+    # the cross terms' corner and axis coefficients net to -|a_ij| / (h_i h_j)
+    for s, row in zip(scenarios, rows):
+        a = s.diffusion_matrix
+        assert row == pytest.approx(old_rate(s, grid.spacing) - 2.0 * abs(a[0, 1]) / 0.04**2)
+
+
+CHECK_GRID = GridSpec(lower=[-6.0], upper=[10.0], points=[161])
+UNIT_JUMP = validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.0)])
+JUMP_DRIFT_DIFFUSION = validate_uncertainty_set([(((0.73, 1.0),), -0.4, 0.6)])
+
+
+@pytest.mark.parametrize(
+    "uset, grid, cfg",
+    [
+        (BENCH, BENCH_GRID, BENCH_CFG),
+        (GPOISSON, CHECK_GRID, SchemeConfig(cfl_safety=0.5, final_time=0.5)),
+        (GPOISSON, CHECK_GRID, SchemeConfig(cfl_safety=0.1, final_time=0.5)),
+        (UNIT_JUMP, CHECK_GRID, SchemeConfig(cfl_safety=0.05, final_time=0.5)),
+        (JUMP_DRIFT_DIFFUSION, CHECK_GRID, SchemeConfig(cfl_safety=0.9, final_time=1.0)),
+    ],
+)
+def test_sets_without_cross_diffusion_keep_step_count(uset, grid, cfg):
+    old = cfg.cfl_safety / max(old_rate(s, grid.spacing) for s in uset.scenarios)
+    dt_max = max_stable_step(uset, grid, cfg)
+    assert dt_max == pytest.approx(old, rel=1e-15)
+    assert steps_for(cfg.final_time, dt_max) == steps_for(cfg.final_time, old)
+
+
+def test_solve_2d_family_takes_fewer_steps():
+    # the benchmark's cfl put T / dt at 272.5 under the old rate; the row sum
+    # drops each scenario's 2 |a_01| / h^2
+    scenarios, grid = solve_2d_family()
+    uset, t = UncertaintySet(tuple(scenarios)), 0.5
+    rate = max(old_rate(s, grid.spacing) for s in scenarios)
+    cfl = rate * t / 272.5
+    assert steps_for(t, cfl / rate) == 273
+    assert steps_for(t, max_stable_step(uset, grid, SchemeConfig(cfl, t))) <= 230
+
+
+def test_dt_used_is_the_step_taken():
+    # bound 0.3 / 1 over T = 1: four steps of 0.25
+    grid = uniform_grid([-2.0], [2.0], 0.5)
+    cfg = SchemeConfig(cfl_safety=0.3, final_time=1.0)
+    assert max_stable_step(UNIT_JUMP, grid, cfg) == 0.3
+    res = solve(wave(), UNIT_JUMP, grid, cfg)
+    assert res.steps == 4 and res.dt_used == 0.25
+    # one step of 0.1 to the first snapshot, then three of 0.3: the largest
+    res = solve(wave(), UNIT_JUMP, grid, cfg, [0.1, 1.0])
+    assert res.steps == 4 and res.dt_used == (1.0 - 0.1) / 3
+    assert solve(wave(), UNIT_JUMP, grid, SchemeConfig(0.3, 0.0)).dt_used == 0.0
 
 
 def test_zero_horizon_returns_sampled_payoff():
