@@ -1,10 +1,12 @@
 """Batch command-line front-end.
 
 Jobs are described by a flat key-value config file: one ``key = value`` per
-line, ``#`` starts a comment, duplicate keys are fatal, and so is any key the
-job does not read.  Flags: ``--config <path>`` (required), ``--out <path>``
-and, for ``check`` only, ``--seed <u64>``; each overrides the config key of
-the same name.
+line, ``#`` starts a comment and duplicate keys are fatal.  A job accepts a
+key only by reading it: each reader takes its key out of the parsed pairs,
+and the first key left over, in file order, is ``<key>: unknown key``.
+Flags: ``--config <path>`` (required), ``--out <path>`` and ``--seed <u64>``;
+each replaces the config key of the same name and passes the same check, so
+``--seed`` is an unknown key off ``check``.
 
 Keys by command
 ---------------
@@ -12,7 +14,8 @@ common          command, out
 scenarios       scenario.<i>.atoms   "z:w; z:w; ..."  (z comma-separated per axis)
                 scenario.<i>.drift    "c1,c2,..."
                 scenario.<i>.diffusion  row-major d*d comma list (scalar for d=1)
-grid            grid.lower, grid.upper (comma lists), grid.spacing or grid.points
+grid            grid.lower, grid.upper (comma lists), and grid.spacing or
+                grid.points (given both, grid.spacing is not read)
 payoff          payoff = clip-linear | indicator-ramp | quadratic-clip |
                          constant | table, plus that kind's own keys among
                 payoff.scale, payoff.clip, payoff.center, payoff.width,
@@ -23,8 +26,8 @@ solve           dim, scenarios, grid, scheme.cfl_safety, scheme.final_time,
 gpoisson        lambda, t, direction (increasing|decreasing), x, payoff,
                 scheme.tolerance
 generator       dim, scenarios, payoff, delta (optional: present -> small-time
-                quotient, which also takes grid and scheme.cfl_safety;
-                absent -> closed form, which takes neither)
+                quotient, which also reads grid and scheme.cfl_safety;
+                absent -> closed form, which reads neither)
 expect          dim, scenarios, times, scheme.cfl_safety, payoff (applied to the
                 summed increments), engine.dx, engine.node_budget, engine.tail,
                 optional grid.* pinning every increment variable's box
@@ -78,7 +81,7 @@ def _x1(x):
 
 
 def _parse_table(kv):
-    text = kv.get("payoff.table")
+    text = kv.pop("payoff.table", None)
     if text is None:
         raise _bad("payoff.table", "required for payoff = table")
     xs, ys = [], []
@@ -97,8 +100,9 @@ def _parse_table(kv):
 
 
 class _PayoffKind(NamedTuple):
-    """A payoff kind: ``params`` maps each ``payoff.<key>`` to its default (or
-    to a parser of the config); the rest are functions of the parsed values p.
+    """A payoff kind: ``params`` maps each ``payoff.<key>`` it reads to its
+    default (or to a parser of the config pairs); the rest are functions of the
+    parsed values p.
     ``grad0``/``hess0`` are f's derivatives at 0 in dimension d (None: no
     generator form), which also ``needs`` each (key, test, reason) to pass.
     """
@@ -152,20 +156,9 @@ _PAYOFF_KINDS = {
     ),
 }
 
-_SCENARIO_KEY = re.compile(r"^scenario\.(\d+)\.(atoms|drift|diffusion)$")
-
-_COMMON = {"command", "out"}
-_GRID = {"grid.lower", "grid.upper", "grid.spacing", "grid.points"}
-# the keys of every job that marches a grid; scenario keys go with "dim"
-_MARCH = _GRID | {"dim", "payoff", "scheme.cfl_safety"}
-# payoff.<key> is known only for the chosen kind's params (see parse_config)
-_ALLOWED = {
-    "solve": _COMMON | _MARCH | {"scheme.final_time", "output_times", "eval.x"},
-    "gpoisson": _COMMON | {"lambda", "t", "direction", "x", "payoff", "scheme.tolerance"},
-    "generator": _COMMON | {"dim", "payoff", "delta"},  # the closed form; delta adds _MARCH
-    "expect": _COMMON | _MARCH | {"times", "engine.dx", "engine.node_budget", "engine.tail"},
-    "check": _COMMON | {"seed"},
-}
+# one spelling per index: scenario.00 would silently replace scenario.0
+_SCENARIO_KEY = re.compile(r"^scenario\.(0|[1-9]\d*)\.(atoms|drift|diffusion)$")
+_GRID = ("grid.lower", "grid.upper", "grid.spacing", "grid.points")
 
 
 @dataclass
@@ -200,18 +193,27 @@ def _bad(key: str, why: str) -> ConfigError:
     return ConfigError("VALIDATION_ERROR", f"{key}: {why}")
 
 
-def _float(kv, key, default=None):
+def _take(kv, key):
+    """Take a required key out of the pairs: reading is what accepts a key."""
     if key not in kv:
-        if default is None:
-            raise _bad(key, "required key is missing")
-        return default
-    try:
-        value = float(kv[key])
-    except ValueError:
-        raise _bad(key, f"not a number: {kv[key]!r}")
+        raise _bad(key, "required key is missing")
+    return kv.pop(key)
+
+
+def _finite(key, value):
     if not math.isfinite(value):
         raise _bad(key, f"must be finite, got {value!r}")
     return value
+
+
+def _float(kv, key, default=None):
+    if key not in kv and default is not None:
+        return default
+    text = _take(kv, key)
+    try:
+        return _finite(key, float(text))
+    except ValueError:
+        raise _bad(key, f"not a number: {text!r}")
 
 
 def _positive(kv, key, default=None):
@@ -224,15 +226,16 @@ def _positive(kv, key, default=None):
 def _int(kv, key, default):
     if key not in kv:
         return default
+    text = kv.pop(key)
     try:
-        return int(kv[key])
+        return int(text)
     except ValueError:
-        raise _bad(key, f"not an integer: {kv[key]!r}")
+        raise _bad(key, f"not an integer: {text!r}")
 
 
 def _floats(text, key, kind=float, what="number"):
     try:
-        return [kind(p) for p in text.split(",")]
+        return [_finite(key, kind(p)) for p in text.split(",")]
     except ValueError:
         raise _bad(key, f"not a comma-separated {what} list: {text!r}")
 
@@ -257,9 +260,7 @@ def _parse_atoms(text, key):
 
 def _build_payoff(kv) -> tuple[str, Payoff, dict]:
     """The payoff kind, its Payoff, and its parsed parameters."""
-    name = kv.get("payoff")
-    if name is None:
-        raise _bad("payoff", "required key is missing")
+    name = _take(kv, "payoff")
     if name not in _PAYOFF_KINDS:
         raise _bad("payoff", f"unknown payoff kind {name!r}")
     kind = _PAYOFF_KINDS[name]
@@ -282,10 +283,10 @@ def _build_test_function(name: str, p: dict, pay: Payoff, dim: int) -> TestFunct
 
 def _build_scenarios(kv, dim: int) -> UncertaintySet:
     by_index: dict[int, dict[str, str]] = {}
-    for key, value in kv.items():
+    for key in list(kv):
         m = _SCENARIO_KEY.match(key)
         if m:
-            by_index.setdefault(int(m.group(1)), {})[m.group(2)] = value
+            by_index.setdefault(int(m.group(1)), {})[m.group(2)] = kv.pop(key)
     if not by_index:
         raise _bad("scenario.0.drift", "at least one scenario is required")
     if sorted(by_index) != list(range(len(by_index))):
@@ -319,15 +320,13 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
 
 
 def _build_grid(kv) -> GridSpec:
-    for key in ("grid.lower", "grid.upper"):
-        if key not in kv:
-            raise _bad(key, "required key is missing")
-    lower = _floats(kv["grid.lower"], "grid.lower")
-    upper = _floats(kv["grid.upper"], "grid.upper")
+    lower = _floats(_take(kv, "grid.lower"), "grid.lower")
+    upper = _floats(_take(kv, "grid.upper"), "grid.upper")
     if len(lower) != len(upper):
         raise _bad("grid.upper", "lower/upper length mismatch")
+    # grid.points wins: a grid.spacing beside it is left unread, so unknown
     if "grid.points" in kv:
-        points = _floats(kv["grid.points"], "grid.points", int, "integer")
+        points = _floats(kv.pop("grid.points"), "grid.points", int, "integer")
         if len(points) == 1:
             points = points * len(lower)
         try:
@@ -343,18 +342,23 @@ def _build_grid(kv) -> GridSpec:
     raise _bad("grid.spacing", "need grid.spacing or grid.points")
 
 
-def _build_scheme(kv) -> SchemeConfig:
+def _build_scheme(kv, horizon: bool) -> SchemeConfig:
+    """The scheme of a march; only a ``horizon`` job (solve) reads scheme.final_time."""
+    cfl_safety = _float(kv, "scheme.cfl_safety", 0.9)
+    final_time = _float(kv, "scheme.final_time", 1.0) if horizon else 1.0
     try:
-        return SchemeConfig(
-            cfl_safety=_float(kv, "scheme.cfl_safety", 0.9),
-            final_time=_float(kv, "scheme.final_time", 1.0),
-        )
+        return SchemeConfig(cfl_safety=cfl_safety, final_time=final_time)
     except GLevyError as exc:
         raise _bad("scheme", exc.args[0])
 
 
 def parse_config(text: str) -> JobConfig:
     """Parse and validate a config document into a JobConfig."""
+    return _parse_pairs(_read_pairs(text))
+
+
+def _read_pairs(text: str) -> dict[str, str]:
+    """The ``key = value`` pairs of a config document, in file order."""
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -369,27 +373,20 @@ def parse_config(text: str) -> JobConfig:
         if key in kv:
             raise ConfigError("PARSE_ERROR", f"line {lineno}: duplicate key {key!r}")
         kv[key] = value
+    return kv
 
-    command = kv.get("command")
-    if command is None:
-        raise _bad("command", "required key is missing")
-    if command not in _ALLOWED:
-        raise _bad("command", f"unknown command {command!r}")
-    allowed = _ALLOWED[command]
-    if command == "generator" and "delta" in kv:
-        allowed = allowed | _MARCH
-    # an unknown or missing kind takes any payoff.<key>: _build_payoff reports the kind
-    kind = _PAYOFF_KINDS.get(kv.get("payoff"))
-    for key in kv:
-        if key.startswith("payoff.") and "payoff" in allowed:
-            known = kind is None or key[len("payoff."):] in kind.params
-        else:
-            known = key in allowed or "dim" in allowed and _SCENARIO_KEY.match(key)
-        if not known:
-            raise _bad(key, "unknown key")
 
-    job = JobConfig(command=command)
-    job.out = kv.get("out")
+def _parse_pairs(kv: dict[str, str]) -> JobConfig:
+    """The job of ``kv``, whose keys it consumes; a key no reader took is unknown."""
+    job = _read_job(kv)
+    if kv:
+        raise _bad(next(iter(kv)), "unknown key")
+    return job
+
+
+def _read_job(kv: dict[str, str]) -> JobConfig:
+    command = _take(kv, "command")
+    job = JobConfig(command=command, out=kv.pop("out", None))
 
     if command == "check":
         job.seed = _int(kv, "seed", 2026)
@@ -404,7 +401,7 @@ def parse_config(text: str) -> JobConfig:
         job.t = _float(kv, "t")
         if job.t < 0:
             raise _bad("t", "must be nonnegative")
-        job.direction = kv.get("direction", "increasing")
+        job.direction = kv.pop("direction", "increasing")
         if job.direction not in ("increasing", "decreasing"):
             raise _bad("direction", f"{job.direction!r} is not increasing|decreasing")
         job.x = _float(kv, "x", 0.0)
@@ -412,16 +409,22 @@ def parse_config(text: str) -> JobConfig:
         job.payoff_kind, job.payoff, _ = _build_payoff(kv)
         return job
 
+    if command not in ("solve", "generator", "expect"):
+        raise _bad("command", f"unknown command {command!r}")
     job.dim = _int(kv, "dim", 1)
     if job.dim < 1:
         raise _bad("dim", "must be >= 1")
-    job.scheme = _build_scheme(kv)
+    # the closed-form generator marches nothing: it reads no scheme or grid key
+    marches = command != "generator" or "delta" in kv
+    if marches:
+        job.scheme = _build_scheme(kv, horizon=command == "solve")
     job.uset = _build_scenarios(kv, job.dim)
     job.payoff_kind, job.payoff, params = _build_payoff(kv)
 
-    if "eval.x" in kv:
+    job.eval_points = [np.zeros(job.dim)]
+    if command == "solve" and "eval.x" in kv:
         pts = []
-        for part in kv["eval.x"].split(";"):
+        for part in kv.pop("eval.x").split(";"):
             if part.strip():
                 p = _floats(part, "eval.x")
                 if len(p) != job.dim:
@@ -430,33 +433,29 @@ def parse_config(text: str) -> JobConfig:
         if not pts:
             raise _bad("eval.x", "needs at least one point")
         job.eval_points = pts
-    else:
-        job.eval_points = [np.zeros(job.dim)]
 
-    # solve and the quotient need a grid, expect may pin one, the closed form has none
-    if command == "solve" or "delta" in kv or any(k in kv for k in _GRID):
+    # solve and the quotient need a grid, expect may pin one
+    if marches and (command != "expect" or any(key in kv for key in _GRID)):
         job.grid = _build_grid(kv)
         if job.grid.dim != job.dim:
             raise _bad("grid.lower", f"grid dimension != dim = {job.dim}")
 
     if command == "solve":
         if "output_times" in kv:
-            job.output_times = _floats(kv["output_times"], "output_times")
+            job.output_times = _floats(kv.pop("output_times"), "output_times")
         else:
             job.output_times = [job.scheme.final_time]
         return job
 
     if command == "generator":
-        if "delta" in kv:
+        if marches:
             job.delta = _positive(kv, "delta")
         else:
             job.test_function = _build_test_function(job.payoff_kind, params, job.payoff, job.dim)
         return job
 
     # expect
-    if "times" not in kv:
-        raise _bad("times", "required key is missing")
-    job.times = _floats(kv["times"], "times")
+    job.times = _floats(_take(kv, "times"), "times")
     if any(t <= 0 for t in job.times) or any(
         b <= a for a, b in zip(job.times, job.times[1:])
     ):
@@ -554,7 +553,7 @@ def main(argv=None) -> int:
         prog="glevy", description="Worst-case expectation batch jobs"
     )
     parser.add_argument("--config", required=True, help="path to a job config file")
-    parser.add_argument("--seed", type=int, default=None, help="seed of the check command")
+    parser.add_argument("--seed", default=None, help="seed of the check command")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     args = parser.parse_args(argv)
 
@@ -565,16 +564,10 @@ def main(argv=None) -> int:
         print(f"error[PARSE_ERROR] cannot read config: {exc}", file=sys.stderr)
         return 1
 
+    flags = {"seed": args.seed, "out": args.out}
     try:
-        job = parse_config(text)
-        if args.seed is not None:
-            if job.command != "check":
-                raise _bad("seed", "unknown key")
-            if args.seed < 0:
-                raise _bad("seed", "must be a nonnegative integer")
-            job.seed = args.seed
-        if args.out is not None:
-            job.out = args.out
+        # a flag replaces the config key of its name and is read as that key
+        job = _parse_pairs(_read_pairs(text) | {k: v for k, v in flags.items() if v is not None})
         status, artifact = run(job)
     except GLevyError as exc:
         print(f"error[{exc.code}] {exc.message}", file=sys.stderr)

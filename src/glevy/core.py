@@ -279,9 +279,17 @@ class GridSpec:
 
 
 def uniform_grid(lower, upper, spacing: float) -> GridSpec:
-    """Grid over [lower, upper] with spacing at most ``spacing`` per axis."""
+    """Grid over [lower, upper] with spacing at most ``spacing`` per axis.
+
+    Raises NON_FINITE for a non-finite bound and BAD_SHAPE unless ``spacing``
+    is finite and positive, before either reaches the integer cast.
+    """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    _require_finite(lower, "grid lower")
+    _require_finite(upper, "grid upper")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValidationError("BAD_SHAPE", f"grid spacing {spacing!r} must be finite and positive")
     points = np.ceil((upper - lower) / spacing - EPSILON).astype(int) + 1
     return GridSpec(lower=lower, upper=upper, points=np.maximum(points, 3))
 
@@ -331,8 +339,9 @@ class SchemeConfig:
 def interpolate(g: GridFunction, x) -> float | np.ndarray:
     """Clamped multilinear interpolation of ``g`` at point(s) ``x``.
 
-    ``x`` has shape (d,) or (..., d); points outside the box are clamped to
-    the nearest boundary point axis by axis.  The result is a convex
+    ``x`` has shape (d,) or (..., d); points outside the box, infinite
+    coordinates included, are clamped to the nearest boundary point axis by
+    axis, and a NaN coordinate raises NON_FINITE.  The result is a convex
     combination of stored values, hence monotone in ``g.values`` and exactly
     linear in them, and reproduces linear data exactly inside the box.
     """
@@ -343,6 +352,8 @@ def interpolate(g: GridFunction, x) -> float | np.ndarray:
     if pts.shape[-1] != spec.dim:
         raise ValidationError("BAD_SHAPE", f"query points must have {spec.dim} coordinates")
     flat = pts.reshape(-1, spec.dim)
+    if np.isnan(flat).any():
+        raise ValidationError("NON_FINITE", "query points contain a NaN coordinate")
     u = (flat - spec.lower) / spec.spacing
     u = np.clip(u, 0.0, (spec.points - 1).astype(float))
     base = np.minimum(np.floor(u).astype(int), spec.points - 2)

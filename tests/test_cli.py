@@ -135,6 +135,17 @@ DIFFUSION_SOLVE_CFG = (
             "engine.dx = nan\n",
             "engine.dx",
         ),
+        (
+            SOLVE_CFG.replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = nan"),
+            "scheme.cfl_safety",
+        ),
+        (SOLVE_CFG + "eval.x = nan\n", "eval.x"),
+        (SOLVE_CFG.replace("grid.lower = -4", "grid.lower = nan"), "grid.lower"),
+        (SOLVE_CFG.replace("output_times = 0.5, 1", "output_times = 0.5, nan"), "output_times"),
+        (
+            "command = expect\nscenario.0.atoms = 1:1\ntimes = 1, inf\npayoff = clip-linear\n",
+            "times",
+        ),
     ],
 )
 def test_non_finite_values_rejected(text, key):
@@ -404,6 +415,34 @@ def test_ignored_inputs_are_rejected(capsys, tmp_path, job, extra):
     assert captured.out == ""
     key = extra.split()[0].lstrip("-")
     assert f"error[VALIDATION_ERROR] {key}: unknown key" in captured.err
+
+
+@pytest.mark.parametrize("job", ["solve", "quotient", "expect"])
+def test_grid_points_leave_grid_spacing_unread(job):
+    text = JOBS[job]
+    if job == "expect":
+        text += "grid.lower = -6\ngrid.upper = 10\ngrid.spacing = 0.1\n"
+    with pytest.raises(ConfigError) as e:
+        parse_config(text + "grid.points = 161\n")
+    assert e.value.message == "grid.spacing: unknown key"
+
+
+def test_scenario_index_spelled_twice_is_unknown():
+    # scenario.00 was once read as scenario.0, and the later line replaced the earlier
+    with pytest.raises(ConfigError) as e:
+        parse_config(GENERATOR_CLOSED_FORM + "scenario.00.drift = 5\n")
+    assert e.value.message == "scenario.00.drift: unknown key"
+
+
+@pytest.mark.parametrize("config_seed", ["3", "-1"])
+def test_seed_flag_replaces_config_seed(tmp_path, config_seed):
+    # the flag is read as the seed key, so it also replaces an invalid config seed
+    cfg, flagged, keyed = tmp_path / "job.cfg", tmp_path / "flagged.csv", tmp_path / "keyed.csv"
+    cfg.write_text(f"command = check\nseed = {config_seed}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--seed", "7", "--out", str(flagged)]) == 0
+    cfg.write_text("command = check\nseed = 7\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(keyed)]) == 0
+    assert flagged.read_bytes() == keyed.read_bytes()
 
 
 def test_kept_inputs_are_parsed():

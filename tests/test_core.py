@@ -102,6 +102,24 @@ def test_uniform_grid_point_count():
     assert g.spacing[0] == pytest.approx(0.05, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "lower, upper, spacing, code",
+    [
+        ([0.0], [1.0], np.nan, "BAD_SHAPE"),
+        ([0.0], [1.0], np.inf, "BAD_SHAPE"),
+        ([0.0], [1.0], 0.0, "BAD_SHAPE"),
+        ([0.0], [1.0], -0.1, "BAD_SHAPE"),
+        ([np.nan], [1.0], 0.1, "NON_FINITE"),
+        ([0.0], [np.inf], 0.1, "NON_FINITE"),
+    ],
+)
+def test_uniform_grid_rejects_bad_spacing_and_bounds(lower, upper, spacing, code):
+    # a bad spacing once fell through to a 3-node grid, a bad bound to a cast warning
+    with pytest.raises(GLevyError) as e:
+        uniform_grid(lower, upper, spacing)
+    assert code_of(e) == code
+
+
 def test_grid_needs_three_points():
     with pytest.raises(GLevyError) as e:
         GridSpec(lower=[0.0], upper=[1.0], points=[2])
@@ -146,6 +164,18 @@ def test_interpolate_clamps_outside_box():
     f = GridFunction(g, np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
     assert interpolate(f, [2.5]) == 4.0
     assert interpolate(f, [-1.0]) == 0.0
+
+
+def test_interpolate_clamps_infinity_and_rejects_nan():
+    g = GridSpec(lower=[0.0], upper=[1.0], points=[5])
+    f = GridFunction(g, np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
+    assert interpolate(f, [np.inf]) == 4.0
+    assert interpolate(f, [-np.inf]) == 0.0
+    # a NaN once cast to index -2**63 and raised a bare IndexError
+    for query in ([np.nan], [[0.5], [np.nan]]):
+        with pytest.raises(GLevyError) as e:
+            interpolate(f, query)
+        assert code_of(e) == "NON_FINITE"
 
 
 def test_interpolate_monotone_additive_homogeneous():
