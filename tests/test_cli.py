@@ -458,3 +458,76 @@ def test_kept_inputs_are_parsed():
     with pytest.raises(ConfigError) as e:
         parse_config(GPOISSON_CFG + "payoff = ramp\npayoff.center = 1\n")
     assert e.value.message == "payoff: unknown payoff kind 'ramp'"
+
+
+# (payoff lines, dim, points, values there, bound, lipschitz, (grad0, hess0) or None)
+PAYOFF_KINDS = {
+    "clip-linear": (
+        "payoff = clip-linear\npayoff.scale = -2\npayoff.clip = 3\n", 2,
+        [[-2.0, 5.0], [0.5, -1.0], [1.0, 0.0]], [3.0, -1.0, -2.0], 3.0, 2.0,
+        ([-2.0, 0.0], np.zeros((2, 2))),
+    ),
+    "indicator-ramp": (
+        "payoff = indicator-ramp\npayoff.center = 0.5\npayoff.width = 2\n", 1,
+        [[0.0], [1.5], [3.0]], [0.0, 0.5, 1.0], 1.0, 0.5, ([0.0], [[0.0]]),
+    ),
+    "quadratic-clip": (
+        "payoff = quadratic-clip\npayoff.scale = 0.5\npayoff.clip = 4\n", 2,
+        [[1.0, 1.0], [2.0, 2.0], [-1.0, 0.0]], [1.0, 4.0, 0.5], 4.0, 2.0 * np.sqrt(2.0),
+        ([0.0, 0.0], np.eye(2)),
+    ),
+    "quadratic-clip-flat": (
+        "payoff = quadratic-clip\npayoff.scale = 0\n", 1,
+        [[0.0], [3.0]], [0.0, 0.0], 1e6, 0.0, ([0.0], [[0.0]]),
+    ),
+    "constant": (
+        "payoff = constant\n", 1, [[-1.0], [2.0]], [0.0, 0.0], 0.0, 0.0, ([0.0], [[0.0]]),
+    ),
+    "constant-nonzero": (
+        "payoff = constant\npayoff.value = -2.5\n", 1,
+        [[-1.0], [2.0]], [-2.5, -2.5], 2.5, 0.0, None,
+    ),
+    "table": (
+        "payoff = table\npayoff.table = -1:2; 0:0; 2:1\n", 1,
+        [[-2.0], [-0.5], [1.0], [3.0]], [2.0, 1.0, 0.5, 1.0], 2.0, 2.0, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_payoff_kinds(kind):
+    lines, dim, points, values, bound, lipschitz, form = PAYOFF_KINDS[kind]
+    atom = ",".join(["1"] + ["0"] * (dim - 1))
+    generator = f"command = generator\ndim = {dim}\nscenario.0.atoms = {atom}:0.5\n" + lines
+    # a kind without a generator form is read by a job that needs none
+    job = parse_config(generator if form else GPOISSON_CFG + lines)
+    pay = job.payoff
+    assert pay.eval(np.array(points)).tolist() == values
+    assert [float(pay.eval(np.array(p))) for p in points] == values
+    assert pay.bound == bound and pay.lipschitz == pytest.approx(lipschitz, rel=1e-15)
+    if form:
+        grad0, hess0 = form
+        assert job.test_function.grad0.tolist() == list(grad0)
+        assert np.array_equal(job.test_function.hess0, hess0)
+        assert job.test_function.bound == bound
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            "payoff = table\npayoff.table = 0:0; 1:1\n",
+            "payoff: payoff kind 'table' has no generator form",
+        ),
+        (
+            "payoff = indicator-ramp\n",
+            "payoff.center: generator needs the ramp strictly right of 0",
+        ),
+        ("payoff = constant\npayoff.value = 1\n", "payoff.value: generator needs f(0) = 0"),
+    ],
+    ids=["table", "indicator-ramp", "constant"],
+)
+def test_payoff_kinds_without_generator_form(lines, message):
+    with pytest.raises(ConfigError) as e:
+        parse_config(GENERATOR_CLOSED_FORM.replace("payoff = clip-linear\n", lines))
+    assert e.value.code == "VALIDATION_ERROR" and e.value.message == message

@@ -484,3 +484,45 @@ def test_refinement_trend():
         vals.append(evaluate(res, 1.0, [0.0]))
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     assert diffs[1] < diffs[0]
+
+
+# --- Lévy–Khintchine oracle: the scheme is a discrete Fourier multiplier -------
+
+LK_SET = validate_uncertainty_set([(((0.37, 0.8), (-0.53, 0.6)), 0.3, 0.4)])
+LK_K, LK_T = 2.0, 0.1
+
+
+def _lk_solve(h):
+    """The march of cos(kx) under LK_SET, its interior nodes, discrete and exact symbols."""
+    grid = uniform_grid([-12.0], [12.0], h)
+    wave_k = Payoff(eval=lambda x: np.cos(LK_K * x1(x)), bound=1.0, lipschitz=LK_K)
+    res = solve(wave_k, LK_SET, grid, SchemeConfig(final_time=LK_T))
+    stencil = build_stencil(LK_SET.scenarios, grid)
+    # psi_h(k) = sum c (e^{i k o h} - 1) over the merged terms
+    psi_h = sum(
+        c * (np.exp(1j * LK_K * stencil.offsets[k][0] * h) - 1.0) for c, k in stencil.terms[0]
+    )
+    (s,) = LK_SET.scenarios
+    psi = sum(w * (np.exp(1j * LK_K * z[0]) - 1.0) for z, w in s.atoms)
+    psi += 1j * LK_K * s.drift[0] - 0.5 * s.diffusion_matrix[0, 0] * LK_K**2
+    # nodes the clamped edges cannot reach in res.steps steps
+    reach = res.steps * max(abs(o[0]) for o in stencil.offsets) * h
+    (x,) = grid.axes()
+    inner = np.abs(x) < 12.0 - reach - 1e-9
+    assert inner.sum() > 10
+    dt = LK_T / res.steps
+    discrete = np.real(np.exp(1j * LK_K * x) * (1.0 + dt * psi_h) ** res.steps)
+    exact = np.real(np.exp(1j * LK_K * x) * np.exp(LK_T * psi))
+    return res.snapshots[0].values[inner], discrete[inner], exact[inner]
+
+
+def test_scheme_is_the_discrete_levy_khintchine_multiplier():
+    # one scenario: the march of e^{ikx} multiplies it by (1 + dt psi_h(k))^n,
+    # and psi_h -> psi (the Lévy–Khintchine exponent) at first order in h
+    errors = []
+    for h in (0.1, 0.05):
+        u, discrete, exact = _lk_solve(h)
+        assert np.max(np.abs(u - discrete)) < 1e-13
+        errors.append(np.max(np.abs(u - exact)))
+    assert 1.6 < errors[0] / errors[1] < 2.6
+    assert errors[1] < 5e-3
