@@ -39,11 +39,12 @@ single-value CSV; ``check`` writes ``suite,name,measured,threshold,PASS|FAIL``
 lines and exits nonzero if any suite fails.  All numbers are printed with 17
 significant digits, and a given config reproduces its output bitwise.
 
-The grid box must pad the evaluation points of ``solve`` and the origin of
-``generator`` by at least one jump range plus drift and four diffusion
-deviations over the horizon (see :func:`glevy.core.min_padding`); a pinned
-``expect`` box must pad the origin the same way over each increment's
-horizon (UNPADDED_GRID).
+The grid box must pad the evaluation points of ``solve`` over
+``scheme.final_time``, the origin of the quotient ``generator`` over
+``delta`` and a pinned ``expect`` box's origin over each increment's horizon,
+by at least one jump range plus drift and four diffusion deviations (see
+:func:`glevy.core.min_padding` and :func:`glevy.core.pads_origin`); an
+unpadded box is UNPADDED_GRID in all three.
 """
 
 from __future__ import annotations
@@ -54,11 +55,10 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checks import run_checks
+from .checks import _x1, run_checks
 from .core import (
     GridSpec,
     Payoff,
@@ -66,6 +66,7 @@ from .core import (
     SchemeConfig,
     UncertaintySet,
     min_padding,
+    pads_origin,
     uniform_grid,
     validate_uncertainty_set,
 )
@@ -75,86 +76,6 @@ from .generator import TestFunction, g_operator, small_time_quotient
 from .gpoisson import gpoisson_closed_form
 from .solver import solve
 
-
-def _x1(x):
-    return np.asarray(x, dtype=float)[..., 0]
-
-
-def _parse_table(kv):
-    text = kv.pop("payoff.table", None)
-    if text is None:
-        raise _bad("payoff.table", "required for payoff = table")
-    xs, ys = [], []
-    for part in filter(None, (part.strip() for part in text.split(";"))):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise _bad("payoff.table", f"entry {part!r} is not 'x:y'")
-        try:
-            xs.append(float(pieces[0]))
-            ys.append(float(pieces[1]))
-        except ValueError:
-            raise _bad("payoff.table", f"entry {part!r} has a non-number")
-    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise _bad("payoff.table", "need >= 2 entries with strictly increasing x")
-    return np.array(xs), np.array(ys)
-
-
-class _PayoffKind(NamedTuple):
-    """A payoff kind: ``params`` maps each ``payoff.<key>`` it reads to its
-    default (or to a parser of the config pairs); the rest are functions of the
-    parsed values p.
-    ``grad0``/``hess0`` are f's derivatives at 0 in dimension d (None: no
-    generator form), which also ``needs`` each (key, test, reason) to pass.
-    """
-
-    params: dict
-    eval: Callable
-    bound: Callable
-    lipschitz: Callable
-    grad0: Callable | None = lambda p, d: np.zeros(d)
-    hess0: Callable = lambda p, d: np.zeros((d, d))
-    needs: tuple = ()
-
-
-_PAYOFF_KINDS = {
-    "clip-linear": _PayoffKind(
-        params={"scale": 1.0, "clip": lambda kv: _positive(kv, "payoff.clip", 1e6)},
-        eval=lambda p: lambda x: np.clip(p["scale"] * _x1(x), -p["clip"], p["clip"]),
-        bound=lambda p: p["clip"],
-        lipschitz=lambda p: abs(p["scale"]),
-        grad0=lambda p, d: np.r_[p["scale"], np.zeros(d - 1)],
-    ),
-    "indicator-ramp": _PayoffKind(
-        params={"center": 0.0, "width": lambda kv: _positive(kv, "payoff.width", 1.0)},
-        eval=lambda p: lambda x: np.clip((_x1(x) - p["center"]) / p["width"], 0.0, 1.0),
-        bound=lambda p: 1.0,
-        lipschitz=lambda p: 1.0 / p["width"],
-        needs=(("center", lambda c: c > 0.0, "generator needs the ramp strictly right of 0"),),
-    ),
-    "quadratic-clip": _PayoffKind(
-        params={"scale": 1.0, "clip": lambda kv: _positive(kv, "payoff.clip", 1e6)},
-        eval=lambda p: lambda x: np.clip(
-            p["scale"] * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -p["clip"], p["clip"]
-        ),
-        bound=lambda p: p["clip"],
-        lipschitz=lambda p: 2.0 * math.sqrt(abs(p["scale"]) * p["clip"]) if p["scale"] else 0.0,
-        hess0=lambda p, d: 2.0 * p["scale"] * np.eye(d),
-    ),
-    "constant": _PayoffKind(
-        params={"value": 0.0},
-        eval=lambda p: lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], p["value"]),
-        bound=lambda p: abs(p["value"]),
-        lipschitz=lambda p: 0.0,
-        needs=(("value", lambda v: v == 0.0, "generator needs f(0) = 0"),),
-    ),
-    "table": _PayoffKind(
-        params={"table": _parse_table},
-        eval=lambda p: lambda x: np.interp(_x1(x), *p["table"]),
-        bound=lambda p: float(np.max(np.abs(p["table"][1]))),
-        lipschitz=lambda p: float(np.max(np.abs(np.diff(p["table"][1]) / np.diff(p["table"][0])))),
-        grad0=None,
-    ),
-}
 
 # one spelling per index: scenario.00 would silently replace scenario.0
 _SCENARIO_KEY = re.compile(r"^scenario\.(0|[1-9]\d*)\.(atoms|drift|diffusion)$")
@@ -170,7 +91,6 @@ class JobConfig:
     uset: UncertaintySet | None = None
     grid: GridSpec | None = None
     scheme: SchemeConfig = field(default_factory=SchemeConfig)
-    payoff_kind: str | None = None
     payoff: Payoff | None = None
     test_function: TestFunction | None = None
     output_times: list[float] | None = None
@@ -191,6 +111,14 @@ class JobConfig:
 
 def _bad(key: str, why: str) -> ConfigError:
     return ConfigError("VALIDATION_ERROR", f"{key}: {why}")
+
+
+def _checked(key, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a library error is relabelled under ``key``, the key read."""
+    try:
+        return build(*args, **kwargs)
+    except GLevyError as exc:
+        raise _bad(key, exc.message)
 
 
 def _take(kv, key):
@@ -258,27 +186,105 @@ def _parse_atoms(text, key):
     return tuple(atoms)
 
 
-def _build_payoff(kv) -> tuple[str, Payoff, dict]:
-    """The payoff kind, its Payoff, and its parsed parameters."""
+def _flat(d):
+    """The generator form (grad0, hess0) of a payoff flat at the origin."""
+    return np.zeros(d), np.zeros((d, d))
+
+
+def _no_form(key, why):
+    """A generator form that is refused: ``why``, under ``key``."""
+
+    def form(d):
+        raise _bad(key, why)
+
+    return form
+
+
+# One reader per payoff kind: it reads the kind's payoff.<key>s and returns the
+# Payoff and its generator form, a function of dim giving (grad0, hess0) at 0.
+
+
+def _clip_linear(kv):
+    scale = _float(kv, "payoff.scale", 1.0)
+    clip = _positive(kv, "payoff.clip", 1e6)
+    pay = Payoff(lambda x: np.clip(scale * _x1(x), -clip, clip), bound=clip, lipschitz=abs(scale))
+    return pay, lambda d: (np.r_[scale, np.zeros(d - 1)], np.zeros((d, d)))
+
+
+def _indicator_ramp(kv):
+    center = _float(kv, "payoff.center", 0.0)
+    width = _positive(kv, "payoff.width", 1.0)
+    pay = Payoff(
+        lambda x: np.clip((_x1(x) - center) / width, 0.0, 1.0), bound=1.0, lipschitz=1.0 / width
+    )
+    if center > 0.0:
+        return pay, _flat
+    return pay, _no_form("payoff.center", "generator needs the ramp strictly right of 0")
+
+
+def _quadratic_clip(kv):
+    scale = _float(kv, "payoff.scale", 1.0)
+    clip = _positive(kv, "payoff.clip", 1e6)
+    pay = Payoff(
+        lambda x: np.clip(scale * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -clip, clip),
+        bound=clip,
+        lipschitz=2.0 * math.sqrt(abs(scale) * clip) if scale else 0.0,
+    )
+    return pay, lambda d: (np.zeros(d), 2.0 * scale * np.eye(d))
+
+
+def _constant(kv):
+    value = _float(kv, "payoff.value", 0.0)
+    pay = Payoff(
+        lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], value),
+        bound=abs(value),
+        lipschitz=0.0,
+    )
+    if value == 0.0:
+        return pay, _flat
+    return pay, _no_form("payoff.value", "generator needs f(0) = 0")
+
+
+def _table(kv):
+    text = kv.pop("payoff.table", None)
+    if text is None:
+        raise _bad("payoff.table", "required for payoff = table")
+    xs, ys = [], []
+    for part in filter(None, (part.strip() for part in text.split(";"))):
+        pieces = part.split(":")
+        if len(pieces) != 2:
+            raise _bad("payoff.table", f"entry {part!r} is not 'x:y'")
+        try:
+            xs.append(float(pieces[0]))
+            ys.append(float(pieces[1]))
+        except ValueError:
+            raise _bad("payoff.table", f"entry {part!r} has a non-number")
+    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise _bad("payoff.table", "need >= 2 entries with strictly increasing x")
+    xs, ys = np.array(xs), np.array(ys)
+    pay = Payoff(
+        lambda x: np.interp(_x1(x), xs, ys),
+        bound=float(np.max(np.abs(ys))),
+        lipschitz=float(np.max(np.abs(np.diff(ys) / np.diff(xs)))),
+    )
+    return pay, _no_form("payoff", "payoff kind 'table' has no generator form")
+
+
+_PAYOFFS = {
+    "clip-linear": _clip_linear,
+    "indicator-ramp": _indicator_ramp,
+    "quadratic-clip": _quadratic_clip,
+    "constant": _constant,
+    "table": _table,
+}
+
+
+def _read_payoff(kv):
+    """The payoff of ``payoff = <kind>`` and its generator form, read by the kind's reader."""
     name = _take(kv, "payoff")
-    if name not in _PAYOFF_KINDS:
+    if name not in _PAYOFFS:
         raise _bad("payoff", f"unknown payoff kind {name!r}")
-    kind = _PAYOFF_KINDS[name]
-    p = {
-        key: default(kv) if callable(default) else _float(kv, f"payoff.{key}", default)
-        for key, default in kind.params.items()
-    }
-    return name, Payoff(eval=kind.eval(p), bound=kind.bound(p), lipschitz=kind.lipschitz(p)), p
-
-
-def _build_test_function(name: str, p: dict, pay: Payoff, dim: int) -> TestFunction:
-    kind = _PAYOFF_KINDS[name]
-    if kind.grad0 is None:
-        raise _bad("payoff", f"payoff kind {name!r} has no generator form")
-    for key, test, reason in kind.needs:
-        if not test(p[key]):
-            raise _bad(f"payoff.{key}", reason)
-    return TestFunction(pay.eval, kind.grad0(p, dim), kind.hess0(p, dim), pay.bound)
+    return _PAYOFFS[name](kv)
 
 
 def _build_scenarios(kv, dim: int) -> UncertaintySet:
@@ -312,10 +318,8 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
                 raise _bad(f"scenario.{i}.diffusion", f"need {dim * dim} row-major entries")
         else:
             diffusion = np.zeros((dim, dim))
-        try:
-            scenarios.append(Scenario(atoms=atoms, drift=drift, diffusion=diffusion))
-        except GLevyError as exc:
-            raise _bad(f"scenario.{i}", exc.args[0])
+        scenario = _checked(f"scenario.{i}", Scenario, atoms, drift, diffusion)
+        scenarios.append(scenario)
     return validate_uncertainty_set(scenarios)
 
 
@@ -329,16 +333,10 @@ def _build_grid(kv) -> GridSpec:
         points = _floats(kv.pop("grid.points"), "grid.points", int, "integer")
         if len(points) == 1:
             points = points * len(lower)
-        try:
-            return GridSpec(lower=lower, upper=upper, points=points)
-        except GLevyError as exc:
-            raise _bad("grid.points", exc.args[0])
+        return _checked("grid.points", GridSpec, lower=lower, upper=upper, points=points)
     if "grid.spacing" in kv:
         spacing = _positive(kv, "grid.spacing")
-        try:
-            return uniform_grid(lower, upper, spacing)
-        except GLevyError as exc:
-            raise _bad("grid.spacing", exc.args[0])
+        return _checked("grid.spacing", uniform_grid, lower, upper, spacing)
     raise _bad("grid.spacing", "need grid.spacing or grid.points")
 
 
@@ -346,10 +344,8 @@ def _build_scheme(kv, horizon: bool) -> SchemeConfig:
     """The scheme of a march; only a ``horizon`` job (solve) reads scheme.final_time."""
     cfl_safety = _float(kv, "scheme.cfl_safety", 0.9)
     final_time = _float(kv, "scheme.final_time", 1.0) if horizon else 1.0
-    try:
-        return SchemeConfig(cfl_safety=cfl_safety, final_time=final_time)
-    except GLevyError as exc:
-        raise _bad("scheme", exc.args[0])
+    _checked("scheme.cfl_safety", SchemeConfig, cfl_safety=cfl_safety)
+    return _checked("scheme.final_time", SchemeConfig, cfl_safety, final_time)
 
 
 def parse_config(text: str) -> JobConfig:
@@ -406,7 +402,7 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
             raise _bad("direction", f"{job.direction!r} is not increasing|decreasing")
         job.x = _float(kv, "x", 0.0)
         job.tol = _positive(kv, "scheme.tolerance", 1e-10)
-        job.payoff_kind, job.payoff, _ = _build_payoff(kv)
+        job.payoff, _ = _read_payoff(kv)
         return job
 
     if command not in ("solve", "generator", "expect"):
@@ -419,7 +415,7 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
     if marches:
         job.scheme = _build_scheme(kv, horizon=command == "solve")
     job.uset = _build_scenarios(kv, job.dim)
-    job.payoff_kind, job.payoff, params = _build_payoff(kv)
+    job.payoff, form = _read_payoff(kv)
 
     job.eval_points = [np.zeros(job.dim)]
     if command == "solve" and "eval.x" in kv:
@@ -451,7 +447,7 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
         if marches:
             job.delta = _positive(kv, "delta")
         else:
-            job.test_function = _build_test_function(job.payoff_kind, params, job.payoff, job.dim)
+            job.test_function = TestFunction(job.payoff.eval, *form(job.dim), job.payoff.bound)
         return job
 
     # expect
@@ -465,8 +461,6 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
     job.engine_tail = _float(kv, "engine.tail", 1e-10)
     if not (0.0 < job.engine_tail < 1.0):
         raise _bad("engine.tail", "must be in (0, 1)")
-    if job.grid is not None and not np.all((job.grid.lower < 0.0) & (job.grid.upper > 0.0)):
-        raise _bad("grid.lower", "expect grids must contain the origin")
     return job
 
 
@@ -474,19 +468,20 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _enforce_padding(job: JobConfig, horizon: float) -> None:
+def _enforce_padding(job: JobConfig) -> None:
+    """The solve's box must pad its evaluation points ``eval.x`` (UNPADDED_GRID)."""
+    horizon = job.scheme.final_time
     pad = min_padding(job.uset, horizon)
-    lo = np.min(np.stack(job.eval_points), axis=0)
-    hi = np.max(np.stack(job.eval_points), axis=0)
-    if np.any(job.grid.lower > lo - pad + 1e-12) or np.any(job.grid.upper < hi + pad - 1e-12):
-        raise _bad(
-            "grid.lower",
+    points = np.stack(job.eval_points)
+    if not pads_origin(job.grid, pad, points.min(axis=0), points.max(axis=0)):
+        raise ConfigError(
+            "UNPADDED_GRID",
             f"box must pad evaluation points by >= {pad:.6g} over horizon {horizon:.6g}",
         )
 
 
 def _run_solve(job: JobConfig) -> str:
-    _enforce_padding(job, job.scheme.final_time)
+    _enforce_padding(job)
     result = solve(job.payoff, job.uset, job.grid, job.scheme, job.output_times)
     # each axis is formatted once; the product runs over nodes in row-major order
     axes = [[_fmt(c) for c in axis.tolist()] for axis in job.grid.axes()]
@@ -516,7 +511,6 @@ def run(job: JobConfig) -> tuple[int, str]:
         return 0, _run_value(value)
     if job.command == "generator":
         if job.delta is not None:
-            _enforce_padding(job, job.delta)
             value = small_time_quotient(job.payoff, job.uset, job.delta, job.grid, job.scheme)
         else:
             value = g_operator(job.test_function, job.uset)

@@ -403,9 +403,13 @@ def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
     return vals
 
 
-def pads_origin(grid: GridSpec, pad: float) -> bool:
-    """Whether ``grid`` reaches ``pad`` beyond the origin on every axis, to 1e-12."""
-    return bool(np.all(grid.lower <= -pad + 1e-12) and np.all(grid.upper >= pad - 1e-12))
+def pads_origin(grid: GridSpec, pad: float, lo=0.0, hi=0.0) -> bool:
+    """Whether ``grid`` reaches ``pad`` beyond the box [lo, hi] on every axis, to 1e-12.
+
+    The box defaults to the origin, which the engine reads; a solve passes
+    the corners of its evaluation points.
+    """
+    return bool(np.all(grid.lower <= lo - pad + 1e-12) and np.all(grid.upper >= hi + pad - 1e-12))
 
 
 def min_padding(uset: UncertaintySet, horizon: float) -> float:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +38,7 @@ import numpy as np
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
+from .gpoisson import poisson_weights
 from .solver import check_march, coarsen, march, origin_corners, origin_strides
 
 # Frozen nodes are marched in blocks of about this many node values.  Two
@@ -71,16 +71,13 @@ class CylinderFunctional:
             raise ValidationError("NON_FINITE", "times contain a non-finite entry")
         if times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("BAD_SHAPE", "times must be strictly increasing and positive")
-        if not callable(self.payoff):
-            raise ValidationError("BAD_SHAPE", "payoff must be callable")
-        b, L = float(self.bound), float(self.lipschitz)
-        if not (math.isfinite(b) and b >= 0 and math.isfinite(L) and L >= 0):
-            raise ValidationError("NON_FINITE", "bound/lipschitz invalid")
+        # a callable payoff (BAD_SHAPE) with a valid bound and Lipschitz constant (NON_FINITE)
+        phi = Payoff(eval=self.payoff, bound=self.bound, lipschitz=self.lipschitz)
         if int(self.dim) < 1:
             raise ValidationError("BAD_SHAPE", "dim must be >= 1")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "bound", b)
-        object.__setattr__(self, "lipschitz", L)
+        object.__setattr__(self, "bound", phi.bound)
+        object.__setattr__(self, "lipschitz", phi.lipschitz)
         object.__setattr__(self, "dim", int(self.dim))
 
     @property
@@ -89,21 +86,16 @@ class CylinderFunctional:
 
 
 def poisson_tail_quantile(mu: float, tail: float) -> int:
-    """Smallest k with P(Poisson(mu) > k) < tail; NON_FINITE if exp(-mu) underflows (mu > 708.4)."""
-    if mu <= 0.0:
-        return 0
-    p = math.exp(-mu)
-    if p < sys.float_info.min:
-        raise ValidationError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
-    cumulative = p
-    k = 0
-    while 1.0 - cumulative >= tail:
-        k += 1
-        p *= mu / k
-        cumulative += p
-        if k > 10_000_000:
-            raise ValidationError("NON_FINITE", "Poisson quantile failed to converge")
-    return k
+    """Smallest k with P(Poisson(mu) > k) < tail, summing :func:`glevy.gpoisson.poisson_weights`.
+
+    Its guards apply: NON_FINITE for mu above about 708.4 or a sum that never
+    reaches 1 - tail.
+    """
+    cumulative = 0.0
+    for k, weight in enumerate(poisson_weights(mu)):
+        cumulative += weight
+        if 1.0 - cumulative < tail:
+            return k
 
 
 def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) -> float:

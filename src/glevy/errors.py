@@ -41,4 +41,4 @@ class MatrixError(GLevyError):
 
 
 class ConfigError(GLevyError):
-    """CLI configuration failures; ``code`` is PARSE_ERROR or VALIDATION_ERROR."""
+    """CLI configuration failures; ``code`` is PARSE_ERROR, VALIDATION_ERROR or UNPADDED_GRID."""

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _require_finite
-from .core import min_padding, pads_origin
 from .engine import CylinderFunctional, expectation
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,22 +89,18 @@ def small_time_quotient(
     """u(delta, 0) / delta for the worst-case equation started from ``phi``.
 
     Converges to the generator value as delta -> 0 when the grid is refined
-    alongside.  The grid must pad the origin by :func:`glevy.core.min_padding`
-    over ``delta`` on every axis, else UNPADDED_GRID is raised.  The value is
-    :func:`glevy.engine.expectation` of phi(D_1), D_1 over ``delta`` on the
-    pinned ``grid``: it marches the sublattice the origin reads, and checks
-    payoff samples only at the nodes the value reads.  Of ``cfg`` it reads
-    only ``cfl_safety``.  Solver errors (grid/CFL) propagate unchanged; a
-    quotient that overflows raises NON_FINITE.
+    alongside.  The value is :func:`glevy.engine.expectation` of phi(D_1),
+    D_1 over ``delta`` on the pinned ``grid``: it marches the sublattice the
+    origin reads, and checks payoff samples only at the nodes the value
+    reads.  Of ``cfg`` it reads only ``cfl_safety``.  The engine's errors
+    propagate unchanged: UNPADDED_GRID, an :class:`glevy.errors.EngineError`,
+    unless the grid pads the origin by :func:`glevy.core.min_padding` over
+    ``delta`` on every axis, and the solver's grid/CFL errors.  A quotient
+    that overflows raises NON_FINITE.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("BAD_SHAPE", f"delta {delta!r} must be positive")
-    pad = min_padding(uset, delta)
-    if not pads_origin(grid, pad):
-        raise SolverError(
-            "UNPADDED_GRID", f"grid must pad the origin by >= {pad:.6g} over delta {delta:.6g}"
-        )
     xi = CylinderFunctional((delta,), phi.eval, phi.bound, phi.lipschitz, grid.dim)
     quotient = expectation(xi, uset, cfg, var_grids=[grid]) / delta
     if not math.isfinite(quotient):

@@ -48,17 +48,49 @@ class GPoissonSpec:
 
     def uncertainty_set(self) -> UncertaintySet:
         """The two extreme-intensity scenarios; they realize the sup exactly."""
-        lo = Scenario(atoms=((np.array([1.0]), self.lambda_low),), drift=[0.0], diffusion=[[0.0]])
-        hi = Scenario(atoms=((np.array([1.0]), 1.0),), drift=[0.0], diffusion=[[0.0]])
-        if self.lambda_low == 1.0:
-            return UncertaintySet((hi,))
-        return UncertaintySet((lo, hi))
+        return _pure_jump_set(self.jump_measures(), 1)
 
     def jump_measures(self) -> list[list[tuple[float, float]]]:
         """Atom lists for :func:`series_solution`: [(z, w)] per measure."""
         if self.lambda_low == 1.0:
             return [[(1.0, 1.0)]]
         return [[(1.0, self.lambda_low)], [(1.0, 1.0)]]
+
+
+def _pure_jump_set(jump_measures, d: int) -> UncertaintySet:
+    """The pure-jump scenarios in dimension ``d`` of atom lists [(z, w), ...]."""
+    return UncertaintySet(
+        tuple(
+            Scenario(atoms=tuple(atoms), drift=np.zeros(d), diffusion=np.zeros((d, d)))
+            for atoms in jump_measures
+        )
+    )
+
+
+def _check_horizon(t: float, tol: float) -> tuple[float, float]:
+    """``t`` finite and nonnegative (BAD_SHAPE) and ``tol`` positive (BAD_TOLERANCE), as floats."""
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
+    tol = float(tol)
+    if not tol > 0.0:
+        raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
+    return t, tol
+
+
+def poisson_weights(mu: float):
+    """The Poisson(mu) weights e^{-mu} mu^i / i!, i = 0, 1, ..., each by one product.
+
+    NON_FINITE is raised before the first weight when e^{-mu} is not a normal
+    float (mu above about 708.4), and after MAX_POISSON_TERMS weights.
+    """
+    weight = math.exp(-mu)
+    if weight < sys.float_info.min:
+        raise ValidationError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
+    for i in range(1, MAX_POISSON_TERMS + 1):
+        yield weight
+        weight *= mu / i
+    raise ValidationError("NON_FINITE", "Poisson series failed to converge")
 
 
 def g_lambda(a: float, lam: float) -> float:
@@ -83,35 +115,22 @@ def gpoisson_closed_form(
 
     Monotonicity in the stated direction is the caller's assertion.  The
     series stops once the remaining Poisson tail mass times ``phi.bound``
-    drops below ``tol``.  NON_FINITE is raised, before phi is called, when
-    the first weight e^{-mu} is not a normal float (mu above about 708.4).
+    drops below ``tol``.  The weights are :func:`poisson_weights`, so
+    NON_FINITE is raised, before phi is called, for mu above about 708.4.
     """
     lam = _check_lambda(lam)
     if direction not in ("increasing", "decreasing"):
         raise ValidationError("BAD_DIRECTION", f"direction {direction!r}")
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
+    t, tol = _check_horizon(t, tol)
 
     mu = t if direction == "increasing" else lam * t
-    weight = math.exp(-mu)
-    if weight < sys.float_info.min:
-        raise ValidationError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
     cumulative = 0.0
     acc = 0.0
-    i = 0
-    while True:
+    for i, weight in enumerate(poisson_weights(mu)):
         acc += weight * float(phi.eval(np.array([x + i])))
         cumulative += weight
         if phi.bound * max(1.0 - cumulative, 0.0) < tol:
             return acc
-        i += 1
-        if i > MAX_POISSON_TERMS:
-            raise ValidationError("NON_FINITE", "Poisson series failed to converge")
-        weight *= mu / i
 
 
 def _series_levels(two_lambda_t: float, bound: float, tol: float) -> int:
@@ -156,26 +175,12 @@ def series_solution(
     off-lattice jumps use the same clamped multilinear rule and boundary
     effects stay local.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
-
-    d = grid.dim
-    scenarios = [
-        Scenario(atoms=tuple(atoms), drift=np.zeros(d), diffusion=np.zeros((d, d)))
-        for atoms in jump_measures
-    ]
-    if not scenarios:
-        raise ValidationError("EMPTY_SET", "no jump measures given")
-
-    big_lambda = max(s.total_rate for s in scenarios)
-    levels = _series_levels(2.0 * big_lambda * t, phi0.bound, tol)
+    t, tol = _check_horizon(t, tol)
+    uset = _pure_jump_set(jump_measures, grid.dim)
+    levels = _series_levels(2.0 * uset.max_total_rate() * t, phi0.bound, tol)
 
     total = sample_payoff(phi0, grid)
-    work = Workspace(build_stencil(scenarios, grid), total)
+    work = Workspace(build_stencil(uset.scenarios, grid), total)
     coef = 1.0
     for i in range(1, levels + 1):
         cur = work.apply()

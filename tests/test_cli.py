@@ -316,12 +316,12 @@ def test_solve_rejects_unpadded_box(capsys, tmp_path):
     )
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "error[VALIDATION_ERROR]" in err and "pad" in err
+    assert "error[UNPADDED_GRID]" in err and "pad" in err
 
 
 @pytest.mark.parametrize(
     "lower, upper, code",
-    [("1", "10", "VALIDATION_ERROR"), ("-0.5", "0.5", "UNPADDED_GRID")],
+    [("1", "10", "UNPADDED_GRID"), ("-0.5", "0.5", "UNPADDED_GRID")],
     ids=["off-origin", "tight"],
 )
 def test_expect_rejects_unpadded_box(capsys, tmp_path, lower, upper, code):
@@ -356,7 +356,7 @@ def test_generator_quotient_rejects_unpadded_box(capsys, tmp_path, lower, upper)
     )
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "error[VALIDATION_ERROR]" in err and "pad" in err
+    assert "error[UNPADDED_GRID]" in err and "pad" in err
 
 
 def test_generator_rejects_eval_x(capsys, tmp_path):
@@ -530,4 +530,29 @@ def test_payoff_kinds(kind):
 def test_payoff_kinds_without_generator_form(lines, message):
     with pytest.raises(ConfigError) as e:
         parse_config(GENERATOR_CLOSED_FORM.replace("payoff = clip-linear\n", lines))
+    assert e.value.code == "VALIDATION_ERROR" and e.value.message == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SOLVE_CFG.replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = 2"),
+            "scheme.cfl_safety: cfl_safety 2.0 not in (0, 1]",
+        ),
+        (
+            DIFFUSION_SOLVE_CFG + "grid.points = 2\n",
+            "grid.points: grid needs at least 3 points per axis",
+        ),
+        (
+            GENERATOR_CLOSED_FORM.replace("1:0.5", "1:-1"),
+            "scenario.0: atom rate -1.0 is negative",
+        ),
+    ],
+    ids=["scheme", "grid", "scenario"],
+)
+def test_library_errors_name_the_key_read(text, message):
+    # a rejection by the library is reported under the key it read, without its inner code
+    with pytest.raises(ConfigError) as e:
+        parse_config(text)
     assert e.value.code == "VALIDATION_ERROR" and e.value.message == message

@@ -21,7 +21,7 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
-from glevy.errors import GLevyError, SolverError
+from glevy.errors import EngineError, GLevyError
 
 
 def x1(x):
@@ -168,7 +168,7 @@ def test_quotient_rejects_unpadded_grid():
     )
     cfg = SchemeConfig(cfl_safety=0.5)
     for lower, upper in ((-0.5, 0.5), (0.5, 4.0)):
-        with pytest.raises(SolverError) as e:
+        with pytest.raises(EngineError) as e:
             small_time_quotient(hat, GPOISSON, 0.05, uniform_grid([lower], [upper], 0.05), cfg)
         assert e.value.code == "UNPADDED_GRID"
     q = small_time_quotient(hat, GPOISSON, 0.05, uniform_grid([-1.0], [2.0], 0.05), cfg)
