@@ -182,7 +182,7 @@ def _parse_atoms(text, key):
             w = float(pieces[1])
         except ValueError:
             raise _bad(key, f"atom rate {pieces[1]!r} is not a number")
-        atoms.append((np.array(z), w))
+        atoms.append((z, w))
     return tuple(atoms)
 
 

@@ -30,15 +30,32 @@ EPSILON = 1e-12
 SNAP_TOL = 1e-9
 
 
-def _readonly(a, dtype=float):
-    arr = np.array(a, dtype=dtype, copy=True)
+def _readonly(a, dtype=float, ndmin=0):
+    arr = np.array(a, dtype=dtype, copy=True, ndmin=ndmin)
     arr.setflags(write=False)
     return arr
 
 
 def _require_finite(arr, what: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
+
+
+def _finite_values(arr: np.ndarray, what: str) -> list:
+    """The entries of a small array as Python floats, checked finite (NON_FINITE).
+
+    A set or grid has a few entries per axis: a Python loop checks them in a
+    fraction of the time of the numpy calls, which cost microseconds each.
+    """
+    values = arr.ravel().tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
+    return values
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float vector: ``np.linalg.norm``'s own formula, sqrt(v . v)."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +68,7 @@ class Scenario:
         Atoms of the jump measure: jump vector ``z`` (scalar or length-d) with
         rate ``w >= 0``.  A zero jump vector is rejected (it contributes
         nothing and masks input errors), as is a negative rate.
-    drift : array_like, shape (d,)
+    drift : array_like, shape (d,), d >= 1
     diffusion : array_like, shape (d, d)
         Diffusion *factor* Q; scalars are accepted when d == 1.
     """
@@ -61,13 +78,15 @@ class Scenario:
     diffusion: np.ndarray = 0.0
 
     def __post_init__(self):
-        drift = np.atleast_1d(np.asarray(self.drift, dtype=float))
+        drift = _readonly(self.drift, ndmin=1)
         if drift.ndim != 1:
             raise ValidationError("BAD_SHAPE", "drift must be a vector")
         d = drift.shape[0]
-        _require_finite(drift, "drift")
+        if d == 0:
+            raise ValidationError("BAD_SHAPE", "drift must have at least one component")
+        _finite_values(drift, "drift")
 
-        diff = np.asarray(self.diffusion, dtype=float)
+        diff = _readonly(self.diffusion)
         if diff.ndim == 0:
             if d != 1:
                 raise ValidationError("BAD_SHAPE", "scalar diffusion needs d == 1")
@@ -76,7 +95,7 @@ class Scenario:
             raise ValidationError(
                 "BAD_SHAPE", f"diffusion must be ({d}, {d}), got {diff.shape}"
             )
-        _require_finite(diff, "diffusion")
+        _finite_values(diff, "diffusion")
 
         norm_atoms = []
         for entry in self.atoms:
@@ -84,25 +103,31 @@ class Scenario:
                 z, w = entry
             except (TypeError, ValueError):
                 raise ValidationError("BAD_SHAPE", f"atom {entry!r} is not a (z, w) pair")
-            z = np.atleast_1d(np.asarray(z, dtype=float))
+            z = _readonly(z, ndmin=1)
             w = float(w)
             if z.shape != (d,):
                 raise ValidationError("BAD_SHAPE", f"atom jump must have shape ({d},)")
-            if not (np.all(np.isfinite(z)) and math.isfinite(w)):
+            jump = z.tolist()
+            if not (all(map(math.isfinite, jump)) and math.isfinite(w)):
                 raise ValidationError("NON_FINITE", "atom contains a non-finite entry")
             if w < 0:
                 raise ValidationError("NEGATIVE_RATE", f"atom rate {w} is negative")
-            if np.all(z == 0.0):
+            if not any(jump):
                 raise ValidationError("ZERO_JUMP", "atom jump vector is zero")
-            norm_atoms.append((_readonly(z), w))
+            norm_atoms.append((z, w))
 
         object.__setattr__(self, "atoms", tuple(norm_atoms))
-        object.__setattr__(self, "drift", _readonly(drift))
-        object.__setattr__(self, "diffusion", _readonly(diff))
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "diffusion", diff)
 
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
+
+    @property
+    def diffusive(self) -> bool:
+        """Whether the diffusion factor has a nonzero entry."""
+        return any(self.diffusion.ravel().tolist())
 
     @cached_property
     def jump_vectors(self) -> np.ndarray:
@@ -166,12 +191,16 @@ class UncertaintySet:
 
     @cached_property
     def _reach(self) -> tuple[float, float, float]:
-        # paid once per set (one SVD per scenario): every padding check needs it
-        jumps = [np.linalg.norm(z) for s in self.scenarios for z, _ in s.atoms]
+        # paid once per set: every padding check needs it.  The spectral norm
+        # is one SVD, skipped only for a zero factor, whose norm is exactly 0.0;
+        # every other factor keeps LAPACK's value, so no box size can move.
         return (
-            float(max(jumps)) if jumps else 0.0,
-            max(float(np.linalg.norm(s.drift)) for s in self.scenarios),
-            max(float(np.linalg.norm(s.diffusion, 2)) for s in self.scenarios),
+            max((vector_norm(z) for s in self.scenarios for z, _ in s.atoms), default=0.0),
+            max(vector_norm(s.drift) for s in self.scenarios),
+            max(
+                float(np.linalg.norm(s.diffusion, 2)) if s.diffusive else 0.0
+                for s in self.scenarios
+            ),
         )
 
     def max_total_rate(self) -> float:
@@ -228,30 +257,34 @@ class Payoff:
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Uniform tensor grid: ``points[i]`` nodes from ``lower[i]`` to ``upper[i]``."""
+    """Uniform tensor grid: ``points[i]`` nodes from ``lower[i]`` to ``upper[i]``, on d >= 1 axes."""
 
     lower: np.ndarray
     upper: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        points = np.atleast_1d(np.asarray(self.points))
-        if points.dtype.kind == "f" and np.all(np.isfinite(points) & (points == np.floor(points))):
+        lower = _readonly(self.lower, ndmin=1)
+        upper = _readonly(self.upper, ndmin=1)
+        points = np.array(self.points, ndmin=1)
+        if points.dtype.kind == "f" and all(
+            math.isfinite(p) and p == math.floor(p) for p in points.ravel().tolist()
+        ):
             points = points.astype(int)
         if points.dtype.kind not in "iu":
             raise ValidationError("BAD_SHAPE", f"grid points {self.points!r} must be integers")
         if not (lower.shape == upper.shape == points.shape) or lower.ndim != 1:
             raise ValidationError("BAD_SHAPE", "lower/upper/points must be equal-length vectors")
-        _require_finite(lower, "grid lower")
-        _require_finite(upper, "grid upper")
-        if not np.all(upper > lower):
+        if lower.shape[0] == 0:
+            raise ValidationError("BAD_SHAPE", "grid needs at least one axis")
+        lo = _finite_values(lower, "grid lower")
+        hi = _finite_values(upper, "grid upper")
+        if not all(a < b for a, b in zip(lo, hi)):
             raise ValidationError("BAD_SHAPE", "grid upper must exceed lower componentwise")
-        if not np.all(points >= 3):
+        if min(points.tolist()) < 3:
             raise ValidationError("BAD_SHAPE", "grid needs at least 3 points per axis")
-        object.__setattr__(self, "lower", _readonly(lower))
-        object.__setattr__(self, "upper", _readonly(upper))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "points", _readonly(points, dtype=int))
 
     @property
@@ -397,7 +430,7 @@ def sample_points(phi: Payoff, points: np.ndarray) -> np.ndarray:
 def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
     """Return samples once checked finite (NON_FINITE) and within ``bound`` (PAYOFF_BOUND)."""
     _require_finite(vals, "payoff samples")
-    overshoot = float(np.max(np.abs(vals))) - bound
+    overshoot = float(np.abs(vals).max()) - bound
     if overshoot > 1e-9 * max(1.0, bound):
         raise ValidationError("PAYOFF_BOUND", f"payoff exceeds its stated bound by {overshoot:.3g}")
     return vals

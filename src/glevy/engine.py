@@ -119,9 +119,7 @@ def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) 
 def _centered_box(radius: float, dx: float, d: int) -> GridSpec:
     half = max(2, math.ceil(radius / dx - 1e-9))
     r = half * dx
-    return GridSpec(
-        lower=np.full(d, -r), upper=np.full(d, r), points=np.full(d, 2 * half + 1)
-    )
+    return GridSpec(lower=[-r] * d, upper=[r] * d, points=[2 * half + 1] * d)
 
 
 def _integrate_levels(

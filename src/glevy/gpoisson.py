@@ -27,7 +27,6 @@ from .errors import ValidationError
 from .solver import Workspace, build_stencil
 
 MAX_SERIES_LEVELS = 1_000_000
-MAX_POISSON_TERMS = 10_000_000
 
 
 def _check_lambda(lam: float) -> float:
@@ -82,13 +81,18 @@ def poisson_weights(mu: float):
     """The Poisson(mu) weights e^{-mu} mu^i / i!, i = 0, 1, ..., each by one product.
 
     NON_FINITE is raised before the first weight when e^{-mu} is not a normal
-    float (mu above about 708.4), and after MAX_POISSON_TERMS weights.
+    float (mu above about 708.4), and in place of the first weight that is not
+    positive.  Past i = mu the weights fall faster than geometrically and
+    underflow to zero within a few thousand terms; no later weight can move a
+    sum of them, so a sum that has not converged by then never will.
     """
     weight = math.exp(-mu)
-    if weight < sys.float_info.min:
+    if not weight >= sys.float_info.min:
         raise ValidationError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
-    for i in range(1, MAX_POISSON_TERMS + 1):
+    i = 0
+    while weight > 0.0:
         yield weight
+        i += 1
         weight *= mu / i
     raise ValidationError("NON_FINITE", "Poisson series failed to converge")
 

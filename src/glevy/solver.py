@@ -53,6 +53,15 @@ and the products, sums, maxima and the Euler update are 1-D contiguous
 operations.  The band's pad elements get finite values that no node reads.
 A step allocates no array, and every sum runs in a fixed order, so the bits
 depend only on the merged coefficients.
+
+On the small bands of the engine and of short jobs a step costs ufunc
+dispatch, not arithmetic, so the kernel takes the cheapest call forms:
+``subtract``, ``multiply`` and ``add`` get ``out`` as a positional argument,
+which numpy dispatches in about half the time of the ``out=`` keyword, and
+each coefficient (and each march's step) is a 0-d array built once, which a
+ufunc takes faster than a Python float and multiplies to the same bits.
+``np.maximum`` keeps ``out=``: numpy 2.4 deprecates a third positional
+argument there, and pytest turns that warning into a failure.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ from .core import (
     _require_finite,
     interpolate,
     sample_payoff,
+    vector_norm,
 )
 from .errors import SolverError, ValidationError
 
@@ -97,7 +107,7 @@ def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple
     same snap rule as point interpolation keeps lattice-aligned jumps exact.
     """
     terms = [(1.0, ())]
-    for u in (z / spacing).tolist():
+    for u in map(operator.truediv, z.tolist(), spacing.tolist()):
         base = math.floor(u)
         frac = u - base
         if frac < SNAP_TOL:
@@ -129,24 +139,36 @@ def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple
     h = spacing
     d = len(h)
     terms = [(w * c, off) for z, w in s.atoms for c, off in _atom_stencil(z, h)]
-    for i, qi in enumerate(s.drift):
+    for i, (qi, hi) in enumerate(zip(s.drift.tolist(), h.tolist())):
         if qi != 0.0:
-            terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
-    a = s.diffusion_matrix
+            terms.append((abs(qi) / hi, _unit(d, i, 1 if qi > 0.0 else -1)))
+    if s.diffusive:  # a zero factor has no product to form
+        terms += _diffusion_terms(s.diffusion_matrix, h)
+    return terms or [(0.0, (0,) * d)]
+
+
+def _diffusion_terms(a: np.ndarray, h: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+    """The diagonal, then the cross terms of ``a`` = Q Q^T at spacing ``h``.
+
+    They are formed from numpy scalars, whose h ** 2 overflows to inf with a
+    warning where a Python float raises OverflowError.
+    """
+    d = len(h)
+    terms = []
     for i in range(d):
         if a[i, i] != 0.0:
-            c = 0.5 * a[i, i] / h[i] ** 2
+            c = float(0.5 * a[i, i] / h[i] ** 2)
             terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
     for i in range(d):
         for j in range(i + 1, d):
             if a[i, j] == 0.0:
                 continue
-            c = abs(a[i, j]) / (2.0 * h[i] * h[j])
+            c = float(abs(a[i, j]) / (2.0 * h[i] * h[j]))
             corner = [0] * d
             corner[i], corner[j] = 1, 1 if a[i, j] > 0.0 else -1
             terms += [(c, tuple(corner)), (c, tuple(-o for o in corner))]
             terms += [(-c, _unit(d, k, step)) for k in (i, j) for step in (+1, -1)]
-    return terms or [(0.0, (0,) * d)]
+    return terms
 
 
 class Stencil(NamedTuple):
@@ -167,8 +189,8 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     merged = []
     for s in scenarios:
         coef = {}
+        # every c is a Python float: infinities sum to nan without a warning
         for c, off in _scenario_terms(s, spec.spacing):
-            c = float(c)  # a Python float sums infinities to nan without a warning
             coef[off] = coef[off] + c if off in coef else c
         merged.append(coef)
     offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))
@@ -255,7 +277,7 @@ class Workspace:
         shifts = [sum(map(operator.mul, o, strides)) for o in stencil.offsets]
         windows = [flat[head + k : stop + k] for k in shifts]
         self._terms = [
-            (c0, windows[k0], [(c, windows[k]) for c, k in rest])
+            (np.array(c0), windows[k0], [(np.array(c), windows[k]) for c, k in rest])
             for (c0, k0), *rest in stencil.terms
         ]
 
@@ -271,12 +293,12 @@ class Workspace:
         u, out, tmp = self._band, self._out, self._tmp
         acc = out
         for c, window, rest in self._terms:
-            np.subtract(window, u, out=acc)
-            np.multiply(acc, c, out=acc)
+            np.subtract(window, u, acc)
+            np.multiply(acc, c, acc)
             for c, window in rest:
-                np.subtract(window, u, out=tmp)
-                np.multiply(tmp, c, out=tmp)
-                np.add(acc, tmp, out=acc)
+                np.subtract(window, u, tmp)
+                np.multiply(tmp, c, tmp)
+                np.add(acc, tmp, acc)
             if acc is not out:
                 np.maximum(out, acc, out=out)
             acc = self._acc
@@ -310,13 +332,14 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tupl
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
-    floor = float(np.min(grid.spacing)) / 2.0
+    floor = min(grid.spacing.tolist()) / 2.0
     for s in uset.scenarios:
         for z, _ in s.atoms:
-            if np.linalg.norm(z) < floor:
+            norm = vector_norm(z)
+            if norm < floor:
                 raise SolverError(
                     "GRID_TOO_COARSE",
-                    f"atom |z| = {np.linalg.norm(z):.3g} below half the finest spacing {floor:.3g}",
+                    f"atom |z| = {norm:.3g} below half the finest spacing {floor:.3g}",
                 )
     stencil = build_stencil(uset.scenarios, grid)
     worst = 0.0
@@ -357,10 +380,11 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
         if span > EPSILON:
             n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
             dt = span / n
+            step = np.array(dt)
             for _ in range(n):
                 work.apply()
-                out *= dt
-                band += out
+                np.multiply(out, step, out)
+                np.add(band, out, band)
             steps += n
             dt_used = max(dt_used, dt)
             t = float(target)

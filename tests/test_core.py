@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glevy import (
     GridFunction,
@@ -83,6 +85,108 @@ def test_dimension_mismatch_rejected():
             (Scenario(drift=[0.0]), Scenario(drift=[0.0, 0.0], diffusion=np.zeros((2, 2))))
         )
     assert code_of(e) == "BAD_SHAPE"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _scenario(**changes):
+    """A valid 2-D scenario with ``changes`` applied, built when called."""
+    args = dict(atoms=(([1.0, 0.5], 1.0),), drift=[0.1, -0.2], diffusion=[[0.3, 0.0], [0.1, 0.2]])
+    return lambda: Scenario(**(args | changes))
+
+
+def _grid(**changes):
+    """A valid 2-D grid with ``changes`` applied, built when called."""
+    args = dict(lower=[-1.0, 0.0], upper=[1.0, 2.0], points=[5, 3])
+    return lambda: GridSpec(**(args | changes))
+
+
+# (build, code): a NON_FINITE entry wins over the checks after it
+BAD_INPUTS = {
+    "z-nan": (_scenario(atoms=(([NAN, 0.5], 1.0),)), "NON_FINITE"),
+    "z-inf": (_scenario(atoms=(([1.0, -INF], 1.0),)), "NON_FINITE"),
+    "z-nan-negative-rate": (_scenario(atoms=(([NAN, 0.5], -1.0),)), "NON_FINITE"),
+    "w-nan": (_scenario(atoms=(([1.0, 0.5], NAN),)), "NON_FINITE"),
+    "w-inf": (_scenario(atoms=(([1.0, 0.5], INF),)), "NON_FINITE"),
+    "w-minus-inf": (_scenario(atoms=(([1.0, 0.5], -INF),)), "NON_FINITE"),
+    "w-inf-zero-jump": (_scenario(atoms=(([0.0, 0.0], INF),)), "NON_FINITE"),
+    "drift-nan": (_scenario(drift=[NAN, 0.0]), "NON_FINITE"),
+    "drift-inf": (_scenario(drift=[0.0, INF]), "NON_FINITE"),
+    "diffusion-nan": (_scenario(diffusion=[[0.3, 0.0], [NAN, 0.2]]), "NON_FINITE"),
+    "diffusion-inf": (_scenario(diffusion=[[-INF, 0.0], [0.0, 0.2]]), "NON_FINITE"),
+    "zero-jump": (_scenario(atoms=(([0.0, -0.0], 1.0),)), "ZERO_JUMP"),
+    "negative-rate": (_scenario(atoms=(([1.0, 0.5], -0.5),)), "NEGATIVE_RATE"),
+    "negative-rate-zero-jump": (_scenario(atoms=(([0.0, 0.0], -0.5),)), "NEGATIVE_RATE"),
+    "jump-shape": (_scenario(atoms=(([1.0], 1.0),)), "BAD_SHAPE"),
+    "diffusion-shape": (_scenario(diffusion=[[0.3, 0.0]]), "BAD_SHAPE"),
+    "no-component": (lambda: Scenario((), [], np.zeros((0, 0))), "BAD_SHAPE"),
+    "lower-nan": (_grid(lower=[NAN, 0.0]), "NON_FINITE"),
+    "lower-inf": (_grid(lower=[-1.0, -INF]), "NON_FINITE"),
+    "upper-nan": (_grid(upper=[1.0, NAN]), "NON_FINITE"),
+    "upper-inf": (_grid(upper=[INF, 2.0]), "NON_FINITE"),
+    "lower-nan-upper-below": (_grid(lower=[NAN, 3.0]), "NON_FINITE"),
+    "points-fractional": (_grid(points=[5, 4.5]), "BAD_SHAPE"),
+    "points-nan": (_grid(points=[5.0, NAN]), "BAD_SHAPE"),
+    "points-two": (_grid(points=[5, 2]), "BAD_SHAPE"),
+    "upper-equals-lower": (_grid(upper=[1.0, 0.0]), "BAD_SHAPE"),
+    "upper-below-lower": (_grid(upper=[-2.0, 2.0]), "BAD_SHAPE"),
+    "lengths-differ": (_grid(points=[5, 3, 3]), "BAD_SHAPE"),
+    "no-axis": (lambda: GridSpec([], [], []), "BAD_SHAPE"),
+}
+
+
+@pytest.mark.parametrize("build, code", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_scenario_and_grid_inputs(build, code):
+    with pytest.raises(GLevyError) as e:
+        build()
+    assert code_of(e) == code
+
+
+def test_integral_float_points_accepted():
+    g = _grid(points=[5.0, 3.0])()
+    assert g.shape == (5, 3) and g.points.dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: GridSpec([], [], []), lambda: Scenario((), [], np.zeros((0, 0)))],
+    ids=["grid", "scenario"],
+)
+def test_dimension_zero_rejected(build):
+    # both were accepted, and a solve on them raised a bare numpy ValueError
+    with pytest.raises(GLevyError) as e:
+        build()
+    assert code_of(e) == "BAD_SHAPE"
+
+
+def _factor(d):
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    drawn = st.lists(entries, min_size=d * d, max_size=d * d).map(
+        lambda v: np.array(v).reshape(d, d)
+    )
+    return st.just(np.zeros((d, d))) | drawn
+
+
+@st.composite
+def _uncertainty_sets(draw):
+    d = draw(st.integers(1, 3))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    vectors = st.lists(entries, min_size=d, max_size=d)
+    scenarios = []
+    for _ in range(draw(st.integers(1, 3))):
+        jumps = draw(st.lists(vectors.filter(any), max_size=2))
+        drift = draw(st.just([0.0] * d) | vectors)
+        scenarios.append(Scenario(tuple((z, 1.0) for z in jumps), drift, draw(_factor(d))))
+    return UncertaintySet(tuple(scenarios))
+
+
+@given(uset=_uncertainty_sets())
+def test_reach_equals_linalg_norms_bitwise(uset):
+    jumps = [np.linalg.norm(z) for s in uset.scenarios for z, _ in s.atoms]
+    assert uset.max_jump_norm() == (float(max(jumps)) if jumps else 0.0)
+    assert uset.max_drift_norm() == max(float(np.linalg.norm(s.drift)) for s in uset.scenarios)
+    assert uset.max_sigma() == max(float(np.linalg.norm(s.diffusion, 2)) for s in uset.scenarios)
 
 
 def test_grid_spec_spacing_and_nodes():

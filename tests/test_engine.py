@@ -1,6 +1,7 @@
 """Nested expectation over increments: levels, conditionals, and axioms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +251,17 @@ def test_poisson_quantile_rejects_underflowing_weight():
     with pytest.raises(GLevyError) as e:
         increment_radius(CLASSICAL, 740.0)
     assert e.value.code == "NON_FINITE"
+
+
+@pytest.mark.parametrize("tail", [1e-17, 1e-15])
+def test_poisson_quantile_below_rounding_fails_at_once(tail):
+    # the summed weights stall 4.4e-16 below 1 at this mean; the failure once
+    # came after all 10^7 terms, about 2 s
+    start = time.perf_counter()
+    with pytest.raises(GLevyError) as e:
+        glevy.engine.poisson_tail_quantile(47.4669, tail)
+    assert e.value.code == "NON_FINITE"
+    assert time.perf_counter() - start < 0.05
 
 
 def clip40(a):
