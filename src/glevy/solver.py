@@ -107,7 +107,7 @@ def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple
     same snap rule as point interpolation keeps lattice-aligned jumps exact.
     """
     terms = [(1.0, ())]
-    for u in map(operator.truediv, z.tolist(), spacing.tolist()):
+    for u in (z / spacing).tolist():
         base = math.floor(u)
         frac = u - base
         if frac < SNAP_TOL:
@@ -139,36 +139,24 @@ def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple
     h = spacing
     d = len(h)
     terms = [(w * c, off) for z, w in s.atoms for c, off in _atom_stencil(z, h)]
-    for i, (qi, hi) in enumerate(zip(s.drift.tolist(), h.tolist())):
+    for i, qi in enumerate(s.drift):
         if qi != 0.0:
-            terms.append((abs(qi) / hi, _unit(d, i, 1 if qi > 0.0 else -1)))
-    if s.diffusive:  # a zero factor has no product to form
-        terms += _diffusion_terms(s.diffusion_matrix, h)
-    return terms or [(0.0, (0,) * d)]
-
-
-def _diffusion_terms(a: np.ndarray, h: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    """The diagonal, then the cross terms of ``a`` = Q Q^T at spacing ``h``.
-
-    They are formed from numpy scalars, whose h ** 2 overflows to inf with a
-    warning where a Python float raises OverflowError.
-    """
-    d = len(h)
-    terms = []
+            terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
+    a = s.diffusion_matrix if s.diffusive else np.zeros((d, d))  # no product of a zero factor
     for i in range(d):
         if a[i, i] != 0.0:
-            c = float(0.5 * a[i, i] / h[i] ** 2)
+            c = 0.5 * a[i, i] / h[i] ** 2
             terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
     for i in range(d):
         for j in range(i + 1, d):
             if a[i, j] == 0.0:
                 continue
-            c = float(abs(a[i, j]) / (2.0 * h[i] * h[j]))
+            c = abs(a[i, j]) / (2.0 * h[i] * h[j])
             corner = [0] * d
             corner[i], corner[j] = 1, 1 if a[i, j] > 0.0 else -1
             terms += [(c, tuple(corner)), (c, tuple(-o for o in corner))]
             terms += [(-c, _unit(d, k, step)) for k in (i, j) for step in (+1, -1)]
-    return terms
+    return terms or [(0.0, (0,) * d)]
 
 
 class Stencil(NamedTuple):
@@ -189,8 +177,8 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     merged = []
     for s in scenarios:
         coef = {}
-        # every c is a Python float: infinities sum to nan without a warning
         for c, off in _scenario_terms(s, spec.spacing):
+            c = float(c)  # a Python float sums infinities to nan without a warning
             coef[off] = coef[off] + c if off in coef else c
         merged.append(coef)
     offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))
