@@ -55,13 +55,13 @@ A step allocates no array, and every sum runs in a fixed order, so the bits
 depend only on the merged coefficients.
 
 On the small bands of the engine and of short jobs a step costs ufunc
-dispatch, not arithmetic, so the kernel takes the cheapest call forms:
-``subtract``, ``multiply`` and ``add`` get ``out`` as a positional argument,
-which numpy dispatches in about half the time of the ``out=`` keyword, and
-each coefficient (and each march's step) is a 0-d array built once, which a
-ufunc takes faster than a Python float and multiplies to the same bits.
-``np.maximum`` keeps ``out=``: numpy 2.4 deprecates a third positional
-argument there, and pytest turns that warning into a failure.
+dispatch, not arithmetic, so the kernel takes the cheapest call forms: each
+coefficient (and each march's step) is a 0-d array built once, which a ufunc
+takes in about two thirds of the time of a Python float and multiplies to
+the same bits, and ``subtract``, ``multiply`` and ``add`` get ``out``
+positionally, which skips the keyword parsing.  ``np.maximum`` keeps
+``out=``: numpy 2.4 deprecates a third positional argument there, and the
+test suite turns that warning into a failure.
 """
 
 from __future__ import annotations

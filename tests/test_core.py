@@ -152,24 +152,18 @@ def test_dimension_zero_rejected(build):
     assert code_of(e) == "BAD_SHAPE"
 
 
-def _factor(d):
-    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    drawn = st.lists(entries, min_size=d * d, max_size=d * d).map(
-        lambda v: np.array(v).reshape(d, d)
-    )
-    return st.just(np.zeros((d, d))) | drawn
-
-
 @st.composite
 def _uncertainty_sets(draw):
     d = draw(st.integers(1, 3))
     entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     vectors = st.lists(entries, min_size=d, max_size=d)
+    factors = st.lists(entries, min_size=d * d, max_size=d * d).map(lambda v: np.reshape(v, (d, d)))
     scenarios = []
     for _ in range(draw(st.integers(1, 3))):
         jumps = draw(st.lists(vectors.filter(any), max_size=2))
         drift = draw(st.just([0.0] * d) | vectors)
-        scenarios.append(Scenario(tuple((z, 1.0) for z in jumps), drift, draw(_factor(d))))
+        diffusion = draw(st.just(np.zeros((d, d))) | factors)
+        scenarios.append(Scenario(tuple((z, 1.0) for z in jumps), drift, diffusion))
     return UncertaintySet(tuple(scenarios))
 
 
