@@ -480,20 +480,27 @@ def _enforce_padding(job: JobConfig) -> None:
         )
 
 
+def _solve_csv(grid: GridSpec, snapshots) -> str:
+    """The ``solve`` artifact: header ``t,x1..xd,u``, then one line per snapshot and node.
+
+    Nodes run in row-major order.  Each axis is formatted once, and each
+    snapshot is one ``%`` template filled with all its values: ``"%.17g" % v``
+    is ``_fmt(v)``, and formatted numbers hold no ``%``.
+    """
+    *lead, last = [[_fmt(c) for c in axis.tolist()] for axis in grid.axes()]
+    prefixes = ["".join(c + "," for c in p) for p in itertools.product(*lead)]
+    parts = ["t," + ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",u\n"]
+    for snap in snapshots:
+        t = _fmt(snap.time_label) + ","
+        tmpl = "".join(t + r + (",%.17g\n" + t + r).join(last) + ",%.17g\n" for r in prefixes)
+        parts.append(tmpl % tuple(snap.values.ravel().tolist()))
+    return "".join(parts)
+
+
 def _run_solve(job: JobConfig) -> str:
     _enforce_padding(job)
     result = solve(job.payoff, job.uset, job.grid, job.scheme, job.output_times)
-    # each axis is formatted once; the product runs over nodes in row-major order
-    axes = [[_fmt(c) for c in axis.tolist()] for axis in job.grid.axes()]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(job.grid.dim)) + ",u"
-    lines = [header]
-    for snap in result.snapshots:
-        t_str = _fmt(snap.time_label)
-        nodes = itertools.product(*axes)
-        lines += [
-            f"{t_str},{','.join(p)},{v:.17g}" for p, v in zip(nodes, snap.values.ravel().tolist())
-        ]
-    return "\n".join(lines) + "\n"
+    return _solve_csv(job.grid, result.snapshots)
 
 
 def _run_value(value: float) -> str:

@@ -22,6 +22,11 @@ coefficients and step on the sublattice of :func:`glevy.solver.origin_strides`,
 whose nodes read only each other: the same float operations keep the bits at
 the origin.  Unit jumps at spacing 0.05 march 21 of 401 nodes per axis.
 
+Increments are stationary, so equal horizons share one box object, as a
+pinned grid does for every increment.  The set checks, merged stencil, step
+bound, stride and origin corners are built once per distinct grid object;
+each pinned increment's padding is still checked over its own horizon.
+
 Only horizon differences enter, so shifting every time by a constant leaves
 all values unchanged.
 """
@@ -147,7 +152,10 @@ def _integrate_levels(
     knots = (0.0,) + xi.times
     horizons = [knots[k + 1] - knots[k] for k in range(m)]
     if var_grids is None:
-        var_grids = [_centered_box(increment_radius(uset, h, tail), dx, d) for h in horizons]
+        # equal horizons share one box object; built in increment order
+        distinct = dict.fromkeys(horizons)
+        boxes = {h: _centered_box(increment_radius(uset, h, tail), dx, d) for h in distinct}
+        var_grids = [boxes[h] for h in horizons]
     else:
         var_grids = list(var_grids)
         if len(var_grids) != m:
@@ -169,24 +177,26 @@ def _integrate_levels(
         raise EngineError(
             "DIMENSION_OVERFLOW", f"frozen tensor grid has {n_frozen} nodes > budget {node_budget}"
         )
-    checked = [None] * stop_at + [check_march(uset, g, cfg) for g in var_grids[stop_at:]]
-    corners = [None] * stop_at + [origin_corners(g) for g in var_grids[stop_at:]]
-    strides = [
-        origin_strides(g.shape, c, sd[0]) if sd else (1,) * d
-        for g, c, sd in zip(var_grids, corners, checked)
-    ]
+    # one set-up per distinct grid (GridSpec compares by identity): the
+    # sublattice stencil, step bound, stride and the origin's corners on it
+    setups = {}
+    for g in var_grids[stop_at:]:
+        if g not in setups:
+            stencil, dt_max = check_march(uset, g, cfg)
+            corners = origin_corners(g)
+            stride = origin_strides(g.shape, corners, stencil)
+            reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners]
+            setups[g] = coarsen(stencil, stride), dt_max, stride, reads
+    # the first stop_at increments keep every node, shared grid or not
+    strides = [(1,) * d] * stop_at + [setups[g][2] for g in var_grids[stop_at:]]
     axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
     phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
     current = None  # the previous level's values, over this level's nodes
     for level in range(m, stop_at, -1):
-        ygrid, horizon, yaxes = var_grids[level - 1], horizons[level - 1], axes[level - 1]
-        stencil, dt_max = checked[level - 1]
+        horizon, yaxes = horizons[level - 1], axes[level - 1]
+        stencil, dt_max, _, reads = setups[var_grids[level - 1]]
         frozen = [x for k in range(level - 1) for x in axes[k]]
         fshape, yshape = tuple(len(x) for x in frozen), tuple(len(x) for x in yaxes)
-        stride = strides[level - 1]
-        stencil = coarsen(stencil, stride)
-        # the origin's corners on the sublattice
-        reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners[level - 1]]
         n_rows, ny = math.prod(fshape), math.prod(yshape)
         rows = max(1, BLOCK_ELEMENTS // ny)
         out = np.empty(n_rows)

@@ -129,31 +129,42 @@ def _unit(d: int, axis: int, step: int) -> tuple[int, ...]:
     return tuple(step if k == axis else 0 for k in range(d))
 
 
+def _square(x: float) -> float:
+    """``x ** 2`` (numpy's bits), inf where a Python float would raise OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
     """The scenario's (c, o) terms in formula order: jumps, drift, diffusion, cross.
 
     Terms that share an offset are kept apart here; :func:`build_stencil`
     sums them in this order.  An inert scenario gets one zero term, so every
-    scenario has a first term.
+    scenario has a first term.  Coefficients are Python floats, which overflow
+    to inf and sum infinities to nan without a numpy warning, so that
+    :func:`check_march` rejects them with its own code.
     """
-    h = spacing
-    d = len(h)
-    terms = [(w * c, off) for z, w in s.atoms for c, off in _atom_stencil(z, h)]
-    for i, qi in enumerate(s.drift):
+    d = len(spacing)
+    terms = [(w * c, off) for z, w in s.atoms for c, off in _atom_stencil(z, spacing)]
+    h = spacing.tolist()
+    for i, qi in enumerate(s.drift.tolist()):
         if qi != 0.0:
             terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
-    a = s.diffusion_matrix if s.diffusive else np.zeros((d, d))  # no product of a zero factor
+    # no product of a zero factor
+    a = s.diffusion_matrix.tolist() if s.diffusive else [[0.0] * d] * d
     for i in range(d):
-        if a[i, i] != 0.0:
-            c = 0.5 * a[i, i] / h[i] ** 2
+        if a[i][i] != 0.0:
+            c = 0.5 * a[i][i] / _square(h[i])
             terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
     for i in range(d):
         for j in range(i + 1, d):
-            if a[i, j] == 0.0:
+            if a[i][j] == 0.0:
                 continue
-            c = abs(a[i, j]) / (2.0 * h[i] * h[j])
+            c = abs(a[i][j]) / (2.0 * h[i] * h[j])
             corner = [0] * d
-            corner[i], corner[j] = 1, 1 if a[i, j] > 0.0 else -1
+            corner[i], corner[j] = 1, 1 if a[i][j] > 0.0 else -1
             terms += [(c, tuple(corner)), (c, tuple(-o for o in corner))]
             terms += [(-c, _unit(d, k, step)) for k in (i, j) for step in (+1, -1)]
     return terms or [(0.0, (0,) * d)]
@@ -178,7 +189,6 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     for s in scenarios:
         coef = {}
         for c, off in _scenario_terms(s, spec.spacing):
-            c = float(c)  # a Python float sums infinities to nan without a warning
             coef[off] = coef[off] + c if off in coef else c
         merged.append(coef)
     offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))

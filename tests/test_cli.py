@@ -1,9 +1,13 @@
 """Config parsing, command execution, and artifact round trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from glevy import (
+    GridFunction,
+    GridSpec,
     Payoff,
     SchemeConfig,
     evaluate,
@@ -12,7 +16,7 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
-from glevy.cli import main, parse_config, run
+from glevy.cli import _solve_csv, main, parse_config, run
 from glevy.errors import ConfigError
 
 SOLVE_CFG = """
@@ -556,3 +560,39 @@ def test_library_errors_name_the_key_read(text, message):
     with pytest.raises(ConfigError) as e:
         parse_config(text)
     assert e.value.code == "VALIDATION_ERROR" and e.value.message == message
+
+
+def per_line_csv(grid, snapshots):
+    """The solve artifact as first written: one f-string per node."""
+    axes = [[f"{c:.17g}" for c in axis.tolist()] for axis in grid.axes()]
+    lines = ["t," + ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",u"]
+    for snap in snapshots:
+        t = f"{snap.time_label:.17g}"
+        nodes = itertools.product(*axes)
+        values = snap.values.ravel().tolist()
+        lines += [f"{t},{','.join(p)},{v:.17g}" for p, v in zip(nodes, values)]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 3.0, -7.0, 0.1, 1.0 / 3.0, 2.0**53, 0.0, -2.5e-310]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec([-1.0], [2.0], [7]),
+        GridSpec([-1.0, 0.0], [1.0, 0.3], [3, 4]),
+        GridSpec([-0.5, -1.0, 0.0], [0.5, 1.0, 1e-3], [3, 4, 5]),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_solve_csv_equals_the_per_line_writer(grid):
+    n = int(np.prod(grid.shape))
+    values = [np.resize(np.array(EDGE_VALUES), n), np.resize(np.array(EDGE_VALUES[::-1]), n)]
+    snapshots = [
+        GridFunction(grid, v.reshape(grid.shape), t) for v, t in zip(values, (0.0, 0.7))
+    ]
+    text = _solve_csv(grid, snapshots)
+    assert text == per_line_csv(grid, snapshots)
+    assert text.count("\n") == 1 + 2 * n
+    assert ",-0\n" in text and ",4.9406564584124654e-324\n" in text

@@ -22,13 +22,15 @@ from glevy import (
     expectation,
     increment_radius,
     interpolate,
+    min_padding,
     solve,
     uniform_grid,
     validate_uncertainty_set,
 )
 from glevy.engine import _centered_box
 from glevy.errors import EngineError, GLevyError
-from glevy.solver import build_stencil, origin_corners, origin_strides
+from glevy.solver import build_stencil, check_march, origin_corners, origin_strides
+from test_solver import LK_K, LK_SET, discrete_symbol  # drift, diffusion, off-lattice atoms
 
 CLASSICAL = validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.0)])
 GPOISSON = validate_uncertainty_set(
@@ -672,3 +674,90 @@ def test_nested_error_is_first_order_in_dt():
     assert errors[0] < 4e-3
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.8 <= coarse / fine <= 2.2
+
+
+# --- one set-up per distinct grid ---------------------------------------------
+
+def counting(monkeypatch, name):
+    calls = []
+    inner = getattr(glevy.engine, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(glevy.engine, name, wrapper)
+    return calls
+
+
+def test_equal_horizons_share_one_set_up(monkeypatch):
+    checked = counting(monkeypatch, "check_march")
+    boxes = counting(monkeypatch, "_centered_box")
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    expectation(xi, CLASSICAL, FINE, dx=0.05)
+    assert len(checked) == 1 and len(boxes) == 1
+    checked.clear()
+    boxes.clear()
+    unequal = CylinderFunctional(times=(0.5, 1.25), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    expectation(unequal, CLASSICAL, FINE, dx=0.05)
+    assert len(checked) == 2 and len(boxes) == 2
+
+
+def test_shared_set_up_equals_one_grid_per_increment():
+    # the shared grid is integrated at stride > 1 for the second increment but
+    # keeps every node for the first, which the result is a function of
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    shared = conditional_expectation(xi, 1, CLASSICAL, FINE, dx=0.05)
+    own = default_grids(xi, CLASSICAL, 0.05, 1e-10)
+    assert own[0] is not own[1]
+    alone = conditional_expectation(xi, 1, CLASSICAL, FINE, dx=0.05, var_grids=own)
+    assert shared.spec.shape == (401,)
+    for field in ("lower", "upper", "points"):
+        assert np.array_equal(getattr(shared.spec, field), getattr(alone.spec, field))
+    assert shared.values.tobytes() == alone.values.tobytes()
+    assert expectation(xi, CLASSICAL, FINE, dx=0.05) == expectation(
+        xi, CLASSICAL, FINE, var_grids=own
+    )
+
+
+def test_pinned_grid_with_unequal_horizons_checks_each_padding(monkeypatch):
+    checked = counting(monkeypatch, "check_march")
+    cfg = SchemeConfig(cfl_safety=0.5)
+    xi = CylinderFunctional(times=(0.3, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    short, long = min_padding(LK_SET, 0.3), min_padding(LK_SET, 0.7)
+    wide = uniform_grid([-4.0], [4.0], 0.1)
+    expectation(xi, LK_SET, cfg, var_grids=[wide, wide])
+    assert len(checked) == 1
+    # pads the first horizon only: the second increment is refused
+    r = 0.1 * math.ceil((short + long) / 0.2)
+    assert short < r < long
+    narrow = uniform_grid([-r], [r], 0.1)
+    with pytest.raises(EngineError, match="increment 2") as e:
+        expectation(xi, LK_SET, cfg, var_grids=[narrow, narrow])
+    assert e.value.code == "UNPADDED_GRID"
+
+
+def cos_sum(a):
+    arr = np.asarray(a, dtype=float)
+    return np.cos(LK_K * (arr[..., 0] + arr[..., 1]))
+
+
+@pytest.mark.parametrize("times", [(0.5, 1.0), (0.3, 1.0)], ids=["equal", "unequal"])
+def test_two_increments_are_the_product_of_discrete_symbols(times):
+    # one scenario: the increments are independent, and each level's march
+    # multiplies e^{ik(x1 + y)} by (1 + dt psi_h(k))^n where the clamped edges
+    # cannot reach the origin, so E[cos(k (D1 + D2))] = Re prod of the symbols
+    h = 0.1
+    cfg = SchemeConfig(cfl_safety=0.9)
+    grid = uniform_grid([-10.0], [10.0], h)
+    stencil, dt_max = check_march(LK_SET, grid, cfg)
+    psi_h = discrete_symbol(stencil, LK_K, h)
+    reach = max(abs(o[0]) for o in stencil.offsets) * h
+    symbol = 1.0
+    for horizon in (times[0], times[1] - times[0]):
+        n = math.ceil(horizon / dt_max - 1e-9)
+        assert n * reach < 10.0 - 1e-9
+        symbol *= (1.0 + horizon / n * psi_h) ** n
+    xi = CylinderFunctional(times=times, payoff=cos_sum, bound=1.0, lipschitz=2 * LK_K)
+    got = expectation(xi, LK_SET, cfg, var_grids=[grid, grid])
+    assert abs(got - symbol.real) < 1e-13

@@ -288,6 +288,39 @@ def test_subnormal_rate_gives_infinite_step_without_warning():
         assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
 
 
+def test_overflowing_drift_is_cfl_unsatisfiable_without_warning():
+    # numpy-scalar coefficients once warned on 1e308 / 0.01 before the coded error
+    uset = validate_uncertainty_set([((), [1e308], [[0.0]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as e:
+            check_march(uset, uniform_grid([-1.0], [1.0], 0.01), SchemeConfig())
+    assert e.value.code == "CFL_UNSATISFIABLE"
+
+
+def test_diffusion_on_a_spacing_whose_square_overflows_is_zero():
+    # (3e154) ** 2 is inf in numpy, so the coefficient is 0.0, with no OverflowError
+    uset = validate_uncertainty_set([((), [0.0], [[1.0]])])
+    grid = GridSpec([-3e154], [3e154], [3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scenario_terms(uset.scenarios[0], grid.spacing) == [(0.0, (1,)), (0.0, (-1,))]
+        assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
+
+
+def test_coefficients_have_the_bits_of_numpy_scalars():
+    # the former numpy-scalar formulas; h * h in place of h ** 2 moves some bits
+    (s,) = validate_uncertainty_set([((), [0.3, -0.7], [[0.4, 0.0], [0.1, 0.5]])]).scenarios
+    a = s.diffusion_matrix
+    rng = np.random.default_rng(7)
+    for h in np.exp(rng.uniform(-8.0, 2.0, (2000, 2))):
+        want = [abs(q) / h[i] for i, q in enumerate(s.drift)]
+        want += [0.5 * a[i, i] / h[i] ** 2 for i in range(2) for _ in range(2)]
+        want += [abs(a[0, 1]) / (2.0 * h[0] * h[1])] * 2
+        got = [c for c, _ in _scenario_terms(s, h)]
+        assert got[: len(want)] == want
+
+
 def test_step_bound_is_cfl_over_largest_row_sum():
     scenarios, grid = solve_2d_family()
     uset = UncertaintySet(tuple(scenarios))
@@ -492,16 +525,18 @@ LK_SET = validate_uncertainty_set([(((0.37, 0.8), (-0.53, 0.6)), 0.3, 0.4)])
 LK_K, LK_T = 2.0, 0.1
 
 
+def discrete_symbol(stencil, k, h):
+    """psi_h(k) = sum c (e^{i k o h} - 1) over a one-scenario 1-D stencil's merged terms."""
+    return sum(c * (np.exp(1j * k * stencil.offsets[j][0] * h) - 1.0) for c, j in stencil.terms[0])
+
+
 def _lk_solve(h):
     """The march of cos(kx) under LK_SET, its interior nodes, discrete and exact symbols."""
     grid = uniform_grid([-12.0], [12.0], h)
     wave_k = Payoff(eval=lambda x: np.cos(LK_K * x1(x)), bound=1.0, lipschitz=LK_K)
     res = solve(wave_k, LK_SET, grid, SchemeConfig(final_time=LK_T))
     stencil = build_stencil(LK_SET.scenarios, grid)
-    # psi_h(k) = sum c (e^{i k o h} - 1) over the merged terms
-    psi_h = sum(
-        c * (np.exp(1j * LK_K * stencil.offsets[k][0] * h) - 1.0) for c, k in stencil.terms[0]
-    )
+    psi_h = discrete_symbol(stencil, LK_K, h)
     (s,) = LK_SET.scenarios
     psi = sum(w * (np.exp(1j * LK_K * z[0]) - 1.0) for z, w in s.atoms)
     psi += 1j * LK_K * s.drift[0] - 0.5 * s.diffusion_matrix[0, 0] * LK_K**2
