@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, GridSpec, Payoff, Scenario, UncertaintySet, sample_payoff
+from .core import (
+    GridFunction,
+    GridSpec,
+    Payoff,
+    Scenario,
+    UncertaintySet,
+    sample_payoff,
+    sample_points,
+)
 from .errors import ValidationError
 from .solver import Workspace, build_stencil
 
@@ -117,10 +125,15 @@ def gpoisson_closed_form(
     increasing -> sum_i (t^i / i!) phi(x + i) e^{-t}   (intensity 1 is worst)
     decreasing -> sum_i ((lam t)^i / i!) phi(x + i) e^{-lam t}
 
-    Monotonicity in the stated direction is the caller's assertion.  The
-    series stops once the remaining Poisson tail mass times ``phi.bound``
-    drops below ``tol``.  The weights are :func:`poisson_weights`, so
-    NON_FINITE is raised, before phi is called, for mu above about 708.4.
+    The series stops at the first K whose remaining Poisson tail mass times
+    ``phi.bound`` is below ``tol``; the weights are :func:`poisson_weights`,
+    so NON_FINITE is raised, before phi is called, for mu above about 708.4.
+    phi is then sampled once, on x + 0, 1, ..., K, by
+    :func:`glevy.core.sample_points` (NON_FINITE, PAYOFF_BOUND), and the
+    terms are summed in order.  For lam < 1 the samples must follow the
+    stated direction to within PAYOFF_BOUND's slack, 1e-9 * max(1, bound),
+    or NOT_MONOTONE is raised: monotonicity on x + {0, 1, 2, ...} is what the
+    closed form needs.  At lam = 1 both directions give the same sum.
     """
     lam = _check_lambda(lam)
     if direction not in ("increasing", "decreasing"):
@@ -128,13 +141,26 @@ def gpoisson_closed_form(
     t, tol = _check_horizon(t, tol)
 
     mu = t if direction == "increasing" else lam * t
+    weights = []
     cumulative = 0.0
-    acc = 0.0
-    for i, weight in enumerate(poisson_weights(mu)):
-        acc += weight * float(phi.eval(np.array([x + i])))
+    for weight in poisson_weights(mu):
+        weights.append(weight)
         cumulative += weight
         if phi.bound * max(1.0 - cumulative, 0.0) < tol:
-            return acc
+            break
+    points = np.arange(len(weights), dtype=float).reshape(-1, 1)
+    points += x
+    values = sample_points(phi, points).tolist()
+    if lam < 1.0:
+        sign, slack = (1.0 if direction == "increasing" else -1.0), 1e-9 * max(1.0, phi.bound)
+        if any(sign * (b - a) < -slack for a, b in zip(values, values[1:])):
+            raise ValidationError(
+                "NOT_MONOTONE", f"payoff samples at x + 0..{len(values) - 1} are not {direction}"
+            )
+    acc = 0.0
+    for weight, value in zip(weights, values):
+        acc += weight * value
+    return acc
 
 
 def _series_levels(two_lambda_t: float, bound: float, tol: float) -> int:
@@ -185,11 +211,16 @@ def series_solution(
 
     total = sample_payoff(phi0, grid)
     work = Workspace(build_stencil(uset.scenarios, grid), total)
-    coef = 1.0
+    u = work.u
+    # the kernel's call forms: a 0-d coefficient and a positional ``out``.
+    # The coefficient is formed on a Python float and stored by ``fill``; a
+    # 0-d ufunc update costs about 1 us more per level.
+    coef, scale = 1.0, np.array(1.0)
     for i in range(1, levels + 1):
         cur = work.apply()
-        work.u[...] = cur
+        u[...] = cur
         coef *= t / i
-        cur *= coef
-        total += cur
+        scale.fill(coef)
+        np.multiply(cur, scale, cur)
+        np.add(total, cur, total)
     return GridFunction(grid, total, t)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glevy import (
+    GPoissonSpec,
     GridFunction,
     GridSpec,
     Payoff,
@@ -15,6 +16,8 @@ from glevy import (
     interpolate,
     min_padding,
     sample_payoff,
+    series_solution,
+    solve,
     uniform_grid,
     validate_uncertainty_set,
 )
@@ -167,12 +170,24 @@ def _uncertainty_sets(draw):
     return UncertaintySet(tuple(scenarios))
 
 
+def spectral_norm(q):
+    """|Q_11| for a 1 x 1 factor, else LAPACK's largest singular value."""
+    return abs(float(q[0, 0])) if q.shape == (1, 1) else float(np.linalg.norm(q, 2))
+
+
 @given(uset=_uncertainty_sets())
 def test_reach_equals_linalg_norms_bitwise(uset):
     jumps = [np.linalg.norm(z) for s in uset.scenarios for z, _ in s.atoms]
     assert uset.max_jump_norm() == (float(max(jumps)) if jumps else 0.0)
     assert uset.max_drift_norm() == max(float(np.linalg.norm(s.drift)) for s in uset.scenarios)
-    assert uset.max_sigma() == max(float(np.linalg.norm(s.diffusion, 2)) for s in uset.scenarios)
+    assert uset.max_sigma() == max(spectral_norm(s.diffusion) for s in uset.scenarios)
+
+
+@pytest.mark.parametrize("q", [-8.4e144, 1.0e195, 2.3e273, 1.0e-300, -1.3e-301, 0.37, -0.0])
+def test_one_by_one_sigma_is_the_absolute_value(q):
+    # LAPACK rescales extreme inputs and rounds; the norm of a 1 x 1 factor is exactly |q|
+    uset = validate_uncertainty_set([((), 0.0, q)])
+    assert uset.max_sigma() == abs(q)
 
 
 def test_grid_spec_spacing_and_nodes():
@@ -184,6 +199,22 @@ def test_grid_spec_spacing_and_nodes():
     assert np.allclose(nodes[0], [-1.0, 0.0])
     assert np.allclose(nodes[1], [-1.0, 1.0])
     assert np.allclose(nodes[3], [-0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "lower, upper, spacing",
+    [
+        ([-1.0], [26.0], 0.1),
+        ([-4.0, -3.0], [4.0, 3.5], 0.04),
+        ([-1.0, 0.0, 2.0], [1.0, 0.7, 5.0], 0.1),
+    ],
+)
+def test_nodes_equal_the_meshgrid_stack_bitwise(lower, upper, spacing):
+    g = uniform_grid(lower, upper, spacing)
+    mesh = np.meshgrid(*g.axes(), indexing="ij")
+    reference = np.stack([m.ravel() for m in mesh], axis=-1)
+    nodes = g.nodes()
+    assert nodes.shape == reference.shape and nodes.tobytes() == reference.tobytes()
 
 
 def test_uniform_grid_point_count():
@@ -327,6 +358,68 @@ def test_sample_payoff_rejects_bound_violation():
     with pytest.raises(GLevyError) as e:
         sample_payoff(lying, g)
     assert code_of(e) == "PAYOFF_BOUND"
+
+
+def steep(x):
+    return np.clip(50.0 * np.asarray(x, float)[..., 0], -1.0, 1.0)
+
+
+def test_sample_payoff_rejects_a_false_lipschitz_constant():
+    g = uniform_grid([-1.0], [1.0], 0.01)
+    with pytest.raises(GLevyError) as e:
+        sample_payoff(Payoff(eval=steep, bound=1.0, lipschitz=0.01), g)
+    assert code_of(e) == "PAYOFF_LIPSCHITZ"
+    # the true constant passes, on every axis of a 2-D grid too
+    sample_payoff(Payoff(eval=steep, bound=1.0, lipschitz=50.0), g)
+    g2 = uniform_grid([-1.0, -1.0], [1.0, 1.0], 0.01)
+    sample_payoff(Payoff(eval=steep, bound=1.0, lipschitz=50.0), g2)
+
+
+def test_solve_and_series_refuse_a_false_lipschitz_constant():
+    # both once marched this payoff without error
+    g = uniform_grid([-3.0], [3.0], 0.05)
+    phi = Payoff(eval=steep, bound=1.0, lipschitz=0.01)
+    spec = GPoissonSpec(0.5)
+    for run in (
+        lambda: solve(phi, spec.uncertainty_set(), g, SchemeConfig(final_time=0.5)),
+        lambda: series_solution(phi, g, spec.jump_measures(), 0.5),
+    ):
+        with pytest.raises(GLevyError) as e:
+            run()
+        assert code_of(e) == "PAYOFF_LIPSCHITZ"
+
+
+def test_sample_payoff_checks_the_slope_on_each_axis():
+    g = uniform_grid([-1.0, -1.0], [1.0, 1.0], 0.05)
+
+    def second(x):
+        return np.clip(3.0 * np.asarray(x, float)[..., 1], -1.0, 1.0)
+
+    with pytest.raises(GLevyError) as e:
+        sample_payoff(Payoff(eval=second, bound=1.0, lipschitz=2.9), g)
+    assert code_of(e) == "PAYOFF_LIPSCHITZ"
+    assert "axis 1" in str(e.value)
+    sample_payoff(Payoff(eval=second, bound=1.0, lipschitz=3.0), g)
+
+
+@pytest.mark.parametrize("offset", [1e6, -1e6])
+def test_sample_payoff_accepts_true_slopes_far_from_the_origin(offset):
+    # at |x| near 1e6 and spacing 1e-6 the node coordinates are rounded to
+    # multiples of 1.2e-10, so neighbouring nodes lie up to 1.00001 h apart:
+    # far above the relative slack 1e-9, inside the slack for that rounding
+    g = uniform_grid([offset - 1e-4], [offset + 1e-4], 1e-6)
+    x = g.axes()[0]
+    assert np.abs(np.diff(x)).max() > g.spacing[0] * (1 + 1e-6)
+    identity = Payoff(eval=lambda x: np.asarray(x, float)[..., 0], bound=1e6 + 1.0, lipschitz=1.0)
+    assert np.array_equal(sample_payoff(identity, g), x)
+
+    def near(x):
+        return np.clip(np.asarray(x, float)[..., 0] - offset, -1.0, 1.0)
+
+    sample_payoff(Payoff(eval=near, bound=1.0, lipschitz=1.0), g)
+    with pytest.raises(GLevyError) as e:
+        sample_payoff(Payoff(eval=near, bound=1.0, lipschitz=0.99), g)
+    assert code_of(e) == "PAYOFF_LIPSCHITZ"
 
 
 def test_scheme_config_validation():

@@ -761,3 +761,47 @@ def test_two_increments_are_the_product_of_discrete_symbols(times):
     xi = CylinderFunctional(times=times, payoff=cos_sum, bound=1.0, lipschitz=2 * LK_K)
     got = expectation(xi, LK_SET, cfg, var_grids=[grid, grid])
     assert abs(got - symbol.real) < 1e-13
+
+
+# --- the discrete semigroup ---------------------------------------------------
+
+SEMIGROUP_SETS = {
+    "band": (GPoissonSpec(0.37).uncertainty_set(), 0.05, (10, 10), 0.0),
+    "mixed": (
+        validate_uncertainty_set([
+            (((0.37, 0.8), (-0.53, 0.6)), 0.3, 0.1),
+            (((0.81, 0.5),), -0.25, 0.08),
+        ]),
+        0.0625,
+        (7, 5),
+        1e-13,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SEMIGROUP_SETS)
+def test_two_increments_are_one_march_of_all_their_steps(name):
+    # the explicit scheme is a translation-invariant semigroup: with each
+    # horizon a whole number of equal steps and the edges out of reach of the
+    # origin, E[phi(D1 + D2)] is one solve of n1 + n2 steps read at the origin.
+    # The band marches the stride-20 sublattice and matches to the bit; the
+    # mixed set (off-lattice atoms, drift of both signs, diffusion) samples
+    # y1 + y2 rather than a node, which moves the last digits.
+    uset, dt, (n1, n2), tol = SEMIGROUP_SETS[name]
+    grid = uniform_grid([-25.0], [25.0], 0.05)
+    stencil, unit_step = check_march(uset, grid, SchemeConfig(cfl_safety=1.0))
+    reach = max(abs(o[0]) for o in stencil.offsets) * 0.05
+    # dt_max slightly above dt, below each horizon's n / (n - 1) margin
+    cfg = SchemeConfig(cfl_safety=1.03 * dt / unit_step, final_time=(n1 + n2) * dt)
+    xi = CylinderFunctional(
+        times=(n1 * dt, (n1 + n2) * dt), payoff=clip_sum, bound=3.0, lipschitz=2.0
+    )
+    nested = expectation(xi, uset, cfg, var_grids=[grid, grid])
+    res = solve(Payoff(eval=clip3, bound=3.0, lipschitz=1.0), uset, grid, cfg)
+    assert (res.steps, res.dt_used) == (n1 + n2, dt)
+    assert res.steps * reach < 25.0
+    one_march = evaluate(res, cfg.final_time, [0.0])
+    if tol == 0.0:
+        assert nested == one_march
+    else:
+        assert abs(nested - one_march) < tol

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from glevy import (
@@ -13,10 +15,13 @@ from glevy import (
     gpoisson_closed_form,
     interpolate,
     series_solution,
+    sample_payoff,
     solve,
     uniform_grid,
 )
 from glevy.errors import GLevyError
+from glevy.gpoisson import _pure_jump_set, _series_levels, poisson_weights
+from glevy.solver import Workspace, build_stencil
 
 
 def x1(x):
@@ -155,6 +160,7 @@ def test_closed_form_at_large_normal_mean():
     phi = Payoff(eval=lambda x: np.clip(x1(x), -1e6, 1e6), bound=1e6, lipschitz=1.0)
     value = gpoisson_closed_form(phi, "increasing", 0.5, 700.0, 0.0, tol=1e-6)
     assert value == pytest.approx(700.0)
+    assert value == per_term_closed_form(phi, "increasing", 0.5, 700.0, 0.0, tol=1e-6)
 
 
 def test_series_constant_stays_constant():
@@ -215,3 +221,171 @@ def test_series_rejects_bad_inputs():
     with pytest.raises(GLevyError) as e:
         series_solution(phi, grid, [[(1.0, 1.0)]], -1.0)
     assert e.value.code == "BAD_SHAPE"
+
+
+# --- one payoff call per sum --------------------------------------------------
+
+
+def per_term_closed_form(phi, direction, lam, t, x, tol=1e-10):
+    """The former closed form: one payoff call per Poisson term, summed as it goes."""
+    mu = t if direction == "increasing" else lam * t
+    cumulative = 0.0
+    acc = 0.0
+    for i, weight in enumerate(poisson_weights(mu)):
+        acc += weight * float(phi.eval(np.array([x + i])))
+        cumulative += weight
+        if phi.bound * max(1.0 - cumulative, 0.0) < tol:
+            return acc
+
+
+@st.composite
+def monotone_payoffs(draw):
+    """A monotone payoff made of correctly rounded operations, and its direction."""
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    scale = sign * draw(st.floats(0.1, 3.0))
+    shift = draw(st.floats(-4.0, 4.0))
+    level = draw(st.floats(0.5, 50.0))
+    kind = draw(st.sampled_from(("clip", "ratio", "step")))
+    if kind == "clip":
+        def ev(x):
+            return np.clip(scale * (x1(x) - shift), -level, level)
+        lip = abs(scale)
+    elif kind == "ratio":
+        def ev(x):
+            y = scale * (x1(x) - shift)
+            return level * y / (1.0 + np.abs(y))
+        lip = level * abs(scale)
+    else:
+        def ev(x):
+            return level * sign * (x1(x) >= shift)
+        lip = 1e6
+    direction = "increasing" if sign > 0 else "decreasing"
+    return Payoff(eval=ev, bound=level, lipschitz=lip), direction
+
+
+@given(
+    payoff=monotone_payoffs(),
+    lam=st.floats(0.0, 1.0),
+    t=st.floats(0.0, 30.0),
+    x=st.floats(-5.0, 5.0),
+    tol=st.sampled_from((1e-6, 1e-10, 1e-13)),
+)
+def test_closed_form_equals_per_term_sum_bitwise(payoff, lam, t, x, tol):
+    phi, direction = payoff
+    got = gpoisson_closed_form(phi, direction, lam, t, x, tol=tol)
+    assert got == per_term_closed_form(phi, direction, lam, t, x, tol=tol)
+
+
+def test_closed_form_calls_a_batch_payoff_once():
+    calls = []
+
+    def ev(x):
+        calls.append(np.shape(x))
+        return np.tanh(x1(x))
+
+    phi = Payoff(eval=ev, bound=1.0, lipschitz=1.0)
+    gpoisson_closed_form(phi, "increasing", 0.5, 2.0, -0.4, tol=1e-12)
+    assert len(calls) == 1
+    assert calls[0][1:] == (1,) and calls[0][0] > 10
+
+
+def test_closed_form_takes_a_one_point_payoff():
+    # a payoff that unpacks one point fails on the batch and is called per point
+    def one_point(p):
+        (y,) = p
+        return min(3.0, max(-3.0, 0.5 * y))
+
+    phi = Payoff(eval=one_point, bound=3.0, lipschitz=0.5)
+    for direction, lam in (("increasing", 0.5), ("increasing", 1.0), ("decreasing", 1.0)):
+        got = gpoisson_closed_form(phi, direction, lam, 1.5, 0.3, tol=1e-12)
+        assert got == per_term_closed_form(phi, direction, lam, 1.5, 0.3, tol=1e-12)
+
+
+def test_closed_form_checks_its_samples():
+    # the false bound once stopped the sum early: 0.99931 instead of an error
+    lying = Payoff(eval=lambda x: np.clip(x1(x), -5.0, 5.0), bound=1.0, lipschitz=1.0)
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(lying, "increasing", 0.5, 1.0, 0.0)
+    assert e.value.code == "PAYOFF_BOUND"
+    hole = Payoff(eval=lambda x: np.where(x1(x) > 2.5, np.nan, 0.0), bound=1.0, lipschitz=0.0)
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(hole, "increasing", 0.5, 1.0, 0.0)
+    assert e.value.code == "NON_FINITE"
+
+
+def test_closed_form_refuses_the_wrong_direction():
+    # clip(-y) stated increasing once gave -0.99931 (intensity 1); the worst
+    # case is -0.49998 (intensity 0.5)
+    falling = Payoff(eval=lambda x: np.clip(-x1(x), -5.0, 5.0), bound=5.0, lipschitz=1.0)
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(falling, "increasing", 0.5, 1.0, 0.0)
+    assert e.value.code == "NOT_MONOTONE"
+    value = gpoisson_closed_form(falling, "decreasing", 0.5, 1.0, 0.0)
+    assert value == pytest.approx(-0.5, abs=1e-4)
+    rising = Payoff(eval=lambda x: np.tanh(x1(x)), bound=1.0, lipschitz=1.0)
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(rising, "decreasing", 0.3, 1.0, 0.0)
+    assert e.value.code == "NOT_MONOTONE"
+    # lambda = 1: both directions are the same sum, so neither is refused
+    assert gpoisson_closed_form(falling, "increasing", 1.0, 1.0, 0.0) == gpoisson_closed_form(
+        falling, "decreasing", 1.0, 1.0, 0.0
+    )
+
+
+def test_closed_form_allows_a_wobble_within_the_bound_slack():
+    # steps back by 1e-10 * bound stay inside 1e-9 * max(1, bound); 1e-8 do not
+    for wobble, refused in ((1e-10, False), (1e-8, True)):
+        def ev(x, wobble=wobble):
+            y = x1(x)
+            return np.clip(y, -4.0, 4.0) - 4.0 * wobble * (np.floor(y) % 2)
+
+        phi = Payoff(eval=ev, bound=4.0 + 1e-6, lipschitz=1.0)
+        if refused:
+            with pytest.raises(GLevyError) as e:
+                gpoisson_closed_form(phi, "increasing", 0.5, 1.0, 0.0)
+            assert e.value.code == "NOT_MONOTONE"
+        else:
+            gpoisson_closed_form(phi, "increasing", 0.5, 1.0, 0.0)
+
+
+# --- the series loop ----------------------------------------------------------
+
+
+def per_level_series(phi0, grid, jump_measures, t, tol=1e-8):
+    """The former series loop: in-place operators and a Python-float coefficient."""
+    uset = _pure_jump_set(jump_measures, grid.dim)
+    levels = _series_levels(2.0 * uset.max_total_rate() * t, phi0.bound, tol)
+    total = sample_payoff(phi0, grid)
+    work = Workspace(build_stencil(uset.scenarios, grid), total)
+    coef = 1.0
+    for i in range(1, levels + 1):
+        cur = work.apply()
+        work.u[...] = cur
+        coef *= t / i
+        cur *= coef
+        total += cur
+    return total
+
+
+@given(
+    lam=st.floats(0.0, 1.0),
+    jump=st.sampled_from((1.0, 0.37, -0.53)),
+    t=st.floats(0.0, 2.0),
+    level=st.floats(0.5, 6.0),
+)
+def test_series_equals_per_level_loop_bitwise(lam, jump, t, level):
+    grid = uniform_grid([-6.0], [8.0], 0.1)
+    measures = [[(jump, lam)], [(1.0, 1.0), (jump, 0.5)]]
+    phi = Payoff(eval=lambda x: level * np.tanh(x1(x)), bound=level, lipschitz=level)
+    got = series_solution(phi, grid, measures, t)
+    assert got.values.tobytes() == per_level_series(phi, grid, measures, t).tobytes()
+
+
+def test_series_equals_per_level_loop_in_two_dimensions():
+    grid = uniform_grid([-3.0, -2.0], [3.0, 2.0], 0.25)
+    measures = [[((1.0, 0.0), 0.8)], [((0.3, -0.45), 1.0), ((0.0, 0.5), 0.2)]]
+    phi = Payoff(
+        eval=lambda x: np.cos(np.asarray(x)[..., 0] - np.asarray(x)[..., 1]), bound=1.0, lipschitz=2.0
+    )
+    got = series_solution(phi, grid, measures, 0.7)
+    assert got.values.tobytes() == per_level_series(phi, grid, measures, 0.7).tobytes()
