@@ -483,17 +483,21 @@ def _enforce_padding(job: JobConfig) -> None:
 def _solve_csv(grid: GridSpec, snapshots) -> str:
     """The ``solve`` artifact: header ``t,x1..xd,u``, then one line per snapshot and node.
 
-    Nodes run in row-major order.  Each axis is formatted once, and each
-    snapshot is one ``%`` template filled with all its values: ``"%.17g" % v``
-    is ``_fmt(v)``, and formatted numbers hold no ``%``.
+    Nodes run in row-major order.  Each axis is formatted once, and each row
+    of a snapshot (its nodes along the last axis) is one ``%`` template filled
+    with the row's values: ``"%.17g" % v`` is ``_fmt(v)``, and formatted
+    numbers hold no ``%``.  A template per row, not per snapshot, keeps the
+    templates small beside the artifact.
     """
     *lead, last = [[_fmt(c) for c in axis.tolist()] for axis in grid.axes()]
     prefixes = ["".join(c + "," for c in p) for p in itertools.product(*lead)]
     parts = ["t," + ",".join(f"x{i + 1}" for i in range(grid.dim)) + ",u\n"]
     for snap in snapshots:
         t = _fmt(snap.time_label) + ","
-        tmpl = "".join(t + r + (",%.17g\n" + t + r).join(last) + ",%.17g\n" for r in prefixes)
-        parts.append(tmpl % tuple(snap.values.ravel().tolist()))
+        for r, row in zip(prefixes, snap.values.reshape(len(prefixes), len(last))):
+            head = t + r
+            tmpl = head + (",%.17g\n" + head).join(last) + ",%.17g\n"
+            parts.append(tmpl % tuple(row.tolist()))
     return "".join(parts)
 
 

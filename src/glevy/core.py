@@ -141,7 +141,7 @@ class Scenario:
     def jump_rates(self) -> np.ndarray:
         return _readonly(np.array([w for _, w in self.atoms]))
 
-    @property
+    @cached_property
     def total_rate(self) -> float:
         return float(np.sum(self.jump_rates)) if self.atoms else 0.0
 

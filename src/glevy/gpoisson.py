@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -201,7 +202,7 @@ def series_solution(
     and the result is sum_{i<=N} (t^i / i!) phi_i with N fixed from the tail
     bound sum_{i>N} (2*Lambda*t)^i/i! * bound(phi0) < tol, Lambda the largest
     total mass.  Each level is one application of the solver's jump stencil
-    (:meth:`glevy.solver.Workspace.apply`, one workspace for all levels), so
+    (:class:`glevy.solver.Workspace`'s calls, one workspace for all levels), so
     off-lattice jumps use the same clamped multilinear rule and boundary
     effects stay local.
     """
@@ -211,16 +212,20 @@ def series_solution(
 
     total = sample_payoff(phi0, grid)
     work = Workspace(build_stencil(uset.scenarios, grid), total)
-    u = work.u
-    # the kernel's call forms: a 0-d coefficient and a positional ``out``.
+    # the kernel's call forms: each level is the workspace's bound calls, then
+    # the copy back, the scaling by a 0-d coefficient and the sum, bound alike.
     # The coefficient is formed on a Python float and stored by ``fill``; a
     # 0-d ufunc update costs about 1 us more per level.
-    coef, scale = 1.0, np.array(1.0)
+    out, scale = work.out, np.array(1.0)
+    calls = work.calls + [
+        partial(work.u.__setitem__, ..., out),
+        partial(np.multiply, out, scale, out),
+        partial(np.add, total, out, total),
+    ]
+    coef = 1.0
     for i in range(1, levels + 1):
-        cur = work.apply()
-        u[...] = cur
         coef *= t / i
         scale.fill(coef)
-        np.multiply(cur, scale, cur)
-        np.add(total, cur, total)
+        for call in calls:
+            call()
     return GridFunction(grid, total, t)

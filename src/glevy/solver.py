@@ -54,14 +54,24 @@ operations.  The band's pad elements get finite values that no node reads.
 A step allocates no array, and every sum runs in a fixed order, so the bits
 depend only on the merged coefficients.
 
-On the small bands of the engine and of short jobs a step costs ufunc
-dispatch, not arithmetic, so the kernel takes the cheapest call forms: each
-coefficient (and each march's step) is a 0-d array built once, which a ufunc
-takes in about two thirds of the time of a Python float and multiplies to
-the same bits, and ``subtract``, ``multiply`` and ``add`` get ``out``
-positionally, which skips the keyword parsing.  ``np.maximum`` keeps
+On the small bands of the engine and of short jobs a step costs call
+dispatch, not arithmetic, so the workspace compiles its step once into a
+flat list of calls with every argument bound (``functools.partial``), and a
+step runs that list.  The edge copies are slice assignments
+(``dst.__setitem__(..., src)``), which skip ``np.copyto``'s Python-level
+dispatcher.  Each coefficient (and each march's step) is a 0-d array, which
+a ufunc takes in about two thirds of the time of a Python float and
+multiplies to the same bits, and ``subtract``, ``multiply`` and ``add`` get
+``out`` positionally, which skips the keyword parsing.  ``np.maximum`` keeps
 ``out=``: numpy 2.4 deprecates a third positional argument there, and the
 test suite turns that warning into a failure.
+
+A single-term scenario followed by a scenario whose first term has the same
+offset shares that difference: it goes to tmp, which nothing writes between
+the two products, and each product goes straight into its scenario's
+accumulator.  The intensity band {lambda * delta_1, delta_1} thus takes its
+unit difference u(x + 1) - u(x) once per step.  The products and their order
+are those of separate differences, so no bit moves.
 """
 
 from __future__ import annotations
@@ -70,6 +80,7 @@ import ctypes
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -235,8 +246,9 @@ class Workspace:
     the same for every batch row.  The kernel works on the flat band from the
     first interior node to the last: each term takes its difference straight
     into the band-shaped acc or tmp buffer (the first scenario's acc is the
-    band of ``out``).  :meth:`apply` fills them without allocating an array
-    and returns ``out``'s interior view.
+    band of ``out``).  ``calls`` is one step, the edge copies and the kernel,
+    as bound calls in order; :meth:`apply` runs it without allocating an
+    array and returns ``out``'s interior view.
     """
 
     def __init__(self, stencil: Stencil, values: np.ndarray):
@@ -264,20 +276,42 @@ class Workspace:
         def on_axis(a, start, stop):
             return padded[(slice(None),) * (len(lead) + a) + (slice(start, stop),)]
 
-        # copied in order, these clamp-extend the state
-        self._edges = [
-            (on_axis(a, start, stop), on_axis(a, src, src + 1))
+        # run in order, the edge copies clamp-extend the state
+        calls = [
+            partial(on_axis(a, start, stop).__setitem__, ..., on_axis(a, src, src + 1))
             for a, ((lo, hi), n) in enumerate(zip(pads, shape))
             for start, stop, src in ((0, lo, lo), (lo + n, lo + n + hi, lo + n - 1))
             if stop > start
         ]
-        self._band, self._out = flat[head:stop], out[head:stop]
+        u, out, acc, tmp = flat[head:stop], out[head:stop], self._acc, self._tmp
+        self._band, self._out = u, out
         shifts = [sum(map(operator.mul, o, strides)) for o in stencil.offsets]
         windows = [flat[head + k : stop + k] for k in shifts]
-        self._terms = [
-            (np.array(c0), windows[k0], [(np.array(c), windows[k]) for c, k in rest])
-            for (c0, k0), *rest in stencil.terms
-        ]
+        sub, mul = np.subtract, np.multiply
+        terms, held = stencil.terms, None  # held: the offset whose difference tmp holds
+        maximum = partial(np.maximum, out, acc, out=out)
+        for i, ((c, k), *rest) in enumerate(terms):
+            dst = acc if i else out
+            if k == held:
+                src = tmp
+            elif not rest and i + 1 < len(terms) and terms[i + 1][0][1] == k:
+                calls.append(partial(sub, windows[k], u, tmp))
+                src, held = tmp, k
+            else:
+                calls.append(partial(sub, windows[k], u, dst))
+                src = dst
+            calls.append(partial(mul, src, np.array(c), dst))
+            if rest:
+                gather, held = partial(np.add, dst, tmp, dst), None
+                for c, k in rest:
+                    calls += (
+                        partial(sub, windows[k], u, tmp),
+                        partial(mul, tmp, np.array(c), tmp),
+                        gather,
+                    )
+            if i:
+                calls.append(maximum)
+        self.calls = calls
 
     def apply(self) -> np.ndarray:
         """``out`` = max over scenarios of sum c * (u(x + o * h) - u(x)), clamped at the edges.
@@ -286,20 +320,8 @@ class Workspace:
         ``np.maximum`` in order, elementwise on the band, so results are
         bitwise reproducible and each batch row is what it would be on its own.
         """
-        for dst, src in self._edges:
-            np.copyto(dst, src)
-        u, out, tmp = self._band, self._out, self._tmp
-        acc = out
-        for c, window, rest in self._terms:
-            np.subtract(window, u, acc)
-            np.multiply(acc, c, acc)
-            for c, window in rest:
-                np.subtract(window, u, tmp)
-                np.multiply(tmp, c, tmp)
-                np.add(acc, tmp, acc)
-            if acc is not out:
-                np.maximum(out, acc, out=out)
-            acc = self._acc
+        for call in self.calls:
+            call()
         return self.out
 
 
@@ -369,7 +391,8 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
     flat band in place, pads too, and each snapshot is a copy.
     """
     work = Workspace(stencil, values)
-    u, band, out = work.u, work._band, work._out
+    u, band, out, step = work.u, work._band, work._out, np.array(0.0)
+    calls = work.calls + [partial(np.multiply, out, step, out), partial(np.add, band, out, band)]
     snapshots = []
     steps = 0
     dt_used = t = 0.0
@@ -378,11 +401,10 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
         if span > EPSILON:
             n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
             dt = span / n
-            step = np.array(dt)
+            step.fill(dt)
             for _ in range(n):
-                work.apply()
-                np.multiply(out, step, out)
-                np.add(band, out, band)
+                for call in calls:
+                    call()
             steps += n
             dt_used = max(dt_used, dt)
             t = float(target)

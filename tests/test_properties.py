@@ -2,11 +2,12 @@
 
 Sets are drawn in 1-3 dimensions with off-lattice jump atoms, drift of both
 signs and cross diffusion shrunk until it passes the monotone test of
-:func:`glevy.solver.check_march`.  The kernel is compared bit for bit with
-a reference kept here: np.pad(mode="edge"), the terms of
-``_scenario_terms`` merged per offset (coefficients summed in formula order,
-each merged term where its offset first appears) and summed in that order,
-the max over scenarios in order.
+:func:`glevy.solver.check_march`, and as intensity bands whose scenarios share
+one lattice offset (the kernel takes that difference once).  The kernel is
+compared byte for byte with a reference kept here: np.pad(mode="edge"), the
+terms of ``_scenario_terms`` merged per offset (coefficients summed in
+formula order, each merged term where its offset first appears) and summed
+in that order, the max over scenarios in order.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from glevy import (
     CylinderFunctional,
+    GPoissonSpec,
     GridSpec,
     Payoff,
     Scenario,
@@ -88,6 +90,42 @@ def models(draw):
     return UncertaintySet(tuple(monotone(*r, grid) for r in raw)), grid
 
 
+@st.composite
+def bands(draw):
+    """An intensity band on a drawn grid: 2-4 scenarios of one lattice-aligned atom each.
+
+    The atoms share one offset and the scenarios have no drift and no
+    diffusion, so the kernel takes their one difference once.  Half of the
+    draws append a general scenario whose first atom, hence its first merged
+    term, has that offset too: there the shared difference is used a last
+    time, and a band scenario after it must take the difference afresh.
+    """
+    grid = draw(grids())
+    d = grid.dim
+    offset = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
+    z = np.array(offset) * grid.spacing
+
+    def atom():
+        rate = draw(unit(0.05, 2.0))
+        return Scenario(atoms=((z, rate),), drift=[0.0] * d, diffusion=np.zeros((d, d)))
+
+    band = [atom() for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        atoms, drift, q = draw(scenarios(grid))
+        band.append(monotone([(z, draw(unit(0.05, 2.0)))] + atoms, drift, q, grid))
+        if draw(st.booleans()):
+            band.append(atom())
+    return UncertaintySet(tuple(band)), grid
+
+
+MODELS = st.one_of(models(), bands())
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: unlike ``np.array_equal``, -0.0 differs from +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def reference_generator(uset, grid, u):
     d = grid.dim
     out = None
@@ -108,15 +146,28 @@ def reference_generator(uset, grid, u):
     return out
 
 
-@given(model=models(), lead=LEADS, seed=SEEDS)
+@given(model=MODELS, lead=LEADS, seed=SEEDS)
 def test_kernel_matches_reference_bitwise(model, lead, seed):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     work = Workspace(build_stencil(uset.scenarios, grid), u)
     for _ in range(2):  # a second load checks that the padding is refreshed
         work.u[...] = u
-        assert np.array_equal(work.apply(), reference_generator(uset, grid, u))
+        assert same_bits(work.apply(), reference_generator(uset, grid, u))
         u = np.cos(3.0 * u)
+
+
+def test_intensity_band_takes_its_difference_once():
+    # {0.37 delta_1, delta_1}: one difference into tmp, a product into each
+    # scenario's accumulator, one maximum
+    uset = GPoissonSpec(0.37).uncertainty_set()
+    grid = GridSpec(lower=[0.0], upper=[4.0], points=[5])
+    work = Workspace(build_stencil(uset.scenarios, grid), np.arange(5.0))
+    ufuncs = [call.func for call in work.calls if isinstance(call.func, np.ufunc)]
+    assert ufuncs == [np.subtract, np.multiply, np.multiply, np.maximum]
+    diff, first, second, _ = work.calls[-4:]
+    assert diff.args[2] is first.args[0] is second.args[0] is work._tmp
+    assert first.args[2] is work._out and second.args[2] is work._acc
 
 
 @given(model=models(), lead=LEADS)
@@ -127,7 +178,7 @@ def test_workspace_bands_are_64_byte_aligned(model, lead):
         assert band.ctypes.data % 64 == 0
 
 
-@given(model=models(), lead=LEADS, seed=SEEDS, horizon=unit(0.01, 0.2))
+@given(model=MODELS, lead=LEADS, seed=SEEDS, horizon=unit(0.01, 0.2))
 def test_march_matches_reference_steps(model, lead, seed, horizon):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
@@ -144,7 +195,7 @@ def test_march_matches_reference_steps(model, lead, seed, horizon):
             total, t = total + n, target
         want.append(u)
     assert steps == total
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(got) == len(want) and all(map(same_bits, got, want))
 
 
 # ------------------------------------------------------------- solution map

@@ -119,25 +119,35 @@ def test_march_allocates_no_array_per_step(monkeypatch):
     uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.4), (((-0.7, 1.0),), -0.2, 0.5)])
     stencil, dt_max = check_march(uset, grid, SchemeConfig())
     u = np.cos(grid.axes()[0])
-    # traced bytes above the live ones, per interval between kernel calls:
-    # each interval holds one kernel call and one in-place Euler update
-    spikes = []
-    apply = Workspace.apply
+    # a probe run last in each workspace step sees, per interval between
+    # probes (an Euler update, the edge copies and the kernel), the traced
+    # bytes above the live ones, and the live bytes themselves
+    seen = [0, 0, 0, 0]  # probes, largest spike, live bytes at the first and last probe
 
-    def traced(work):
+    def probe():
         live, peak = tracemalloc.get_traced_memory()
-        spikes.append(peak - live)
         tracemalloc.reset_peak()
-        return apply(work)
+        seen[:] = seen[0] + 1, max(seen[1], peak - live), seen[2] or live, live
 
-    monkeypatch.setattr(Workspace, "apply", traced)
-    tracemalloc.start()
-    try:
-        _, steps, _ = march(u, stencil, dt_max, [20 * dt_max])
-    finally:
-        tracemalloc.stop()
-    assert steps == len(spikes) == 20
-    assert max(spikes) < u.nbytes // 2
+    init = Workspace.__init__
+
+    def probed(work, *args):
+        init(work, *args)
+        work.calls.append(probe)
+
+    monkeypatch.setattr(Workspace, "__init__", probed)
+    # the interpreter adapts the step loop to its calls over the first steps
+    march(u, stencil, dt_max, [20 * dt_max])
+    for n in (20, 200):
+        seen[:] = 0, 0, 0, 0
+        tracemalloc.start()
+        try:
+            _, steps, _ = march(u, stencil, dt_max, [n * dt_max])
+        finally:
+            tracemalloc.stop()
+        assert steps == seen[0] == n
+        assert seen[1] < u.nbytes // 2
+        assert seen[3] - seen[2] < 1024  # nothing a step allocates outlives it
 
 
 def solve_2d_family():
