@@ -94,7 +94,7 @@ class JobConfig:
     payoff: Payoff | None = None
     test_function: TestFunction | None = None
     output_times: list[float] | None = None
-    eval_points: list[np.ndarray] | None = None
+    eval_points: list[list[float]] | None = None
     lam: float = 0.5
     t: float = 1.0
     direction: str = "increasing"
@@ -313,11 +313,11 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
             if len(flat) == 1 and dim == 1:
                 diffusion = [[flat[0]]]
             elif len(flat) == dim * dim:
-                diffusion = np.array(flat).reshape(dim, dim)
+                diffusion = [flat[r : r + dim] for r in range(0, dim * dim, dim)]
             else:
                 raise _bad(f"scenario.{i}.diffusion", f"need {dim * dim} row-major entries")
         else:
-            diffusion = np.zeros((dim, dim))
+            diffusion = [[0.0] * dim] * dim
         scenario = _checked(f"scenario.{i}", Scenario, atoms, drift, diffusion)
         scenarios.append(scenario)
     return validate_uncertainty_set(scenarios)
@@ -417,7 +417,7 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
     job.uset = _build_scenarios(kv, job.dim)
     job.payoff, form = _read_payoff(kv)
 
-    job.eval_points = [np.zeros(job.dim)]
+    job.eval_points = [[0.0] * job.dim]
     if command == "solve" and "eval.x" in kv:
         pts = []
         for part in kv.pop("eval.x").split(";"):
@@ -425,7 +425,7 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
                 p = _floats(part, "eval.x")
                 if len(p) != job.dim:
                     raise _bad("eval.x", f"point needs {job.dim} coordinates")
-                pts.append(np.array(p))
+                pts.append(p)
         if not pts:
             raise _bad("eval.x", "needs at least one point")
         job.eval_points = pts
@@ -472,8 +472,8 @@ def _enforce_padding(job: JobConfig) -> None:
     """The solve's box must pad its evaluation points ``eval.x`` (UNPADDED_GRID)."""
     horizon = job.scheme.final_time
     pad = min_padding(job.uset, horizon)
-    points = np.stack(job.eval_points)
-    if not pads_origin(job.grid, pad, points.min(axis=0), points.max(axis=0)):
+    axes = list(zip(*job.eval_points))
+    if not pads_origin(job.grid, pad, list(map(min, axes)), list(map(max, axes))):
         raise ConfigError(
             "UNPADDED_GRID",
             f"box must pad evaluation points by >= {pad:.6g} over horizon {horizon:.6g}",

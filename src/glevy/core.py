@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,9 +55,19 @@ def _finite_values(arr: np.ndarray, what: str) -> list:
     return values
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a float vector: ``np.linalg.norm``'s own formula, sqrt(v . v)."""
-    return math.sqrt(v.dot(v))
+def vector_norm(v) -> float:
+    """Euclidean norm of a float vector (a sequence or 1-D array): ``np.linalg.norm``'s sqrt(v . v).
+
+    One component is squared on a Python float, the IEEE product numpy's dot
+    takes.  Longer vectors keep numpy's dot: a Python sum of squares rounds
+    differently (in 15 897 of 200 000 standard normal 2-D vectors, numpy
+    2.4.6 on x86-64).  Either form overflows to inf without a warning.
+    """
+    if len(v) == 1:
+        x = float(v[0])
+        return math.sqrt(x * x)
+    with np.errstate(over="ignore"):
+        return math.sqrt(np.dot(v, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +83,15 @@ class Scenario:
     drift : array_like, shape (d,), d >= 1
     diffusion : array_like, shape (d, d)
         Diffusion *factor* Q; scalars are accepted when d == 1.
+
+    Validation checks every entry on Python floats and keeps them: ``q``
+    (the drift), ``factor`` (Q's entries, row-major), ``jumps`` and
+    ``rates`` (each atom's jump vector and rate), and ``jump_norms`` (each
+    |z_k|, by :func:`vector_norm`).  ``total_rate`` is computed once, on
+    first use.  Every set-up reader (the stencil, the step bound, paddings
+    and boxes) takes these floats: a numpy call on a 1-4-element array costs
+    microseconds, a float operation tens of nanoseconds, and each float
+    formula is the IEEE operation of the numpy one, so no result moves.
     """
 
     atoms: tuple = ()
@@ -85,7 +105,7 @@ class Scenario:
         d = drift.shape[0]
         if d == 0:
             raise ValidationError("BAD_SHAPE", "drift must have at least one component")
-        _finite_values(drift, "drift")
+        q = _finite_values(drift, "drift")
 
         diff = _readonly(self.diffusion)
         if diff.ndim == 0:
@@ -96,9 +116,9 @@ class Scenario:
             raise ValidationError(
                 "BAD_SHAPE", f"diffusion must be ({d}, {d}), got {diff.shape}"
             )
-        _finite_values(diff, "diffusion")
+        factor = _finite_values(diff, "diffusion")
 
-        norm_atoms = []
+        atoms, jumps, rates, norms = [], [], [], []
         for entry in self.atoms:
             try:
                 z, w = entry
@@ -115,20 +135,31 @@ class Scenario:
                 raise ValidationError("NEGATIVE_RATE", f"atom rate {w} is negative")
             if not any(jump):
                 raise ValidationError("ZERO_JUMP", "atom jump vector is zero")
-            norm_atoms.append((z, w))
+            atoms.append((z, w))
+            jumps.append(tuple(jump))
+            rates.append(w)
+            norms.append(vector_norm(z))
 
-        object.__setattr__(self, "atoms", tuple(norm_atoms))
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "diffusion", diff)
+        # the fields and the floats kept from validation, set once on the frozen instance
+        self.__dict__.update(
+            atoms=tuple(atoms),
+            drift=drift,
+            diffusion=diff,
+            q=tuple(q),
+            factor=tuple(factor),
+            jumps=tuple(jumps),
+            rates=tuple(rates),
+            jump_norms=tuple(norms),
+        )
 
     @property
     def dim(self) -> int:
-        return self.drift.shape[0]
+        return len(self.q)
 
     @property
     def diffusive(self) -> bool:
         """Whether the diffusion factor has a nonzero entry."""
-        return any(self.diffusion.ravel().tolist())
+        return any(self.factor)
 
     @cached_property
     def jump_vectors(self) -> np.ndarray:
@@ -139,16 +170,17 @@ class Scenario:
 
     @cached_property
     def jump_rates(self) -> np.ndarray:
-        return _readonly(np.array([w for _, w in self.atoms]))
+        return _readonly(self.rates)
 
     @cached_property
     def total_rate(self) -> float:
-        return float(np.sum(self.jump_rates)) if self.atoms else 0.0
+        # numpy's pairwise sum, which a Python sum matches only below 8 atoms
+        return float(np.add.reduce(self.rates)) if self.rates else 0.0
 
     @cached_property
     def diffusion_matrix(self) -> np.ndarray:
-        """Q @ Q.T, the matrix entering the generator's second-order term."""
-        return _readonly(self.diffusion @ self.diffusion.T)
+        """Q @ Q.T, the matrix entering the generator's second-order term (:func:`_covariance`)."""
+        return _readonly(_covariance(self))
 
     def mass(self) -> float:
         """sum_k w_k |z_k| + |q| + tr(Q Q^T), the integrability functional."""
@@ -156,9 +188,27 @@ class Scenario:
         return jumps + float(np.linalg.norm(self.drift)) + float(np.trace(self.diffusion_matrix))
 
 
+def _covariance(s: Scenario) -> list[list[float]]:
+    """Q Q^T as rows of Python floats.
+
+    A zero factor takes no product, and a 1 x 1 factor its one product on a
+    Python float, the IEEE product numpy's matmul takes; d >= 2 keeps the
+    matmul.  An entry that overflows is inf (or nan, from inf - inf), with no
+    warning; the step bound refuses it with its own code.
+    """
+    d = s.dim
+    if not s.diffusive:
+        return [[0.0] * d for _ in range(d)]
+    if d == 1:
+        (f,) = s.factor
+        return [[f * f]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (s.diffusion @ s.diffusion.T).tolist()
+
+
 def _spectral_norm(s: Scenario) -> float:
     """Largest singular value of the scenario's diffusion factor."""
-    entries = s.diffusion.ravel().tolist()
+    entries = s.factor
     if len(entries) == 1:
         return abs(entries[0])
     return float(np.linalg.norm(s.diffusion, 2)) if any(entries) else 0.0
@@ -200,13 +250,14 @@ class UncertaintySet:
 
     @cached_property
     def _reach(self) -> tuple[float, float, float]:
-        # paid once per set: every padding check needs it.  A zero factor has
-        # norm exactly 0.0 and a 1 x 1 factor exactly |Q_11|; only a factor of
-        # d >= 2 takes an SVD (LAPACK's value).  LAPACK rescales extreme 1 x 1
-        # inputs and rounds (first seen at 8.4e144 and 1.0e-300), so there
-        # the absolute value is the exact norm it approximates.
+        # paid once per set: every padding check needs it.  The jump norms are
+        # the scenarios' own.  A zero factor has norm exactly 0.0 and a 1 x 1
+        # factor exactly |Q_11|; only a factor of d >= 2 takes an SVD
+        # (LAPACK's value).  LAPACK rescales extreme 1 x 1 inputs and rounds
+        # (first seen at 8.4e144 and 1.0e-300), so there the absolute value is
+        # the exact norm it approximates.
         return (
-            max((vector_norm(z) for s in self.scenarios for z, _ in s.atoms), default=0.0),
+            max((n for s in self.scenarios for n in s.jump_norms), default=0.0),
             max(vector_norm(s.drift) for s in self.scenarios),
             max(map(_spectral_norm, self.scenarios)),
         )
@@ -265,9 +316,21 @@ class Payoff:
         object.__setattr__(self, "lipschitz", L)
 
 
+def _spacing(lo: float, hi: float, n: int) -> float:
+    return (hi - lo) / (n - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Uniform tensor grid: ``points[i]`` nodes from ``lower[i]`` to ``upper[i]``, on d >= 1 axes."""
+    """Uniform tensor grid: ``points[i]`` nodes from ``lower[i]`` to ``upper[i]``, on d >= 1 axes.
+
+    Validation checks the bounds on Python floats and keeps them, as tuples
+    with one entry per axis: ``lo`` and ``hi`` (the bounds), ``shape`` (the
+    node counts, Python ints) and ``h`` (the spacing (hi - lo) / (n - 1),
+    the IEEE operations of the ``spacing`` array, which is built from it).
+    Set-up readers (stencils, strides, origin corners, padding checks) take
+    these floats instead of microsecond numpy calls on tiny arrays.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -291,29 +354,37 @@ class GridSpec:
         hi = _finite_values(upper, "grid upper")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValidationError("BAD_SHAPE", "grid upper must exceed lower componentwise")
-        if min(points.tolist()) < 3:
+        shape = tuple(points.tolist())
+        if min(shape) < 3:
             raise ValidationError("BAD_SHAPE", "grid needs at least 3 points per axis")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "points", _readonly(points, dtype=int))
+        h = tuple(map(_spacing, lo, hi, shape))
+        if not all(h):
+            raise ValidationError("BAD_SHAPE", "grid spacing underflows to zero")
+        # the fields and the floats kept from validation, set once on the frozen instance
+        self.__dict__.update(
+            lower=lower,
+            upper=upper,
+            points=_readonly(points, dtype=int),
+            lo=tuple(lo),
+            hi=tuple(hi),
+            _shape=shape,
+            h=h,
+        )
 
     @property
     def dim(self) -> int:
-        return self.lower.shape[0]
+        return len(self.lo)
 
     @cached_property
     def spacing(self) -> np.ndarray:
-        return _readonly((self.upper - self.lower) / (self.points - 1))
+        return _readonly(self.h)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(int(n) for n in self.points)
+        return self._shape
 
     def axes(self) -> list[np.ndarray]:
-        return [
-            self.lower[i] + self.spacing[i] * np.arange(self.points[i])
-            for i in range(self.dim)
-        ]
+        return [lo + h * np.arange(n) for lo, h, n in zip(self.lo, self.h, self._shape)]
 
     def nodes(self) -> np.ndarray:
         """All grid nodes, shape (prod(points), dim), row-major over axes."""
@@ -363,20 +434,33 @@ class GridFunction:
         object.__setattr__(self, "time_label", t)
 
 
+def _real(what: str, value) -> float:
+    """``value`` as a Python float; a string, None or an array raises BAD_SHAPE."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Explicit-scheme parameters.
 
     cfl_safety in (0, 1] scales the monotone step bound, one over the largest
     row sum of the merged stencil (:func:`glevy.solver.check_march`);
-    final_time is the solve horizon.  Evaluations beyond the box always take
-    the nearest boundary value (clamp extension).
+    final_time is the solve horizon.  Both are kept as Python floats, and a
+    value that is not a real number (a string, None, an array) raises
+    BAD_SHAPE.  Evaluations beyond the box always take the nearest boundary
+    value (clamp extension).
     """
 
     cfl_safety: float = 0.9
     final_time: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "cfl_safety", _real("cfl_safety", self.cfl_safety))
+        object.__setattr__(self, "final_time", _real("final_time", self.final_time))
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValidationError("BAD_SHAPE", f"cfl_safety {self.cfl_safety} not in (0, 1]")
         if not (math.isfinite(self.final_time) and self.final_time >= 0):
@@ -429,8 +513,7 @@ def sample_payoff(phi: Payoff, spec: GridSpec) -> np.ndarray:
     """
     vals = sample_points(phi, spec.nodes()).reshape(spec.shape)
     L = phi.lipschitz
-    axes = zip(spec.spacing.tolist(), spec.lower.tolist(), spec.upper.tolist())
-    for axis, (h, lo, hi) in enumerate(axes):
+    for axis, (h, lo, hi) in enumerate(zip(spec.h, spec.lo, spec.hi)):
         before = (slice(None),) * axis
         steps = vals[before + (slice(1, None),)] - vals[before + (slice(None, -1),)]
         steep = float(np.abs(steps, out=steps).max())
@@ -470,13 +553,17 @@ def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
     return vals
 
 
-def pads_origin(grid: GridSpec, pad: float, lo=0.0, hi=0.0) -> bool:
+def pads_origin(grid: GridSpec, pad: float, lo=None, hi=None) -> bool:
     """Whether ``grid`` reaches ``pad`` beyond the box [lo, hi] on every axis, to 1e-12.
 
-    The box defaults to the origin, which the engine reads; a solve passes
-    the corners of its evaluation points.
+    ``lo`` and ``hi`` hold one float per axis.  The box defaults to the
+    origin, which the engine reads; a solve passes the corners of its
+    evaluation points.
     """
-    return bool(np.all(grid.lower <= lo - pad + 1e-12) and np.all(grid.upper >= hi + pad - 1e-12))
+    origin = (0.0,) * grid.dim
+    return all(
+        g <= a - pad + 1e-12 for g, a in zip(grid.lo, origin if lo is None else lo)
+    ) and all(g >= b + pad - 1e-12 for g, b in zip(grid.hi, origin if hi is None else hi))
 
 
 def min_padding(uset: UncertaintySet, horizon: float) -> float:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -122,8 +123,20 @@ def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) 
 
 
 def _centered_box(radius: float, dx: float, d: int) -> GridSpec:
-    half = max(2, math.ceil(radius / dx - 1e-9))
+    """[-r, r]^d at spacing ``dx``, r the least multiple of dx (at least 2 dx) covering ``radius``.
+
+    DIMENSION_OVERFLOW is raised, before any array is built, for a radius
+    that is not finite and for a box that no grid can hold: more nodes per
+    axis than an index counts, or bounds that overflow.
+    """
+    cells = radius / dx - 1e-9
+    # nan and inf fail the comparison too
+    half = max(2, math.ceil(cells)) if cells < sys.maxsize // 2 else 0
     r = half * dx
+    if not (half and math.isfinite(r + r)):
+        raise EngineError(
+            "DIMENSION_OVERFLOW", f"box of radius {radius:.6g} at spacing {dx:.6g} fits no grid"
+        )
     return GridSpec(lower=[-r] * d, upper=[r] * d, points=[2 * half + 1] * d)
 
 
@@ -151,7 +164,8 @@ def _integrate_levels(
     m, d = xi.m, xi.dim
     knots = (0.0,) + xi.times
     horizons = [knots[k + 1] - knots[k] for k in range(m)]
-    if var_grids is None:
+    sized = var_grids is None
+    if sized:
         # equal horizons share one box object; built in increment order
         distinct = dict.fromkeys(horizons)
         boxes = {h: _centered_box(increment_radius(uset, h, tail), dx, d) for h in distinct}
@@ -189,6 +203,16 @@ def _integrate_levels(
             setups[g] = coarsen(stencil, stride), dt_max, stride, reads
     # the first stop_at increments keep every node, shared grid or not
     strides = [(1,) * d] * stop_at + [setups[g][2] for g in var_grids[stop_at:]]
+    if sized:
+        # level m marches every increment's sublattice nodes, the most of any
+        # level; a float count cannot overflow an index
+        sizes = [(n, s) for g, st in zip(var_grids, strides) for n, s in zip(g.shape, st)]
+        marched = math.prod(float((n - 1) // s + 1) for n, s in sizes)
+        if marched > node_budget:
+            raise EngineError(
+                "DIMENSION_OVERFLOW",
+                f"the engine's boxes march {marched:.6g} nodes > budget {node_budget}",
+            )
     axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
     phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
     current = None  # the previous level's values, over this level's nodes
@@ -237,9 +261,13 @@ def expectation(
     over its increment's horizon on every axis, else UNPADDED_GRID is raised;
     ``dx`` must be finite and positive (BAD_SHAPE), ``tail`` in (0, 1)
     (BAD_TOLERANCE).  DIMENSION_OVERFLOW is raised when a frozen tensor grid
-    would exceed ``node_budget`` nodes.  Payoff samples are checked finite and
-    within the bound (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.
-    Of ``cfg`` it reads only ``cfl_safety``: the horizons are the functional's.
+    would exceed ``node_budget`` nodes.  For the boxes the engine sizes it is
+    also raised, before any array is built, when a radius is not finite, a
+    box fits no grid, or the last level would march more than
+    ``node_budget`` nodes: every increment's sublattice nodes, after the
+    stride.  Payoff samples are checked finite and within the bound
+    (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.  Of
+    ``cfg`` it reads only ``cfl_safety``: the horizons are the functional's.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 

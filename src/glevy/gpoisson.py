@@ -67,9 +67,10 @@ class GPoissonSpec:
 
 def _pure_jump_set(jump_measures, d: int) -> UncertaintySet:
     """The pure-jump scenarios in dimension ``d`` of atom lists [(z, w), ...]."""
+    zeros = [0.0] * d
     return UncertaintySet(
         tuple(
-            Scenario(atoms=tuple(atoms), drift=np.zeros(d), diffusion=np.zeros((d, d)))
+            Scenario(atoms=tuple(atoms), drift=zeros, diffusion=[zeros] * d)
             for atoms in jump_measures
         )
     )

@@ -94,10 +94,10 @@ from .core import (
     Scenario,
     SchemeConfig,
     UncertaintySet,
+    _covariance,
     _require_finite,
     interpolate,
     sample_payoff,
-    vector_norm,
 )
 from .errors import SolverError, ValidationError
 
@@ -111,14 +111,17 @@ class SolveResult:
     steps: int
 
 
-def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+def _atom_stencil(
+    z: Sequence[float], spacing: Sequence[float]
+) -> list[tuple[float, tuple[int, ...]]]:
     """Decompose sampling at x + z into clamped integer shifts with weights.
 
-    Returns corner terms (weight, offsets) with weights summing to one; the
-    same snap rule as point interpolation keeps lattice-aligned jumps exact.
+    ``z`` and ``spacing`` hold one float per axis.  Returns corner terms
+    (weight, offsets) with weights summing to one; the same snap rule as
+    point interpolation keeps lattice-aligned jumps exact.
     """
     terms = [(1.0, ())]
-    for u in (z / spacing).tolist():
+    for u in map(operator.truediv, z, spacing):
         base = math.floor(u)
         frac = u - base
         if frac < SNAP_TOL:
@@ -137,7 +140,7 @@ def _atom_stencil(z: np.ndarray, spacing: np.ndarray) -> list[tuple[float, tuple
 
 
 def _unit(d: int, axis: int, step: int) -> tuple[int, ...]:
-    return tuple(step if k == axis else 0 for k in range(d))
+    return (0,) * axis + (step,) + (0,) * (d - 1 - axis)
 
 
 def _square(x: float) -> float:
@@ -148,32 +151,38 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _scenario_terms(s: Scenario, spacing: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+def _quotient(x: float, y: float) -> float:
+    """``x / y`` for x, y >= 0 as numpy divides: inf, or nan for 0 / 0, where y underflowed."""
+    if y:
+        return x / y
+    return math.inf if x else math.nan
+
+
+def _scenario_terms(s: Scenario, h: Sequence[float]) -> list[tuple[float, tuple[int, ...]]]:
     """The scenario's (c, o) terms in formula order: jumps, drift, diffusion, cross.
 
-    Terms that share an offset are kept apart here; :func:`build_stencil`
-    sums them in this order.  An inert scenario gets one zero term, so every
-    scenario has a first term.  Coefficients are Python floats, which overflow
-    to inf and sum infinities to nan without a numpy warning, so that
-    :func:`check_march` rejects them with its own code.
+    ``h`` is the spacing, one float per axis (:attr:`GridSpec.h`).  Terms
+    that share an offset are kept apart here; :func:`build_stencil` sums
+    them in this order.  An inert scenario gets one zero term, so every
+    scenario has a first term.  Coefficients are Python floats, which
+    overflow to inf and sum infinities to nan without a numpy warning, so
+    that :func:`check_march` rejects them with its own code.
     """
-    d = len(spacing)
-    terms = [(w * c, off) for z, w in s.atoms for c, off in _atom_stencil(z, spacing)]
-    h = spacing.tolist()
-    for i, qi in enumerate(s.drift.tolist()):
+    d = len(h)
+    terms = [(w * c, off) for z, w in zip(s.jumps, s.rates) for c, off in _atom_stencil(z, h)]
+    for i, qi in enumerate(s.q):
         if qi != 0.0:
             terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
-    # no product of a zero factor
-    a = s.diffusion_matrix.tolist() if s.diffusive else [[0.0] * d] * d
+    a = _covariance(s)
     for i in range(d):
         if a[i][i] != 0.0:
-            c = 0.5 * a[i][i] / _square(h[i])
+            c = _quotient(0.5 * a[i][i], _square(h[i]))
             terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
     for i in range(d):
         for j in range(i + 1, d):
             if a[i][j] == 0.0:
                 continue
-            c = abs(a[i][j]) / (2.0 * h[i] * h[j])
+            c = _quotient(abs(a[i][j]), 2.0 * h[i] * h[j])
             corner = [0] * d
             corner[i], corner[j] = 1, 1 if a[i][j] > 0.0 else -1
             terms += [(c, tuple(corner)), (c, tuple(-o for o in corner))]
@@ -195,28 +204,32 @@ class Stencil(NamedTuple):
 
 
 def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
-    """Each scenario's terms at ``spec.spacing``, merged per offset (see :class:`Stencil`)."""
-    merged = []
+    """Each scenario's terms at ``spec.h``, merged per offset (see :class:`Stencil`)."""
+    where, terms = {}, []  # where: each distinct offset's index, in first-seen order
     for s in scenarios:
         coef = {}
-        for c, off in _scenario_terms(s, spec.spacing):
+        for c, off in _scenario_terms(s, spec.h):
             coef[off] = coef[off] + c if off in coef else c
-        merged.append(coef)
-    offsets = tuple(dict.fromkeys(off for coef in merged for off in coef))
-    where = {off: k for k, off in enumerate(offsets)}
-    terms = tuple(tuple((c, where[off]) for off, c in coef.items()) for coef in merged)
-    return Stencil(offsets, terms)
+        terms.append(tuple((c, where.setdefault(off, len(where))) for off, c in coef.items()))
+    return Stencil(tuple(where), tuple(terms))
 
 
 def coarsen(stencil: Stencil, strides: Sequence[int]) -> Stencil:
-    """``stencil`` on every ``strides[a]``-th node: each offset component divided by its stride."""
+    """``stencil`` on every ``strides[a]``-th node: each offset component divided by its stride.
+
+    Unit strides give ``stencil`` itself.
+    """
+    if all(g == 1 for g in strides):
+        return stencil
     offsets = tuple(tuple(o // g for o, g in zip(off, strides)) for off in stencil.offsets)
     return Stencil(offsets, stencil.terms)
 
 
 def origin_corners(grid: GridSpec) -> list[tuple[float, tuple[int, ...]]]:
     """The (weight, node index) corners of the origin clamped into ``grid``, as interpolated."""
-    return _atom_stencil(np.clip(-grid.lower, 0.0, grid.upper - grid.lower), grid.spacing)
+    # np.clip's max-then-min: max(0.0, -0.0) keeps numpy's +0.0
+    clamped = [min(max(0.0, -lo), hi - lo) for lo, hi in zip(grid.lo, grid.hi)]
+    return _atom_stencil(clamped, grid.h)
 
 
 def origin_strides(shape: Sequence[int], corners, stencil: Stencil) -> tuple[int, ...]:
@@ -352,10 +365,9 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tupl
     """
     if grid.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"grid dim {grid.dim} != scenario dim {uset.dim}")
-    floor = min(grid.spacing.tolist()) / 2.0
+    floor = min(grid.h) / 2.0
     for s in uset.scenarios:
-        for z, _ in s.atoms:
-            norm = vector_norm(z)
+        for norm in s.jump_norms:
             if norm < floor:
                 raise SolverError(
                     "GRID_TOO_COARSE",

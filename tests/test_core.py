@@ -133,6 +133,8 @@ BAD_INPUTS = {
     "upper-equals-lower": (_grid(upper=[1.0, 0.0]), "BAD_SHAPE"),
     "upper-below-lower": (_grid(upper=[-2.0, 2.0]), "BAD_SHAPE"),
     "lengths-differ": (_grid(points=[5, 3, 3]), "BAD_SHAPE"),
+    # a spacing that underflows to zero once raised ZeroDivisionError in the stencil
+    "spacing-underflows": (_grid(lower=[0.0, 0.0], upper=[5e-324, 2.0]), "BAD_SHAPE"),
 }
 
 
@@ -427,6 +429,21 @@ def test_scheme_config_validation():
         SchemeConfig(cfl_safety=0.0)
     with pytest.raises(GLevyError):
         SchemeConfig(cfl_safety=1.5)
+
+
+@pytest.mark.parametrize("value", ["0.5", None, np.array([0.5, 0.6]), np.array(0.5), 1j])
+@pytest.mark.parametrize("field", ["cfl_safety", "final_time"])
+def test_scheme_config_refuses_non_numbers(field, value):
+    # a string or None raised a bare TypeError, an array a bare ValueError
+    with pytest.raises(GLevyError) as e:
+        SchemeConfig(**{field: value})
+    assert code_of(e) == "BAD_SHAPE"
+
+
+def test_scheme_config_keeps_python_floats():
+    cfg = SchemeConfig(cfl_safety=np.float64(0.25), final_time=2)
+    assert (cfg.cfl_safety, cfg.final_time) == (0.25, 2.0)
+    assert type(cfg.cfl_safety) is float and type(cfg.final_time) is float
 
 
 def test_min_padding_combines_jump_drift_diffusion():

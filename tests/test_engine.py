@@ -230,6 +230,63 @@ def test_node_budget_overflows():
     assert e.value.code == "DIMENSION_OVERFLOW"
 
 
+def test_one_increment_box_is_held_to_the_node_budget():
+    # a one-increment expectation freezes no node, so only the marched count
+    # (after the stride) can exceed the budget: unit jumps at 0.05 march 21
+    # of 401 nodes here, an off-lattice atom all 401
+    xi = CylinderFunctional(times=(0.5,), payoff=clip3, bound=3.0, lipschitz=1.0)
+    assert expectation(xi, GPOISSON, FINE, node_budget=21) == expectation(xi, GPOISSON, FINE)
+    with pytest.raises(EngineError) as e:
+        expectation(xi, GPOISSON, FINE, node_budget=20)
+    assert e.value.code == "DIMENSION_OVERFLOW" and "21 nodes > budget 20" in e.value.message
+    off = validate_uncertainty_set([(((0.73, 1.0),), 0.0, 0.0)])
+    with pytest.raises(EngineError) as e:
+        expectation(xi, off, FINE, node_budget=100)
+    assert e.value.code == "DIMENSION_OVERFLOW"
+    # a pinned grid keeps its rule: one increment freezes nothing
+    pinned = [GridSpec([-4.0], [4.0], [33])]
+    expectation(xi, off, FINE, node_budget=1, var_grids=pinned)
+
+
+def test_two_increment_boxes_are_held_to_the_marched_count():
+    # level 2 marches 21 x 21 sublattice nodes; its frozen box has 401 nodes
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    expectation(xi, GPOISSON, FINE, node_budget=441)
+    with pytest.raises(EngineError) as e:
+        expectation(xi, GPOISSON, FINE, node_budget=440)
+    assert e.value.code == "DIMENSION_OVERFLOW"
+
+
+@pytest.mark.parametrize(
+    "uset, horizon",
+    [
+        # drift 1e308 over 10 is an infinite radius; the norm warned and the
+        # box raised a bare OverflowError
+        (validate_uncertainty_set([((), [1e308], [[0.0]])]), 10.0),
+        (validate_uncertainty_set([((), [1e308, 1e308], np.zeros((2, 2)))]), 10.0),
+        # a finite radius of 1e300 gave BAD_SHAPE with a 300-digit node count
+        (validate_uncertainty_set([((), [1e299], [[0.0]])]), 10.0),
+        (validate_uncertainty_set([((), [0.0], [[1e150]])]), 1.0),
+    ],
+)
+def test_engine_boxes_beyond_any_grid_overflow(uset, horizon):
+    xi = CylinderFunctional((horizon,), clip_sum if uset.dim == 2 else clip3, 3.0, 2.0, uset.dim)
+    with pytest.raises(EngineError) as e:
+        expectation(xi, uset, FINE)
+    assert e.value.code == "DIMENSION_OVERFLOW" and len(e.value.message) < 100
+
+
+@pytest.mark.parametrize(
+    "radius, dx",
+    # the last box would have bounds of +-2e308
+    [(math.inf, 0.05), (math.nan, 0.05), (1e300, 0.05), (2.0**62 * 0.05, 0.05), (1.0, 1e308)],
+)
+def test_centered_box_refuses_radii_no_grid_holds(radius, dx):
+    with pytest.raises(EngineError) as e:
+        _centered_box(radius, dx, 1)
+    assert e.value.code == "DIMENSION_OVERFLOW"
+
+
 def test_increment_radius_grows_with_horizon():
     r1 = increment_radius(GPOISSON, 0.5)
     r2 = increment_radius(GPOISSON, 2.0)

@@ -131,7 +131,7 @@ def reference_generator(uset, grid, u):
     out = None
     for s in uset.scenarios:
         merged = {}
-        for c, off in _scenario_terms(s, grid.spacing):
+        for c, off in _scenario_terms(s, grid.h):
             merged[off] = merged[off] + c if off in merged else c
         reach = [max(abs(off[a]) for off in merged) for a in range(d)]
         padded = np.pad(u, [(0, 0)] * (u.ndim - d) + [(r, r) for r in reach], mode="edge")

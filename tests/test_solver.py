@@ -188,7 +188,7 @@ def test_stencil_merges_terms_per_offset():
     for s, terms in zip(scenarios, stencil.terms):
         offsets = [stencil.offsets[k] for _, k in terms]
         assert len(set(offsets)) == len(offsets)
-        formula = _scenario_terms(s, grid.spacing)
+        formula = _scenario_terms(s, grid.h)
         assert offsets == list(dict.fromkeys(off for _, off in formula))
         for (c, _), off in zip(terms, offsets):
             want = None
@@ -314,8 +314,21 @@ def test_diffusion_on_a_spacing_whose_square_overflows_is_zero():
     grid = GridSpec([-3e154], [3e154], [3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _scenario_terms(uset.scenarios[0], grid.spacing) == [(0.0, (1,)), (0.0, (-1,))]
+        assert _scenario_terms(uset.scenarios[0], grid.h) == [(0.0, (1,)), (0.0, (-1,))]
         assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
+
+
+@pytest.mark.parametrize("diffusion", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]])
+def test_diffusion_on_a_spacing_whose_square_underflows_is_refused(diffusion):
+    # h ** 2 (or h_i h_j) underflows to 0.0 below h = 1.5e-162: numpy's quotient
+    # is inf, a Python float's a ZeroDivisionError, which escaped check_march
+    uset = validate_uncertainty_set([((), [0.0, 0.0], diffusion)])
+    grid = GridSpec([0.0, 0.0], [1e-162, 1e-162], [3, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as e:
+            check_march(uset, grid, SchemeConfig())
+    assert e.value.code == "CFL_UNSATISFIABLE"
 
 
 def test_coefficients_have_the_bits_of_numpy_scalars():
