@@ -29,8 +29,11 @@ generator       dim, scenarios, payoff, delta (optional: present -> small-time
                 quotient, which also reads grid and scheme.cfl_safety;
                 absent -> closed form, which reads neither)
 expect          dim, scenarios, times, scheme.cfl_safety, payoff (applied to the
-                summed increments), engine.dx, engine.node_budget, engine.tail,
-                optional grid.* pinning every increment variable's box
+                summed increments), engine.dx, engine.node_budget (an integer
+                >= 1), engine.tail, optional grid.* pinning every increment
+                variable's box.  The budget counts nodes on the sublattice
+                each increment is marched on: the frozen nodes of the first
+                m - 1 increments, and for the engine's own boxes all m
 check           seed
 
 Outputs: ``solve`` writes CSV with header ``t,x1..xd,u`` over all snapshot
@@ -458,6 +461,8 @@ def _read_job(kv: dict[str, str]) -> JobConfig:
         raise _bad("times", "must be strictly increasing positive reals")
     job.engine_dx = _positive(kv, "engine.dx", 0.05)
     job.engine_node_budget = _int(kv, "engine.node_budget", 400_000)
+    if job.engine_node_budget < 1:
+        raise _bad("engine.node_budget", "must be a positive integer")
     job.engine_tail = _float(kv, "engine.tail", 1e-10)
     if not (0.0 < job.engine_tail < 1.0):
         raise _bad("engine.tail", "must be in (0, 1)")

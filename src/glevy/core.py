@@ -400,16 +400,25 @@ def uniform_grid(lower, upper, spacing: float) -> GridSpec:
     """Grid over [lower, upper] with spacing at most ``spacing`` per axis.
 
     Raises NON_FINITE for a non-finite bound and BAD_SHAPE unless ``spacing``
-    is finite and positive, before either reaches the integer cast.
+    is finite and positive.  Each axis counts ceil((upper - lower) / spacing
+    - EPSILON) + 1 points, at least 3, on Python floats; a count that is not
+    finite or exceeds an index is BAD_SHAPE too.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    _require_finite(lower, "grid lower")
-    _require_finite(upper, "grid upper")
+    lo, hi = _finite_values(lower, "grid lower"), _finite_values(upper, "grid upper")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValidationError("BAD_SHAPE", f"grid spacing {spacing!r} must be finite and positive")
-    points = np.ceil((upper - lower) / spacing - EPSILON).astype(int) + 1
-    return GridSpec(lower=lower, upper=upper, points=np.maximum(points, 3))
+    points = []
+    for a, b in zip(lo, hi):
+        cells = (b - a) / float(spacing) - EPSILON
+        # nan and inf fail the comparison too
+        if not cells < sys.maxsize:
+            raise ValidationError(
+                "BAD_SHAPE", f"[{a:.6g}, {b:.6g}] at spacing {spacing:.6g} has too many points"
+            )
+        points.append(max(math.ceil(cells) + 1, 3))
+    return GridSpec(lower=lower, upper=upper, points=points)
 
 
 @dataclass(frozen=True, eq=False)

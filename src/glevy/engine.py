@@ -37,6 +37,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
-from .gpoisson import poisson_weights
+from .gpoisson import poisson_head
 from .solver import check_march, coarsen, march, origin_corners, origin_strides
 
 # Frozen nodes are marched in blocks of about this many node values.  Two
@@ -91,25 +92,12 @@ class CylinderFunctional:
         return len(self.times)
 
 
-def poisson_tail_quantile(mu: float, tail: float) -> int:
-    """Smallest k with P(Poisson(mu) > k) < tail, summing :func:`glevy.gpoisson.poisson_weights`.
-
-    Its guards apply: NON_FINITE for mu above about 708.4 or a sum that never
-    reaches 1 - tail.
-    """
-    cumulative = 0.0
-    for k, weight in enumerate(poisson_weights(mu)):
-        cumulative += weight
-        if 1.0 - cumulative < tail:
-            return k
-
-
 def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) -> float:
     """Reach of one increment: drift transport + 4 diffusion sigmas + stacked jumps.
 
     Jump stacking is covered to Poisson tail mass ``tail`` at the worst total
-    rate (in (0, 1), else BAD_TOLERANCE); at least one jump range is always
-    included when atoms exist.
+    rate (in (0, 1), else BAD_TOLERANCE): K of :func:`glevy.gpoisson.poisson_head`
+    at scale 1, and at least one jump range when atoms exist.
     """
     if not 0.0 < tail < 1.0:
         raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
@@ -117,7 +105,7 @@ def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) 
     r = uset.max_drift_norm() * h + 4.0 * uset.max_sigma() * math.sqrt(max(h, 0.0))
     zmax = uset.max_jump_norm()
     if zmax > 0.0:
-        k = max(1, poisson_tail_quantile(uset.max_total_rate() * h, tail))
+        k = max(1, len(poisson_head(uset.max_total_rate() * h, 1.0, tail)) - 1)
         r += zmax * k
     return r
 
@@ -153,12 +141,15 @@ def _integrate_levels(
     """Integrate out variables m, m-1, ..., stop_at+1; return the intermediate.
 
     Returns a scalar float when stop_at == 0, else a GridFunction over the
-    first ``stop_at`` variables.
+    first ``stop_at`` variables.  ``node_budget`` bounds the node counts of
+    the first m - 1 increments and, for boxes the engine sizes, of all m.
     """
     if not (math.isfinite(dx) and dx > 0.0):
         raise ValidationError("BAD_SHAPE", f"dx {dx!r} must be finite and positive")
     if not 0.0 < tail < 1.0:
         raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
+    if type(node_budget) is bool or not isinstance(node_budget, Integral) or node_budget < 1:
+        raise ValidationError("BAD_SHAPE", f"node_budget {node_budget!r} is not an int >= 1")
     if uset.dim != xi.dim:
         raise ValidationError("BAD_SHAPE", f"set dim {uset.dim} != functional dim {xi.dim}")
     m, d = xi.m, xi.dim
@@ -185,12 +176,6 @@ def _integrate_levels(
                     f" over horizon {horizons[k]:.6g}",
                 )
 
-    # level m freezes the most nodes
-    n_frozen = math.prod(math.prod(g.shape) for g in var_grids[:-1])
-    if m > 1 and n_frozen > node_budget:
-        raise EngineError(
-            "DIMENSION_OVERFLOW", f"frozen tensor grid has {n_frozen} nodes > budget {node_budget}"
-        )
     # one set-up per distinct grid (GridSpec compares by identity): the
     # sublattice stencil, step bound, stride and the origin's corners on it
     setups = {}
@@ -203,16 +188,22 @@ def _integrate_levels(
             setups[g] = coarsen(stencil, stride), dt_max, stride, reads
     # the first stop_at increments keep every node, shared grid or not
     strides = [(1,) * d] * stop_at + [setups[g][2] for g in var_grids[stop_at:]]
-    if sized:
-        # level m marches every increment's sublattice nodes, the most of any
-        # level; a float count cannot overflow an index
-        sizes = [(n, s) for g, st in zip(var_grids, strides) for n, s in zip(g.shape, st)]
-        marched = math.prod(float((n - 1) // s + 1) for n, s in sizes)
-        if marched > node_budget:
-            raise EngineError(
-                "DIMENSION_OVERFLOW",
-                f"the engine's boxes march {marched:.6g} nodes > budget {node_budget}",
-            )
+    # each increment's nodes on the stride its march uses, as floats, which
+    # compare and format at any size: level m freezes m - 1, marches all m
+    counts = [
+        math.prod(float((n - 1) // s + 1) for n, s in zip(g.shape, st))
+        for g, st in zip(var_grids, strides)
+    ]
+    held = math.prod(counts[:-1])
+    if m > 1 and held > node_budget:
+        raise EngineError(
+            "DIMENSION_OVERFLOW", f"level {m} freezes {held:.6g} nodes > budget {node_budget}"
+        )
+    marched = held * counts[-1]
+    if sized and marched > node_budget:
+        raise EngineError(
+            "DIMENSION_OVERFLOW", f"level {m} marches {marched:.6g} nodes > budget {node_budget}"
+        )
     axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
     phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
     current = None  # the previous level's values, over this level's nodes
@@ -260,14 +251,16 @@ def expectation(
     them.  A pinned grid must pad the origin by :func:`glevy.core.min_padding`
     over its increment's horizon on every axis, else UNPADDED_GRID is raised;
     ``dx`` must be finite and positive (BAD_SHAPE), ``tail`` in (0, 1)
-    (BAD_TOLERANCE).  DIMENSION_OVERFLOW is raised when a frozen tensor grid
-    would exceed ``node_budget`` nodes.  For the boxes the engine sizes it is
-    also raised, before any array is built, when a radius is not finite, a
-    box fits no grid, or the last level would march more than
-    ``node_budget`` nodes: every increment's sublattice nodes, after the
-    stride.  Payoff samples are checked finite and within the bound
-    (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.  Of
-    ``cfg`` it reads only ``cfl_safety``: the horizons are the functional's.
+    (BAD_TOLERANCE), ``node_budget`` an int >= 1 (BAD_SHAPE).  The budget
+    counts nodes on the sublattice each increment is marched on, after the
+    set checks: DIMENSION_OVERFLOW is raised when the last level would freeze
+    more than ``node_budget`` nodes of the first m - 1 increments.  For the
+    boxes the engine sizes it is also raised, before any array is built, when
+    a radius is not finite, a box fits no grid, or the last level would march
+    more than ``node_budget`` nodes of all m.  Payoff samples are checked
+    finite and within the bound (NON_FINITE, PAYOFF_BOUND) only at the nodes
+    the value reads.  Of ``cfg`` it reads only ``cfl_safety``: the horizons
+    are the functional's.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 
@@ -288,8 +281,9 @@ def conditional_expectation(
     Returned on the tensor grid of the first j increment variables (axes in
     increment order, ``j * dim`` of them); evaluate with
     :func:`glevy.core.interpolate`.  Grids, UNPADDED_GRID, DIMENSION_OVERFLOW
-    and the payoff checks are as in :func:`expectation`; the value reads every
-    node of the first j increments.  Of ``cfg`` it reads only ``cfl_safety``.
+    and the payoff checks are as in :func:`expectation`, but the value reads
+    every node of the first j increments, so the budget counts all of theirs.
+    Of ``cfg`` it reads only ``cfl_safety``.
     """
     j = int(j)
     if not (1 <= j < xi.m):

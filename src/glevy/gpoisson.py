@@ -9,9 +9,10 @@ a = u(x+1) - u(x) is
 realized exactly by the two-scenario family {lambda * delta_1, 1 * delta_1}
 because the generator is linear in the intensity.  For monotone payoffs the
 worst case is a classical Poisson process (intensity 1 when increasing,
-lambda when decreasing), which gives the closed forms below.  For general
-pure-jump uncertainty sets the series solution stacks powers of the
-worst-case nonlocal operator with factorial weights.
+lambda when decreasing), which gives the closed forms below; they share
+their Poisson-tail stop, :func:`poisson_head`, with the engine's box radius.
+For general pure-jump uncertainty sets the series solution stacks powers of
+the worst-case nonlocal operator with factorial weights.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .core import (
 )
 from .errors import ValidationError
 from .solver import Workspace, build_stencil
-
-MAX_SERIES_LEVELS = 1_000_000
 
 
 def _check_lambda(lam: float) -> float:
@@ -107,6 +106,19 @@ def poisson_weights(mu: float):
     raise ValidationError("NON_FINITE", "Poisson series failed to converge")
 
 
+def poisson_head(mu: float, scale: float, tol: float) -> list[float]:
+    """The :func:`poisson_weights` of mu up to the first K with scale * max(1 - sum, 0) < tol.
+
+    Its errors are those of :func:`poisson_weights`.
+    """
+    weights, cumulative = [], 0.0
+    for weight in poisson_weights(mu):
+        weights.append(weight)
+        cumulative += weight
+        if scale * max(1.0 - cumulative, 0.0) < tol:
+            return weights
+
+
 def g_lambda(a: float, lam: float) -> float:
     """a+ - lambda * a-, the worst case of l*a over intensities l in [lambda, 1]."""
     lam = _check_lambda(lam)
@@ -128,7 +140,7 @@ def gpoisson_closed_form(
     decreasing -> sum_i ((lam t)^i / i!) phi(x + i) e^{-lam t}
 
     The series stops at the first K whose remaining Poisson tail mass times
-    ``phi.bound`` is below ``tol``; the weights are :func:`poisson_weights`,
+    ``phi.bound`` is below ``tol``: the weights are :func:`poisson_head`'s,
     so NON_FINITE is raised, before phi is called, for mu above about 708.4.
     phi is then sampled once, on x + 0, 1, ..., K, by
     :func:`glevy.core.sample_points` (NON_FINITE, PAYOFF_BOUND), and the
@@ -142,14 +154,7 @@ def gpoisson_closed_form(
         raise ValidationError("BAD_DIRECTION", f"direction {direction!r}")
     t, tol = _check_horizon(t, tol)
 
-    mu = t if direction == "increasing" else lam * t
-    weights = []
-    cumulative = 0.0
-    for weight in poisson_weights(mu):
-        weights.append(weight)
-        cumulative += weight
-        if phi.bound * max(1.0 - cumulative, 0.0) < tol:
-            break
+    weights = poisson_head(t if direction == "increasing" else lam * t, phi.bound, tol)
     points = np.arange(len(weights), dtype=float).reshape(-1, 1)
     points += x
     values = sample_points(phi, points).tolist()
@@ -169,22 +174,22 @@ def _series_levels(two_lambda_t: float, bound: float, tol: float) -> int:
     """Smallest N with bound * sum_{i>N} x^i/i! < tol, x = 2*Lambda*t.
 
     Uses the geometric majorant sum_{i>N} x^i/i! <= x^{N+1}/(N+1)! / (1 - x/(N+2))
-    once N+2 > x, so no exponential is ever formed.
+    once N+2 > x, so no exponential is ever formed.  NON_FINITE is raised as
+    soon as x^{N+1}/(N+1)! is not finite, which no later term can mend.
     """
     x = two_lambda_t
     if bound == 0.0 or x == 0.0:
         return 0
     n = 0
     term_next = x  # x^{n+1} / (n+1)!
-    while True:
+    while math.isfinite(term_next):
         if n + 2 > x:
             tail = bound * term_next / (1.0 - x / (n + 2))
             if tail < tol:
                 return n
         n += 1
-        if n > MAX_SERIES_LEVELS:
-            raise ValidationError("NON_FINITE", "series level count exploded")
         term_next *= x / (n + 1)
+    raise ValidationError("NON_FINITE", f"series term x^{n + 1}/{n + 1}! overflows at x = {x:.6g}")
 
 
 def series_solution(
@@ -205,7 +210,7 @@ def series_solution(
     total mass.  Each level is one application of the solver's jump stencil
     (:class:`glevy.solver.Workspace`'s calls, one workspace for all levels), so
     off-lattice jumps use the same clamped multilinear rule and boundary
-    effects stay local.
+    effects stay local.  Terms of that bound that overflow raise NON_FINITE.
     """
     t, tol = _check_horizon(t, tol)
     uset = _pure_jump_set(jump_measures, grid.dim)

@@ -79,6 +79,7 @@ from __future__ import annotations
 import ctypes
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Sequence
@@ -118,10 +119,14 @@ def _atom_stencil(
 
     ``z`` and ``spacing`` hold one float per axis.  Returns corner terms
     (weight, offsets) with weights summing to one; the same snap rule as
-    point interpolation keeps lattice-aligned jumps exact.
+    point interpolation keeps lattice-aligned jumps exact.  A quotient z / h
+    that overflows is taken as the largest float: either offset lies beyond
+    any box, where a :class:`Workspace` reads the edge node.
     """
     terms = [(1.0, ())]
     for u in map(operator.truediv, z, spacing):
+        if math.isinf(u):
+            u = math.copysign(sys.float_info.max, u)
         base = math.floor(u)
         frac = u - base
         if frac < SNAP_TOL:
@@ -254,9 +259,10 @@ class Workspace:
 
     The last ``len(stencil.offsets[0])`` axes of ``values`` are the grid's,
     any before them batch axes.  ``u`` is the interior view of a C-contiguous
-    state padded by the stencil's reach, loaded with ``values``: step it in
-    place and copy it for a snapshot.  Each offset is one flat index shift,
-    the same for every batch row.  The kernel works on the flat band from the
+    state padded by the stencil's reach, each offset component clamped to
+    +-(n - 1) of its axis, loaded with ``values``: step it in place and copy
+    it for a snapshot.  Each offset is one flat index shift, the same for
+    every batch row.  The kernel works on the flat band from the
     first interior node to the last: each term takes its difference straight
     into the band-shaped acc or tmp buffer (the first scenario's acc is the
     band of ``out``).  ``calls`` is one step, the edge copies and the kernel,
@@ -268,6 +274,14 @@ class Workspace:
         d = len(stencil.offsets[0])
         lead, shape = values.shape[:-d], values.shape[-d:]
         pads = [(max(0, -min(c)), max(0, max(c))) for c in zip(*stencil.offsets)]
+        offsets = stencil.offsets
+        if any(max(p) >= n for p, n in zip(pads, shape)):
+            # from every node, a component beyond +-(n - 1) reads the edge node,
+            # as that bound does: clamped, no pad or shift exceeds the box
+            offsets = [
+                tuple(min(max(o, 1 - n), n - 1) for o, n in zip(off, shape)) for off in offsets
+            ]
+            pads = [(min(lo, n - 1), min(hi, n - 1)) for (lo, hi), n in zip(pads, shape)]
         pshape = lead + tuple(lo + n + hi for (lo, hi), n in zip(pads, shape))
         size = math.prod(pshape)
         strides = [math.prod(pshape[len(lead) + a + 1 :]) for a in range(d)]
@@ -298,7 +312,7 @@ class Workspace:
         ]
         u, out, acc, tmp = flat[head:stop], out[head:stop], self._acc, self._tmp
         self._band, self._out = u, out
-        shifts = [sum(map(operator.mul, o, strides)) for o in stencil.offsets]
+        shifts = [sum(map(operator.mul, o, strides)) for o in offsets]
         windows = [flat[head + k : stop + k] for k in shifts]
         sub, mul = np.subtract, np.multiply
         terms, held = stencil.terms, None  # held: the offset whose difference tmp holds

@@ -113,6 +113,17 @@ def test_nonpositive_values_rejected(text, key):
     assert e.value.code == "VALIDATION_ERROR" and e.value.message == f"{key}: must be positive"
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "2.5", "True", "1e6"])
+def test_node_budget_must_be_a_positive_integer(value):
+    # -5 and 0 were taken as budgets, and the job then failed with "> budget -5"
+    text = "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n"
+    with pytest.raises(ConfigError) as e:
+        parse_config(text + f"engine.node_budget = {value}\n")
+    assert e.value.code == "VALIDATION_ERROR"
+    assert e.value.message.startswith("engine.node_budget: ")
+    assert parse_config(text + "engine.node_budget = 1\n").engine_node_budget == 1
+
+
 DIFFUSION_SOLVE_CFG = (
     "command = solve\ndim = 1\nscenario.0.diffusion = 0.3\n"
     "grid.lower = -4\ngrid.upper = 4\npayoff = clip-linear\n"

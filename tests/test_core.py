@@ -234,6 +234,10 @@ def test_uniform_grid_point_count():
         ([0.0], [1.0], -0.1, "BAD_SHAPE"),
         ([np.nan], [1.0], 0.1, "NON_FINITE"),
         ([0.0], [np.inf], 0.1, "NON_FINITE"),
+        # an infinite count was cast to a 3-point grid of spacing 1e300
+        ([-1e300], [1e300], 1e-300, "BAD_SHAPE"),
+        ([-1e308], [1e308], 1.0, "BAD_SHAPE"),
+        ([0.0, 0.0], [1.0, 1e19], 1.0, "BAD_SHAPE"),
     ],
 )
 def test_uniform_grid_rejects_bad_spacing_and_bounds(lower, upper, spacing, code):
@@ -241,6 +245,11 @@ def test_uniform_grid_rejects_bad_spacing_and_bounds(lower, upper, spacing, code
     with pytest.raises(GLevyError) as e:
         uniform_grid(lower, upper, spacing)
     assert code_of(e) == code
+
+
+def test_uniform_grid_counts_up_to_an_index():
+    assert uniform_grid([0.0], [2.0**62], 1.0).shape == (2**62 + 1,)
+    assert uniform_grid([0.0], [1.0], 2.0).shape == (3,)
 
 
 def test_grid_needs_three_points():

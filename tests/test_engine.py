@@ -29,6 +29,7 @@ from glevy import (
 )
 from glevy.engine import _centered_box
 from glevy.errors import EngineError, GLevyError
+from glevy.gpoisson import poisson_head
 from glevy.solver import build_stencil, check_march, origin_corners, origin_strides
 from test_solver import LK_K, LK_SET, discrete_symbol  # drift, diffusion, off-lattice atoms
 
@@ -303,9 +304,9 @@ def test_increment_radius_rejects_tail_outside_unit_interval(tail):
 
 def test_poisson_quantile_rejects_underflowing_weight():
     # exp(-740) is subnormal: the quantile came out as 817, below 897 at mu = 720
-    assert glevy.engine.poisson_tail_quantile(708.0, 1e-10) > 0
+    assert len(poisson_head(708.0, 1.0, 1e-10)) > 1
     with pytest.raises(GLevyError) as e:
-        glevy.engine.poisson_tail_quantile(740.0, 1e-10)
+        poisson_head(740.0, 1.0, 1e-10)
     assert e.value.code == "NON_FINITE"
     with pytest.raises(GLevyError) as e:
         increment_radius(CLASSICAL, 740.0)
@@ -318,7 +319,7 @@ def test_poisson_quantile_below_rounding_fails_at_once(tail):
     # came after all 10^7 terms, about 2 s
     start = time.perf_counter()
     with pytest.raises(GLevyError) as e:
-        glevy.engine.poisson_tail_quantile(47.4669, tail)
+        poisson_head(47.4669, 1.0, tail)
     assert e.value.code == "NON_FINITE"
     assert time.perf_counter() - start < 0.05
 
@@ -565,7 +566,9 @@ def test_march_that_overflows_is_rejected():
 
 
 def test_node_budget_applies_to_the_largest_frozen_grid():
-    # level 3 freezes 17 x 17 = 289 nodes, level 2 only 17
+    # level 3 freezes the first two increments on the stride their march uses:
+    # unit jumps on spacing 0.25 give stride 4, 5 of the 17 nodes, in
+    # expectation; conditioning on them keeps all 17 x 17 = 289
     xi = CylinderFunctional(
         times=(0.2, 0.4, 0.6),
         payoff=lambda a: np.clip(np.sum(np.asarray(a, dtype=float), axis=-1), -3.0, 3.0),
@@ -574,10 +577,58 @@ def test_node_budget_applies_to_the_largest_frozen_grid():
     )
     grids = [GridSpec([-2.0], [2.0], [17])] * 3
     cfg = SchemeConfig(cfl_safety=0.5)
+    assert strides(GPOISSON, grids[0]) == (4,)
     with pytest.raises(EngineError) as e:
-        expectation(xi, GPOISSON, cfg, node_budget=100, var_grids=grids)
-    assert e.value.code == "DIMENSION_OVERFLOW"
+        expectation(xi, GPOISSON, cfg, node_budget=24, var_grids=grids)
+    assert e.value.code == "DIMENSION_OVERFLOW" and "25 nodes > budget 24" in e.value.message
+    want = expectation(xi, GPOISSON, cfg, var_grids=grids)
+    assert expectation(xi, GPOISSON, cfg, node_budget=25, var_grids=grids) == want
     conditional_expectation(xi, 2, GPOISSON, cfg, node_budget=289, var_grids=grids)
+    with pytest.raises(EngineError) as e:
+        conditional_expectation(xi, 2, GPOISSON, cfg, node_budget=288, var_grids=grids)
+    assert e.value.code == "DIMENSION_OVERFLOW" and "289 nodes > budget 288" in e.value.message
+
+
+def test_set_errors_come_before_the_budget():
+    # the counts need each grid's stride, so the set checks run first; the
+    # full-grid count was checked before them and answered DIMENSION_OVERFLOW
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    fine_atom = validate_uncertainty_set([(((0.1, 1.0),), 0.0, 0.0)])
+    grids = [GridSpec([-2.0], [2.0], [5])] * 2
+    with pytest.raises(GLevyError) as e:
+        expectation(xi, fine_atom, FINE, node_budget=1, var_grids=grids)
+    assert e.value.code == "GRID_TOO_COARSE"
+
+
+def clip_sum4(a):
+    return np.clip(np.sum(np.asarray(a, dtype=float), axis=-1), -3.0, 3.0)
+
+
+def test_four_increment_band_runs_at_the_default_budget():
+    # the full frozen grid of 321^3 nodes once refused it; its sublattice
+    # holds 17^3 frozen nodes and level 4 marches 17^4
+    xi = CylinderFunctional((0.25, 0.5, 0.75, 1.0), clip_sum4, bound=3.0, lipschitz=4.0)
+    band = GPoissonSpec(0.5).uncertainty_set()
+    cfg = SchemeConfig(cfl_safety=0.5)
+    got = expectation(xi, band, cfg)
+    assert got == expectation(xi, band, cfg, node_budget=10**9) == 0.99609375
+    with pytest.raises(EngineError) as e:
+        expectation(xi, band, cfg, node_budget=17**4 - 1)
+    assert e.value.code == "DIMENSION_OVERFLOW" and "83521 nodes" in e.value.message
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 2.5, True, False, "400000", None, np.float64(10.0)])
+def test_node_budget_must_be_a_positive_integer(budget):
+    # -1, 0, 2.5 and True were taken as budgets, and every job then failed
+    # with "> budget -1"; a string or None raised a bare TypeError
+    xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)
+    for run in (expectation, lambda *a, **k: conditional_expectation(a[0], 1, *a[1:], **k)):
+        with pytest.raises(GLevyError) as e:
+            run(xi, GPOISSON, FINE, node_budget=budget)
+        assert e.value.code == "BAD_SHAPE" and "node_budget" in e.value.message
+    assert expectation(xi, GPOISSON, FINE, node_budget=np.int64(441)) == expectation(
+        xi, GPOISSON, FINE, node_budget=441
+    )
 
 
 # --- sublattice march --------------------------------------------------------

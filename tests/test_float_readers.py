@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from glevy import GridSpec, Scenario, SchemeConfig, UncertaintySet, min_padding
+from glevy import GridSpec, Scenario, SchemeConfig, UncertaintySet, min_padding, uniform_grid
 from glevy.core import pads_origin, vector_norm
 from glevy.errors import GLevyError, SolverError
 from glevy.solver import (
@@ -38,9 +38,17 @@ def ref_spacing(grid):
     return (grid.upper - grid.lower) / (grid.points - 1)
 
 
+def ref_uniform_points(lower, upper, spacing):
+    """The former point count: numpy's quotient and ceil, lifted to 3."""
+    points = np.ceil((np.array(upper) - np.array(lower)) / spacing - EPSILON).astype(int) + 1
+    return np.maximum(points, 3)
+
+
 def ref_atom_stencil(z, spacing):
+    """The numpy quotient, clipped to the finite floats as the floor now takes it."""
     terms = [(1.0, ())]
-    for u in (z / spacing).tolist():
+    big = np.finfo(float).max
+    for u in np.clip(z / spacing, -big, big).tolist():
         base = math.floor(u)
         frac = u - base
         if frac < SNAP_TOL:
@@ -268,6 +276,15 @@ def test_grid_floats_are_the_numpy_spacing(grid):
     if max(grid.shape) <= 1000:
         old = [grid.lower[i] + want[i] * np.arange(grid.points[i]) for i in range(grid.dim)]
         assert [a.tobytes() for a in grid.axes()] == [a.tobytes() for a in old]
+
+
+@given(grid=grids(), data=st.data())
+def test_uniform_grid_counts_the_numpy_points(grid, data):
+    # a spacing from a tenth of a cell to the whole box
+    spacing = max(grid.h) * 10.0 ** data.draw(unit(-1.0, math.log10(max(grid.shape))))
+    lower, upper = list(grid.lo), list(grid.hi)
+    want = outcome(lambda: GridSpec(lower, upper, ref_uniform_points(lower, upper, spacing)).shape)
+    assert new_outcome(lambda: uniform_grid(lower, upper, spacing).shape) == want
 
 
 @given(model=models(), cfl=unit(0.01, 1.0))

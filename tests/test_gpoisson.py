@@ -1,5 +1,8 @@
 """Closed forms and the power-series solution for the unit-jump family."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +23,7 @@ from glevy import (
     uniform_grid,
 )
 from glevy.errors import GLevyError
-from glevy.gpoisson import _pure_jump_set, _series_levels, poisson_weights
+from glevy.gpoisson import _pure_jump_set, _series_levels, poisson_head, poisson_weights
 from glevy.solver import Workspace, build_stencil
 
 
@@ -389,3 +392,111 @@ def test_series_equals_per_level_loop_in_two_dimensions():
     )
     got = series_solution(phi, grid, measures, 0.7)
     assert got.values.tobytes() == per_level_series(phi, grid, measures, 0.7).tobytes()
+
+
+# --- one Poisson-tail stop, no series level cap ---------------------------------
+
+
+def former_tail_quantile(mu, tail):
+    """The engine's former stop: the smallest k with P(Poisson(mu) > k) < tail."""
+    cumulative = 0.0
+    for k, weight in enumerate(poisson_weights(mu)):
+        cumulative += weight
+        if 1.0 - cumulative < tail:
+            return k
+
+
+def former_closed_form_weights(mu, bound, tol):
+    """The closed form's former inline stop: the weights it summed."""
+    weights = []
+    cumulative = 0.0
+    for weight in poisson_weights(mu):
+        weights.append(weight)
+        cumulative += weight
+        if bound * max(1.0 - cumulative, 0.0) < tol:
+            break
+    return weights
+
+
+def former_series_levels(x, bound, tol, cap=1_000_000):
+    """``_series_levels`` with its former cap on the level count."""
+    if bound == 0.0 or x == 0.0:
+        return 0
+    n = 0
+    term_next = x
+    while True:
+        if n + 2 > x:
+            if bound * term_next / (1.0 - x / (n + 2)) < tol:
+                return n
+        n += 1
+        if n > cap:
+            raise GLevyError("NON_FINITE", "series level count exploded")
+        term_next *= x / (n + 1)
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as ("value", its bytes) or ("raises", the error code)."""
+    try:
+        return "value", np.asarray(fn(*args), dtype=float).tobytes()
+    except GLevyError as exc:
+        return "raises", exc.code
+
+
+def test_one_tail_loop_equals_both_former_stops_bitwise():
+    # seeded sweep: means up to 750 (NON_FINITE above about 708.4), tails
+    # 1e-16 to 1e-1 (the smallest never reached at some means), bounds 0 to 1e6
+    rng = np.random.default_rng(19)
+    mus = np.concatenate([rng.uniform(0.0, 750.0, 300), 10.0 ** rng.uniform(-6.0, 2.0, 300)])
+    seen = set()
+    for mu in mus.tolist():
+        tail = float(10.0 ** rng.uniform(-16.0, -1.0))
+        bound = float(rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-3.0, 6.0)]))
+        k = outcome(lambda: len(poisson_head(mu, 1.0, tail)) - 1)
+        assert k == outcome(former_tail_quantile, mu, tail)
+        got = outcome(poisson_head, mu, bound, tail)
+        assert got == outcome(former_closed_form_weights, mu, bound, tail)
+        seen.add(got[0])
+        # the closed form sums these weights against the payoff samples
+        phi = Payoff(eval=lambda y: np.full(len(y), bound), bound=bound, lipschitz=0.0)
+        closed = outcome(gpoisson_closed_form, phi, "increasing", 1.0, mu, 0.0, tail)
+        if got[0] == "value":
+            want = 0.0
+            for weight in former_closed_form_weights(mu, bound, tail):
+                want += weight * bound
+            assert closed == ("value", np.float64(want).tobytes())
+        else:
+            assert closed == got
+    assert seen == {"value", "raises"}
+
+
+def test_series_levels_equal_the_capped_loop():
+    rng = np.random.default_rng(16)
+    for x in np.concatenate([rng.uniform(0.0, 700.0, 200), 10.0 ** rng.uniform(-8.0, 2.0, 200)]):
+        tol = 10.0 ** rng.uniform(-14.0, -2.0)
+        bound = rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-3.0, 6.0)])
+        args = (float(x), float(bound), float(tol))
+        assert outcome(_series_levels, *args) == outcome(former_series_levels, *args)
+
+
+@pytest.mark.parametrize("x", [720.0, 2000.0, 1e200, math.inf, math.nan])
+def test_series_level_overflow_fails_at_once(x):
+    # the terms x^n/n! overflow before they fall; the cap took 10^6 levels, 0.2 s
+    start = time.perf_counter()
+    with pytest.raises(GLevyError) as e:
+        _series_levels(x, 1.0, 1e-8)
+    assert e.value.code == "NON_FINITE"
+    assert time.perf_counter() - start < 0.01
+
+
+def test_series_solution_overflow_fails_at_once():
+    # 2 * Lambda * t = 2000, before the payoff is sampled
+    grid = uniform_grid([-2.0], [2.0], 0.1)
+
+    def never(x):
+        raise AssertionError("sampled")
+
+    start = time.perf_counter()
+    with pytest.raises(GLevyError) as e:
+        series_solution(Payoff(never, 1.0, 1.0), grid, [[(1.0, 1.0)]], 1000.0)
+    assert e.value.code == "NON_FINITE"
+    assert time.perf_counter() - start < 0.01

@@ -584,3 +584,34 @@ def test_scheme_is_the_discrete_levy_khintchine_multiplier():
         errors.append(np.max(np.abs(u - exact)))
     assert 1.6 < errors[0] / errors[1] < 2.6
     assert errors[1] < 5e-3
+
+
+# --- atoms beyond the box -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "atom, edge, lower",
+    [
+        # 149 GiB of padding (MemoryError), an array dimension numpy refuses
+        # (ValueError), and a quotient that overflowed math.floor (OverflowError)
+        (1e9, 2.0, -1.0),
+        (1e300, 2.0, -1.0),
+        (1e300, 2e-10, -1e-10),
+        (-1e300, -2e-10, -1e-10),
+    ],
+)
+def test_atom_beyond_the_box_reads_the_edge(atom, edge, lower):
+    # on 21 nodes an offset of +-20 nodes reads the edge node from every node,
+    # as clamp extension reads any farther one
+    grid = GridSpec([lower], [-lower], [21])
+    phi = Payoff(lambda x: np.clip(x1(x) / -lower, -1.0, 1.0), bound=1.0, lipschitz=-1.0 / lower)
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
+
+    def run(z):
+        uset = validate_uncertainty_set([(((z, 1.0), (0.5 * lower, 0.3)), 0.0, 0.0)])
+        return solve(phi, uset, grid, cfg).snapshots[-1].values
+
+    assert run(atom).tobytes() == run(edge).tobytes()
+    stencil, _ = check_march(validate_uncertainty_set([(((atom, 1.0),), 0.0, 0.0)]), grid, cfg)
+    work = Workspace(stencil, np.zeros(21))
+    assert work.u.base.nbytes < 4096  # padded by the box, not by the jump
