@@ -79,7 +79,8 @@ class Scenario:
     atoms : sequence of (z, w)
         Atoms of the jump measure: jump vector ``z`` (scalar or length-d) with
         rate ``w >= 0``.  A zero jump vector is rejected (it contributes
-        nothing and masks input errors), as is a negative rate.
+        nothing and masks input errors), as is a negative rate; a rate that
+        is not a real number raises BAD_SHAPE.
     drift : array_like, shape (d,), d >= 1
     diffusion : array_like, shape (d, d)
         Diffusion *factor* Q; scalars are accepted when d == 1.
@@ -125,7 +126,7 @@ class Scenario:
             except (TypeError, ValueError):
                 raise ValidationError("BAD_SHAPE", f"atom {entry!r} is not a (z, w) pair")
             z = _readonly(z, ndmin=1)
-            w = float(w)
+            w = _real("atom rate", w)
             if z.shape != (d,):
                 raise ValidationError("BAD_SHAPE", f"atom jump must have shape ({d},)")
             jump = z.tolist()
@@ -294,7 +295,8 @@ class Payoff:
 
     ``eval`` maps a point of shape (d,) to a float; it may also accept an
     (n, d) batch and return (n,), which fast paths use when available.
-    ``bound`` is a sup-norm bound, ``lipschitz`` a Lipschitz constant.
+    ``bound`` is a sup-norm bound, ``lipschitz`` a Lipschitz constant: real
+    numbers (else BAD_SHAPE), finite and nonnegative (else NON_FINITE).
     Every sample is checked against the bound (:func:`check_samples`), and
     samples on a grid against the Lipschitz constant along each axis
     (:func:`sample_payoff`); the engine's blocks check only the bound.
@@ -307,7 +309,7 @@ class Payoff:
     def __post_init__(self):
         if not callable(self.eval):
             raise ValidationError("BAD_SHAPE", "payoff eval must be callable")
-        b, L = float(self.bound), float(self.lipschitz)
+        b, L = _real("payoff bound", self.bound), _real("payoff lipschitz", self.lipschitz)
         if not (math.isfinite(b) and b >= 0):
             raise ValidationError("NON_FINITE", f"payoff bound {b!r} invalid")
         if not (math.isfinite(L) and L >= 0):
@@ -330,6 +332,11 @@ class GridSpec:
     the IEEE operations of the ``spacing`` array, which is built from it).
     Set-up readers (stencils, strides, origin corners, padding checks) take
     these floats instead of microsecond numpy calls on tiny arrays.
+
+    BAD_SHAPE is raised, before any array is built, for a grid whose
+    :meth:`nodes` array, prod(points) * d floats, has more bytes than numpy
+    can index.  A grid that fits an index but not the memory still raises
+    MemoryError when its arrays are built.
     """
 
     lower: np.ndarray
@@ -357,6 +364,8 @@ class GridSpec:
         shape = tuple(points.tolist())
         if min(shape) < 3:
             raise ValidationError("BAD_SHAPE", "grid needs at least 3 points per axis")
+        if math.prod(shape) * len(shape) * 8 > sys.maxsize:
+            raise ValidationError("BAD_SHAPE", f"grid of {math.prod(shape)} nodes fits no array")
         h = tuple(map(_spacing, lo, hi, shape))
         if not all(h):
             raise ValidationError("BAD_SHAPE", "grid spacing underflows to zero")
@@ -400,18 +409,20 @@ def uniform_grid(lower, upper, spacing: float) -> GridSpec:
     """Grid over [lower, upper] with spacing at most ``spacing`` per axis.
 
     Raises NON_FINITE for a non-finite bound and BAD_SHAPE unless ``spacing``
-    is finite and positive.  Each axis counts ceil((upper - lower) / spacing
-    - EPSILON) + 1 points, at least 3, on Python floats; a count that is not
-    finite or exceeds an index is BAD_SHAPE too.
+    is a finite positive real number.  Each axis counts ceil((upper - lower)
+    / spacing - EPSILON) + 1 points, at least 3, on Python floats; a count
+    that is not finite or exceeds an index is BAD_SHAPE too, and so is a grid
+    whose nodes fit no array (:class:`GridSpec`).
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     lo, hi = _finite_values(lower, "grid lower"), _finite_values(upper, "grid upper")
+    spacing = _real("grid spacing", spacing)
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValidationError("BAD_SHAPE", f"grid spacing {spacing!r} must be finite and positive")
     points = []
     for a, b in zip(lo, hi):
-        cells = (b - a) / float(spacing) - EPSILON
+        cells = (b - a) / spacing - EPSILON
         # nan and inf fail the comparison too
         if not cells < sys.maxsize:
             raise ValidationError(
@@ -423,7 +434,11 @@ def uniform_grid(lower, upper, spacing: float) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Values sampled on a grid at one time label."""
+    """Values sampled on a grid at one time label.
+
+    The time label is a finite nonnegative real number: BAD_SHAPE for a
+    non-number, NON_FINITE otherwise.
+    """
 
     spec: GridSpec
     values: np.ndarray
@@ -436,7 +451,7 @@ class GridFunction:
                 "BAD_SHAPE", f"values shape {vals.shape} != grid shape {self.spec.shape}"
             )
         _require_finite(vals, "grid values")
-        t = float(self.time_label)
+        t = _real("time label", self.time_label)
         if not (math.isfinite(t) and t >= 0):
             raise ValidationError("NON_FINITE", f"time label {t!r} invalid")
         object.__setattr__(self, "values", _readonly(vals))
@@ -450,6 +465,13 @@ def _real(what: str, value) -> float:
     if not isinstance(value, numbers.Real):
         raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not a real number")
     return float(value)
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as a Python int; a bool, a float, a string, None or an array raises BAD_SHAPE."""
+    if type(value) is bool or not isinstance(value, numbers.Integral):
+        raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -579,9 +601,10 @@ def min_padding(uset: UncertaintySet, horizon: float) -> float:
     """Minimum box padding beyond the region of interest for a solve.
 
     One jump range plus drift transport plus four diffusion standard
-    deviations: max|z_k| + q_max * T + 4 * sigma_max * sqrt(T).
+    deviations: max|z_k| + q_max * T + 4 * sigma_max * sqrt(T).  A horizon
+    that is not a real number raises BAD_SHAPE.
     """
-    t = float(horizon)
+    t = _real("horizon", horizon)
     return (
         uset.max_jump_norm()
         + uset.max_drift_norm() * t

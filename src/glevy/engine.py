@@ -18,9 +18,9 @@ returned as grid functions of the first j increments.
 
 An increment read only at the origin (all in :func:`expectation`, those
 after the j-th in :func:`conditional_expectation`) is marched with the fine
-coefficients and step on the sublattice of :func:`glevy.solver.origin_strides`,
-whose nodes read only each other: the same float operations keep the bits at
-the origin.  Unit jumps at spacing 0.05 march 21 of 401 nodes per axis.
+coefficients and step on the sublattice of :func:`_sublattice`, whose nodes
+read only each other: the same float operations keep the bits at the
+origin.  Unit jumps at spacing 0.05 march 21 of 401 nodes per axis.
 
 Increments are stationary, so equal horizons share one box object, as a
 pinned grid does for every increment.  The set checks, merged stencil, step
@@ -37,16 +37,16 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
+from .core import _integer, _real
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
 from .gpoisson import poisson_head
-from .solver import check_march, coarsen, march, origin_corners, origin_strides
+from .solver import Stencil, _atom_stencil, check_march, march
 
 # Frozen nodes are marched in blocks of about this many node values.  Two
 # increments with an off-lattice atom of 0.73 at dx 0.05 (293 x 293 values, 6
@@ -61,7 +61,9 @@ class CylinderFunctional:
 
     ``payoff`` receives the increments as one flat vector of length m*dim
     (earliest first); it may also accept an (n, m*dim) batch.  ``bound`` and
-    ``lipschitz`` are sup-norm and Lipschitz constants of the payoff.
+    ``lipschitz`` are sup-norm and Lipschitz constants of the payoff, read as
+    :class:`glevy.core.Payoff` reads them.  A time that is not a real number,
+    or a ``dim`` that is not an int (a bool included), raises BAD_SHAPE.
     """
 
     times: tuple[float, ...]
@@ -71,7 +73,7 @@ class CylinderFunctional:
     dim: int = 1
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = tuple(_real("time", t) for t in self.times)
         if len(times) == 0:
             raise ValidationError("BAD_SHAPE", "need at least one time")
         if not all(math.isfinite(t) for t in times):
@@ -80,12 +82,13 @@ class CylinderFunctional:
             raise ValidationError("BAD_SHAPE", "times must be strictly increasing and positive")
         # a callable payoff (BAD_SHAPE) with a valid bound and Lipschitz constant (NON_FINITE)
         phi = Payoff(eval=self.payoff, bound=self.bound, lipschitz=self.lipschitz)
-        if int(self.dim) < 1:
+        dim = _integer("dim", self.dim)
+        if dim < 1:
             raise ValidationError("BAD_SHAPE", "dim must be >= 1")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "bound", phi.bound)
         object.__setattr__(self, "lipschitz", phi.lipschitz)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
 
     @property
     def m(self) -> int:
@@ -97,11 +100,13 @@ def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) 
 
     Jump stacking is covered to Poisson tail mass ``tail`` at the worst total
     rate (in (0, 1), else BAD_TOLERANCE): K of :func:`glevy.gpoisson.poisson_head`
-    at scale 1, and at least one jump range when atoms exist.
+    at scale 1, and at least one jump range when atoms exist.  A horizon or
+    tail that is not a real number raises BAD_SHAPE.
     """
+    tail = _real("tail", tail)
     if not 0.0 < tail < 1.0:
         raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
-    h = float(horizon)
+    h = _real("horizon", horizon)
     r = uset.max_drift_norm() * h + 4.0 * uset.max_sigma() * math.sqrt(max(h, 0.0))
     zmax = uset.max_jump_norm()
     if zmax > 0.0:
@@ -115,17 +120,50 @@ def _centered_box(radius: float, dx: float, d: int) -> GridSpec:
 
     DIMENSION_OVERFLOW is raised, before any array is built, for a radius
     that is not finite and for a box that no grid can hold: more nodes per
-    axis than an index counts, or bounds that overflow.
+    axis than an index counts, bounds that overflow, or more nodes than
+    :class:`glevy.core.GridSpec` takes.
     """
     cells = radius / dx - 1e-9
     # nan and inf fail the comparison too
     half = max(2, math.ceil(cells)) if cells < sys.maxsize // 2 else 0
     r = half * dx
-    if not (half and math.isfinite(r + r)):
-        raise EngineError(
-            "DIMENSION_OVERFLOW", f"box of radius {radius:.6g} at spacing {dx:.6g} fits no grid"
-        )
-    return GridSpec(lower=[-r] * d, upper=[r] * d, points=[2 * half + 1] * d)
+    if half and math.isfinite(r + r):
+        try:
+            return GridSpec(lower=[-r] * d, upper=[r] * d, points=[2 * half + 1] * d)
+        except ValidationError:  # finite bounds and >= 5 points: only the node count fails
+            pass
+    raise EngineError(
+        "DIMENSION_OVERFLOW", f"box of radius {radius:.6g} at spacing {dx:.6g} fits no grid"
+    )
+
+
+def _sublattice(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
+    """One increment grid's set-up on the sublattice the origin reads.
+
+    Returns (stencil, step bound, strides, reads).  The origin, clamped into
+    the box, has the corners of point interpolation.  On each axis the stride
+    is gcd(i0, N - 1 - i0, the offsets of :func:`glevy.solver.check_march`'s
+    stencil) if every corner is inner node i0, else 1: the stride-g
+    sublattice through the origin then holds both clamp edges, so a march
+    maps its values to themselves.  The stencil comes back with each offset
+    floor-divided by its stride (itself when every stride is 1), and each
+    read is a corner's weight and its index on the sublattice.
+    """
+    stencil, dt_max = check_march(uset, grid, cfg)
+    # np.clip's max-then-min: max(0.0, -0.0) keeps numpy's +0.0
+    origin = [min(max(0.0, -lo), hi - lo) for lo, hi in zip(grid.lo, grid.hi)]
+    corners = _atom_stencil(origin, grid.h)
+    stride = []
+    for a, n in enumerate(grid.shape):
+        i0 = {off[a] for _, off in corners}
+        i0 = i0.pop() if len(i0) == 1 else 0
+        g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
+        stride.append(g if 0 < i0 < n - 1 else 1)
+    if any(g > 1 for g in stride):
+        coarse = tuple(tuple(map(operator.floordiv, off, stride)) for off in stencil.offsets)
+        stencil = Stencil(coarse, stencil.terms)
+    reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners]
+    return stencil, dt_max, tuple(stride), reads
 
 
 def _integrate_levels(
@@ -144,11 +182,12 @@ def _integrate_levels(
     first ``stop_at`` variables.  ``node_budget`` bounds the node counts of
     the first m - 1 increments and, for boxes the engine sizes, of all m.
     """
+    dx, tail = _real("dx", dx), _real("tail", tail)
     if not (math.isfinite(dx) and dx > 0.0):
         raise ValidationError("BAD_SHAPE", f"dx {dx!r} must be finite and positive")
     if not 0.0 < tail < 1.0:
         raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
-    if type(node_budget) is bool or not isinstance(node_budget, Integral) or node_budget < 1:
+    if _integer("node_budget", node_budget) < 1:
         raise ValidationError("BAD_SHAPE", f"node_budget {node_budget!r} is not an int >= 1")
     if uset.dim != xi.dim:
         raise ValidationError("BAD_SHAPE", f"set dim {uset.dim} != functional dim {xi.dim}")
@@ -176,16 +215,11 @@ def _integrate_levels(
                     f" over horizon {horizons[k]:.6g}",
                 )
 
-    # one set-up per distinct grid (GridSpec compares by identity): the
-    # sublattice stencil, step bound, stride and the origin's corners on it
+    # one set-up per distinct grid (GridSpec compares by identity)
     setups = {}
     for g in var_grids[stop_at:]:
         if g not in setups:
-            stencil, dt_max = check_march(uset, g, cfg)
-            corners = origin_corners(g)
-            stride = origin_strides(g.shape, corners, stencil)
-            reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners]
-            setups[g] = coarsen(stencil, stride), dt_max, stride, reads
+            setups[g] = _sublattice(uset, g, cfg)
     # the first stop_at increments keep every node, shared grid or not
     strides = [(1,) * d] * stop_at + [setups[g][2] for g in var_grids[stop_at:]]
     # each increment's nodes on the stride its march uses, as floats, which
@@ -250,17 +284,17 @@ def expectation(
     :func:`increment_radius` at spacing ``dx``; pass ``var_grids`` to pin
     them.  A pinned grid must pad the origin by :func:`glevy.core.min_padding`
     over its increment's horizon on every axis, else UNPADDED_GRID is raised;
-    ``dx`` must be finite and positive (BAD_SHAPE), ``tail`` in (0, 1)
-    (BAD_TOLERANCE), ``node_budget`` an int >= 1 (BAD_SHAPE).  The budget
-    counts nodes on the sublattice each increment is marched on, after the
-    set checks: DIMENSION_OVERFLOW is raised when the last level would freeze
-    more than ``node_budget`` nodes of the first m - 1 increments.  For the
-    boxes the engine sizes it is also raised, before any array is built, when
-    a radius is not finite, a box fits no grid, or the last level would march
-    more than ``node_budget`` nodes of all m.  Payoff samples are checked
-    finite and within the bound (NON_FINITE, PAYOFF_BOUND) only at the nodes
-    the value reads.  Of ``cfg`` it reads only ``cfl_safety``: the horizons
-    are the functional's.
+    ``dx`` must be a finite positive real number (BAD_SHAPE), ``tail`` a real
+    number (BAD_SHAPE) in (0, 1) (BAD_TOLERANCE), ``node_budget`` an int >= 1
+    (BAD_SHAPE).  The budget counts nodes on the sublattice each increment is
+    marched on, after the set checks: DIMENSION_OVERFLOW is raised when the
+    last level would freeze more than ``node_budget`` nodes of the first
+    m - 1 increments.  For the boxes the engine sizes it is also raised,
+    before any array is built, when a radius is not finite, a box fits no
+    grid, or the last level would march more than ``node_budget`` nodes of
+    all m.  Payoff samples are checked finite and within the bound
+    (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.  Of ``cfg``
+    it reads only ``cfl_safety``: the horizons are the functional's.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 
@@ -283,9 +317,9 @@ def conditional_expectation(
     :func:`glevy.core.interpolate`.  Grids, UNPADDED_GRID, DIMENSION_OVERFLOW
     and the payoff checks are as in :func:`expectation`, but the value reads
     every node of the first j increments, so the budget counts all of theirs.
-    Of ``cfg`` it reads only ``cfl_safety``.
+    ``j`` must be an int (BAD_SHAPE).  Of ``cfg`` it reads only ``cfl_safety``.
     """
-    j = int(j)
+    j = _integer("conditioning index", j)
     if not (1 <= j < xi.m):
         raise ValidationError("BAD_SHAPE", f"conditioning index {j} not in [1, {xi.m - 1}]")
     return _integrate_levels(xi, uset, cfg, j, dx, node_budget, tail, var_grids)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _require_finite
+from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _real, _require_finite
 from .engine import CylinderFunctional, expectation
 from .errors import ValidationError
 
@@ -29,7 +29,8 @@ class TestFunction:
     """Payoff-like probe for the generator: f(0) = 0 with known derivatives at 0.
 
     ``grad0`` and ``hess0`` are the gradient and Hessian at the origin
-    (``hess0`` symmetric to 1e-12); ``bound`` bounds |f|.
+    (``hess0`` symmetric to 1e-12); ``bound`` bounds |f|, a real number
+    (else BAD_SHAPE), finite and nonnegative (else NON_FINITE).
     """
 
     eval: callable
@@ -54,7 +55,7 @@ class TestFunction:
         origin = float(self.eval(np.zeros(d)))
         if origin != 0.0:
             raise ValidationError("BAD_SHAPE", f"test function has f(0) = {origin!r}, not 0")
-        b = float(self.bound)
+        b = _real("bound", self.bound)
         if not (math.isfinite(b) and b >= 0):
             raise ValidationError("NON_FINITE", f"bound {b!r} invalid")
         object.__setattr__(self, "grad0", grad0)
@@ -96,9 +97,10 @@ def small_time_quotient(
     propagate unchanged: UNPADDED_GRID, an :class:`glevy.errors.EngineError`,
     unless the grid pads the origin by :func:`glevy.core.min_padding` over
     ``delta`` on every axis, and the solver's grid/CFL errors.  A quotient
-    that overflows raises NON_FINITE.
+    that overflows raises NON_FINITE, and a ``delta`` that is not a finite
+    positive real number BAD_SHAPE.
     """
-    delta = float(delta)
+    delta = _real("delta", delta)
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("BAD_SHAPE", f"delta {delta!r} must be positive")
     xi = CylinderFunctional((delta,), phi.eval, phi.bound, phi.lipschitz, grid.dim)

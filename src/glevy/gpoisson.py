@@ -30,6 +30,7 @@ from .core import (
     Payoff,
     Scenario,
     UncertaintySet,
+    _real,
     sample_payoff,
     sample_points,
 )
@@ -38,7 +39,8 @@ from .solver import Workspace, build_stencil
 
 
 def _check_lambda(lam: float) -> float:
-    lam = float(lam)
+    """``lam`` as a float in [0, 1] (LAMBDA_RANGE); a non-number raises BAD_SHAPE."""
+    lam = _real("lambda", lam)
     if not (0.0 <= lam <= 1.0) or not math.isfinite(lam):
         raise ValidationError("LAMBDA_RANGE", f"lambda {lam!r} not in [0, 1]")
     return lam
@@ -46,7 +48,10 @@ def _check_lambda(lam: float) -> float:
 
 @dataclass(frozen=True)
 class GPoissonSpec:
-    """Intensity band [lambda_low, 1] with unit jump size."""
+    """Intensity band [lambda_low, 1] with unit jump size.
+
+    ``lambda_low`` must be a real number (BAD_SHAPE) in [0, 1] (LAMBDA_RANGE).
+    """
 
     lambda_low: float
 
@@ -76,11 +81,14 @@ def _pure_jump_set(jump_measures, d: int) -> UncertaintySet:
 
 
 def _check_horizon(t: float, tol: float) -> tuple[float, float]:
-    """``t`` finite and nonnegative (BAD_SHAPE) and ``tol`` positive (BAD_TOLERANCE), as floats."""
-    t = float(t)
+    """``t`` finite and nonnegative (BAD_SHAPE) and ``tol`` positive (BAD_TOLERANCE), as floats.
+
+    Either one that is not a real number raises BAD_SHAPE.
+    """
+    t = _real("t", t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
-    tol = float(tol)
+    tol = _real("tol", tol)
     if not tol > 0.0:
         raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
     return t, tol
@@ -120,9 +128,13 @@ def poisson_head(mu: float, scale: float, tol: float) -> list[float]:
 
 
 def g_lambda(a: float, lam: float) -> float:
-    """a+ - lambda * a-, the worst case of l*a over intensities l in [lambda, 1]."""
+    """a+ - lambda * a-, the worst case of l*a over intensities l in [lambda, 1].
+
+    ``a`` and ``lam`` must be real numbers (BAD_SHAPE), ``lam`` in [0, 1]
+    (LAMBDA_RANGE).
+    """
     lam = _check_lambda(lam)
-    a = float(a)
+    a = _real("a", a)
     return max(a, 0.0) - lam * max(-a, 0.0)
 
 
@@ -148,11 +160,15 @@ def gpoisson_closed_form(
     stated direction to within PAYOFF_BOUND's slack, 1e-9 * max(1, bound),
     or NOT_MONOTONE is raised: monotonicity on x + {0, 1, 2, ...} is what the
     closed form needs.  At lam = 1 both directions give the same sum.
+    ``lam``, ``t``, ``x`` and ``tol`` that are not real numbers raise
+    BAD_SHAPE; out of range, ``lam`` raises LAMBDA_RANGE, ``t`` BAD_SHAPE
+    and ``tol`` BAD_TOLERANCE.
     """
     lam = _check_lambda(lam)
     if direction not in ("increasing", "decreasing"):
         raise ValidationError("BAD_DIRECTION", f"direction {direction!r}")
     t, tol = _check_horizon(t, tol)
+    x = _real("x", x)
 
     weights = poisson_head(t if direction == "increasing" else lam * t, phi.bound, tol)
     points = np.arange(len(weights), dtype=float).reshape(-1, 1)
@@ -211,6 +227,8 @@ def series_solution(
     (:class:`glevy.solver.Workspace`'s calls, one workspace for all levels), so
     off-lattice jumps use the same clamped multilinear rule and boundary
     effects stay local.  Terms of that bound that overflow raise NON_FINITE.
+    ``t`` must be a finite nonnegative real number (BAD_SHAPE) and ``tol`` a
+    positive one (BAD_SHAPE for a non-number, else BAD_TOLERANCE).
     """
     t, tol = _check_horizon(t, tol)
     uset = _pure_jump_set(jump_measures, grid.dim)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .core import _integer, _real
 from .errors import MatrixError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -37,10 +38,11 @@ def gamma_transform(x, gamma: float) -> np.ndarray:
 
     Eigenvalues map by t -> t / (1 - gamma t). SINGULAR is raised when the
     resolvent factor's conditioning exceeds 1e10 (an eigenvalue of X too
-    close to 1/gamma).
+    close to 1/gamma).  ``gamma`` must be a real number (BAD_SHAPE) that is
+    finite and positive (GAMMA_RANGE).
     """
     xs = check_symmetric(x)
-    gamma = float(gamma)
+    gamma = _real("gamma", gamma)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValidationError("GAMMA_RANGE", f"gamma {gamma!r} must be positive")
     eigvals, eigvecs = np.linalg.eigh(xs)
@@ -56,8 +58,11 @@ def gamma_transform(x, gamma: float) -> np.ndarray:
 
 
 def j_matrix(n: int, d: int) -> np.ndarray:
-    """Block matrix with (n-1) I_d diagonal and -I_d off-diagonal blocks."""
-    n, d = int(n), int(d)
+    """Block matrix with (n-1) I_d diagonal and -I_d off-diagonal blocks.
+
+    ``n`` and ``d`` must be ints >= 1 (a bool is not one), else BAD_SHAPE.
+    """
+    n, d = _integer("n", n), _integer("d", d)
     if n < 1 or d < 1:
         raise ValidationError("BAD_SHAPE", f"n and d must be >= 1, got {n}, {d}")
     core = n * np.eye(n) - np.ones((n, n))

@@ -41,7 +41,7 @@ term per distinct offset: c is the sum, in formula order, of the scenario's
 coefficients at that offset, and the term sits where the offset first
 appears in the formula (solve-2d: 30 terms on 20 offsets, not 48).  The
 distinct offsets of all scenarios are kept in first-seen order, k indexes
-them, and no grid shape enters (:func:`coarsen` divides the offsets).  A
+them, and no grid shape enters (the engine divides the offsets).  A
 :class:`Workspace` loads node values of one shape into an array padded by
 the stencil's reach, turns each offset into one shift in the flat padded
 array and carves it and the out/acc/tmp buffers from one block, each band
@@ -96,6 +96,7 @@ from .core import (
     SchemeConfig,
     UncertaintySet,
     _covariance,
+    _real,
     _require_finite,
     interpolate,
     sample_payoff,
@@ -201,7 +202,9 @@ class Stencil(NamedTuple):
     ``offsets`` holds the distinct integer offsets o of all scenarios in
     first-seen order and ``terms`` per scenario its merged (c, k) pairs, k
     indexing ``offsets``, one per offset that the scenario uses.  The array
-    layout for node values of a given shape is :class:`Workspace`'s.
+    layout for node values of a given shape is :class:`Workspace`'s.  On a
+    sublattice of every g-th node, offsets divided by g step between its
+    nodes with the same terms (the engine's origin sublattice).
     """
 
     offsets: tuple[tuple[int, ...], ...]
@@ -217,41 +220,6 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
             coef[off] = coef[off] + c if off in coef else c
         terms.append(tuple((c, where.setdefault(off, len(where))) for off, c in coef.items()))
     return Stencil(tuple(where), tuple(terms))
-
-
-def coarsen(stencil: Stencil, strides: Sequence[int]) -> Stencil:
-    """``stencil`` on every ``strides[a]``-th node: each offset component divided by its stride.
-
-    Unit strides give ``stencil`` itself.
-    """
-    if all(g == 1 for g in strides):
-        return stencil
-    offsets = tuple(tuple(o // g for o, g in zip(off, strides)) for off in stencil.offsets)
-    return Stencil(offsets, stencil.terms)
-
-
-def origin_corners(grid: GridSpec) -> list[tuple[float, tuple[int, ...]]]:
-    """The (weight, node index) corners of the origin clamped into ``grid``, as interpolated."""
-    # np.clip's max-then-min: max(0.0, -0.0) keeps numpy's +0.0
-    clamped = [min(max(0.0, -lo), hi - lo) for lo, hi in zip(grid.lo, grid.hi)]
-    return _atom_stencil(clamped, grid.h)
-
-
-def origin_strides(shape: Sequence[int], corners, stencil: Stencil) -> tuple[int, ...]:
-    """Per axis gcd(i0, N - 1 - i0, the offsets) if the origin is inner node i0, else 1.
-
-    ``corners`` are the grid's :func:`origin_corners`; i0 is the index that
-    every corner shares on the axis, if they share one.  The stride-g
-    sublattice through the origin then holds both clamp edges, so a march
-    maps its values to themselves.
-    """
-    strides = []
-    for a, n in enumerate(shape):
-        i0 = {off[a] for _, off in corners}
-        i0 = i0.pop() if len(i0) == 1 else 0
-        g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
-        strides.append(g if 0 < i0 < n - 1 else 1)
-    return tuple(strides)
 
 
 class Workspace:
@@ -471,8 +439,9 @@ def evaluate(result: SolveResult, t: float, x) -> float:
     """Interpolated solution value at snapshot time ``t`` and point ``x``.
 
     Raises NO_SNAPSHOT unless some snapshot's time label matches ``t`` to
-    1e-12.
+    1e-12, and BAD_SHAPE for a ``t`` that is not a real number.
     """
+    t = _real("t", t)
     for snap in result.snapshots:
         if abs(snap.time_label - t) <= 1e-12:
             return float(interpolate(snap, np.atleast_1d(np.asarray(x, dtype=float))))

@@ -188,6 +188,16 @@ def test_non_integer_grid_points_rejected(capsys, tmp_path):
     assert "error[VALIDATION_ERROR] grid.points: not a comma-separated integer list: '4.5'" in err
 
 
+def test_grid_points_beyond_any_array_rejected(capsys, tmp_path):
+    # this count ended in a traceback from numpy ("array is too big")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(DIFFUSION_SOLVE_CFG + "grid.points = 4611686018427387905\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[VALIDATION_ERROR] grid.points: ")
+
+
 def test_gpoisson_underflowing_weight_rejected(capsys, tmp_path):
     cfg = tmp_path / "long.cfg"
     cfg.write_text(

@@ -1,5 +1,7 @@
 """Validation, grid, and interpolation contracts of the core types."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -248,8 +250,12 @@ def test_uniform_grid_rejects_bad_spacing_and_bounds(lower, upper, spacing, code
 
 
 def test_uniform_grid_counts_up_to_an_index():
-    assert uniform_grid([0.0], [2.0**62], 1.0).shape == (2**62 + 1,)
+    assert uniform_grid([0.0], [2.0**59], 1.0).shape == (2**59 + 1,)
     assert uniform_grid([0.0], [1.0], 2.0).shape == (3,)
+    # 2**62 + 1 points were accepted, and nodes() then failed in numpy
+    with pytest.raises(GLevyError) as e:
+        uniform_grid([0.0], [2.0**62], 1.0)
+    assert code_of(e) == "BAD_SHAPE"
 
 
 def test_grid_needs_three_points():
@@ -264,6 +270,16 @@ def test_grid_points_must_be_integers(points):
     with pytest.raises(GLevyError) as e:
         GridSpec(lower=[-1.0], upper=[1.0], points=points)
     assert code_of(e) == "BAD_SHAPE"
+
+
+@pytest.mark.parametrize("lower, points", [([-4.0], [2**62 + 1]), ([-4.0, -4.0], [2**31 + 1] * 2)])
+def test_grid_nodes_must_fit_an_array(lower, points):
+    # both were accepted, and nodes() or axes() then failed in numpy ("array is
+    # too big"), the first under a one-increment expectation on the pinned grid
+    with pytest.raises(GLevyError) as e:
+        GridSpec(lower=lower, upper=[4.0] * len(lower), points=points)
+    assert code_of(e) == "BAD_SHAPE" and "fits no array" in e.value.message
+    assert GridSpec(lower=[-4.0], upper=[4.0], points=[2**59]).shape == (2**59,)
 
 
 def test_grid_points_accept_integral_floats():
@@ -474,3 +490,89 @@ def test_sample_payoff_propagates_batch_bugs():
 
     with pytest.raises(RuntimeError):
         sample_payoff(Payoff(eval=buggy, bound=1.0, lipschitz=1.0), g)
+
+
+# --- scalar parameters -------------------------------------------------------
+
+
+def scalar_entry_points():
+    """(name, call) pairs, each passing its one argument as the scalar named."""
+    from glevy import (
+        CylinderFunctional,
+        TestFunction,
+        conditional_expectation,
+        evaluate,
+        expectation,
+        g_lambda,
+        gamma_transform,
+        gpoisson_closed_form,
+        increment_radius,
+        j_matrix,
+        small_time_quotient,
+    )
+
+    band = GPoissonSpec(0.5)
+    uset = band.uncertainty_set()
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
+    grid = GridSpec(lower=[-4.0], upper=[4.0], points=[33])
+    pay = Payoff(lambda x: np.clip(np.asarray(x, float)[..., 0], -3.0, 3.0), 3.0, 1.0)
+    res = solve(pay, uset, grid, cfg)
+
+    def functional(times=(0.5, 1.0), dim=1):
+        payoff = lambda a: np.clip(np.asarray(a, float).sum(axis=-1), -3.0, 3.0)  # noqa: E731
+        return CylinderFunctional(times, payoff, bound=3.0, lipschitz=2.0, dim=dim)
+
+    xi = functional()
+    closed_form = partial(gpoisson_closed_form, pay, "increasing")
+    return [
+        ("expectation dx", lambda v: expectation(xi, uset, cfg, dx=v)),
+        ("expectation tail", lambda v: expectation(xi, uset, cfg, tail=v)),
+        ("conditional_expectation j", lambda v: conditional_expectation(xi, v, uset, cfg)),
+        ("CylinderFunctional time", lambda v: functional(times=(v,))),
+        ("CylinderFunctional dim", lambda v: functional(dim=v)),
+        ("increment_radius horizon", lambda v: increment_radius(uset, v)),
+        ("increment_radius tail", lambda v: increment_radius(uset, 0.5, v)),
+        ("min_padding horizon", lambda v: min_padding(uset, v)),
+        ("small_time_quotient delta", lambda v: small_time_quotient(pay, uset, v, grid, cfg)),
+        ("series_solution t", lambda v: series_solution(pay, grid, band.jump_measures(), v)),
+        ("series_solution tol", lambda v: series_solution(pay, grid, band.jump_measures(), 0.5, v)),
+        ("gpoisson_closed_form lam", lambda v: closed_form(v, 1.0, 0.0)),
+        ("gpoisson_closed_form t", lambda v: closed_form(0.5, v, 0.0)),
+        ("gpoisson_closed_form x", lambda v: closed_form(0.5, 1.0, v)),
+        ("gpoisson_closed_form tol", lambda v: closed_form(0.5, 1.0, 0.0, v)),
+        ("GPoissonSpec lambda_low", lambda v: GPoissonSpec(v)),
+        ("g_lambda a", lambda v: g_lambda(v, 0.5)),
+        ("g_lambda lam", lambda v: g_lambda(1.0, v)),
+        ("Payoff bound", lambda v: Payoff(pay.eval, v, 1.0)),
+        ("Payoff lipschitz", lambda v: Payoff(pay.eval, 3.0, v)),
+        ("Scenario atom rate", lambda v: Scenario(atoms=((1.0, v),))),
+        ("GridFunction time_label", lambda v: GridFunction(grid, np.zeros(33), v)),
+        ("evaluate t", lambda v: evaluate(res, v, [0.0])),
+        ("uniform_grid spacing", lambda v: uniform_grid([-1.0], [1.0], v)),
+        ("TestFunction bound", lambda v: TestFunction(lambda x: 0.0, [0.0], [[0.0]], v)),
+        ("gamma_transform gamma", lambda v: gamma_transform(np.eye(2), v)),
+        ("j_matrix n", lambda v: j_matrix(v, 1)),
+    ]
+
+
+SCALAR_ENTRY_POINTS = scalar_entry_points()
+INTEGERS = ("conditional_expectation j", "CylinderFunctional dim", "j_matrix n")
+
+
+@pytest.mark.parametrize("value", [None, "0.5", np.array([1.0, 2.0])], ids=["None", "str", "array"])
+@pytest.mark.parametrize("name, call", SCALAR_ENTRY_POINTS, ids=[n for n, _ in SCALAR_ENTRY_POINTS])
+def test_scalar_parameters_refuse_non_numbers(name, call, value):
+    # each raised a bare TypeError or UFuncTypeError, or took "0.5" as 0.5
+    with pytest.raises(GLevyError) as e:
+        call(value)
+    assert code_of(e) == "BAD_SHAPE"
+
+
+@pytest.mark.parametrize("value", [1.7, True, np.float64(1.0)])
+@pytest.mark.parametrize("name", INTEGERS)
+def test_integer_parameters_refuse_other_numbers(name, value):
+    # dim = 1.5 and dim = True gave dim 1; j = 1.7 conditioned on j = 1
+    call = dict(SCALAR_ENTRY_POINTS)[name]
+    with pytest.raises(GLevyError) as e:
+        call(value)
+    assert code_of(e) == "BAD_SHAPE" and "not an integer" in e.value.message

@@ -27,10 +27,10 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
-from glevy.engine import _centered_box
+from glevy.engine import _centered_box, _sublattice
 from glevy.errors import EngineError, GLevyError
 from glevy.gpoisson import poisson_head
-from glevy.solver import build_stencil, check_march, origin_corners, origin_strides
+from glevy.solver import check_march
 from test_solver import LK_K, LK_SET, discrete_symbol  # drift, diffusion, off-lattice atoms
 
 CLASSICAL = validate_uncertainty_set([(((1.0, 1.0),), 0.0, 0.0)])
@@ -279,8 +279,15 @@ def test_engine_boxes_beyond_any_grid_overflow(uset, horizon):
 
 @pytest.mark.parametrize(
     "radius, dx",
-    # the last box would have bounds of +-2e308
-    [(math.inf, 0.05), (math.nan, 0.05), (1e300, 0.05), (2.0**62 * 0.05, 0.05), (1.0, 1e308)],
+    # the last box would have bounds of +-2e308; 2**60 + 1 nodes fit no array
+    [
+        (math.inf, 0.05),
+        (math.nan, 0.05),
+        (1e300, 0.05),
+        (2.0**62 * 0.05, 0.05),
+        (1.0, 1e308),
+        (2.0**59 * 0.05, 0.05),
+    ],
 )
 def test_centered_box_refuses_radii_no_grid_holds(radius, dx):
     with pytest.raises(EngineError) as e:
@@ -635,7 +642,7 @@ def test_node_budget_must_be_a_positive_integer(budget):
 
 
 def strides(uset, grid):
-    return origin_strides(grid.shape, origin_corners(grid), build_stencil(uset.scenarios, grid))
+    return _sublattice(uset, grid, SchemeConfig())[2]
 
 
 def test_origin_strides():

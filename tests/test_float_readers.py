@@ -11,25 +11,19 @@ bytes, so -0.0 differs from +0.0.
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import glevy.engine
 from glevy import GridSpec, Scenario, SchemeConfig, UncertaintySet, min_padding, uniform_grid
 from glevy.core import pads_origin, vector_norm
 from glevy.errors import GLevyError, SolverError
-from glevy.solver import (
-    EPSILON,
-    SNAP_TOL,
-    Stencil,
-    build_stencil,
-    check_march,
-    coarsen,
-    origin_corners,
-    origin_strides,
-)
+from glevy.engine import _sublattice
+from glevy.solver import EPSILON, SNAP_TOL, Stencil, _atom_stencil, build_stencil, check_march
 
 # ------------------------------------------------------ the former numpy forms
 
@@ -140,6 +134,40 @@ def ref_origin_corners(grid):
     return ref_atom_stencil(np.clip(-grid.lower, 0.0, grid.upper - grid.lower), ref_spacing(grid))
 
 
+def origin_corners(grid):
+    """The former float form of the origin's corners, clamped as np.clip does."""
+    clamped = [min(max(0.0, -lo), hi - lo) for lo, hi in zip(grid.lo, grid.hi)]
+    return _atom_stencil(clamped, grid.h)
+
+
+def origin_strides(shape, corners, stencil):
+    """The former per-axis stride: gcd(i0, N - 1 - i0, the offsets) at an inner node i0, else 1."""
+    strides = []
+    for a, n in enumerate(shape):
+        i0 = {off[a] for _, off in corners}
+        i0 = i0.pop() if len(i0) == 1 else 0
+        g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
+        strides.append(g if 0 < i0 < n - 1 else 1)
+    return tuple(strides)
+
+
+def coarsen(stencil, strides):
+    """The former stencil on a sublattice: offsets floor-divided, itself for unit strides."""
+    if all(g == 1 for g in strides):
+        return stencil
+    offsets = tuple(tuple(o // g for o, g in zip(off, strides)) for off in stencil.offsets)
+    return Stencil(offsets, stencil.terms)
+
+
+def sublattice_from(check, corners_of, uset, grid, cfg):
+    """A set-up as the engine composed it from a step bound, the corners and the helpers above."""
+    stencil, dt = check(uset, grid, cfg)
+    corners = corners_of(grid)
+    stride = origin_strides(tuple(int(n) for n in grid.points), corners, stencil)
+    reads = [(w, (..., *(o // g for o, g in zip(off, stride)))) for w, off in corners]
+    return coarsen(stencil, stride), dt, stride, reads
+
+
 def ref_reach(uset):
     def sigma(s):
         q = s.diffusion
@@ -212,9 +240,11 @@ def magnitudes(draw, lo=-300.0, hi=300.0):
 def grids(draw):
     d = draw(st.integers(1, 3))
     scale = draw(unit(-300.0, 299.0))  # one axis of about 10 ** scale
+    # up to 1e9 nodes per axis, within the node count GridSpec takes
+    most = min(10**9, int((sys.maxsize // (8 * d)) ** (1.0 / d)))
     points, lower, upper = [], [], []
     for _ in range(d):
-        n = draw(st.one_of(st.integers(3, 60), st.integers(3, 10**9)))
+        n = draw(st.one_of(st.integers(3, 60), st.integers(3, most)))
         width = 10.0 ** (scale + draw(unit(-1.0, 1.0)))
         # width stays above lo's rounding
         far = magnitudes(max(scale - 30.0, -300.0), min(scale + 15.0, 300.0))
@@ -297,18 +327,25 @@ def test_stencil_and_step_bound_are_the_numpy_forms(model, cfl):
     assert new_outcome(check_march, uset, grid, cfg) == outcome(ref_check_march, uset, grid, cfg)
 
 
-@given(model=models())
-def test_origin_corners_and_strides_are_the_numpy_forms(model):
+# the draws seldom put the origin on a node; these two have strides (2,), where
+# the far edge decides, and (2, 4)
+PLANE_JUMP = Scenario(atoms=(((0.5, -1.0), 1.0),), drift=[0.0, 0.0], diffusion=np.zeros((2, 2)))
+LATTICE_MODELS = [
+    (UncertaintySet((Scenario(atoms=((1.0, 0.5),)),)), GridSpec([-2.0], [2.5], [19])),
+    (UncertaintySet((PLANE_JUMP,)), GridSpec([-2.0, -2.0], [2.0, 2.0], [17, 17])),
+]
+
+
+@given(model=models(), cfl=unit(0.01, 1.0))
+@example(model=LATTICE_MODELS[0], cfl=0.5)
+@example(model=LATTICE_MODELS[1], cfl=0.5)
+def test_origin_corners_and_strides_are_the_numpy_forms(model, cfl):
     uset, grid = model
-    corners = new_outcome(origin_corners, grid)
-    assert corners == outcome(ref_origin_corners, grid)
-    stencil = new_outcome(build_stencil, uset.scenarios, grid)
-    assume(corners[0] == stencil[0] == "value")
-    new = origin_strides(grid.shape, origin_corners(grid), build_stencil(uset.scenarios, grid))
-    shape = tuple(int(n) for n in grid.points)
-    with np.errstate(all="ignore"):
-        old_stencil = ref_build_stencil(uset.scenarios, grid)
-    assert new == origin_strides(shape, ref_origin_corners(grid), old_stencil)
+    cfg = SchemeConfig(cfl_safety=cfl)
+    assert new_outcome(origin_corners, grid) == outcome(ref_origin_corners, grid)
+    got = new_outcome(_sublattice, uset, grid, cfg)
+    assert got == outcome(sublattice_from, ref_check_march, ref_origin_corners, uset, grid, cfg)
+    assert got == new_outcome(sublattice_from, check_march, origin_corners, uset, grid, cfg)
 
 
 @given(model=models(), horizon=st.one_of(unit(0.0, 10.0), magnitudes(-300.0, 300.0).map(abs)))
@@ -378,7 +415,24 @@ def test_vector_norm_keeps_numpys_dot_beyond_one_axis(d):
     assert bits(got) == bits([ref_norm(v) for v in vectors])
 
 
-def test_unit_strides_keep_the_stencil():
-    stencil = Stencil(((2, -4), (0, 6)), (((1.0, 0), (0.5, 1)),))
-    assert coarsen(stencil, (1, 1)) is stencil
-    assert coarsen(stencil, (2, 2)) == Stencil(((1, -2), (0, 3)), stencil.terms)
+def test_unit_strides_keep_the_stencil(monkeypatch):
+    checked = []
+
+    def recording(*args):
+        checked.append(check_march(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(glevy.engine, "check_march", recording)
+    cfg = SchemeConfig()
+    off_lattice = UncertaintySet((Scenario(atoms=((0.73, 1.0),)),))
+    stencil, _, stride, _ = _sublattice(off_lattice, GridSpec([-2.0], [2.0], [17]), cfg)
+    assert stride == (1,) and stencil is checked[-1][0]
+    # offsets (2, -4) and (0, 6) on a 17 x 17 grid of spacing 0.25, origin node 8
+    atoms = (((0.5, -1.0), 1.0), ((0.0, 1.5), 0.5))
+    lattice = UncertaintySet((Scenario(atoms=atoms, drift=[0.0, 0.0], diffusion=np.zeros((2, 2))),))
+    plane = GridSpec([-2.0, -2.0], [2.0, 2.0], [17, 17])
+    stencil, _, stride, reads = _sublattice(lattice, plane, cfg)
+    fine = checked[-1][0]
+    assert fine.offsets == ((2, -4), (0, 6)) and stride == (2, 2)
+    assert stencil == Stencil(((1, -2), (0, 3)), fine.terms) and stencil.terms is fine.terms
+    assert reads == [(1.0, (..., 4, 4))]

@@ -586,6 +586,43 @@ def test_scheme_is_the_discrete_levy_khintchine_multiplier():
     assert errors[1] < 5e-3
 
 
+def levy_khintchine(s, k):
+    """psi(k) = sum w (e^{i k.z} - 1) + i q.k - k.A.k / 2 of one scenario, A = Q Q^T."""
+    k = np.asarray(k, dtype=float)
+    psi = sum(w * (np.exp(1j * (k @ z)) - 1.0) for z, w in zip(s.jump_vectors, s.rates))
+    return psi + 1j * (k @ s.drift) - 0.5 * (k @ s.diffusion_matrix @ k)
+
+
+HALVING = (0.1, 0.05, 0.025, 0.0125)
+
+
+@pytest.mark.parametrize(
+    "scenario, k, spacings, band",
+    [
+        # upwind drift is first order in h, the others second order
+        (Scenario(drift=0.3), (2.0,), HALVING, (1.9, 2.1)),
+        (Scenario(diffusion=0.4), (2.0,), HALVING, (3.8, 4.2)),
+        (Scenario(drift=[0.0, 0.0], diffusion=[[0.4, 0.0], [0.15, 0.3]]), (2.0, -1.0), HALVING, (3.8, 4.2)),
+        # midway between nodes, both corner weights 1/2; the spacings shrink by
+        # (2n + 3) / (2n + 1), a little more than 2, so the ratios exceed 4
+        (Scenario(atoms=((0.37, 0.8),)), (2.0,), [0.37 / (n + 0.5) for n in (3, 7, 15, 31)], (3.8, 4.8)),
+    ],
+    ids=["drift", "diffusion", "cross-diffusion", "off-lattice-atom"],
+)
+def test_stencil_symbol_converges_at_each_terms_order(scenario, k, spacings, band):
+    # psi_h(k) = sum c (e^{i k.o h} - 1) over the merged terms, against psi(k);
+    # [-h, h] on 3 nodes per axis has spacing h exactly
+    errors = []
+    for h in spacings:
+        d = len(k)
+        stencil = build_stencil((scenario,), GridSpec([-h] * d, [h] * d, [3] * d))
+        offsets = np.array(stencil.offsets, dtype=float)
+        psi_h = sum(c * (np.exp(1j * h * (offsets[j] @ k)) - 1.0) for c, j in stencil.terms[0])
+        errors.append(abs(psi_h - levy_khintchine(scenario, k)))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(band[0] < r < band[1] for r in ratios), ratios
+
+
 # --- atoms beyond the box -------------------------------------------------------
 
 
