@@ -210,15 +210,25 @@ def _no_form(key, why):
 def _clip_linear(kv):
     scale = _float(kv, "payoff.scale", 1.0)
     clip = _positive(kv, "payoff.clip", 1e6)
-    pay = Payoff(lambda x: np.clip(scale * _x1(x), -clip, clip), bound=clip, lipschitz=abs(scale))
+    pay = _checked(
+        "payoff.clip",
+        Payoff,
+        lambda x: np.clip(scale * _x1(x), -clip, clip),
+        bound=clip,
+        lipschitz=abs(scale),
+    )
     return pay, lambda d: (np.r_[scale, np.zeros(d - 1)], np.zeros((d, d)))
 
 
 def _indicator_ramp(kv):
     center = _float(kv, "payoff.center", 0.0)
     width = _positive(kv, "payoff.width", 1.0)
-    pay = Payoff(
-        lambda x: np.clip((_x1(x) - center) / width, 0.0, 1.0), bound=1.0, lipschitz=1.0 / width
+    pay = _checked(
+        "payoff.width",
+        Payoff,
+        lambda x: np.clip((_x1(x) - center) / width, 0.0, 1.0),
+        bound=1.0,
+        lipschitz=1.0 / width,
     )
     if center > 0.0:
         return pay, _flat
@@ -228,7 +238,9 @@ def _indicator_ramp(kv):
 def _quadratic_clip(kv):
     scale = _float(kv, "payoff.scale", 1.0)
     clip = _positive(kv, "payoff.clip", 1e6)
-    pay = Payoff(
+    pay = _checked(
+        "payoff.clip",
+        Payoff,
         lambda x: np.clip(scale * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -clip, clip),
         bound=clip,
         lipschitz=2.0 * math.sqrt(abs(scale) * clip) if scale else 0.0,
@@ -238,7 +250,9 @@ def _quadratic_clip(kv):
 
 def _constant(kv):
     value = _float(kv, "payoff.value", 0.0)
-    pay = Payoff(
+    pay = _checked(
+        "payoff.value",
+        Payoff,
         lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], value),
         bound=abs(value),
         lipschitz=0.0,
@@ -258,17 +272,22 @@ def _table(kv):
         if len(pieces) != 2:
             raise _bad("payoff.table", f"entry {part!r} is not 'x:y'")
         try:
-            xs.append(float(pieces[0]))
-            ys.append(float(pieces[1]))
+            xs.append(_finite("payoff.table", float(pieces[0])))
+            ys.append(_finite("payoff.table", float(pieces[1])))
         except ValueError:
             raise _bad("payoff.table", f"entry {part!r} has a non-number")
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise _bad("payoff.table", "need >= 2 entries with strictly increasing x")
+    # bound and slope on Python floats: a slope that overflows is inf, with no warning
+    bound = max(map(abs, ys))
+    slope = max(abs((d - c) / (b - a)) for a, b, c, d in zip(xs, xs[1:], ys, ys[1:]))
     xs, ys = np.array(xs), np.array(ys)
-    pay = Payoff(
+    pay = _checked(
+        "payoff.table",
+        Payoff,
         lambda x: np.interp(_x1(x), xs, ys),
-        bound=float(np.max(np.abs(ys))),
-        lipschitz=float(np.max(np.abs(np.diff(ys) / np.diff(xs)))),
+        bound=bound,
+        lipschitz=slope,
     )
     return pay, _no_form("payoff", "payoff kind 'table' has no generator form")
 

@@ -7,6 +7,12 @@ finite family of scenarios; every operation in this package evaluates a
 worst case over that family.  Payoffs are bounded Lipschitz functions given
 by a callable plus explicit bound and Lipschitz constants, and grid data
 lives on uniform tensor grids with clamped multilinear interpolation.
+
+Every array the library takes in, from a caller or from a payoff, is read by
+one function, :func:`_array`: it refuses a non-numeric or ragged array and a
+wrong shape (BAD_SHAPE), then non-finite entries where the site refuses them
+(NON_FINITE), and copies the rest into a float64 array the library owns.
+Scalars have :func:`_real` and :func:`_integer`.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ EPSILON = 1e-12
 SNAP_TOL = 1e-9
 
 
-def _readonly(a, dtype=float, ndmin=0):
-    arr = np.array(a, dtype=dtype, copy=True, ndmin=ndmin)
+def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
@@ -41,18 +46,6 @@ def _readonly(a, dtype=float, ndmin=0):
 def _require_finite(arr, what: str):
     if not np.isfinite(arr).all():
         raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
-
-
-def _finite_values(arr: np.ndarray, what: str) -> list:
-    """The entries of a small array as Python floats, checked finite (NON_FINITE).
-
-    A set or grid has a few entries per axis: a Python loop checks them in a
-    fraction of the time of the numpy calls, which cost microseconds each.
-    """
-    values = arr.ravel().tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
-    return values
 
 
 def vector_norm(v) -> float:
@@ -85,6 +78,11 @@ class Scenario:
     diffusion : array_like, shape (d, d)
         Diffusion *factor* Q; scalars are accepted when d == 1.
 
+    A drift, diffusion or jump vector that is not an array of real numbers
+    (a string, None, a complex or ragged array), or has the wrong shape,
+    raises BAD_SHAPE; a non-finite entry NON_FINITE.  ``atoms`` that is not
+    a sequence raises BAD_SHAPE.
+
     Validation checks every entry on Python floats and keeps them: ``q``
     (the drift), ``factor`` (Q's entries, row-major), ``jumps`` and
     ``rates`` (each atom's jump vector and rate), and ``jump_norms`` (each
@@ -100,37 +98,21 @@ class Scenario:
     diffusion: np.ndarray = 0.0
 
     def __post_init__(self):
-        drift = _readonly(self.drift, ndmin=1)
-        if drift.ndim != 1:
-            raise ValidationError("BAD_SHAPE", "drift must be a vector")
-        d = drift.shape[0]
+        drift, q = _array("drift", self.drift, 1, kept=True)
+        d = len(q)
         if d == 0:
             raise ValidationError("BAD_SHAPE", "drift must have at least one component")
-        q = _finite_values(drift, "drift")
-
-        diff = _readonly(self.diffusion)
-        if diff.ndim == 0:
-            if d != 1:
-                raise ValidationError("BAD_SHAPE", "scalar diffusion needs d == 1")
-            diff = diff.reshape(1, 1)
-        if diff.shape != (d, d):
-            raise ValidationError(
-                "BAD_SHAPE", f"diffusion must be ({d}, {d}), got {diff.shape}"
-            )
-        factor = _finite_values(diff, "diffusion")
+        diff, factor = _array("diffusion", self.diffusion, (d, d), kept=True)
 
         atoms, jumps, rates, norms = [], [], [], []
-        for entry in self.atoms:
+        for entry in _sequence("atoms", self.atoms):
             try:
                 z, w = entry
             except (TypeError, ValueError):
                 raise ValidationError("BAD_SHAPE", f"atom {entry!r} is not a (z, w) pair")
-            z = _readonly(z, ndmin=1)
             w = _real("atom rate", w)
-            if z.shape != (d,):
-                raise ValidationError("BAD_SHAPE", f"atom jump must have shape ({d},)")
-            jump = z.tolist()
-            if not (all(map(math.isfinite, jump)) and math.isfinite(w)):
+            z, jump = _array("atom jump", z, (d,), kept=True)
+            if not math.isfinite(w):
                 raise ValidationError("NON_FINITE", "atom contains a non-finite entry")
             if w < 0:
                 raise ValidationError("NEGATIVE_RATE", f"atom rate {w} is negative")
@@ -171,7 +153,7 @@ class Scenario:
 
     @cached_property
     def jump_rates(self) -> np.ndarray:
-        return _readonly(self.rates)
+        return _readonly(np.array(self.rates))
 
     @cached_property
     def total_rate(self) -> float:
@@ -181,7 +163,7 @@ class Scenario:
     @cached_property
     def diffusion_matrix(self) -> np.ndarray:
         """Q @ Q.T, the matrix entering the generator's second-order term (:func:`_covariance`)."""
-        return _readonly(_covariance(self))
+        return _readonly(np.array(_covariance(self)))
 
     def mass(self) -> float:
         """sum_k w_k |z_k| + |q| + tr(Q Q^T), the integrability functional."""
@@ -217,15 +199,20 @@ def _spectral_norm(s: Scenario) -> float:
 
 @dataclass(frozen=True, eq=False)
 class UncertaintySet:
-    """Finite, non-empty family of scenarios with a common dimension."""
+    """Finite, non-empty family of scenarios with a common dimension.
+
+    ``scenarios`` that is not a sequence of :class:`Scenario` raises BAD_SHAPE.
+    """
 
     scenarios: tuple[Scenario, ...]
 
     def __post_init__(self):
-        scen = tuple(self.scenarios)
+        scen = _sequence("scenarios", self.scenarios)
         if len(scen) == 0:
             raise ValidationError("EMPTY_SET", "uncertainty set has no scenarios")
-        dims = {s.dim for s in scen}
+        dims = {s.dim if isinstance(s, Scenario) else None for s in scen}
+        if None in dims:
+            raise ValidationError("BAD_SHAPE", "uncertainty set entries must be Scenarios")
         if len(dims) != 1:
             raise ValidationError("BAD_SHAPE", f"scenario dimensions differ: {sorted(dims)}")
         object.__setattr__(self, "scenarios", scen)
@@ -272,10 +259,11 @@ def validate_uncertainty_set(raw: Iterable) -> UncertaintySet:
 
     Idempotent: feeding back ``uset.scenarios`` reproduces an equivalent set.
     Raises :class:`ValidationError` with a distinct code per defect
-    (EMPTY_SET, NEGATIVE_RATE, ZERO_JUMP, NON_FINITE, BAD_SHAPE).
+    (EMPTY_SET, NEGATIVE_RATE, ZERO_JUMP, NON_FINITE, BAD_SHAPE; a ``raw``
+    that is not a sequence is BAD_SHAPE).
     """
     scenarios = []
-    for entry in raw:
+    for entry in _sequence("uncertainty set", raw):
         if isinstance(entry, Scenario):
             scenarios.append(entry)
         else:
@@ -285,7 +273,7 @@ def validate_uncertainty_set(raw: Iterable) -> UncertaintySet:
                 raise ValidationError(
                     "BAD_SHAPE", f"scenario {entry!r} is not a Scenario or a 3-tuple"
                 )
-            scenarios.append(Scenario(atoms=tuple(atoms), drift=drift, diffusion=diffusion))
+            scenarios.append(Scenario(atoms=atoms, drift=drift, diffusion=diffusion))
     return UncertaintySet(tuple(scenarios))
 
 
@@ -333,7 +321,10 @@ class GridSpec:
     Set-up readers (stencils, strides, origin corners, padding checks) take
     these floats instead of microsecond numpy calls on tiny arrays.
 
-    BAD_SHAPE is raised, before any array is built, for a grid whose
+    ``points`` is read first; ``lower`` and ``upper`` must then be arrays of
+    real numbers of its shape (else BAD_SHAPE; a string, None, a complex or
+    ragged array included) with finite entries (NON_FINITE).  BAD_SHAPE is
+    also raised, before any array is built, for a grid whose
     :meth:`nodes` array, prod(points) * d floats, has more bytes than numpy
     can index.  A grid that fits an index but not the memory still raises
     MemoryError when its arrays are built.
@@ -344,8 +335,6 @@ class GridSpec:
     points: np.ndarray
 
     def __post_init__(self):
-        lower = _readonly(self.lower, ndmin=1)
-        upper = _readonly(self.upper, ndmin=1)
         points = np.array(self.points, ndmin=1)
         if points.dtype.kind == "f" and all(
             math.isfinite(p) and p == math.floor(p) for p in points.ravel().tolist()
@@ -353,12 +342,12 @@ class GridSpec:
             points = points.astype(int)
         if points.dtype.kind not in "iu":
             raise ValidationError("BAD_SHAPE", f"grid points {self.points!r} must be integers")
-        if not (lower.shape == upper.shape == points.shape) or lower.ndim != 1:
-            raise ValidationError("BAD_SHAPE", "lower/upper/points must be equal-length vectors")
-        if lower.shape[0] == 0:
+        if points.ndim != 1:
+            raise ValidationError("BAD_SHAPE", "grid points must be a vector")
+        lower, lo = _array("grid lower", self.lower, points.shape, kept=True)
+        upper, hi = _array("grid upper", self.upper, points.shape, kept=True)
+        if not lo:
             raise ValidationError("BAD_SHAPE", "grid needs at least one axis")
-        lo = _finite_values(lower, "grid lower")
-        hi = _finite_values(upper, "grid upper")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValidationError("BAD_SHAPE", "grid upper must exceed lower componentwise")
         shape = tuple(points.tolist())
@@ -373,7 +362,7 @@ class GridSpec:
         self.__dict__.update(
             lower=lower,
             upper=upper,
-            points=_readonly(points, dtype=int),
+            points=_readonly(points.astype(int)),
             lo=tuple(lo),
             hi=tuple(hi),
             _shape=shape,
@@ -386,7 +375,7 @@ class GridSpec:
 
     @cached_property
     def spacing(self) -> np.ndarray:
-        return _readonly(self.h)
+        return _readonly(np.array(self.h))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -408,15 +397,16 @@ class GridSpec:
 def uniform_grid(lower, upper, spacing: float) -> GridSpec:
     """Grid over [lower, upper] with spacing at most ``spacing`` per axis.
 
-    Raises NON_FINITE for a non-finite bound and BAD_SHAPE unless ``spacing``
-    is a finite positive real number.  Each axis counts ceil((upper - lower)
+    Raises NON_FINITE for a non-finite bound, BAD_SHAPE for a bound that is
+    not an array of real numbers (a string, None, a complex or ragged array)
+    or whose shapes differ, and BAD_SHAPE unless ``spacing`` is a finite
+    positive real number.  Each axis counts ceil((upper - lower)
     / spacing - EPSILON) + 1 points, at least 3, on Python floats; a count
     that is not finite or exceeds an index is BAD_SHAPE too, and so is a grid
     whose nodes fit no array (:class:`GridSpec`).
     """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    lo, hi = _finite_values(lower, "grid lower"), _finite_values(upper, "grid upper")
+    lower, lo = _array("grid lower", lower, 1, kept=True)
+    upper, hi = _array("grid upper", upper, lower.shape, kept=True)
     spacing = _real("grid spacing", spacing)
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValidationError("BAD_SHAPE", f"grid spacing {spacing!r} must be finite and positive")
@@ -436,8 +426,11 @@ def uniform_grid(lower, upper, spacing: float) -> GridSpec:
 class GridFunction:
     """Values sampled on a grid at one time label.
 
-    The time label is a finite nonnegative real number: BAD_SHAPE for a
-    non-number, NON_FINITE otherwise.
+    ``values`` must be an array of real numbers of the grid's shape (else
+    BAD_SHAPE; a string, None, a complex or ragged array included) with
+    finite entries (NON_FINITE); they are kept as a frozen copy.  The time
+    label is a finite nonnegative real number: BAD_SHAPE for a non-number,
+    NON_FINITE otherwise.
     """
 
     spec: GridSpec
@@ -445,12 +438,7 @@ class GridFunction:
     time_label: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.spec.shape:
-            raise ValidationError(
-                "BAD_SHAPE", f"values shape {vals.shape} != grid shape {self.spec.shape}"
-            )
-        _require_finite(vals, "grid values")
+        vals = _array("grid values", self.values, self.spec.shape)
         t = _real("time label", self.time_label)
         if not (math.isfinite(t) and t >= 0):
             raise ValidationError("NON_FINITE", f"time label {t!r} invalid")
@@ -472,6 +460,51 @@ def _integer(what: str, value) -> int:
     if type(value) is bool or not isinstance(value, numbers.Integral):
         raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False):
+    """``value`` as a float64 copy: the one reader of every array the library takes in.
+
+    Numbers, bools, ints, floats of any width and numpy scalars or arrays of
+    them give ``np.array(value, dtype=float)``'s bits; anything else (None,
+    str, bytes, complex, object, ragged) is BAD_SHAPE, as is a shape other
+    than ``shape`` (None for any, n for any n axes, or the axis lengths, which
+    a 0-d value fills when they hold one entry).  Then, with ``finite``, a
+    non-finite entry is NON_FINITE.  A ``kept`` array, the few entries of a
+    set or grid, is returned frozen with its flat Python floats, checked
+    finite on those at a fraction of a numpy call's cost.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValidationError("BAD_SHAPE", f"{what} is a ragged sequence") from None
+    if arr.dtype.char != "d" or arr is value or arr.base is not None:
+        if arr.dtype.kind not in "biuf":
+            raise ValidationError("BAD_SHAPE", f"{what} must hold real numbers, got {arr.dtype}")
+        arr = arr.astype(float)
+    if shape is not None and (arr.ndim != shape if type(shape) is int else arr.shape != shape):
+        one = (1,) * shape if type(shape) is int else shape
+        if arr.ndim or math.prod(one) != 1:
+            want = f"{shape} axes" if one is not shape else f"shape {shape}"
+            raise ValidationError("BAD_SHAPE", f"{what} has shape {arr.shape}, not {want}")
+        arr = arr.reshape(one)
+    if kept:
+        entries = arr.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
+        arr.setflags(write=False)
+        return arr, entries
+    if finite:
+        _require_finite(arr, what)
+    return arr
+
+
+def _sequence(what: str, value) -> tuple:
+    """The entries of ``value`` as a tuple; a value that is not iterable raises BAD_SHAPE."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not a sequence") from None
 
 
 @dataclass(frozen=True)
@@ -501,14 +534,16 @@ class SchemeConfig:
 def interpolate(g: GridFunction, x) -> float | np.ndarray:
     """Clamped multilinear interpolation of ``g`` at point(s) ``x``.
 
-    ``x`` has shape (d,) or (..., d); points outside the box, infinite
-    coordinates included, are clamped to the nearest boundary point axis by
-    axis, and a NaN coordinate raises NON_FINITE.  The result is a convex
+    ``x`` has shape (d,) or (..., d), else BAD_SHAPE, as is an ``x`` that is
+    not an array of real numbers (a string, None, a complex or ragged array).
+    Points outside the box, infinite coordinates included, are clamped to the
+    nearest boundary point axis by axis, and a NaN coordinate raises
+    NON_FINITE.  The result is a convex
     combination of stored values, hence monotone in ``g.values`` and exactly
     linear in them, and reproduces linear data exactly inside the box.
     """
     spec = g.spec
-    pts = np.asarray(x, dtype=float)
+    pts = _array("query points", x, finite=False)
     scalar = pts.ndim <= 1
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != spec.dim:
@@ -562,23 +597,30 @@ def sample_points(phi: Payoff, points: np.ndarray) -> np.ndarray:
     """Evaluate ``phi`` on the rows of ``points``, preferring a batch call.
 
     A batch call that raises TypeError, ValueError or IndexError, or returns
-    the wrong shape, marks a one-point-only payoff, which is then called row
-    by row; any other exception propagates.  The samples go through
-    :func:`check_samples`.
+    anything but (n,) real numbers, marks a one-point-only payoff, which is
+    then called row by row; any other exception propagates.  Row outputs that
+    are not n real numbers (a string, None, an array per row) raise
+    BAD_SHAPE.  The samples are a copy, so a payoff's own array is never
+    written, and go through :func:`check_samples`.
     """
+    n = len(points)
     try:
-        vals = np.asarray(phi.eval(points), dtype=float)
+        vals = phi.eval(points)
     except (TypeError, ValueError, IndexError):
         vals = None
-    if vals is None or vals.shape != (len(points),):
-        vals = np.fromiter((float(phi.eval(p)) for p in points), dtype=float, count=len(points))
+    try:
+        vals = _array("payoff samples", vals, (n,), finite=False)
+    except ValidationError:
+        vals = _array("payoff samples", [phi.eval(p) for p in points], (n,), finite=False)
     return check_samples(vals, phi.bound)
 
 
 def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
     """Return samples once checked finite (NON_FINITE) and within ``bound`` (PAYOFF_BOUND)."""
-    _require_finite(vals, "payoff samples")
-    overshoot = float(np.abs(vals).max()) - bound
+    peak = float(np.abs(vals).max())  # NaN or inf exactly when a sample is not finite
+    if not math.isfinite(peak):
+        raise ValidationError("NON_FINITE", "payoff samples contains a non-finite entry")
+    overshoot = peak - bound
     if overshoot > 1e-9 * max(1.0, bound):
         raise ValidationError("PAYOFF_BOUND", f"payoff exceeds its stated bound by {overshoot:.3g}")
     return vals

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
-from .core import _integer, _real
+from .core import _integer, _real, _sequence
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
 from .gpoisson import poisson_head
@@ -62,8 +62,9 @@ class CylinderFunctional:
     ``payoff`` receives the increments as one flat vector of length m*dim
     (earliest first); it may also accept an (n, m*dim) batch.  ``bound`` and
     ``lipschitz`` are sup-norm and Lipschitz constants of the payoff, read as
-    :class:`glevy.core.Payoff` reads them.  A time that is not a real number,
-    or a ``dim`` that is not an int (a bool included), raises BAD_SHAPE.
+    :class:`glevy.core.Payoff` reads them.  ``times`` that is not a sequence,
+    a time that is not a real number, or a ``dim`` that is not an int (a bool
+    included), raises BAD_SHAPE.
     """
 
     times: tuple[float, ...]
@@ -73,7 +74,7 @@ class CylinderFunctional:
     dim: int = 1
 
     def __post_init__(self):
-        times = tuple(_real("time", t) for t in self.times)
+        times = tuple(_real("time", t) for t in _sequence("times", self.times))
         if len(times) == 0:
             raise ValidationError("BAD_SHAPE", "need at least one time")
         if not all(math.isfinite(t) for t in times):
@@ -201,10 +202,12 @@ def _integrate_levels(
         boxes = {h: _centered_box(increment_radius(uset, h, tail), dx, d) for h in distinct}
         var_grids = [boxes[h] for h in horizons]
     else:
-        var_grids = list(var_grids)
+        var_grids = _sequence("var_grids", var_grids)
         if len(var_grids) != m:
             raise ValidationError("BAD_SHAPE", f"need {m} variable grids, got {len(var_grids)}")
         for k, g in enumerate(var_grids):
+            if not isinstance(g, GridSpec):
+                raise ValidationError("BAD_SHAPE", f"variable grid {g!r} is not a GridSpec")
             if g.dim != d:
                 raise ValidationError("BAD_SHAPE", "variable grid dimension mismatch")
             pad = min_padding(uset, horizons[k])
@@ -281,7 +284,8 @@ def expectation(
     """Worst-case expectation of the cylinder functional.
 
     Per-variable grids default to centered boxes of radius
-    :func:`increment_radius` at spacing ``dx``; pass ``var_grids`` to pin
+    :func:`increment_radius` at spacing ``dx``; pass ``var_grids``, a
+    sequence of m :class:`glevy.core.GridSpec` (else BAD_SHAPE), to pin
     them.  A pinned grid must pad the origin by :func:`glevy.core.min_padding`
     over its increment's horizon on every axis, else UNPADDED_GRID is raised;
     ``dx`` must be a finite positive real number (BAD_SHAPE), ``tail`` a real

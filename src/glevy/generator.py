@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _real, _require_finite
+from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _array, _real
 from .engine import CylinderFunctional, expectation
 from .errors import ValidationError
 
@@ -29,8 +29,11 @@ class TestFunction:
     """Payoff-like probe for the generator: f(0) = 0 with known derivatives at 0.
 
     ``grad0`` and ``hess0`` are the gradient and Hessian at the origin
-    (``hess0`` symmetric to 1e-12); ``bound`` bounds |f|, a real number
-    (else BAD_SHAPE), finite and nonnegative (else NON_FINITE).
+    (``hess0`` of shape (d, d), a scalar when d == 1, symmetric to 1e-12);
+    either one that is not an array of real numbers (a string, None, a
+    complex or ragged array) or has the wrong shape raises BAD_SHAPE, a
+    non-finite entry NON_FINITE.  ``bound`` bounds |f|, a real number (else
+    BAD_SHAPE), finite and nonnegative (else NON_FINITE).
     """
 
     eval: callable
@@ -41,15 +44,9 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __post_init__(self):
-        grad0 = np.atleast_1d(np.asarray(self.grad0, dtype=float))
+        grad0 = _array("grad0", self.grad0, 1)
         d = grad0.shape[0]
-        hess0 = np.asarray(self.hess0, dtype=float)
-        if hess0.ndim == 0:
-            hess0 = hess0.reshape(1, 1)
-        if hess0.shape != (d, d):
-            raise ValidationError("BAD_SHAPE", f"hess0 must be ({d}, {d})")
-        _require_finite(grad0, "grad0")
-        _require_finite(hess0, "hess0")
+        hess0 = _array("hess0", self.hess0, (d, d))
         if np.max(np.abs(hess0 - hess0.T)) > 1e-12:
             raise ValidationError("BAD_SHAPE", "hess0 is not symmetric")
         origin = float(self.eval(np.zeros(d)))

@@ -31,6 +31,7 @@ from .core import (
     Scenario,
     UncertaintySet,
     _real,
+    _sequence,
     sample_payoff,
     sample_points,
 )
@@ -74,8 +75,8 @@ def _pure_jump_set(jump_measures, d: int) -> UncertaintySet:
     zeros = [0.0] * d
     return UncertaintySet(
         tuple(
-            Scenario(atoms=tuple(atoms), drift=zeros, diffusion=[zeros] * d)
-            for atoms in jump_measures
+            Scenario(atoms=atoms, drift=zeros, diffusion=[zeros] * d)
+            for atoms in _sequence("jump measures", jump_measures)
         )
     )
 
@@ -228,7 +229,8 @@ def series_solution(
     off-lattice jumps use the same clamped multilinear rule and boundary
     effects stay local.  Terms of that bound that overflow raise NON_FINITE.
     ``t`` must be a finite nonnegative real number (BAD_SHAPE) and ``tol`` a
-    positive one (BAD_SHAPE for a non-number, else BAD_TOLERANCE).
+    positive one (BAD_SHAPE for a non-number, else BAD_TOLERANCE), and
+    ``jump_measures`` a sequence of atom lists (BAD_SHAPE).
     """
     t, tol = _check_horizon(t, tol)
     uset = _pure_jump_set(jump_measures, grid.dim)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import _integer, _real
+from .core import _array, _integer, _real, _require_finite
 from .errors import MatrixError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -21,12 +21,16 @@ CONDITION_LIMIT = 1e10
 
 
 def check_symmetric(x) -> np.ndarray:
-    """Validate a dense symmetric matrix (to 1e-12) and return it symmetrized."""
-    arr = np.asarray(x, dtype=float)
+    """Validate a dense symmetric matrix (to 1e-12) and return it symmetrized.
+
+    A matrix that is not a square array of real numbers (a string, None, a
+    complex or ragged array included) raises BAD_SHAPE, a non-finite entry
+    NON_FINITE.
+    """
+    arr = _array("matrix", x, finite=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError("BAD_SHAPE", f"expected a square matrix, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("NON_FINITE", "matrix contains a non-finite entry")
+    _require_finite(arr, "matrix")
     scale = max(1.0, float(np.max(np.abs(arr))))
     if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL * scale:
         raise MatrixError("ASYMMETRIC", "matrix is not symmetric to 1e-12")
@@ -38,8 +42,9 @@ def gamma_transform(x, gamma: float) -> np.ndarray:
 
     Eigenvalues map by t -> t / (1 - gamma t). SINGULAR is raised when the
     resolvent factor's conditioning exceeds 1e10 (an eigenvalue of X too
-    close to 1/gamma).  ``gamma`` must be a real number (BAD_SHAPE) that is
-    finite and positive (GAMMA_RANGE).
+    close to 1/gamma).  ``x`` is read as :func:`check_symmetric` reads it.
+    ``gamma`` must be a real number (BAD_SHAPE) that is finite and positive
+    (GAMMA_RANGE).
     """
     xs = check_symmetric(x)
     gamma = _real("gamma", gamma)

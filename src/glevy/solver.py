@@ -95,6 +95,7 @@ from .core import (
     Scenario,
     SchemeConfig,
     UncertaintySet,
+    _array,
     _covariance,
     _real,
     _require_finite,
@@ -419,13 +420,14 @@ def solve(
     Parameters
     ----------
     output_times : sequence of floats in [0, cfg.final_time]
-        Snapshot times; defaults to [cfg.final_time].  Other errors are
-        those of :func:`check_march`, :func:`sample_payoff` and :func:`march`.
+        Snapshot times; defaults to [cfg.final_time] (None or empty).  Times
+        that are not a vector of real numbers (a string, a complex, ragged or
+        nested array) raise BAD_SHAPE.  Other errors are those of
+        :func:`check_march`, :func:`sample_payoff` and :func:`march`.
     """
-    if output_times is None or len(output_times) == 0:
-        output_times = [cfg.final_time]
-    times = np.unique(np.asarray(output_times, dtype=float))
-    if times.size and (times[0] < -EPSILON or times[-1] > cfg.final_time + EPSILON):
+    times = () if output_times is None else _array("output times", output_times, 1, finite=False)
+    times = np.unique(times if len(times) else [cfg.final_time])
+    if times[0] < -EPSILON or times[-1] > cfg.final_time + EPSILON:
         raise ValidationError(
             "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
         )
@@ -439,11 +441,14 @@ def evaluate(result: SolveResult, t: float, x) -> float:
     """Interpolated solution value at snapshot time ``t`` and point ``x``.
 
     Raises NO_SNAPSHOT unless some snapshot's time label matches ``t`` to
-    1e-12, and BAD_SHAPE for a ``t`` that is not a real number.
+    1e-12, and BAD_SHAPE for a ``t`` that is not a real number or an ``x``
+    that is not one point of real numbers (shape (d,), a scalar when d == 1;
+    a string, None, a complex or ragged array is BAD_SHAPE).
     """
     t = _real("t", t)
     for snap in result.snapshots:
         if abs(snap.time_label - t) <= 1e-12:
-            return float(interpolate(snap, np.atleast_1d(np.asarray(x, dtype=float))))
+            point = _array("query point", x, (snap.spec.dim,), finite=False)
+            return float(interpolate(snap, point))
     labels = [snap.time_label for snap in result.snapshots]
     raise SolverError("NO_SNAPSHOT", f"no snapshot at t = {t}; stored {labels}")

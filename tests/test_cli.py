@@ -573,8 +573,24 @@ def test_payoff_kinds_without_generator_form(lines, message):
             GENERATOR_CLOSED_FORM.replace("1:0.5", "1:-1"),
             "scenario.0: atom rate -1.0 is negative",
         ),
+        (
+            GPOISSON_CFG + "payoff = table\npayoff.table = 0:1; 1:inf\n",
+            "payoff.table: must be finite, got inf",
+        ),
+        (
+            GPOISSON_CFG + "payoff = table\npayoff.table = 0:1; nan:2\n",
+            "payoff.table: must be finite, got nan",
+        ),
+        (
+            GPOISSON_CFG + "payoff = quadratic-clip\npayoff.scale = 1e308\npayoff.clip = 1e308\n",
+            "payoff.clip: payoff lipschitz inf invalid",
+        ),
+        (
+            GPOISSON_CFG + "payoff = indicator-ramp\npayoff.width = 5e-324\n",
+            "payoff.width: payoff lipschitz inf invalid",
+        ),
     ],
-    ids=["scheme", "grid", "scenario"],
+    ids=["scheme", "grid", "scenario", "table-inf", "table-nan", "quadratic-clip", "ramp"],
 )
 def test_library_errors_name_the_key_read(text, message):
     # a rejection by the library is reported under the key it read, without its inner code

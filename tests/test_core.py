@@ -576,3 +576,150 @@ def test_integer_parameters_refuse_other_numbers(name, value):
     with pytest.raises(GLevyError) as e:
         call(value)
     assert code_of(e) == "BAD_SHAPE" and "not an integer" in e.value.message
+
+
+# --- array parameters --------------------------------------------------------
+
+
+def array_entry_points():
+    """(name, call) pairs, each passing its one argument as the array named."""
+    from glevy import TestFunction, check_symmetric, evaluate, gamma_transform
+
+    uset = GPoissonSpec(0.5).uncertainty_set()
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
+    grid = GridSpec(lower=[-4.0], upper=[4.0], points=[33])
+    pay = Payoff(lambda x: np.clip(np.asarray(x, float)[..., 0], -3.0, 3.0), 3.0, 1.0)
+    res = solve(pay, uset, grid, cfg)
+    return [
+        ("Scenario drift", lambda v: Scenario(drift=v)),
+        ("Scenario diffusion", lambda v: Scenario(drift=[0.0], diffusion=v)),
+        ("Scenario atom jump", lambda v: Scenario(atoms=((v, 1.0),), drift=[0.0])),
+        ("GridSpec lower", lambda v: GridSpec(v, [4.0], [33])),
+        ("GridSpec upper", lambda v: GridSpec([-4.0], v, [33])),
+        ("uniform_grid lower", lambda v: uniform_grid(v, [4.0], 0.5)),
+        ("uniform_grid upper", lambda v: uniform_grid([-4.0], v, 0.5)),
+        ("GridFunction values", lambda v: GridFunction(grid, v)),
+        ("interpolate x", lambda v: interpolate(res.snapshots[0], v)),
+        ("evaluate x", lambda v: evaluate(res, 0.5, v)),
+        ("sample_points output", lambda v: sample_payoff(Payoff(lambda x: v, 3.0, 1.0), grid)),
+        ("solve output_times", lambda v: solve(pay, uset, grid, cfg, v)),
+        ("TestFunction grad0", lambda v: TestFunction(lambda x: 0.0, v, [[0.0]], 1.0)),
+        ("TestFunction hess0", lambda v: TestFunction(lambda x: 0.0, [0.0], v, 1.0)),
+        ("check_symmetric", check_symmetric),
+        ("gamma_transform", lambda v: gamma_transform(v, 0.5)),
+    ]
+
+
+def other_shapes():
+    """(name, call) pairs of wrong shapes, wrong payoff outputs and non-sequences."""
+    from glevy import CylinderFunctional, expectation
+
+    uset = GPoissonSpec(0.5).uncertainty_set()
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
+    grid = GridSpec(lower=[-4.0], upper=[4.0], points=[33])
+    pay = Payoff(lambda x: np.clip(np.asarray(x, float)[..., 0], -3.0, 3.0), 3.0, 1.0)
+
+    def payoff(out):
+        return Payoff(lambda x: out(np.shape(x)[:-1]), 3.0, 1.0)
+
+    def functional(times=(0.5, 1.0)):
+        payoff = lambda a: np.clip(np.asarray(a, float).sum(axis=-1), -3.0, 3.0)  # noqa: E731
+        return CylinderFunctional(times, payoff, bound=3.0, lipschitz=2.0)
+
+    return [
+        ("output_times (1, 2)", lambda: solve(pay, uset, grid, cfg, [[0.25, 0.5]])),
+        ("payoff strings", lambda: sample_payoff(payoff(lambda n: np.full(n, "1.0")), grid)),
+        ("payoff None", lambda: sample_payoff(payoff(lambda n: None), grid)),
+        ("payoff (n, 2)", lambda: sample_payoff(payoff(lambda n: np.zeros(n + (2,))), grid)),
+        ("Scenario atoms None", lambda: Scenario(atoms=None)),
+        ("UncertaintySet of ints", lambda: UncertaintySet((1, 2))),
+        ("validate_uncertainty_set 5", lambda: validate_uncertainty_set(5)),
+        ("CylinderFunctional times None", lambda: functional(times=None)),
+        ("series_solution measures 5", lambda: series_solution(pay, grid, 5, 0.5)),
+        ("expectation var_grids 5", lambda: expectation(functional(), uset, cfg, var_grids=5)),
+        ("expectation var_grids [5, 5]", lambda: expectation(functional(), uset, cfg, var_grids=[5, 5])),
+    ]
+
+
+NOT_ARRAYS = [
+    ("str", "0.3"),
+    ("bytes", b"1"),
+    ("None", None),
+    ("ragged", [[1.0, 2.0], [3.0]]),
+    ("complex", 1j),
+    ("object", np.array([1.0, None], dtype=object)),
+]
+BAD_ARRAYS = [
+    (f"{name} {kind}", partial(call, value))
+    for name, call in array_entry_points()
+    for kind, value in NOT_ARRAYS
+    if (name, kind) != ("solve output_times", "None")  # None asks for the final time
+] + other_shapes()
+
+
+@pytest.mark.parametrize("name, call", BAD_ARRAYS, ids=[n for n, _ in BAD_ARRAYS])
+def test_array_parameters_refuse_non_arrays(name, call):
+    # each was taken as numbers, or raised NON_FINITE or a bare ValueError,
+    # TypeError or AttributeError
+    with pytest.raises(GLevyError) as e:
+        call()
+    assert code_of(e) == "BAD_SHAPE"
+
+
+REALS = st.one_of(
+    st.floats(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.booleans(),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.floats().map(np.float64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats().map(np.longdouble),
+    st.floats().map(np.array),
+)
+
+
+@given(st.one_of(REALS, st.lists(REALS, min_size=1, max_size=4)))
+def test_array_reader_gives_numpys_float_bits(value):
+    from glevy.core import _array
+
+    got, want = _array("x", value, finite=False), np.array(value, dtype=float)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert got.flags.writeable and got.flags.owndata
+
+
+def test_array_reads_copy_the_callers_array():
+    band = GPoissonSpec(0.5)
+    grid = GridSpec(lower=[-4.0], upper=[4.0], points=[33])
+    kept = np.linspace(-1.0, 1.0, 33)
+    before = kept.copy()
+    # a payoff that returns an array it keeps: series_solution summed into it
+    keeps = Payoff(lambda x: kept if np.ndim(x) == 2 else 0.0, 1.0, 1.0)
+    series_solution(keeps, grid, band.jump_measures(), 0.5)
+    assert np.array_equal(kept, before)
+    # a read-only payoff output: series_solution raised a bare ValueError
+    frozen = Payoff(lambda x: np.broadcast_to(0.5, np.shape(x)[:-1]), 1.0, 0.0)
+    assert np.all(series_solution(frozen, grid, band.jump_measures(), 0.5).values == 0.5)
+    drift = np.array([0.3])
+    s = Scenario(drift=drift)
+    drift[0] = 1.0
+    assert s.q == (0.3,) and s.drift.tolist() == [0.3]
+
+
+@pytest.mark.parametrize(
+    "row", [float, np.float64, np.float32, int, np.int64, bool, np.array], ids=lambda f: f.__name__
+)
+def test_one_point_payoffs_run_row_by_row(row):
+    grid = GridSpec(lower=[-2.0], upper=[2.0], points=[17])
+
+    def one_point(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("one point at a time")
+        return row(np.floor(arr[0]))
+
+    got = sample_payoff(Payoff(eval=one_point, bound=2.0, lipschitz=4.0), grid)
+    # the row-by-row samples as they were read before: float() of each output
+    want = np.array([float(one_point(p)) for p in grid.nodes()])
+    assert got.tobytes() == want.tobytes()

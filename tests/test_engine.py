@@ -791,6 +791,43 @@ def test_nested_error_is_first_order_in_dt():
         assert 1.8 <= coarse / fine <= 2.2
 
 
+# --- ordered independence -------------------------------------------------------
+
+# the diffusion band sigma in {0.5, 1}: no jumps, no drift
+SIGMA_BAND = validate_uncertainty_set([((), [0.0], [[0.5]]), ((), [0.0], [[1.0]])])
+
+
+def later_squared(a):
+    """clip(D_1, +-6) * min(D_2^2, 36): bound 216, Lipschitz 72."""
+    a = np.asarray(a, dtype=float)
+    return np.clip(a[..., 0], -6.0, 6.0) * np.minimum(a[..., 1] ** 2, 36.0)
+
+
+def earlier_squared(a):
+    """clip(D_2, +-6) * min(D_1^2, 36): the same product with the increments swapped."""
+    return later_squared(np.asarray(a, dtype=float)[..., ::-1])
+
+
+def test_ordered_independence_converges_at_second_order_in_dx():
+    # E[D_1 D_2^2] over h = 0.5 each: the inner sup is h (sigma_hi^2 x if x > 0
+    # else sigma_lo^2 x), convex in x, so the outer sup takes sigma_hi:
+    # h^{3/2} (sigma_hi^2 - sigma_lo^2) sigma_hi / sqrt(2 pi)
+    exact = 0.5**1.5 * (1.0 - 0.25) * 1.0 / math.sqrt(2.0 * math.pi)
+    xi = CylinderFunctional((0.5, 1.0), later_squared, bound=216.0, lipschitz=72.0)
+    cfg = SchemeConfig(cfl_safety=0.5)
+    errors = [abs(expectation(xi, SIGMA_BAND, cfg, dx=dx) - exact) for dx in (0.2, 0.1, 0.05)]
+    assert errors[0] < 1e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.3 <= coarse / fine <= 4.3
+
+
+@pytest.mark.parametrize("dx", [0.2, 0.1, 0.05])
+def test_ordered_independence_is_not_symmetric(dx):
+    # E[D_2 D_1^2] = 0: the inner expectation of D_2 is 0 for every frozen D_1
+    xi = CylinderFunctional((0.5, 1.0), earlier_squared, bound=216.0, lipschitz=72.0)
+    assert abs(expectation(xi, SIGMA_BAND, SchemeConfig(cfl_safety=0.5), dx=dx)) < 1e-5
+
+
 # --- one set-up per distinct grid ---------------------------------------------
 
 def counting(monkeypatch, name):

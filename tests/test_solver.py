@@ -652,3 +652,20 @@ def test_atom_beyond_the_box_reads_the_edge(atom, edge, lower):
     stencil, _ = check_march(validate_uncertainty_set([(((atom, 1.0),), 0.0, 0.0)]), grid, cfg)
     work = Workspace(stencil, np.zeros(21))
     assert work.u.base.nbytes < 4096  # padded by the box, not by the jump
+
+
+def test_solve_is_first_order_in_time():
+    # at a fixed spacing each halving of cfl_safety halves the change of u(T, 0):
+    # the differences isolate the time error of the explicit step
+    uset = validate_uncertainty_set([((), [0.3], [[0.4]]), ((), [-0.2], [[0.6]])])
+    grid = uniform_grid([-5.0], [5.0], 0.05)
+    phi = Payoff(lambda x: np.sin(np.asarray(x, dtype=float)[..., 0]), bound=1.0, lipschitz=1.0)
+    values, steps = [], []
+    for c in (0.8, 0.4, 0.2, 0.1):
+        res = solve(phi, uset, grid, SchemeConfig(cfl_safety=c, final_time=0.5))
+        values.append(evaluate(res, 0.5, [0.0]))
+        steps.append(res.steps)
+    assert steps == [93, 185, 370, 740]
+    diffs = [a - b for a, b in zip(values, values[1:])]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
