@@ -1,9 +1,12 @@
 """Batch command-line front-end.
 
 Jobs are described by a flat key-value config file: one ``key = value`` per
-line, ``#`` starts a comment and duplicate keys are fatal.  A job accepts a
-key only by reading it: each reader takes its key out of the parsed pairs,
-and the first key left over, in file order, is ``<key>: unknown key``.
+line, ``#`` starts a comment and duplicate keys are fatal.  Each command has
+one reader, listed in ``_COMMANDS``: it takes its keys out of the parsed pairs
+and returns the job's library call with every argument bound, so a job is its
+output path and that call, and :func:`run` only makes it.  A key is accepted
+only by being read, and the first key left over, in file order, is
+``<key>: unknown key``.
 Flags: ``--config <path>`` (required), ``--out <path>`` and ``--seed <u64>``;
 each replaces the config key of the same name and passes the same check, so
 ``--seed`` is an unknown key off ``check``.
@@ -14,6 +17,8 @@ common          command, out
 scenarios       scenario.<i>.atoms   "z:w; z:w; ..."  (z comma-separated per axis)
                 scenario.<i>.drift    "c1,c2,..."
                 scenario.<i>.diffusion  row-major d*d comma list (scalar for d=1)
+dim             an integer >= 1 (default 1) whose d x d diffusion matrix has
+                no more bytes than numpy can index
 grid            grid.lower, grid.upper (comma lists), and grid.spacing or
                 grid.points (given both, grid.spacing is not read)
 payoff          payoff = clip-linear | indicator-ramp | quadratic-clip |
@@ -57,7 +62,8 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,33 +89,6 @@ from .solver import solve
 # one spelling per index: scenario.00 would silently replace scenario.0
 _SCENARIO_KEY = re.compile(r"^scenario\.(0|[1-9]\d*)\.(atoms|drift|diffusion)$")
 _GRID = ("grid.lower", "grid.upper", "grid.spacing", "grid.points")
-
-
-@dataclass
-class JobConfig:
-    """One validated batch job."""
-
-    command: str
-    dim: int = 1
-    uset: UncertaintySet | None = None
-    grid: GridSpec | None = None
-    scheme: SchemeConfig = field(default_factory=SchemeConfig)
-    payoff: Payoff | None = None
-    test_function: TestFunction | None = None
-    output_times: list[float] | None = None
-    eval_points: list[list[float]] | None = None
-    lam: float = 0.5
-    t: float = 1.0
-    direction: str = "increasing"
-    x: float = 0.0
-    tol: float = 1e-10
-    times: list[float] | None = None
-    delta: float | None = None
-    engine_dx: float = 0.05
-    engine_node_budget: int = 400_000
-    engine_tail: float = 1e-10
-    seed: int = 2026
-    out: str | None = None
 
 
 def _bad(key: str, why: str) -> ConfigError:
@@ -345,7 +324,7 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
     return validate_uncertainty_set(scenarios)
 
 
-def _build_grid(kv) -> GridSpec:
+def _build_grid(kv, dim: int) -> GridSpec:
     lower = _floats(_take(kv, "grid.lower"), "grid.lower")
     upper = _floats(_take(kv, "grid.upper"), "grid.upper")
     if len(lower) != len(upper):
@@ -355,11 +334,15 @@ def _build_grid(kv) -> GridSpec:
         points = _floats(kv.pop("grid.points"), "grid.points", int, "integer")
         if len(points) == 1:
             points = points * len(lower)
-        return _checked("grid.points", GridSpec, lower=lower, upper=upper, points=points)
-    if "grid.spacing" in kv:
+        grid = _checked("grid.points", GridSpec, lower=lower, upper=upper, points=points)
+    elif "grid.spacing" in kv:
         spacing = _positive(kv, "grid.spacing")
-        return _checked("grid.spacing", uniform_grid, lower, upper, spacing)
-    raise _bad("grid.spacing", "need grid.spacing or grid.points")
+        grid = _checked("grid.spacing", uniform_grid, lower, upper, spacing)
+    else:
+        raise _bad("grid.spacing", "need grid.spacing or grid.points")
+    if grid.dim != dim:
+        raise _bad("grid.lower", f"grid dimension != dim = {dim}")
+    return grid
 
 
 def _build_scheme(kv, horizon: bool) -> SchemeConfig:
@@ -370,8 +353,164 @@ def _build_scheme(kv, horizon: bool) -> SchemeConfig:
     return _checked("scheme.final_time", SchemeConfig, cfl_safety, final_time)
 
 
-def parse_config(text: str) -> JobConfig:
-    """Parse and validate a config document into a JobConfig."""
+def _read_dim(kv) -> int:
+    """``dim``, refused before any list of its length is built if a d x d matrix fits no array."""
+    dim = _int(kv, "dim", 1)
+    if dim < 1:
+        raise _bad("dim", "must be >= 1")
+    if dim * dim * 8 > sys.maxsize:
+        raise _bad("dim", f"a {dim} x {dim} diffusion matrix fits no array")
+    return dim
+
+
+def _fmt(v: float) -> str:
+    return f"{float(v):.17g}"
+
+
+def _value(call, *args, **kwargs) -> tuple[int, str]:
+    """A single-value job: ``call(*args, **kwargs)`` as a one-value CSV."""
+    return 0, f"value\n{_fmt(call(*args, **kwargs))}\n"
+
+
+def _report(call, seed: int) -> tuple[int, str]:
+    """The ``check`` job: one line per row of ``call(seed)``, status 1 if any row fails."""
+    rows = call(seed)
+    lines = [
+        f"{r.suite},{r.name},{_fmt(r.measured)},{_fmt(r.threshold)},"
+        f"{'PASS' if r.passed else 'FAIL'}"
+        for r in rows
+    ]
+    status = 0 if all(r.passed for r in rows) else 1
+    return status, "\n".join(lines) + "\n"
+
+
+def _csv(eval_points, call, phi, uset, grid, cfg, output_times) -> tuple[int, str]:
+    """The ``solve`` job: the box must pad ``eval_points`` (UNPADDED_GRID), then ``call``'s CSV."""
+    pad = min_padding(uset, cfg.final_time)
+    axes = list(zip(*eval_points))
+    if not pads_origin(grid, pad, list(map(min, axes)), list(map(max, axes))):
+        raise ConfigError(
+            "UNPADDED_GRID",
+            f"box must pad evaluation points by >= {pad:.6g} over horizon {cfg.final_time:.6g}",
+        )
+    return 0, _solve_csv(grid, call(phi, uset, grid, cfg, output_times).snapshots)
+
+
+# One reader per command: it reads the command's keys and returns the job's
+# call, a runner above with the library function and every argument bound.
+# The library function is looked up by its module-global name at parse time,
+# so a wrapper rebound there (a tracer) is the function the job calls.
+
+
+def _read_check(kv):
+    seed = _int(kv, "seed", 2026)
+    if seed < 0:
+        raise _bad("seed", "must be a nonnegative integer")
+    return partial(_report, run_checks, seed)
+
+
+def _read_gpoisson(kv):
+    lam = _float(kv, "lambda")
+    if not (0.0 <= lam <= 1.0):
+        raise _bad("lambda", f"{lam} not in [0, 1]")
+    t = _float(kv, "t")
+    if t < 0:
+        raise _bad("t", "must be nonnegative")
+    direction = kv.pop("direction", "increasing")
+    if direction not in ("increasing", "decreasing"):
+        raise _bad("direction", f"{direction!r} is not increasing|decreasing")
+    x = _float(kv, "x", 0.0)
+    tol = _positive(kv, "scheme.tolerance", 1e-10)
+    payoff, _ = _read_payoff(kv)
+    return partial(_value, gpoisson_closed_form, payoff, direction, lam, t, x, tol=tol)
+
+
+def _read_solve(kv):
+    dim = _read_dim(kv)
+    scheme = _build_scheme(kv, horizon=True)
+    uset = _build_scenarios(kv, dim)
+    payoff, _ = _read_payoff(kv)
+    eval_points = [[0.0] * dim]
+    if "eval.x" in kv:
+        eval_points = []
+        for part in kv.pop("eval.x").split(";"):
+            if part.strip():
+                p = _floats(part, "eval.x")
+                if len(p) != dim:
+                    raise _bad("eval.x", f"point needs {dim} coordinates")
+                eval_points.append(p)
+        if not eval_points:
+            raise _bad("eval.x", "needs at least one point")
+    grid = _build_grid(kv, dim)
+    times = [scheme.final_time]
+    if "output_times" in kv:
+        times = _floats(kv.pop("output_times"), "output_times")
+    return partial(_csv, eval_points, solve, payoff, uset, grid, scheme, times)
+
+
+def _read_generator(kv):
+    dim = _read_dim(kv)
+    # the closed form (no delta) marches nothing: it reads no scheme or grid key
+    scheme = _build_scheme(kv, horizon=False) if "delta" in kv else None
+    uset = _build_scenarios(kv, dim)
+    payoff, form = _read_payoff(kv)
+    if scheme is None:
+        f = TestFunction(payoff.eval, *form(dim), payoff.bound)
+        return partial(_value, g_operator, f, uset)
+    grid = _build_grid(kv, dim)
+    delta = _positive(kv, "delta")
+    return partial(_value, small_time_quotient, payoff, uset, delta, grid, scheme)
+
+
+def _read_expect(kv):
+    dim = _read_dim(kv)
+    scheme = _build_scheme(kv, horizon=False)
+    uset = _build_scenarios(kv, dim)
+    payoff, _ = _read_payoff(kv)
+    # an optional grid pins every increment variable's box
+    grid = _build_grid(kv, dim) if any(key in kv for key in _GRID) else None
+    times = _floats(_take(kv, "times"), "times")
+    if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise _bad("times", "must be strictly increasing positive reals")
+    dx = _positive(kv, "engine.dx", 0.05)
+    node_budget = _int(kv, "engine.node_budget", 400_000)
+    if node_budget < 1:
+        raise _bad("engine.node_budget", "must be a positive integer")
+    tail = _float(kv, "engine.tail", 1e-10)
+    if not (0.0 < tail < 1.0):
+        raise _bad("engine.tail", "must be in (0, 1)")
+
+    def summed(args):
+        arr = np.asarray(args, dtype=float)
+        lead = arr.shape[:-1]
+        return payoff.eval(arr.reshape(lead + (len(times), dim)).sum(axis=-2))
+
+    xi = CylinderFunctional(tuple(times), summed, payoff.bound, payoff.lipschitz, dim)
+    var_grids = None if grid is None else [grid] * len(times)
+    return partial(
+        _value, expectation, xi, uset, scheme,
+        dx=dx, node_budget=node_budget, tail=tail, var_grids=var_grids,
+    )
+
+
+_COMMANDS = {
+    "check": _read_check,
+    "gpoisson": _read_gpoisson,
+    "solve": _read_solve,
+    "generator": _read_generator,
+    "expect": _read_expect,
+}
+
+
+class Job(NamedTuple):
+    """One validated batch job: its output path (None: stdout) and its bound library call."""
+
+    out: str | None
+    call: Callable[[], tuple[int, str]]
+
+
+def parse_config(text: str) -> Job:
+    """Parse and validate a config document into a Job."""
     return _parse_pairs(_read_pairs(text))
 
 
@@ -394,114 +533,16 @@ def _read_pairs(text: str) -> dict[str, str]:
     return kv
 
 
-def _parse_pairs(kv: dict[str, str]) -> JobConfig:
-    """The job of ``kv``, whose keys it consumes; a key no reader took is unknown."""
-    job = _read_job(kv)
+def _parse_pairs(kv: dict[str, str]) -> Job:
+    """The job of ``kv``, read by its command's reader; a key no reader took is unknown."""
+    command = _take(kv, "command")
+    out = kv.pop("out", None)
+    if command not in _COMMANDS:
+        raise _bad("command", f"unknown command {command!r}")
+    job = Job(out, _COMMANDS[command](kv))
     if kv:
         raise _bad(next(iter(kv)), "unknown key")
     return job
-
-
-def _read_job(kv: dict[str, str]) -> JobConfig:
-    command = _take(kv, "command")
-    job = JobConfig(command=command, out=kv.pop("out", None))
-
-    if command == "check":
-        job.seed = _int(kv, "seed", 2026)
-        if job.seed < 0:
-            raise _bad("seed", "must be a nonnegative integer")
-        return job
-
-    if command == "gpoisson":
-        job.lam = _float(kv, "lambda")
-        if not (0.0 <= job.lam <= 1.0):
-            raise _bad("lambda", f"{job.lam} not in [0, 1]")
-        job.t = _float(kv, "t")
-        if job.t < 0:
-            raise _bad("t", "must be nonnegative")
-        job.direction = kv.pop("direction", "increasing")
-        if job.direction not in ("increasing", "decreasing"):
-            raise _bad("direction", f"{job.direction!r} is not increasing|decreasing")
-        job.x = _float(kv, "x", 0.0)
-        job.tol = _positive(kv, "scheme.tolerance", 1e-10)
-        job.payoff, _ = _read_payoff(kv)
-        return job
-
-    if command not in ("solve", "generator", "expect"):
-        raise _bad("command", f"unknown command {command!r}")
-    job.dim = _int(kv, "dim", 1)
-    if job.dim < 1:
-        raise _bad("dim", "must be >= 1")
-    # the closed-form generator marches nothing: it reads no scheme or grid key
-    marches = command != "generator" or "delta" in kv
-    if marches:
-        job.scheme = _build_scheme(kv, horizon=command == "solve")
-    job.uset = _build_scenarios(kv, job.dim)
-    job.payoff, form = _read_payoff(kv)
-
-    job.eval_points = [[0.0] * job.dim]
-    if command == "solve" and "eval.x" in kv:
-        pts = []
-        for part in kv.pop("eval.x").split(";"):
-            if part.strip():
-                p = _floats(part, "eval.x")
-                if len(p) != job.dim:
-                    raise _bad("eval.x", f"point needs {job.dim} coordinates")
-                pts.append(p)
-        if not pts:
-            raise _bad("eval.x", "needs at least one point")
-        job.eval_points = pts
-
-    # solve and the quotient need a grid, expect may pin one
-    if marches and (command != "expect" or any(key in kv for key in _GRID)):
-        job.grid = _build_grid(kv)
-        if job.grid.dim != job.dim:
-            raise _bad("grid.lower", f"grid dimension != dim = {job.dim}")
-
-    if command == "solve":
-        if "output_times" in kv:
-            job.output_times = _floats(kv.pop("output_times"), "output_times")
-        else:
-            job.output_times = [job.scheme.final_time]
-        return job
-
-    if command == "generator":
-        if marches:
-            job.delta = _positive(kv, "delta")
-        else:
-            job.test_function = TestFunction(job.payoff.eval, *form(job.dim), job.payoff.bound)
-        return job
-
-    # expect
-    job.times = _floats(_take(kv, "times"), "times")
-    if any(t <= 0 for t in job.times) or any(
-        b <= a for a, b in zip(job.times, job.times[1:])
-    ):
-        raise _bad("times", "must be strictly increasing positive reals")
-    job.engine_dx = _positive(kv, "engine.dx", 0.05)
-    job.engine_node_budget = _int(kv, "engine.node_budget", 400_000)
-    if job.engine_node_budget < 1:
-        raise _bad("engine.node_budget", "must be a positive integer")
-    job.engine_tail = _float(kv, "engine.tail", 1e-10)
-    if not (0.0 < job.engine_tail < 1.0):
-        raise _bad("engine.tail", "must be in (0, 1)")
-    return job
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _enforce_padding(job: JobConfig) -> None:
-    """The solve's box must pad its evaluation points ``eval.x`` (UNPADDED_GRID)."""
-    horizon = job.scheme.final_time
-    pad = min_padding(job.uset, horizon)
-    axes = list(zip(*job.eval_points))
-    if not pads_origin(job.grid, pad, list(map(min, axes)), list(map(max, axes))):
-        raise ConfigError(
-            "UNPADDED_GRID",
-            f"box must pad evaluation points by >= {pad:.6g} over horizon {horizon:.6g}",
-        )
 
 
 def _solve_csv(grid: GridSpec, snapshots) -> str:
@@ -525,56 +566,9 @@ def _solve_csv(grid: GridSpec, snapshots) -> str:
     return "".join(parts)
 
 
-def _run_solve(job: JobConfig) -> str:
-    _enforce_padding(job)
-    result = solve(job.payoff, job.uset, job.grid, job.scheme, job.output_times)
-    return _solve_csv(job.grid, result.snapshots)
-
-
-def _run_value(value: float) -> str:
-    return f"value\n{_fmt(value)}\n"
-
-
-def run(job: JobConfig) -> tuple[int, str]:
-    """Execute a job; returns (exit status, artifact text)."""
-    if job.command == "solve":
-        return 0, _run_solve(job)
-    if job.command == "gpoisson":
-        value = gpoisson_closed_form(
-            job.payoff, job.direction, job.lam, job.t, job.x, tol=job.tol
-        )
-        return 0, _run_value(value)
-    if job.command == "generator":
-        if job.delta is not None:
-            value = small_time_quotient(job.payoff, job.uset, job.delta, job.grid, job.scheme)
-        else:
-            value = g_operator(job.test_function, job.uset)
-        return 0, _run_value(value)
-    if job.command == "expect":
-        inner = job.payoff
-
-        def summed(args):
-            arr = np.asarray(args, dtype=float)
-            lead = arr.shape[:-1]
-            total = arr.reshape(lead + (len(job.times), job.dim)).sum(axis=-2)
-            return inner.eval(total)
-
-        xi = CylinderFunctional(tuple(job.times), summed, inner.bound, inner.lipschitz, job.dim)
-        var_grids = [job.grid] * len(job.times) if job.grid is not None else None
-        value = expectation(
-            xi, job.uset, job.scheme, dx=job.engine_dx, node_budget=job.engine_node_budget,
-            tail=job.engine_tail, var_grids=var_grids,
-        )
-        return 0, _run_value(value)
-    # check
-    rows = run_checks(job.seed)
-    lines = [
-        f"{r.suite},{r.name},{_fmt(r.measured)},{_fmt(r.threshold)},"
-        f"{'PASS' if r.passed else 'FAIL'}"
-        for r in rows
-    ]
-    status = 0 if all(r.passed for r in rows) else 1
-    return status, "\n".join(lines) + "\n"
+def run(job: Job) -> tuple[int, str]:
+    """Execute a job, which is making its bound call; returns (exit status, artifact text)."""
+    return job.call()
 
 
 def main(argv=None) -> int:

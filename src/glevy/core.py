@@ -321,7 +321,9 @@ class GridSpec:
     Set-up readers (stencils, strides, origin corners, padding checks) take
     these floats instead of microsecond numpy calls on tiny arrays.
 
-    ``points`` is read first; ``lower`` and ``upper`` must then be arrays of
+    ``points`` is read first: a vector of integers, integral floats such as
+    5.0 included (else BAD_SHAPE; a bool, a ragged or nested sequence and an
+    int beyond 64 bits included); ``lower`` and ``upper`` must then be arrays of
     real numbers of its shape (else BAD_SHAPE; a string, None, a complex or
     ragged array included) with finite entries (NON_FINITE).  BAD_SHAPE is
     also raised, before any array is built, for a grid whose
@@ -335,7 +337,10 @@ class GridSpec:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.array(self.points, ndmin=1)
+        try:
+            points = np.array(self.points, ndmin=1)
+        except ValueError:
+            raise ValidationError("BAD_SHAPE", "grid points is a ragged sequence") from None
         if points.dtype.kind == "f" and all(
             math.isfinite(p) and p == math.floor(p) for p in points.ravel().tolist()
         ):

@@ -13,8 +13,9 @@ frozen nodes, in blocks of rows: it starts from phi sampled on the tensor
 grid of all m variables, or from the previous level's values (its nodes are
 exactly the sample points); each row is read at the origin by the corner
 rule of :func:`glevy.core.interpolate`, as a weighted sum over corner nodes
-found once per level.  Conditional expectations are those intermediates,
-returned as grid functions of the first j increments.
+that :func:`_sublattice` finds once per distinct grid, with
+:func:`glevy.solver._atom_stencil`.  Conditional expectations are those
+intermediates, returned as grid functions of the first j increments.
 
 An increment read only at the origin (all in :func:`expectation`, those
 after the j-th in :func:`conditional_expectation`) is marched with the fine

@@ -422,11 +422,15 @@ def solve(
     output_times : sequence of floats in [0, cfg.final_time]
         Snapshot times; defaults to [cfg.final_time] (None or empty).  Times
         that are not a vector of real numbers (a string, a complex, ragged or
-        nested array) raise BAD_SHAPE.  Other errors are those of
+        nested array) raise BAD_SHAPE, a NaN time NON_FINITE before any
+        march, and a time outside the range (±inf included) TIME_RANGE.
+        Other errors are those of
         :func:`check_march`, :func:`sample_payoff` and :func:`march`.
     """
     times = () if output_times is None else _array("output times", output_times, 1, finite=False)
     times = np.unique(times if len(times) else [cfg.final_time])
+    if math.isnan(times[-1]):  # np.unique sorts nan last
+        raise ValidationError("NON_FINITE", "output times contain nan")
     if times[0] < -EPSILON or times[-1] > cfg.final_time + EPSILON:
         raise ValidationError(
             "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"

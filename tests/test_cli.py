@@ -16,8 +16,10 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
+from glevy import checks, cli
 from glevy.cli import _solve_csv, main, parse_config, run
 from glevy.errors import ConfigError
+from glevy.generator import TestFunction
 
 SOLVE_CFG = """
 command = solve
@@ -35,15 +37,22 @@ output_times = 0.5, 1
 """
 
 
+def bound_call(job):
+    """(library function, positional arguments, keywords) bound in a one-value or check job."""
+    call, *args = job.call.args
+    return call, args, job.call.keywords
+
+
 def test_parse_minimal_gpoisson():
     job = parse_config(
         "command = gpoisson\nlambda = 0.5\nt = 1\npayoff = clip-linear\n"
     )
-    assert job.command == "gpoisson"
-    assert job.lam == 0.5
-    assert job.t == 1.0
-    assert job.direction == "increasing"
-    assert job.x == 0.0
+    call, (payoff, direction, lam, t, x), kwargs = bound_call(job)
+    assert call is cli.gpoisson_closed_form
+    assert lam == 0.5
+    assert t == 1.0
+    assert direction == "increasing"
+    assert x == 0.0
 
 
 def test_parse_rejections():
@@ -121,7 +130,7 @@ def test_node_budget_must_be_a_positive_integer(value):
         parse_config(text + f"engine.node_budget = {value}\n")
     assert e.value.code == "VALIDATION_ERROR"
     assert e.value.message.startswith("engine.node_budget: ")
-    assert parse_config(text + "engine.node_budget = 1\n").engine_node_budget == 1
+    assert bound_call(parse_config(text + "engine.node_budget = 1\n"))[2]["node_budget"] == 1
 
 
 DIFFUSION_SOLVE_CFG = (
@@ -214,7 +223,8 @@ def test_comments_and_blank_lines_ignored():
     job = parse_config(
         "# job header\n\ncommand = gpoisson  # trailing note\nlambda = 0\nt = 2\npayoff = clip-linear\n"
     )
-    assert job.lam == 0.0 and job.t == 2.0
+    call, (payoff, direction, lam, t, x), kwargs = bound_call(job)
+    assert lam == 0.0 and t == 2.0
 
 
 def test_solve_csv_matches_library(tmp_path):
@@ -471,18 +481,112 @@ def test_seed_flag_replaces_config_seed(tmp_path, config_seed):
 
 
 def test_kept_inputs_are_parsed():
-    assert parse_config(JOBS["check"] + "seed = 7\n").seed == 7
-    assert parse_config(JOBS["gpoisson"] + "scheme.tolerance = 1e-6\n").tol == 1e-6
-    assert parse_config(JOBS["quotient"] + "scheme.cfl_safety = 0.5\n").scheme.cfl_safety == 0.5
-    assert parse_config(JOBS["expect"] + "scheme.cfl_safety = 0.5\n").scheme.cfl_safety == 0.5
+    assert bound_call(parse_config(JOBS["check"] + "seed = 7\n"))[1] == [7]
+    assert bound_call(parse_config(JOBS["gpoisson"] + "scheme.tolerance = 1e-6\n"))[2]["tol"] == 1e-6
+    quotient = bound_call(parse_config(JOBS["quotient"] + "scheme.cfl_safety = 0.5\n"))
+    assert quotient[1][-1].cfl_safety == 0.5
+    assert bound_call(parse_config(JOBS["expect"] + "scheme.cfl_safety = 0.5\n"))[1][2].cfl_safety == 0.5
     ramp = JOBS["gpoisson"].replace("clip-linear", "indicator-ramp")
-    assert parse_config(ramp + "payoff.center = 1\n").payoff.eval(np.array([[1.5]])) == 0.5
-    closed = parse_config(JOBS["generator"])
-    assert closed.grid is None and closed.test_function is not None
+    assert bound_call(parse_config(ramp + "payoff.center = 1\n"))[1][0].eval(np.array([[1.5]])) == 0.5
+    call, args, kwargs = bound_call(parse_config(JOBS["generator"]))
+    assert call is cli.g_operator and isinstance(args[0], TestFunction)
+    assert not any(isinstance(a, GridSpec) for a in args) and not kwargs
     # an unknown kind is reported as such, whatever payoff.<key> comes with it
     with pytest.raises(ConfigError) as e:
         parse_config(GPOISSON_CFG + "payoff = ramp\npayoff.center = 1\n")
     assert e.value.message == "payoff: unknown payoff kind 'ramp'"
+
+
+def recorder(monkeypatch, name, result=None):
+    """Wrap ``glevy.cli.<name>`` to record each call's arguments; it returns ``result`` if given."""
+    original, calls = getattr(cli, name), []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs) if result is None else result
+
+    monkeypatch.setattr(cli, name, record)
+    return calls
+
+
+def test_solve_job_calls_solve(monkeypatch):
+    calls = recorder(monkeypatch, "solve")
+    status, text = run(parse_config(SOLVE_CFG))
+    [((payoff, uset, grid, scheme, times), kwargs)] = calls
+    assert not kwargs and status == 0
+    assert payoff.bound == 2.0 and payoff.eval(np.array([[3.0], [-1.5]])).tolist() == [2.0, -1.5]
+    assert [(s.jumps, s.rates) for s in uset.scenarios] == [(((1.0,),), (w,)) for w in (0.5, 1.0)]
+    assert (grid.lo, grid.hi, grid.shape) == ((-4.0,), (8.0,), (121,))
+    assert (scheme.cfl_safety, scheme.final_time) == (0.5, 1.0)
+    assert times == [0.5, 1.0]
+    assert text == _solve_csv(grid, solve(payoff, uset, grid, scheme, times).snapshots)
+
+
+def test_gpoisson_job_calls_the_closed_form(monkeypatch):
+    calls = recorder(monkeypatch, "gpoisson_closed_form")
+    text = JOBS["gpoisson"] + "payoff.scale = -1\ndirection = decreasing\nx = 0.25\nscheme.tolerance = 1e-8\n"
+    status, artifact = run(parse_config(text))
+    [((payoff, *args), kwargs)] = calls
+    assert args == ["decreasing", 0.5, 1.0, 0.25] and kwargs == {"tol": 1e-8}
+    assert payoff.bound == 1e6 and payoff.lipschitz == 1.0
+    value = gpoisson_closed_form(payoff, *args, **kwargs)
+    assert (status, artifact) == (0, f"value\n{value:.17g}\n")
+
+
+def test_generator_jobs_call_the_closed_form_or_the_quotient(monkeypatch):
+    closed, quotient = recorder(monkeypatch, "g_operator"), recorder(monkeypatch, "small_time_quotient")
+    assert run(parse_config(JOBS["generator"]))[0] == 0
+    [((f, uset), kwargs)] = closed
+    assert not kwargs and isinstance(f, TestFunction)
+    assert f.grad0.tolist() == [1.0] and f.hess0.tolist() == [[0.0]] and f.bound == 1e6
+    assert uset.scenarios[0].q == (0.3,) and uset.scenarios[0].rates == (0.5,)
+    assert run(parse_config(JOBS["quotient"] + "scheme.cfl_safety = 0.5\n"))[0] == 0
+    [((payoff, uset, delta, grid, scheme), kwargs)] = quotient
+    assert not kwargs and payoff.bound == 1e6 and uset.scenarios[0].q == (0.3,)
+    assert delta == 0.01 and (grid.lo, grid.hi, grid.h) == ((-3.0,), (3.0,), (0.02,))
+    assert (scheme.cfl_safety, scheme.final_time) == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["engine-boxes", "pinned-grid"])
+def test_expect_job_calls_the_engine(monkeypatch, pinned):
+    calls = recorder(monkeypatch, "expectation")
+    grid = "grid.lower = -6\ngrid.upper = 10\ngrid.spacing = 0.1\n" if pinned else ""
+    text = (
+        "command = expect\nscenario.0.atoms = 1:1\ntimes = 0.25, 0.5\npayoff = clip-linear\n"
+        "payoff.clip = 1\nengine.dx = 0.1\nengine.node_budget = 5000\nengine.tail = 1e-8\n"
+    )
+    assert run(parse_config(text + grid))[0] == 0
+    [((xi, uset, scheme), kwargs)] = calls
+    assert (xi.times, xi.dim, xi.bound, xi.lipschitz) == ((0.25, 0.5), 1, 1.0, 1.0)
+    # the payoff is applied to the summed increments
+    assert xi.payoff(np.array([[0.25, 0.5], [2.0, -1.5]])).tolist() == [0.75, 0.5]
+    assert uset.scenarios[0].rates == (1.0,) and scheme.cfl_safety == 0.9
+    var_grids = kwargs.pop("var_grids")
+    assert kwargs == {"dx": 0.1, "node_budget": 5000, "tail": 1e-8}
+    if pinned:
+        assert len(var_grids) == 2 and var_grids[0] is var_grids[1]
+        assert (var_grids[0].lo, var_grids[0].hi, var_grids[0].shape) == ((-6.0,), (10.0,), (161,))
+    else:
+        assert var_grids is None
+
+
+def test_check_job_calls_the_suites(monkeypatch):
+    row = checks.CheckRow("suite", "name", 2.0, 1.0)
+    calls = recorder(monkeypatch, "run_checks", [row])
+    assert run(parse_config(JOBS["check"] + "seed = 7\n")) == (1, "suite,name,2,1,FAIL\n")
+    assert calls == [((7,), {})]
+
+
+@pytest.mark.parametrize("dim", [10**20, 2**32])
+@pytest.mark.parametrize("job", ["solve", "generator", "expect"])
+def test_dim_beyond_any_array_rejected(capsys, tmp_path, job, dim):
+    # 10**20 ended in a bare OverflowError, 2**32 first built a 32 GB list
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text(JOBS[job].replace("dim = 1\n", "") + f"dim = {dim}\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[VALIDATION_ERROR] dim: a {dim} x {dim} diffusion matrix fits no array\n"
 
 
 # (payoff lines, dim, points, values there, bound, lipschitz, (grad0, hess0) or None)
@@ -524,17 +628,18 @@ def test_payoff_kinds(kind):
     lines, dim, points, values, bound, lipschitz, form = PAYOFF_KINDS[kind]
     atom = ",".join(["1"] + ["0"] * (dim - 1))
     generator = f"command = generator\ndim = {dim}\nscenario.0.atoms = {atom}:0.5\n" + lines
-    # a kind without a generator form is read by a job that needs none
-    job = parse_config(generator if form else GPOISSON_CFG + lines)
-    pay = job.payoff
+    pay = bound_call(parse_config(GPOISSON_CFG + lines))[1][0]
     assert pay.eval(np.array(points)).tolist() == values
     assert [float(pay.eval(np.array(p))) for p in points] == values
     assert pay.bound == bound and pay.lipschitz == pytest.approx(lipschitz, rel=1e-15)
+    # a kind without a generator form is read by a job that needs none
     if form:
         grad0, hess0 = form
-        assert job.test_function.grad0.tolist() == list(grad0)
-        assert np.array_equal(job.test_function.hess0, hess0)
-        assert job.test_function.bound == bound
+        test_function = bound_call(parse_config(generator))[1][0]
+        assert [float(test_function.eval(np.array(p))) for p in points] == values
+        assert test_function.grad0.tolist() == list(grad0)
+        assert np.array_equal(test_function.hess0, hess0)
+        assert test_function.bound == bound
 
 
 @pytest.mark.parametrize(

@@ -264,9 +264,13 @@ def test_grid_needs_three_points():
     assert code_of(e) == "BAD_SHAPE"
 
 
-@pytest.mark.parametrize("points", [[4.5], [np.nan], [np.inf], ["5"]])
+@pytest.mark.parametrize(
+    "points",
+    [[4.5], [np.nan], [np.inf], ["5"], [[3], [3, 4]], [True], [[5]],
+     np.array([5], dtype=object), [2**70]],
+)
 def test_grid_points_must_be_integers(points):
-    # 4.5 was once truncated to a 4-node grid
+    # 4.5 was once truncated to a 4-node grid; a ragged list once raised numpy's ValueError
     with pytest.raises(GLevyError) as e:
         GridSpec(lower=[-1.0], upper=[1.0], points=points)
     assert code_of(e) == "BAD_SHAPE"

@@ -414,6 +414,21 @@ def test_snapshot_times_validated():
     assert e.value.code == "TIME_RANGE"
 
 
+def test_nan_output_time_is_refused_before_the_march(monkeypatch):
+    # a nan time once passed the range check, and the march ran to 0.5 before it failed
+    def no_march(*args):
+        raise AssertionError("march was called")
+
+    monkeypatch.setattr("glevy.solver.march", no_march)
+    with pytest.raises(GLevyError) as e:
+        solve(wave(), BENCH, BENCH_GRID, BENCH_CFG, output_times=[0.5, np.nan])
+    assert e.value.code == "NON_FINITE"
+    for t in (np.inf, -np.inf):
+        with pytest.raises(GLevyError) as e:
+            solve(wave(), BENCH, BENCH_GRID, BENCH_CFG, output_times=[0.25, t])
+        assert e.value.code == "TIME_RANGE"
+
+
 def test_missing_snapshot_rejected():
     res = solve(wave(), BENCH, BENCH_GRID, BENCH_CFG, output_times=[0.5])
     with pytest.raises(SolverError) as e:
