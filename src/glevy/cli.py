@@ -6,7 +6,9 @@ one reader, listed in ``_COMMANDS``: it takes its keys out of the parsed pairs
 and returns the job's library call with every argument bound, so a job is its
 output path and that call, and :func:`run` only makes it.  A key is accepted
 only by being read, and the first key left over, in file order, is
-``<key>: unknown key``.
+``<key>: unknown key``.  A key whose range the library also checks is read by
+that rule's reader in :mod:`glevy.core` (or by ``_check_lambda`` or
+:class:`glevy.engine.CylinderFunctional`), with its message under the key.
 Flags: ``--config <path>`` (required), ``--out <path>`` and ``--seed <u64>``;
 each replaces the config key of the same name and passes the same check, so
 ``--seed`` is an unknown key off ``check``.
@@ -74,6 +76,11 @@ from .core import (
     Scenario,
     SchemeConfig,
     UncertaintySet,
+    _count,
+    _horizon,
+    _step,
+    _tail,
+    _tolerance,
     min_padding,
     pads_origin,
     uniform_grid,
@@ -82,7 +89,7 @@ from .core import (
 from .engine import CylinderFunctional, expectation
 from .errors import ConfigError, GLevyError
 from .generator import TestFunction, g_operator, small_time_quotient
-from .gpoisson import gpoisson_closed_form
+from .gpoisson import _check_lambda, gpoisson_closed_form
 from .solver import solve
 
 
@@ -127,6 +134,7 @@ def _float(kv, key, default=None):
 
 
 def _positive(kv, key, default=None):
+    """A payoff's clip or width: a rule of the CLI's payoff kinds, not of the library."""
     value = _float(kv, key, default)
     if value <= 0:
         raise _bad(key, "must be positive")
@@ -336,7 +344,7 @@ def _build_grid(kv, dim: int) -> GridSpec:
             points = points * len(lower)
         grid = _checked("grid.points", GridSpec, lower=lower, upper=upper, points=points)
     elif "grid.spacing" in kv:
-        spacing = _positive(kv, "grid.spacing")
+        spacing = _float(kv, "grid.spacing")
         grid = _checked("grid.spacing", uniform_grid, lower, upper, spacing)
     else:
         raise _bad("grid.spacing", "need grid.spacing or grid.points")
@@ -355,9 +363,7 @@ def _build_scheme(kv, horizon: bool) -> SchemeConfig:
 
 def _read_dim(kv) -> int:
     """``dim``, refused before any list of its length is built if a d x d matrix fits no array."""
-    dim = _int(kv, "dim", 1)
-    if dim < 1:
-        raise _bad("dim", "must be >= 1")
+    dim = _checked("dim", _count, "dim", _int(kv, "dim", 1))
     if dim * dim * 8 > sys.maxsize:
         raise _bad("dim", f"a {dim} x {dim} diffusion matrix fits no array")
     return dim
@@ -410,17 +416,13 @@ def _read_check(kv):
 
 
 def _read_gpoisson(kv):
-    lam = _float(kv, "lambda")
-    if not (0.0 <= lam <= 1.0):
-        raise _bad("lambda", f"{lam} not in [0, 1]")
-    t = _float(kv, "t")
-    if t < 0:
-        raise _bad("t", "must be nonnegative")
+    lam = _checked("lambda", _check_lambda, _float(kv, "lambda"))
+    t = _checked("t", _horizon, "t", _float(kv, "t"))
     direction = kv.pop("direction", "increasing")
     if direction not in ("increasing", "decreasing"):
         raise _bad("direction", f"{direction!r} is not increasing|decreasing")
     x = _float(kv, "x", 0.0)
-    tol = _positive(kv, "scheme.tolerance", 1e-10)
+    tol = _checked("scheme.tolerance", _tolerance, "tol", _float(kv, "scheme.tolerance", 1e-10))
     payoff, _ = _read_payoff(kv)
     return partial(_value, gpoisson_closed_form, payoff, direction, lam, t, x, tol=tol)
 
@@ -458,7 +460,7 @@ def _read_generator(kv):
         f = TestFunction(payoff.eval, *form(dim), payoff.bound)
         return partial(_value, g_operator, f, uset)
     grid = _build_grid(kv, dim)
-    delta = _positive(kv, "delta")
+    delta = _checked("delta", _step, "delta", _float(kv, "delta"))
     return partial(_value, small_time_quotient, payoff, uset, delta, grid, scheme)
 
 
@@ -470,22 +472,18 @@ def _read_expect(kv):
     # an optional grid pins every increment variable's box
     grid = _build_grid(kv, dim) if any(key in kv for key in _GRID) else None
     times = _floats(_take(kv, "times"), "times")
-    if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise _bad("times", "must be strictly increasing positive reals")
-    dx = _positive(kv, "engine.dx", 0.05)
-    node_budget = _int(kv, "engine.node_budget", 400_000)
-    if node_budget < 1:
-        raise _bad("engine.node_budget", "must be a positive integer")
-    tail = _float(kv, "engine.tail", 1e-10)
-    if not (0.0 < tail < 1.0):
-        raise _bad("engine.tail", "must be in (0, 1)")
 
     def summed(args):
         arr = np.asarray(args, dtype=float)
         lead = arr.shape[:-1]
         return payoff.eval(arr.reshape(lead + (len(times), dim)).sum(axis=-2))
 
-    xi = CylinderFunctional(tuple(times), summed, payoff.bound, payoff.lipschitz, dim)
+    # the payoff and dim are valid: only the times can fail here
+    xi = _checked("times", CylinderFunctional, times, summed, payoff.bound, payoff.lipschitz, dim)
+    dx = _checked("engine.dx", _step, "dx", _float(kv, "engine.dx", 0.05))
+    node_budget = _int(kv, "engine.node_budget", 400_000)
+    node_budget = _checked("engine.node_budget", _count, "node_budget", node_budget)
+    tail = _checked("engine.tail", _tail, "tail", _float(kv, "engine.tail", 1e-10))
     var_grids = None if grid is None else [grid] * len(times)
     return partial(
         _value, expectation, xi, uset, scheme,

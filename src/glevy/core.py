@@ -12,7 +12,10 @@ Every array the library takes in, from a caller or from a payoff, is read by
 one function, :func:`_array`: it refuses a non-numeric or ragged array and a
 wrong shape (BAD_SHAPE), then non-finite entries where the site refuses them
 (NON_FINITE), and copies the rest into a float64 array the library owns.
-Scalars have :func:`_real` and :func:`_integer`.
+Scalars have :func:`_real` and :func:`_integer` for their type, and one
+reader per range rule on top of them: :func:`_constant`, :func:`_horizon`,
+:func:`_step`, :func:`_tolerance`, :func:`_tail` and :func:`_count`.  Every
+site of a rule, in the library and in the CLI, calls its reader.
 """
 
 from __future__ import annotations
@@ -297,13 +300,10 @@ class Payoff:
     def __post_init__(self):
         if not callable(self.eval):
             raise ValidationError("BAD_SHAPE", "payoff eval must be callable")
+        # both types before either range
         b, L = _real("payoff bound", self.bound), _real("payoff lipschitz", self.lipschitz)
-        if not (math.isfinite(b) and b >= 0):
-            raise ValidationError("NON_FINITE", f"payoff bound {b!r} invalid")
-        if not (math.isfinite(L) and L >= 0):
-            raise ValidationError("NON_FINITE", f"payoff lipschitz {L!r} invalid")
-        object.__setattr__(self, "bound", b)
-        object.__setattr__(self, "lipschitz", L)
+        object.__setattr__(self, "bound", _constant("payoff bound", b))
+        object.__setattr__(self, "lipschitz", _constant("payoff lipschitz", L))
 
 
 def _spacing(lo: float, hi: float, n: int) -> float:
@@ -412,9 +412,7 @@ def uniform_grid(lower, upper, spacing: float) -> GridSpec:
     """
     lower, lo = _array("grid lower", lower, 1, kept=True)
     upper, hi = _array("grid upper", upper, lower.shape, kept=True)
-    spacing = _real("grid spacing", spacing)
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValidationError("BAD_SHAPE", f"grid spacing {spacing!r} must be finite and positive")
+    spacing = _step("grid spacing", spacing)
     points = []
     for a, b in zip(lo, hi):
         cells = (b - a) / spacing - EPSILON
@@ -444,11 +442,8 @@ class GridFunction:
 
     def __post_init__(self):
         vals = _array("grid values", self.values, self.spec.shape)
-        t = _real("time label", self.time_label)
-        if not (math.isfinite(t) and t >= 0):
-            raise ValidationError("NON_FINITE", f"time label {t!r} invalid")
         object.__setattr__(self, "values", _readonly(vals))
-        object.__setattr__(self, "time_label", t)
+        object.__setattr__(self, "time_label", _constant("time label", self.time_label))
 
 
 def _real(what: str, value) -> float:
@@ -465,6 +460,43 @@ def _integer(what: str, value) -> int:
     if type(value) is bool or not isinstance(value, numbers.Integral):
         raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _ranged(code: str, rule: str, holds: Callable[[float], bool]):
+    """The reader ``read(what, value)`` of one scalar range rule.
+
+    It returns :func:`_real`'s float of ``value`` if ``holds`` it, and raises
+    ``code`` with ``<what> <value> <rule>`` otherwise.  nan fails every
+    comparison, so each rule below refuses it.
+    """
+
+    def read(what: str, value) -> float:
+        x = _real(what, value)
+        if not holds(x):
+            raise ValidationError(code, f"{what} {x!r} {rule}")
+        return x
+
+    return read
+
+
+# a payoff bound or Lipschitz constant, and a time label
+_constant = _ranged("NON_FINITE", "must be finite and nonnegative", lambda x: 0.0 <= x < math.inf)
+# a time span: a horizon, an increment's length, a solve's final time
+_horizon = _ranged("BAD_SHAPE", "must be finite and nonnegative", lambda x: 0.0 <= x < math.inf)
+# a grid spacing or a time step
+_step = _ranged("BAD_SHAPE", "must be finite and positive", lambda x: 0.0 < x < math.inf)
+# a series' error tolerance
+_tolerance = _ranged("BAD_TOLERANCE", "must be positive", lambda x: x > 0.0)
+# a Poisson tail mass
+_tail = _ranged("BAD_TOLERANCE", "not in (0, 1)", lambda x: 0.0 < x < 1.0)
+
+
+def _count(what: str, value) -> int:
+    """``value`` as a Python int >= 1: a count of nodes, axes or blocks; else BAD_SHAPE."""
+    n = _integer(what, value)
+    if n < 1:
+        raise ValidationError("BAD_SHAPE", f"{what} {n!r} is not an int >= 1")
+    return n
 
 
 def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False):
@@ -528,12 +560,12 @@ class SchemeConfig:
     final_time: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "cfl_safety", _real("cfl_safety", self.cfl_safety))
-        object.__setattr__(self, "final_time", _real("final_time", self.final_time))
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValidationError("BAD_SHAPE", f"cfl_safety {self.cfl_safety} not in (0, 1]")
-        if not (math.isfinite(self.final_time) and self.final_time >= 0):
-            raise ValidationError("BAD_SHAPE", f"final_time {self.final_time} invalid")
+        # both types before either range
+        cfl, final = _real("cfl_safety", self.cfl_safety), _real("final_time", self.final_time)
+        if not (0.0 < cfl <= 1.0):
+            raise ValidationError("BAD_SHAPE", f"cfl_safety {cfl} not in (0, 1]")
+        object.__setattr__(self, "cfl_safety", cfl)
+        object.__setattr__(self, "final_time", _horizon("final_time", final))
 
 
 def interpolate(g: GridFunction, x) -> float | np.ndarray:
@@ -649,11 +681,7 @@ def min_padding(uset: UncertaintySet, horizon: float) -> float:
 
     One jump range plus drift transport plus four diffusion standard
     deviations: max|z_k| + q_max * T + 4 * sigma_max * sqrt(T).  A horizon
-    that is not a real number raises BAD_SHAPE.
+    that is not a finite nonnegative real number raises BAD_SHAPE.
     """
-    t = _real("horizon", horizon)
-    return (
-        uset.max_jump_norm()
-        + uset.max_drift_norm() * t
-        + 4.0 * uset.max_sigma() * math.sqrt(max(t, 0.0))
-    )
+    t = _horizon("horizon", horizon)
+    return uset.max_jump_norm() + uset.max_drift_norm() * t + 4.0 * uset.max_sigma() * math.sqrt(t)

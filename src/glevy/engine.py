@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridFunction, GridSpec, Payoff, SchemeConfig, UncertaintySet, min_padding
-from .core import _integer, _real, _sequence
+from .core import _count, _horizon, _integer, _real, _sequence, _step, _tail
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
 from .gpoisson import poisson_head
@@ -63,9 +63,10 @@ class CylinderFunctional:
     ``payoff`` receives the increments as one flat vector of length m*dim
     (earliest first); it may also accept an (n, m*dim) batch.  ``bound`` and
     ``lipschitz`` are sup-norm and Lipschitz constants of the payoff, read as
-    :class:`glevy.core.Payoff` reads them.  ``times`` that is not a sequence,
-    a time that is not a real number, or a ``dim`` that is not an int (a bool
-    included), raises BAD_SHAPE.
+    :class:`glevy.core.Payoff` reads them, and the validated payoff is kept
+    as ``phi``.  ``times`` that is not a sequence, a time that is not a real
+    number, or a ``dim`` that is not an int >= 1 (a bool is not one), raises
+    BAD_SHAPE.
     """
 
     times: tuple[float, ...]
@@ -84,13 +85,11 @@ class CylinderFunctional:
             raise ValidationError("BAD_SHAPE", "times must be strictly increasing and positive")
         # a callable payoff (BAD_SHAPE) with a valid bound and Lipschitz constant (NON_FINITE)
         phi = Payoff(eval=self.payoff, bound=self.bound, lipschitz=self.lipschitz)
-        dim = _integer("dim", self.dim)
-        if dim < 1:
-            raise ValidationError("BAD_SHAPE", "dim must be >= 1")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "bound", phi.bound)
-        object.__setattr__(self, "lipschitz", phi.lipschitz)
-        object.__setattr__(self, "dim", dim)
+        dim = _count("dim", self.dim)
+        # the fields and the payoff kept from validation, set once on the frozen instance
+        self.__dict__.update(
+            times=times, bound=phi.bound, lipschitz=phi.lipschitz, dim=dim, phi=phi
+        )
 
     @property
     def m(self) -> int:
@@ -102,14 +101,12 @@ def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) 
 
     Jump stacking is covered to Poisson tail mass ``tail`` at the worst total
     rate (in (0, 1), else BAD_TOLERANCE): K of :func:`glevy.gpoisson.poisson_head`
-    at scale 1, and at least one jump range when atoms exist.  A horizon or
-    tail that is not a real number raises BAD_SHAPE.
+    at scale 1, and at least one jump range when atoms exist.  A tail that is
+    not a real number, and a horizon that is not a finite nonnegative one,
+    raise BAD_SHAPE.
     """
-    tail = _real("tail", tail)
-    if not 0.0 < tail < 1.0:
-        raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
-    h = _real("horizon", horizon)
-    r = uset.max_drift_norm() * h + 4.0 * uset.max_sigma() * math.sqrt(max(h, 0.0))
+    tail, h = _tail("tail", tail), _horizon("horizon", horizon)
+    r = uset.max_drift_norm() * h + 4.0 * uset.max_sigma() * math.sqrt(h)
     zmax = uset.max_jump_norm()
     if zmax > 0.0:
         k = max(1, len(poisson_head(uset.max_total_rate() * h, 1.0, tail)) - 1)
@@ -184,13 +181,8 @@ def _integrate_levels(
     first ``stop_at`` variables.  ``node_budget`` bounds the node counts of
     the first m - 1 increments and, for boxes the engine sizes, of all m.
     """
-    dx, tail = _real("dx", dx), _real("tail", tail)
-    if not (math.isfinite(dx) and dx > 0.0):
-        raise ValidationError("BAD_SHAPE", f"dx {dx!r} must be finite and positive")
-    if not 0.0 < tail < 1.0:
-        raise ValidationError("BAD_TOLERANCE", f"tail {tail!r} not in (0, 1)")
-    if _integer("node_budget", node_budget) < 1:
-        raise ValidationError("BAD_SHAPE", f"node_budget {node_budget!r} is not an int >= 1")
+    dx, tail = _step("dx", dx), _tail("tail", tail)
+    node_budget = _count("node_budget", node_budget)
     if uset.dim != xi.dim:
         raise ValidationError("BAD_SHAPE", f"set dim {uset.dim} != functional dim {xi.dim}")
     m, d = xi.m, xi.dim
@@ -243,7 +235,6 @@ def _integrate_levels(
             "DIMENSION_OVERFLOW", f"level {m} marches {marched:.6g} nodes > budget {node_budget}"
         )
     axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
-    phi = Payoff(eval=xi.payoff, bound=xi.bound, lipschitz=xi.lipschitz)
     current = None  # the previous level's values, over this level's nodes
     for level in range(m, stop_at, -1):
         horizon, yaxes = horizons[level - 1], axes[level - 1]
@@ -259,7 +250,7 @@ def _integrate_levels(
                 # the block's nodes of the tensor grid, without building the others
                 idx = np.unravel_index(np.arange(a * ny, b * ny), fshape + yshape)
                 nodes = np.stack([x[i] for x, i in zip(frozen + yaxes, idx)], axis=-1)
-                block = sample_points(phi, nodes)
+                block = sample_points(xi.phi, nodes)
             else:
                 block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
             (block,), _, _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])

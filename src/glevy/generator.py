@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _array, _real
+from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _array, _constant, _step
 from .engine import CylinderFunctional, expectation
 from .errors import ValidationError
 
@@ -52,12 +52,9 @@ class TestFunction:
         origin = float(self.eval(np.zeros(d)))
         if origin != 0.0:
             raise ValidationError("BAD_SHAPE", f"test function has f(0) = {origin!r}, not 0")
-        b = _real("bound", self.bound)
-        if not (math.isfinite(b) and b >= 0):
-            raise ValidationError("NON_FINITE", f"bound {b!r} invalid")
         object.__setattr__(self, "grad0", grad0)
         object.__setattr__(self, "hess0", hess0)
-        object.__setattr__(self, "bound", b)
+        object.__setattr__(self, "bound", _constant("bound", self.bound))
 
     @property
     def dim(self) -> int:
@@ -97,9 +94,7 @@ def small_time_quotient(
     that overflows raises NON_FINITE, and a ``delta`` that is not a finite
     positive real number BAD_SHAPE.
     """
-    delta = _real("delta", delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValidationError("BAD_SHAPE", f"delta {delta!r} must be positive")
+    delta = _step("delta", delta)
     xi = CylinderFunctional((delta,), phi.eval, phi.bound, phi.lipschitz, grid.dim)
     quotient = expectation(xi, uset, cfg, var_grids=[grid]) / delta
     if not math.isfinite(quotient):

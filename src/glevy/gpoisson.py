@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -30,19 +29,21 @@ from .core import (
     Payoff,
     Scenario,
     UncertaintySet,
+    _horizon,
     _real,
     _sequence,
+    _tolerance,
     sample_payoff,
     sample_points,
 )
 from .errors import ValidationError
-from .solver import Workspace, build_stencil
+from .solver import build_stencil, series
 
 
 def _check_lambda(lam: float) -> float:
     """``lam`` as a float in [0, 1] (LAMBDA_RANGE); a non-number raises BAD_SHAPE."""
     lam = _real("lambda", lam)
-    if not (0.0 <= lam <= 1.0) or not math.isfinite(lam):
+    if not 0.0 <= lam <= 1.0:
         raise ValidationError("LAMBDA_RANGE", f"lambda {lam!r} not in [0, 1]")
     return lam
 
@@ -79,20 +80,6 @@ def _pure_jump_set(jump_measures, d: int) -> UncertaintySet:
             for atoms in _sequence("jump measures", jump_measures)
         )
     )
-
-
-def _check_horizon(t: float, tol: float) -> tuple[float, float]:
-    """``t`` finite and nonnegative (BAD_SHAPE) and ``tol`` positive (BAD_TOLERANCE), as floats.
-
-    Either one that is not a real number raises BAD_SHAPE.
-    """
-    t = _real("t", t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError("BAD_SHAPE", f"t {t!r} must be nonnegative")
-    tol = _real("tol", tol)
-    if not tol > 0.0:
-        raise ValidationError("BAD_TOLERANCE", f"tol {tol!r} must be positive")
-    return t, tol
 
 
 def poisson_weights(mu: float):
@@ -132,10 +119,12 @@ def g_lambda(a: float, lam: float) -> float:
     """a+ - lambda * a-, the worst case of l*a over intensities l in [lambda, 1].
 
     ``a`` and ``lam`` must be real numbers (BAD_SHAPE), ``lam`` in [0, 1]
-    (LAMBDA_RANGE).
+    (LAMBDA_RANGE) and ``a`` finite (NON_FINITE).
     """
     lam = _check_lambda(lam)
     a = _real("a", a)
+    if not math.isfinite(a):
+        raise ValidationError("NON_FINITE", f"a {a!r} is not finite")
     return max(a, 0.0) - lam * max(-a, 0.0)
 
 
@@ -168,7 +157,7 @@ def gpoisson_closed_form(
     lam = _check_lambda(lam)
     if direction not in ("increasing", "decreasing"):
         raise ValidationError("BAD_DIRECTION", f"direction {direction!r}")
-    t, tol = _check_horizon(t, tol)
+    t, tol = _horizon("t", t), _tolerance("tol", tol)
     x = _real("x", x)
 
     weights = poisson_head(t if direction == "increasing" else lam * t, phi.bound, tol)
@@ -224,34 +213,16 @@ def series_solution(
 
     and the result is sum_{i<=N} (t^i / i!) phi_i with N fixed from the tail
     bound sum_{i>N} (2*Lambda*t)^i/i! * bound(phi0) < tol, Lambda the largest
-    total mass.  Each level is one application of the solver's jump stencil
-    (:class:`glevy.solver.Workspace`'s calls, one workspace for all levels), so
-    off-lattice jumps use the same clamped multilinear rule and boundary
-    effects stay local.  Terms of that bound that overflow raise NON_FINITE.
+    total mass.  The levels are :func:`glevy.solver.series` of the solver's
+    jump stencil, so off-lattice jumps use the same clamped multilinear rule
+    and boundary effects stay local.  Terms of that bound that overflow raise
+    NON_FINITE.
     ``t`` must be a finite nonnegative real number (BAD_SHAPE) and ``tol`` a
     positive one (BAD_SHAPE for a non-number, else BAD_TOLERANCE), and
     ``jump_measures`` a sequence of atom lists (BAD_SHAPE).
     """
-    t, tol = _check_horizon(t, tol)
+    t, tol = _horizon("t", t), _tolerance("tol", tol)
     uset = _pure_jump_set(jump_measures, grid.dim)
     levels = _series_levels(2.0 * uset.max_total_rate() * t, phi0.bound, tol)
-
-    total = sample_payoff(phi0, grid)
-    work = Workspace(build_stencil(uset.scenarios, grid), total)
-    # the kernel's call forms: each level is the workspace's bound calls, then
-    # the copy back, the scaling by a 0-d coefficient and the sum, bound alike.
-    # The coefficient is formed on a Python float and stored by ``fill``; a
-    # 0-d ufunc update costs about 1 us more per level.
-    out, scale = work.out, np.array(1.0)
-    calls = work.calls + [
-        partial(work.u.__setitem__, ..., out),
-        partial(np.multiply, out, scale, out),
-        partial(np.add, total, out, total),
-    ]
-    coef = 1.0
-    for i in range(1, levels + 1):
-        coef *= t / i
-        scale.fill(coef)
-        for call in calls:
-            call()
+    total = series(sample_payoff(phi0, grid), build_stencil(uset.scenarios, grid), t, levels)
     return GridFunction(grid, total, t)

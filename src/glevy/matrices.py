@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import _array, _integer, _real, _require_finite
+from .core import _array, _count, _real, _require_finite
 from .errors import MatrixError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -23,13 +23,13 @@ CONDITION_LIMIT = 1e10
 def check_symmetric(x) -> np.ndarray:
     """Validate a dense symmetric matrix (to 1e-12) and return it symmetrized.
 
-    A matrix that is not a square array of real numbers (a string, None, a
-    complex or ragged array included) raises BAD_SHAPE, a non-finite entry
-    NON_FINITE.
+    A matrix that is not a nonempty square array of real numbers (a string,
+    None, a complex or ragged array included) raises BAD_SHAPE, a non-finite
+    entry NON_FINITE.
     """
     arr = _array("matrix", x, finite=False)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError("BAD_SHAPE", f"expected a square matrix, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValidationError("BAD_SHAPE", f"expected a nonempty square matrix, got {arr.shape}")
     _require_finite(arr, "matrix")
     scale = max(1.0, float(np.max(np.abs(arr))))
     if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL * scale:
@@ -67,8 +67,6 @@ def j_matrix(n: int, d: int) -> np.ndarray:
 
     ``n`` and ``d`` must be ints >= 1 (a bool is not one), else BAD_SHAPE.
     """
-    n, d = _integer("n", n), _integer("d", d)
-    if n < 1 or d < 1:
-        raise ValidationError("BAD_SHAPE", f"n and d must be >= 1, got {n}, {d}")
+    n, d = _count("n", n), _count("d", d)
     core = n * np.eye(n) - np.ones((n, n))
     return np.kron(core, np.eye(d))

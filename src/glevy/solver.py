@@ -381,9 +381,10 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
     ``dt_max`` is the step bound of :func:`check_march`.  The last
     ``len(stencil.offsets[0])`` axes of ``values`` are the grid's, any before
     them batch axes.  Steps are shortened so every time is hit exactly;
-    snapshots are checked finite (NON_FINITE).  One :class:`Workspace`,
-    loaded with ``values``, serves the whole march: each step updates its
-    flat band in place, pads too, and each snapshot is a copy.
+    snapshots are checked finite (NON_FINITE).  A span that needs more steps
+    than an index holds raises CFL_UNSATISFIABLE before its first step.  One
+    :class:`Workspace`, loaded with ``values``, serves the whole march: each
+    step updates its flat band in place, pads too, and each snapshot is a copy.
     """
     work = Workspace(stencil, values)
     u, band, out, step = work.u, work._band, work._out, np.array(0.0)
@@ -394,7 +395,14 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
     for target in times:
         span = float(target) - t
         if span > EPSILON:
-            n = 1 if not math.isfinite(dt_max) else max(1, math.ceil(span / dt_max - 1e-9))
+            cells = span / dt_max - 1e-9  # -1e-9 when dt_max is inf: one step
+            # nan and inf fail the comparison too
+            if not cells < sys.maxsize:
+                raise SolverError(
+                    "CFL_UNSATISFIABLE",
+                    f"span {span:.6g} needs more steps of {dt_max:.6g} than an index holds",
+                )
+            n = max(1, math.ceil(cells))
             dt = span / n
             step.fill(dt)
             for _ in range(n):
@@ -406,6 +414,32 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
         _require_finite(u, "grid values")
         snapshots.append(u.copy())
     return snapshots, steps, dt_used
+
+
+def series(values: np.ndarray, stencil: Stencil, t: float, levels: int) -> np.ndarray:
+    """Sum t^i / i! * G^i ``values`` over i = 0..``levels`` into ``values``, and return it.
+
+    G is the stencil's max over scenarios (:meth:`Workspace.apply`), each
+    power applied to the previous one in one :class:`Workspace`.  A level is
+    the workspace's bound calls, then the copy back, the scaling by a 0-d
+    coefficient and the sum, bound alike.  The coefficient is formed on a
+    Python float by ``coef *= t / i`` and stored by ``fill``; a 0-d ufunc
+    update costs about 1 us more per level.
+    """
+    work = Workspace(stencil, values)
+    out, scale = work.out, np.array(1.0)
+    calls = work.calls + [
+        partial(work.u.__setitem__, ..., out),
+        partial(np.multiply, out, scale, out),
+        partial(np.add, values, out, values),
+    ]
+    coef = 1.0
+    for i in range(1, levels + 1):
+        coef *= t / i
+        scale.fill(coef)
+        for call in calls:
+            call()
+    return values
 
 
 def solve(

@@ -85,6 +85,27 @@ def test_parse_rejections():
     assert e.value.code == "VALIDATION_ERROR" and "command" in e.value.message
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        SOLVE_CFG,
+        SOLVE_CFG.replace("command = solve", "command = generator")
+        .replace("scheme.final_time = 1\n", "")
+        .replace("output_times = 0.5, 1", "delta = 0.1"),
+        "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n"
+        "scheme.cfl_safety = 0.5\n",
+    ],
+    ids=["solve", "generator", "expect"],
+)
+def test_step_count_beyond_an_index_is_a_coded_error(text, capsys, tmp_path):
+    # a step bound of about 1e-321 once ended in a bare OverflowError in the march
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text.replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = 1e-320"))
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[CFL_UNSATISFIABLE] ") and "Traceback" not in err
+
+
 def test_empty_eval_x_rejected(capsys, tmp_path):
     cfg = tmp_path / "solve.cfg"
     cfg.write_text(SOLVE_CFG + "eval.x = ;\n", encoding="utf-8")
@@ -117,9 +138,16 @@ GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
     ],
 )
 def test_nonpositive_values_rejected(text, key):
+    # a payoff's clip and width are the CLI's own rules; the others are the library's readers
+    why = {
+        "scheme.tolerance": "tol 0.0 must be positive",
+        "grid.spacing": "grid spacing 0.0 must be finite and positive",
+        "delta": "delta -0.1 must be finite and positive",
+        "engine.dx": "dx 0.0 must be finite and positive",
+    }.get(key, "must be positive")
     with pytest.raises(ConfigError) as e:
         parse_config(text)
-    assert e.value.code == "VALIDATION_ERROR" and e.value.message == f"{key}: must be positive"
+    assert e.value.code == "VALIDATION_ERROR" and e.value.message == f"{key}: {why}"
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "2.5", "True", "1e6"])
@@ -158,6 +186,11 @@ DIFFUSION_SOLVE_CFG = (
             "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n"
             "engine.dx = nan\n",
             "engine.dx",
+        ),
+        (
+            "command = expect\nscenario.0.atoms = 1:1\ntimes = 1\npayoff = clip-linear\n"
+            "engine.tail = nan\n",
+            "engine.tail",
         ),
         (
             SOLVE_CFG.replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = nan"),
@@ -688,11 +721,11 @@ def test_payoff_kinds_without_generator_form(lines, message):
         ),
         (
             GPOISSON_CFG + "payoff = quadratic-clip\npayoff.scale = 1e308\npayoff.clip = 1e308\n",
-            "payoff.clip: payoff lipschitz inf invalid",
+            "payoff.clip: payoff lipschitz inf must be finite and nonnegative",
         ),
         (
             GPOISSON_CFG + "payoff = indicator-ramp\npayoff.width = 5e-324\n",
-            "payoff.width: payoff lipschitz inf invalid",
+            "payoff.width: payoff lipschitz inf must be finite and nonnegative",
         ),
     ],
     ids=["scheme", "grid", "scenario", "table-inf", "table-nan", "quadratic-clip", "ramp"],

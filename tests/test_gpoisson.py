@@ -59,6 +59,14 @@ def test_g_lambda_range_check():
     assert e.value.code == "LAMBDA_RANGE"
 
 
+@pytest.mark.parametrize("a, lam", [(math.inf, 0.5), (math.nan, 0.5), (-math.inf, 0.0)])
+def test_g_lambda_refuses_a_non_finite_increment(a, lam):
+    # these returned inf, nan and nan
+    with pytest.raises(GLevyError) as e:
+        g_lambda(a, lam)
+    assert e.value.code == "NON_FINITE" and e.value.message == f"a {a!r} is not finite"
+
+
 def test_spec_uncertainty_set():
     spec = GPoissonSpec(lambda_low=0.5)
     uset = spec.uncertainty_set()

@@ -32,6 +32,17 @@ def test_check_symmetric_rejects():
     assert e.value.code == "NON_FINITE"
 
 
+@pytest.mark.parametrize(
+    "call", [check_symmetric, lambda x: gamma_transform(x, 0.1)], ids=["check", "gamma"]
+)
+def test_empty_matrix_is_a_shape_error(call):
+    # numpy's "zero-size array to reduction operation maximum" ValueError before
+    with pytest.raises(GLevyError) as e:
+        call(np.zeros((0, 0)))
+    assert e.value.code == "BAD_SHAPE"
+    assert e.value.message == "expected a nonempty square matrix, got (0, 0)"
+
+
 def test_gamma_transform_examples():
     assert np.array_equal(gamma_transform(np.zeros((3, 3)), 0.5), np.zeros((3, 3)))
     out = gamma_transform(np.array([[1.0]]), 0.5)

@@ -298,6 +298,20 @@ def test_subnormal_rate_gives_infinite_step_without_warning():
         assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
 
 
+def test_step_count_beyond_an_index_is_cfl_unsatisfiable():
+    # span / dt_max is inf here: math.ceil raised a bare OverflowError in the march
+    cfg = SchemeConfig(cfl_safety=1e-320, final_time=1.0)
+    grid = uniform_grid([-4.0], [8.0], 0.1)
+    phi = Payoff(lambda x: np.clip(x1(x), -2.0, 2.0), 2.0, 1.0)
+    with pytest.raises(SolverError) as e:
+        solve(phi, GPOISSON, grid, cfg)
+    assert e.value.code == "CFL_UNSATISFIABLE"
+    stencil, dt_max = check_march(GPOISSON, grid, cfg)
+    with pytest.raises(SolverError) as e:
+        march(np.zeros(grid.shape), stencil, dt_max, [0.0, 1.0])
+    assert e.value.message == f"span 1 needs more steps of {dt_max:.6g} than an index holds"
+
+
 def test_overflowing_drift_is_cfl_unsatisfiable_without_warning():
     # numpy-scalar coefficients once warned on 1e308 / 0.01 before the coded error
     uset = validate_uncertainty_set([((), [1e308], [[0.0]])])
