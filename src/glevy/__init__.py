@@ -38,7 +38,7 @@ from .errors import (
 from .generator import TestFunction, g_operator, small_time_quotient
 from .gpoisson import GPoissonSpec, g_lambda, gpoisson_closed_form, series_solution
 from .matrices import check_symmetric, gamma_transform, j_matrix
-from .solver import SolveResult, apply_generator, evaluate, max_stable_step, solve
+from .solver import SolveResult, apply_generator, evaluate, solve
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "increment_radius",
     "interpolate",
     "j_matrix",
-    "max_stable_step",
     "min_padding",
     "run_checks",
     "sample_payoff",

@@ -40,6 +40,15 @@ class CheckRow:
         return self.measured <= self.threshold
 
 
+def _max(*values):
+    """``max(values)``, but nan if any value is nan, so that its row fails.
+
+    Python's ``max`` keeps a nan only in first place: a nan measurement would
+    otherwise read as a pass.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _x1(x):
     return np.asarray(x, dtype=float)[..., 0]
 
@@ -82,7 +91,7 @@ def _interpolation_suite(rng) -> list[CheckRow]:
     low = GridFunction(spec, lowv)
     high = GridFunction(spec, lowv + rng.uniform(0.0, 1.0, spec.shape))
     worst = float(np.min(interpolate(high, pts) - interpolate(low, pts)))
-    rows.append(CheckRow("interpolation", "monotone_in_values", max(0.0, -worst), 1e-12))
+    rows.append(CheckRow("interpolation", "monotone_in_values", _max(0.0, -worst), 1e-12))
 
     both = GridFunction(spec, lowv + vals)
     dev = float(
@@ -123,7 +132,7 @@ def _generator_suite(rng) -> list[CheckRow]:
             hess0=[[0.0]],
             bound=abs(a),
         )
-        worst = max(worst, abs(g_operator(probe, uset) - g_lambda(a, lam)))
+        worst = _max(worst, abs(g_operator(probe, uset) - g_lambda(a, lam)))
     rows.append(CheckRow("generator", "unit_jump_matches_g_lambda", worst, 1e-12))
 
     worst = 0.0
@@ -155,8 +164,8 @@ def _generator_suite(rng) -> list[CheckRow]:
             bound=f1.bound + g1.bound,
         )
         gap = g_operator(fsum, u2) - g_operator(f1, u2) - g_operator(g1, u2)
-        worst = max(worst, gap)
-    rows.append(CheckRow("generator", "subadditive", max(0.0, worst), 1e-12))
+        worst = _max(worst, gap)
+    rows.append(CheckRow("generator", "subadditive", _max(0.0, worst), 1e-12))
     return rows
 
 
@@ -192,7 +201,7 @@ def _solver_suite() -> list[CheckRow]:
             - u_wave.snapshots[-1].values
         )
     )
-    rows.append(CheckRow("solver", "subadditive", max(0.0, gap), 1e-12))
+    rows.append(CheckRow("solver", "subadditive", _max(0.0, gap), 1e-12))
 
     shifted = Payoff(eval=lambda x: ramp.eval(x) + 0.3, bound=1.3, lipschitz=1.0)
     u_shift = solve(shifted, uset, grid, cfg, times)
@@ -202,10 +211,10 @@ def _solver_suite() -> list[CheckRow]:
     upper = Payoff(eval=lambda x: ramp.eval(x) + 0.2 * (1 + np.cos(_x1(x))), bound=1.4, lipschitz=1.2)
     u_up = solve(upper, uset, grid, cfg, times)
     worst = float(np.min(u_up.snapshots[-1].values - u_ramp.snapshots[-1].values))
-    rows.append(CheckRow("solver", "monotone_comparison", max(0.0, -worst), 1e-12))
+    rows.append(CheckRow("solver", "monotone_comparison", _max(0.0, -worst), 1e-12))
 
     overshoot = float(np.max(np.abs(u_wave.snapshots[-1].values))) - wave.bound
-    rows.append(CheckRow("solver", "maximum_principle", max(0.0, overshoot), 1e-12))
+    rows.append(CheckRow("solver", "maximum_principle", _max(0.0, overshoot), 1e-12))
 
     ident = _clipped_identity(6.0)
     u_id = solve(ident, uset, grid, SchemeConfig(cfl_safety=0.1, final_time=0.5), times)
@@ -216,10 +225,8 @@ def _solver_suite() -> list[CheckRow]:
 def _gpoisson_suite() -> list[CheckRow]:
     rows = []
     grid_a = np.linspace(-3.0, 3.0, 121)
-    worst = max(
-        abs(g_lambda(a, lam) - max(a, lam * a))
-        for lam in (0.0, 0.3, 1.0)
-        for a in grid_a
+    worst = _max(
+        *(abs(g_lambda(a, lam) - max(a, lam * a)) for lam in (0.0, 0.3, 1.0) for a in grid_a)
     )
     rows.append(CheckRow("gpoisson", "g_lambda_max_identity", worst, 1e-12))
 
@@ -293,7 +300,7 @@ def _matrices_suite(rng) -> list[CheckRow]:
     for n in (1, 2, 3):
         for d in (1, 2, 3):
             j = j_matrix(n, d)
-            worst = max(worst, float(np.max(np.abs(j @ j - n * j))))
+            worst = _max(worst, float(np.max(np.abs(j @ j - n * j))))
     rows.append(CheckRow("matrices", "j_squared_is_nj", worst, 1e-12))
 
     j = j_matrix(2, 2)
@@ -319,7 +326,7 @@ def _matrices_suite(rng) -> list[CheckRow]:
             np.linalg.eigvalsh(xg - x).min(),
             np.linalg.eigvalsh(xg + np.eye(size) / gamma).min(),
         ]
-        worst = max(worst, max(0.0, -min(margins)))
+        worst = _max(worst, 0.0, *(-m for m in margins))
     rows.append(CheckRow("matrices", "resolvent_ordering", worst, 1e-9))
     return rows
 

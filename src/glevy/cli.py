@@ -7,8 +7,9 @@ and returns the job's library call with every argument bound, so a job is its
 output path and that call, and :func:`run` only makes it.  A key is accepted
 only by being read, and the first key left over, in file order, is
 ``<key>: unknown key``.  A key whose range the library also checks is read by
-that rule's reader in :mod:`glevy.core` (or by ``_check_lambda`` or
-:class:`glevy.engine.CylinderFunctional`), with its message under the key.
+that rule's reader in :mod:`glevy.core` (or by :mod:`glevy.gpoisson`'s
+``_direction`` or :class:`glevy.engine.CylinderFunctional`), with its
+message under the key.
 Flags: ``--config <path>`` (required), ``--out <path>`` and ``--seed <u64>``;
 each replaces the config key of the same name and passes the same check, so
 ``--seed`` is an unknown key off ``check``.
@@ -78,6 +79,7 @@ from .core import (
     UncertaintySet,
     _count,
     _horizon,
+    _lambda,
     _step,
     _tail,
     _tolerance,
@@ -89,7 +91,7 @@ from .core import (
 from .engine import CylinderFunctional, expectation
 from .errors import ConfigError, GLevyError
 from .generator import TestFunction, g_operator, small_time_quotient
-from .gpoisson import _check_lambda, gpoisson_closed_form
+from .gpoisson import _direction, gpoisson_closed_form
 from .solver import solve
 
 
@@ -131,14 +133,6 @@ def _float(kv, key, default=None):
         return _finite(key, float(text))
     except ValueError:
         raise _bad(key, f"not a number: {text!r}")
-
-
-def _positive(kv, key, default=None):
-    """A payoff's clip or width: a rule of the CLI's payoff kinds, not of the library."""
-    value = _float(kv, key, default)
-    if value <= 0:
-        raise _bad(key, "must be positive")
-    return value
 
 
 def _int(kv, key, default):
@@ -190,17 +184,31 @@ def _no_form(key, why):
     return form
 
 
+def _clipped(f, clip):
+    """The payoff eval x -> clip(f(x), +-clip), without numpy's overflow warning.
+
+    A value of f that overflows is +-inf, which ``np.clip`` maps to +-clip
+    exactly: the clip of the exact value.
+    """
+
+    def ev(x):
+        with np.errstate(over="ignore"):
+            return np.clip(f(x), -clip, clip)
+
+    return ev
+
+
 # One reader per payoff kind: it reads the kind's payoff.<key>s and returns the
 # Payoff and its generator form, a function of dim giving (grad0, hess0) at 0.
 
 
 def _clip_linear(kv):
     scale = _float(kv, "payoff.scale", 1.0)
-    clip = _positive(kv, "payoff.clip", 1e6)
+    clip = _checked("payoff.clip", _step, "clip", _float(kv, "payoff.clip", 1e6))
     pay = _checked(
         "payoff.clip",
         Payoff,
-        lambda x: np.clip(scale * _x1(x), -clip, clip),
+        _clipped(lambda x: scale * _x1(x), clip),
         bound=clip,
         lipschitz=abs(scale),
     )
@@ -209,7 +217,7 @@ def _clip_linear(kv):
 
 def _indicator_ramp(kv):
     center = _float(kv, "payoff.center", 0.0)
-    width = _positive(kv, "payoff.width", 1.0)
+    width = _checked("payoff.width", _step, "width", _float(kv, "payoff.width", 1.0))
     pay = _checked(
         "payoff.width",
         Payoff,
@@ -224,11 +232,11 @@ def _indicator_ramp(kv):
 
 def _quadratic_clip(kv):
     scale = _float(kv, "payoff.scale", 1.0)
-    clip = _positive(kv, "payoff.clip", 1e6)
+    clip = _checked("payoff.clip", _step, "clip", _float(kv, "payoff.clip", 1e6))
     pay = _checked(
         "payoff.clip",
         Payoff,
-        lambda x: np.clip(scale * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), -clip, clip),
+        _clipped(lambda x: scale * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), clip),
         bound=clip,
         lipschitz=2.0 * math.sqrt(abs(scale) * clip) if scale else 0.0,
     )
@@ -416,11 +424,9 @@ def _read_check(kv):
 
 
 def _read_gpoisson(kv):
-    lam = _checked("lambda", _check_lambda, _float(kv, "lambda"))
+    lam = _checked("lambda", _lambda, "lambda", _float(kv, "lambda"))
     t = _checked("t", _horizon, "t", _float(kv, "t"))
-    direction = kv.pop("direction", "increasing")
-    if direction not in ("increasing", "decreasing"):
-        raise _bad("direction", f"{direction!r} is not increasing|decreasing")
+    direction = _checked("direction", _direction, kv.pop("direction", "increasing"))
     x = _float(kv, "x", 0.0)
     tol = _checked("scheme.tolerance", _tolerance, "tol", _float(kv, "scheme.tolerance", 1e-10))
     payoff, _ = _read_payoff(kv)

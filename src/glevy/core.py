@@ -14,7 +14,8 @@ wrong shape (BAD_SHAPE), then non-finite entries where the site refuses them
 (NON_FINITE), and copies the rest into a float64 array the library owns.
 Scalars have :func:`_real` and :func:`_integer` for their type, and one
 reader per range rule on top of them: :func:`_constant`, :func:`_horizon`,
-:func:`_step`, :func:`_tolerance`, :func:`_tail` and :func:`_count`.  Every
+:func:`_step`, :func:`_tolerance`, :func:`_tail`, :func:`_cfl_safety`,
+:func:`_lambda`, :func:`_gamma`, :func:`_finite` and :func:`_count`.  Every
 site of a rule, in the library and in the CLI, calls its reader.
 """
 
@@ -148,17 +149,6 @@ class Scenario:
         return any(self.factor)
 
     @cached_property
-    def jump_vectors(self) -> np.ndarray:
-        """Atom jumps stacked into shape (k, d); empty (0, d) without atoms."""
-        if not self.atoms:
-            return _readonly(np.zeros((0, self.dim)))
-        return _readonly(np.stack([z for z, _ in self.atoms]))
-
-    @cached_property
-    def jump_rates(self) -> np.ndarray:
-        return _readonly(np.array(self.rates))
-
-    @cached_property
     def total_rate(self) -> float:
         # numpy's pairwise sum, which a Python sum matches only below 8 atoms
         return float(np.add.reduce(self.rates)) if self.rates else 0.0
@@ -167,11 +157,6 @@ class Scenario:
     def diffusion_matrix(self) -> np.ndarray:
         """Q @ Q.T, the matrix entering the generator's second-order term (:func:`_covariance`)."""
         return _readonly(np.array(_covariance(self)))
-
-    def mass(self) -> float:
-        """sum_k w_k |z_k| + |q| + tr(Q Q^T), the integrability functional."""
-        jumps = float(np.sum(self.jump_rates * np.linalg.norm(self.jump_vectors, axis=1)))
-        return jumps + float(np.linalg.norm(self.drift)) + float(np.trace(self.diffusion_matrix))
 
 
 def _covariance(s: Scenario) -> list[list[float]]:
@@ -223,11 +208,6 @@ class UncertaintySet:
     @property
     def dim(self) -> int:
         return self.scenarios[0].dim
-
-    @cached_property
-    def mass_bound(self) -> float:
-        """Worst-case integrability mass, max_s (sum w|z| + |q| + tr QQ^T)."""
-        return max(s.mass() for s in self.scenarios)
 
     def max_jump_norm(self) -> float:
         return self._reach[0]
@@ -489,6 +469,14 @@ _step = _ranged("BAD_SHAPE", "must be finite and positive", lambda x: 0.0 < x < 
 _tolerance = _ranged("BAD_TOLERANCE", "must be positive", lambda x: x > 0.0)
 # a Poisson tail mass
 _tail = _ranged("BAD_TOLERANCE", "not in (0, 1)", lambda x: 0.0 < x < 1.0)
+# a scheme's CFL safety factor
+_cfl_safety = _ranged("BAD_SHAPE", "not in (0, 1]", lambda x: 0.0 < x <= 1.0)
+# the low end of an intensity band
+_lambda = _ranged("LAMBDA_RANGE", "not in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+# a resolvent's gamma
+_gamma = _ranged("GAMMA_RANGE", "must be positive", lambda x: 0.0 < x < math.inf)
+# a value with no range but finiteness
+_finite = _ranged("NON_FINITE", "is not finite", math.isfinite)
 
 
 def _count(what: str, value) -> int:
@@ -562,9 +550,7 @@ class SchemeConfig:
     def __post_init__(self):
         # both types before either range
         cfl, final = _real("cfl_safety", self.cfl_safety), _real("final_time", self.final_time)
-        if not (0.0 < cfl <= 1.0):
-            raise ValidationError("BAD_SHAPE", f"cfl_safety {cfl} not in (0, 1]")
-        object.__setattr__(self, "cfl_safety", cfl)
+        object.__setattr__(self, "cfl_safety", _cfl_safety("cfl_safety", cfl))
         object.__setattr__(self, "final_time", _horizon("final_time", final))
 
 

@@ -62,14 +62,23 @@ class TestFunction:
 
 
 def g_operator(f: TestFunction, uset: UncertaintySet) -> float:
-    """Closed-form worst-case generator value of ``f`` under ``uset``."""
+    """Closed-form worst-case generator value of ``f`` under ``uset``.
+
+    A scenario whose value is not finite raises NON_FINITE, such as one whose
+    Q Q^T overflows: ``max`` would drop a nan and return another scenario's
+    value.
+    """
     if f.dim != uset.dim:
         raise ValidationError("BAD_SHAPE", f"test function dim {f.dim} != set dim {uset.dim}")
     best = -math.inf
-    for s in uset.scenarios:
-        val = sum(w * float(f.eval(z)) for z, w in s.atoms)
-        val += float(f.grad0 @ s.drift)
-        val += 0.5 * float(np.trace(f.hess0 @ s.diffusion_matrix))
+    for i, s in enumerate(uset.scenarios):
+        # an overflow or 0 * inf is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = sum(w * float(f.eval(z)) for z, w in s.atoms)
+            val += float(f.grad0 @ s.drift)
+            val += 0.5 * float(np.trace(f.hess0 @ s.diffusion_matrix))
+        if not math.isfinite(val):
+            raise ValidationError("NON_FINITE", f"scenario {i}: generator value {val} is not finite")
         best = max(best, val)
     return best
 

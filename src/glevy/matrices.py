@@ -9,11 +9,9 @@ it satisfies J^2 = n J and J^gamma = J / (1 - n gamma) for gamma < 1/n.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import _array, _count, _real, _require_finite
+from .core import _array, _count, _gamma, _require_finite
 from .errors import MatrixError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -47,9 +45,7 @@ def gamma_transform(x, gamma: float) -> np.ndarray:
     (GAMMA_RANGE).
     """
     xs = check_symmetric(x)
-    gamma = _real("gamma", gamma)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValidationError("GAMMA_RANGE", f"gamma {gamma!r} must be positive")
+    gamma = _gamma("gamma", gamma)
     eigvals, eigvecs = np.linalg.eigh(xs)
     denom = 1.0 - gamma * eigvals
     small = float(np.min(np.abs(denom)))

@@ -332,11 +332,6 @@ def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:
     return Workspace(build_stencil((s,), g.spec), g.values).apply().copy()
 
 
-def max_stable_step(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> float:
-    """Largest monotone time step: :func:`check_march`'s bound, raising its errors."""
-    return check_march(uset, grid, cfg)[1]
-
-
 def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tuple[Stencil, float]:
     """Check ``uset`` on ``grid``; return its merged :class:`Stencil` and step bound.
 

@@ -1,6 +1,8 @@
 """Config parsing, command execution, and artifact round trips."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -138,16 +140,14 @@ GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
     ],
 )
 def test_nonpositive_values_rejected(text, key):
-    # a payoff's clip and width are the CLI's own rules; the others are the library's readers
-    why = {
-        "scheme.tolerance": "tol 0.0 must be positive",
-        "grid.spacing": "grid spacing 0.0 must be finite and positive",
-        "delta": "delta -0.1 must be finite and positive",
-        "engine.dx": "dx 0.0 must be finite and positive",
-    }.get(key, "must be positive")
+    # every key is read by its library rule's reader, a payoff's clip and width by _step
+    value = float(re.search(rf"^{re.escape(key)} = (\S+)$", text, re.M).group(1))
+    what = {"scheme.tolerance": "tol", "grid.spacing": "grid spacing"}.get(key, key.split(".")[-1])
+    rule = "must be positive" if key == "scheme.tolerance" else "must be finite and positive"
     with pytest.raises(ConfigError) as e:
         parse_config(text)
-    assert e.value.code == "VALIDATION_ERROR" and e.value.message == f"{key}: {why}"
+    assert e.value.code == "VALIDATION_ERROR"
+    assert e.value.message == f"{key}: {what} {value!r} {rule}"
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "2.5", "True", "1e6"])
@@ -608,6 +608,67 @@ def test_check_job_calls_the_suites(monkeypatch):
     calls = recorder(monkeypatch, "run_checks", [row])
     assert run(parse_config(JOBS["check"] + "seed = 7\n")) == (1, "suite,name,2,1,FAIL\n")
     assert calls == [((7,), {})]
+
+
+@pytest.mark.parametrize(
+    "owner, name, call, suite, row",
+    [
+        (checks, "g_lambda", 5, "_generator_suite", "unit_jump_matches_g_lambda"),
+        (checks, "g_operator", 50, "_generator_suite", "subadditive"),
+        (checks, "g_lambda", 5, "_gpoisson_suite", "g_lambda_max_identity"),
+        (checks, "j_matrix", 2, "_matrices_suite", "j_squared_is_nj"),
+        (np.linalg, "eigvalsh", 4, "_matrices_suite", "resolvent_ordering"),
+    ],
+)
+def test_a_nan_measurement_fails_its_check_row(monkeypatch, owner, name, call, suite, row):
+    # Python's max keeps a nan only in first place: each of these rows passed with one
+    original, calls = getattr(owner, name), itertools.count(1)
+
+    def nan_once(*args):
+        out = original(*args)
+        return out * math.nan if next(calls) == call else out
+
+    monkeypatch.setattr(owner, name, nan_once)
+    run_suite = getattr(checks, suite)
+    rows = run_suite() if suite == "_gpoisson_suite" else run_suite(np.random.default_rng(2026))
+    (hit,) = [r for r in rows if r.name == row]
+    assert math.isnan(hit.measured) and not hit.passed
+    assert all(r.passed for r in rows if r is not hit)
+
+
+def test_generator_with_an_overflowing_scenario_is_a_coded_error(capsys, tmp_path):
+    # Q Q^T overflows: the job printed -inf, or 0.5 with a second scenario, and exited 0
+    text = JOBS["generator"] + "scenario.0.diffusion = 1e308\n"
+    for extra in ("", "scenario.1.atoms = 1:0.5\n"):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(text + extra, encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[NON_FINITE] scenario 0: generator value nan is not finite\n"
+
+
+@pytest.mark.parametrize("kind", ["clip-linear", "quadratic-clip"])
+def test_overflowing_payoff_scale_clips_without_a_warning(capsys, tmp_path, kind):
+    # scale * x overflowed in numpy before the clip: a RuntimeWarning, and a traceback under
+    # the warning filter; +-inf clips to +-clip exactly, so 1e308 reads as 1e300 does here
+    outputs = []
+    for scale in ("1e300", "1e308"):
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text(
+            GPOISSON_CFG + f"payoff = {kind}\npayoff.scale = {scale}\npayoff.clip = 1\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
+def test_direction_is_read_by_the_library_reader():
+    with pytest.raises(ConfigError) as e:
+        parse_config(GPOISSON_CFG + "direction = sideways\npayoff = clip-linear\n")
+    assert e.value.code == "VALIDATION_ERROR"
+    assert e.value.message == "direction: direction 'sideways' is not increasing|decreasing"
 
 
 @pytest.mark.parametrize("dim", [10**20, 2**32])

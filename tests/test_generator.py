@@ -52,6 +52,18 @@ def test_gpoisson_two_rate_max():
     assert abs(g_operator(f, GPOISSON) - (-0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("second", [(), ((((1.0, 0.5),), 0.0, 0.0),)])
+def test_scenario_with_a_non_finite_value_is_refused(second):
+    # Q Q^T overflows to inf and 0 * inf is nan: max() dropped it and returned
+    # -inf, or the second scenario's 0.5, with an "invalid value" warning
+    f = TestFunction(eval=lambda x: np.clip(x1(x), -1.0, 1.0), grad0=[1.0], hess0=[[0.0]], bound=1.0)
+    uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, [[1e308]]), *second])
+    with pytest.raises(GLevyError) as e:
+        g_operator(f, uset)
+    assert e.value.code == "NON_FINITE"
+    assert e.value.message == "scenario 0: generator value nan is not finite"
+
+
 def test_monotone_in_atom_values():
     lo = TestFunction(
         eval=lambda x: np.clip(x1(x) - 0.5, 0.0, 1.0), grad0=[0.0], hess0=[[0.0]], bound=1.0

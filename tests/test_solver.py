@@ -21,7 +21,6 @@ from glevy import (
     apply_generator,
     evaluate,
     interpolate,
-    max_stable_step,
     sample_payoff,
     solve,
     uniform_grid,
@@ -285,7 +284,7 @@ def test_unbounded_rate_rejected():
     with np.errstate(over="ignore"):
         uset = validate_uncertainty_set([((), [0.0], [[1e200]])])
         with pytest.raises(SolverError) as e:
-            max_stable_step(uset, uniform_grid([-1.0], [1.0], 0.1), SchemeConfig())
+            check_march(uset, uniform_grid([-1.0], [1.0], 0.1), SchemeConfig())[1]
     assert e.value.code == "CFL_UNSATISFIABLE"
 
 
@@ -295,7 +294,7 @@ def test_subnormal_rate_gives_infinite_step_without_warning():
     grid = uniform_grid([-1.0, -1.0], [1.0, 1.0], 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
+        assert check_march(uset, grid, SchemeConfig())[1] == math.inf
 
 
 def test_step_count_beyond_an_index_is_cfl_unsatisfiable():
@@ -329,7 +328,7 @@ def test_diffusion_on_a_spacing_whose_square_overflows_is_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _scenario_terms(uset.scenarios[0], grid.h) == [(0.0, (1,)), (0.0, (-1,))]
-        assert max_stable_step(uset, grid, SchemeConfig()) == math.inf
+        assert check_march(uset, grid, SchemeConfig())[1] == math.inf
 
 
 @pytest.mark.parametrize("diffusion", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]])
@@ -363,7 +362,7 @@ def test_step_bound_is_cfl_over_largest_row_sum():
     uset = UncertaintySet(tuple(scenarios))
     stencil = build_stencil(scenarios, grid)
     rows = [sum(c for c, _ in terms) for terms in stencil.terms]
-    assert max_stable_step(uset, grid, SchemeConfig(cfl_safety=0.7)) == 0.7 / max(rows)
+    assert check_march(uset, grid, SchemeConfig(cfl_safety=0.7))[1] == 0.7 / max(rows)
     # the cross terms' corner and axis coefficients net to -|a_ij| / (h_i h_j)
     for s, row in zip(scenarios, rows):
         a = s.diffusion_matrix
@@ -387,7 +386,7 @@ JUMP_DRIFT_DIFFUSION = validate_uncertainty_set([(((0.73, 1.0),), -0.4, 0.6)])
 )
 def test_sets_without_cross_diffusion_keep_step_count(uset, grid, cfg):
     old = cfg.cfl_safety / max(old_rate(s, grid.spacing) for s in uset.scenarios)
-    dt_max = max_stable_step(uset, grid, cfg)
+    dt_max = check_march(uset, grid, cfg)[1]
     assert dt_max == pytest.approx(old, rel=1e-15)
     assert steps_for(cfg.final_time, dt_max) == steps_for(cfg.final_time, old)
 
@@ -400,14 +399,14 @@ def test_solve_2d_family_takes_fewer_steps():
     rate = max(old_rate(s, grid.spacing) for s in scenarios)
     cfl = rate * t / 272.5
     assert steps_for(t, cfl / rate) == 273
-    assert steps_for(t, max_stable_step(uset, grid, SchemeConfig(cfl, t))) <= 230
+    assert steps_for(t, check_march(uset, grid, SchemeConfig(cfl, t))[1]) <= 230
 
 
 def test_dt_used_is_the_step_taken():
     # bound 0.3 / 1 over T = 1: four steps of 0.25
     grid = uniform_grid([-2.0], [2.0], 0.5)
     cfg = SchemeConfig(cfl_safety=0.3, final_time=1.0)
-    assert max_stable_step(UNIT_JUMP, grid, cfg) == 0.3
+    assert check_march(UNIT_JUMP, grid, cfg)[1] == 0.3
     res = solve(wave(), UNIT_JUMP, grid, cfg)
     assert res.steps == 4 and res.dt_used == 0.25
     # one step of 0.1 to the first snapshot, then three of 0.3: the largest
@@ -456,7 +455,7 @@ def test_snapshots_ordered_and_bounded():
     assert labels == sorted(labels) == [0.0, 0.25, 0.5]
     for snap in res.snapshots:
         assert np.max(np.abs(snap.values)) <= 1.0 + 1e-12
-    assert res.dt_used <= max_stable_step(BENCH, BENCH_GRID, BENCH_CFG) + 1e-15
+    assert res.dt_used <= check_march(BENCH, BENCH_GRID, BENCH_CFG)[1] + 1e-15
 
 
 def test_classical_poisson_benchmark():
@@ -618,7 +617,7 @@ def test_scheme_is_the_discrete_levy_khintchine_multiplier():
 def levy_khintchine(s, k):
     """psi(k) = sum w (e^{i k.z} - 1) + i q.k - k.A.k / 2 of one scenario, A = Q Q^T."""
     k = np.asarray(k, dtype=float)
-    psi = sum(w * (np.exp(1j * (k @ z)) - 1.0) for z, w in zip(s.jump_vectors, s.rates))
+    psi = sum(w * (np.exp(1j * (k @ z)) - 1.0) for z, w in zip(s.jumps, s.rates))
     return psi + 1j * (k @ s.drift) - 0.5 * (k @ s.diffusion_matrix @ k)
 
 
