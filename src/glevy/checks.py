@@ -176,49 +176,38 @@ def _solver_suite() -> list[CheckRow]:
     cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
     times = [0.5]
 
-    def center(res):
-        return evaluate(res, 0.5, [0.0])
+    def final(phi):
+        return solve(phi, uset, grid, cfg, times).snapshots[-1].values
 
     const = Payoff(eval=lambda x: np.full(np.asarray(x).shape[:-1], 0.7), bound=0.7, lipschitz=0.0)
-    u_const = solve(const, uset, grid, cfg, times)
-    dev = float(np.max(np.abs(u_const.snapshots[-1].values - 0.7)))
+    dev = float(np.max(np.abs(final(const) - 0.7)))
     rows.append(CheckRow("solver", "constant_preserved", dev, 1e-12))
 
     ramp, wave = _ramp(), _wave()
-    u_ramp = solve(ramp, uset, grid, cfg, times)
+    u_ramp = final(ramp)
     double = Payoff(eval=lambda x: 2.0 * ramp.eval(x), bound=2.0, lipschitz=2.0)
-    u_double = solve(double, uset, grid, cfg, times)
-    dev = float(np.max(np.abs(u_double.snapshots[-1].values - 2.0 * u_ramp.snapshots[-1].values)))
+    dev = float(np.max(np.abs(final(double) - 2.0 * u_ramp)))
     rows.append(CheckRow("solver", "positively_homogeneous", dev, 1e-12))
 
-    u_wave = solve(wave, uset, grid, cfg, times)
+    u_wave = final(wave)
     both = Payoff(eval=lambda x: ramp.eval(x) + wave.eval(x), bound=2.0, lipschitz=2.0)
-    u_both = solve(both, uset, grid, cfg, times)
-    gap = float(
-        np.max(
-            u_both.snapshots[-1].values
-            - u_ramp.snapshots[-1].values
-            - u_wave.snapshots[-1].values
-        )
-    )
+    gap = float(np.max(final(both) - u_ramp - u_wave))
     rows.append(CheckRow("solver", "subadditive", _max(0.0, gap), 1e-12))
 
     shifted = Payoff(eval=lambda x: ramp.eval(x) + 0.3, bound=1.3, lipschitz=1.0)
-    u_shift = solve(shifted, uset, grid, cfg, times)
-    dev = float(np.max(np.abs(u_shift.snapshots[-1].values - (u_ramp.snapshots[-1].values + 0.3))))
+    dev = float(np.max(np.abs(final(shifted) - (u_ramp + 0.3))))
     rows.append(CheckRow("solver", "cash_translation", dev, 1e-12))
 
     upper = Payoff(eval=lambda x: ramp.eval(x) + 0.2 * (1 + np.cos(_x1(x))), bound=1.4, lipschitz=1.2)
-    u_up = solve(upper, uset, grid, cfg, times)
-    worst = float(np.min(u_up.snapshots[-1].values - u_ramp.snapshots[-1].values))
+    worst = float(np.min(final(upper) - u_ramp))
     rows.append(CheckRow("solver", "monotone_comparison", _max(0.0, -worst), 1e-12))
 
-    overshoot = float(np.max(np.abs(u_wave.snapshots[-1].values))) - wave.bound
+    overshoot = float(np.max(np.abs(u_wave))) - wave.bound
     rows.append(CheckRow("solver", "maximum_principle", _max(0.0, overshoot), 1e-12))
 
     ident = _clipped_identity(6.0)
     u_id = solve(ident, uset, grid, SchemeConfig(cfl_safety=0.1, final_time=0.5), times)
-    rows.append(CheckRow("solver", "mean_identity", abs(center(u_id) - 0.5), 1e-2))
+    rows.append(CheckRow("solver", "mean_identity", abs(evaluate(u_id, 0.5, [0.0]) - 0.5), 1e-2))
     return rows
 
 

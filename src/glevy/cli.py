@@ -233,10 +233,17 @@ def _indicator_ramp(kv):
 def _quadratic_clip(kv):
     scale = _float(kv, "payoff.scale", 1.0)
     clip = _checked("payoff.clip", _step, "clip", _float(kv, "payoff.clip", 1e6))
+
+    def square(x):
+        x = np.asarray(x, dtype=float)
+        # scale * s is scale for a zero scale and every finite s >= 0; so it
+        # is where the square overflows too, not 0 * inf = nan
+        return scale * np.sum(x**2, axis=-1) if scale else np.full(x.shape[:-1], scale)
+
     pay = _checked(
         "payoff.clip",
         Payoff,
-        _clipped(lambda x: scale * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1), clip),
+        _clipped(square, clip),
         bound=clip,
         lipschitz=2.0 * math.sqrt(abs(scale) * clip) if scale else 0.0,
     )

@@ -90,8 +90,8 @@ class Scenario:
     Validation checks every entry on Python floats and keeps them: ``q``
     (the drift), ``factor`` (Q's entries, row-major), ``jumps`` and
     ``rates`` (each atom's jump vector and rate), and ``jump_norms`` (each
-    |z_k|, by :func:`vector_norm`).  ``total_rate`` is computed once, on
-    first use.  Every set-up reader (the stencil, the step bound, paddings
+    |z_k|, by :func:`vector_norm`), and ``total_rate``, numpy's sum of the
+    rates.  Every set-up reader (the stencil, the step bound, paddings
     and boxes) takes these floats: a numpy call on a 1-4-element array costs
     microseconds, a float operation tens of nanoseconds, and each float
     formula is the IEEE operation of the numpy one, so no result moves.
@@ -127,6 +127,14 @@ class Scenario:
             rates.append(w)
             norms.append(vector_norm(z))
 
+        # numpy's sum of the rates: in order below 8 terms, as a Python sum
+        # from the first rate adds, and pairwise from 8 on; inf, unwarned,
+        # where it overflows
+        if 0 < len(rates) < 8:
+            total = sum(rates[1:], rates[0])
+        else:
+            with np.errstate(over="ignore"):
+                total = float(np.add.reduce(rates))
         # the fields and the floats kept from validation, set once on the frozen instance
         self.__dict__.update(
             atoms=tuple(atoms),
@@ -137,6 +145,7 @@ class Scenario:
             jumps=tuple(jumps),
             rates=tuple(rates),
             jump_norms=tuple(norms),
+            total_rate=total,
         )
 
     @property
@@ -147,11 +156,6 @@ class Scenario:
     def diffusive(self) -> bool:
         """Whether the diffusion factor has a nonzero entry."""
         return any(self.factor)
-
-    @cached_property
-    def total_rate(self) -> float:
-        # numpy's pairwise sum, which a Python sum matches only below 8 atoms
-        return float(np.add.reduce(self.rates)) if self.rates else 0.0
 
     @cached_property
     def diffusion_matrix(self) -> np.ndarray:
@@ -286,10 +290,6 @@ class Payoff:
         object.__setattr__(self, "lipschitz", _constant("payoff lipschitz", L))
 
 
-def _spacing(lo: float, hi: float, n: int) -> float:
-    return (hi - lo) / (n - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Uniform tensor grid: ``points[i]`` nodes from ``lower[i]`` to ``upper[i]``, on d >= 1 axes.
@@ -340,7 +340,7 @@ class GridSpec:
             raise ValidationError("BAD_SHAPE", "grid needs at least 3 points per axis")
         if math.prod(shape) * len(shape) * 8 > sys.maxsize:
             raise ValidationError("BAD_SHAPE", f"grid of {math.prod(shape)} nodes fits no array")
-        h = tuple(map(_spacing, lo, hi, shape))
+        h = tuple((b - a) / (n - 1) for a, b, n in zip(lo, hi, shape))
         if not all(h):
             raise ValidationError("BAD_SHAPE", "grid spacing underflows to zero")
         # the fields and the floats kept from validation, set once on the frozen instance
@@ -424,6 +424,18 @@ class GridFunction:
         vals = _array("grid values", self.values, self.spec.shape)
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "time_label", _constant("time label", self.time_label))
+
+    @classmethod
+    def _owned(cls, spec: GridSpec, values: np.ndarray, time_label: float) -> GridFunction:
+        """A grid function of float64 ``values`` of the grid's shape that no caller holds.
+
+        The values are checked finite (NON_FINITE) and frozen in place, not
+        copied; ``time_label`` is a float some reader has already checked.
+        """
+        _require_finite(values, "grid values")
+        g = object.__new__(cls)
+        g.__dict__.update(spec=spec, values=_readonly(values), time_label=time_label)
+        return g
 
 
 def _real(what: str, value) -> float:

@@ -48,8 +48,11 @@ from .solver import build_stencil, series
 
 
 def _direction(direction) -> str:
-    """``direction`` if it is ``"increasing"`` or ``"decreasing"``, else BAD_DIRECTION."""
-    if direction not in ("increasing", "decreasing"):
+    """``direction`` if it is the str ``"increasing"`` or ``"decreasing"``, else BAD_DIRECTION.
+
+    The type comes first: ``in`` would compare a numpy array elementwise.
+    """
+    if not isinstance(direction, str) or direction not in ("increasing", "decreasing"):
         raise ValidationError(
             "BAD_DIRECTION", f"direction {direction!r} is not increasing|decreasing"
         )
@@ -237,4 +240,4 @@ def series_solution(
     uset = _pure_jump_set(jump_measures, grid.dim)
     levels = _series_levels(2.0 * uset.max_total_rate() * t, phi0.bound, tol)
     total = series(sample_payoff(phi0, grid), build_stencil(uset.scenarios, grid), t, levels)
-    return GridFunction(grid, total, t)
+    return GridFunction._owned(grid, total, t)

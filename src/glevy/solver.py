@@ -69,9 +69,16 @@ test suite turns that warning into a failure.
 A single-term scenario followed by a scenario whose first term has the same
 offset shares that difference: it goes to tmp, which nothing writes between
 the two products, and each product goes straight into its scenario's
-accumulator.  The intensity band {lambda * delta_1, delta_1} thus takes its
-unit difference u(x + 1) - u(x) once per step.  The products and their order
-are those of separate differences, so no bit moves.
+accumulator.  A merged coefficient of exactly 1.0 forms no product, since
+1.0 * d is d bit for bit (-0.0 and nan included): its difference goes on as
+it is, into its scenario's sum or straight to ``np.maximum``.  The product
+stays only where it is what moves a difference held in tmp into an
+accumulator: for the first scenario, and for the first term of a scenario
+with more terms.  The intensity band {lambda * delta_1, delta_1} thus takes
+its unit difference u(x + 1) - u(x) once per step, multiplies it by lambda
+and hands it as it is to the maximum: six calls per march step, seven per
+series level.  The products and their order are those of separate
+differences, so no bit moves.
 """
 
 from __future__ import annotations
@@ -180,12 +187,12 @@ def _scenario_terms(s: Scenario, h: Sequence[float]) -> list[tuple[float, tuple[
     for i, qi in enumerate(s.q):
         if qi != 0.0:
             terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
-    a = _covariance(s)
-    for i in range(d):
+    a = _covariance(s) if s.diffusive else []  # no rows, no terms
+    for i in range(len(a)):
         if a[i][i] != 0.0:
             c = _quotient(0.5 * a[i][i], _square(h[i]))
             terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
-    for i in range(d):
+    for i in range(len(a)):
         for j in range(i + 1, d):
             if a[i][j] == 0.0:
                 continue
@@ -285,7 +292,6 @@ class Workspace:
         windows = [flat[head + k : stop + k] for k in shifts]
         sub, mul = np.subtract, np.multiply
         terms, held = stencil.terms, None  # held: the offset whose difference tmp holds
-        maximum = partial(np.maximum, out, acc, out=out)
         for i, ((c, k), *rest) in enumerate(terms):
             dst = acc if i else out
             if k == held:
@@ -296,17 +302,21 @@ class Workspace:
             else:
                 calls.append(partial(sub, windows[k], u, dst))
                 src = dst
-            calls.append(partial(mul, src, np.array(c), dst))
+            # 1.0 * d is d, bit for bit: a unit coefficient forms no product
+            # unless the product is what moves the difference into out, or
+            # into acc ahead of further terms
+            if c != 1.0 or src is not dst and (rest or not i):
+                calls.append(partial(mul, src, np.array(c), dst))
+                src = dst
             if rest:
                 gather, held = partial(np.add, dst, tmp, dst), None
                 for c, k in rest:
-                    calls += (
-                        partial(sub, windows[k], u, tmp),
-                        partial(mul, tmp, np.array(c), tmp),
-                        gather,
-                    )
+                    calls.append(partial(sub, windows[k], u, tmp))
+                    if c != 1.0:
+                        calls.append(partial(mul, tmp, np.array(c), tmp))
+                    calls.append(gather)
             if i:
-                calls.append(maximum)
+                calls.append(partial(np.maximum, out, src, out=out))
         self.calls = calls
 
     def apply(self) -> np.ndarray:
@@ -417,9 +427,10 @@ def series(values: np.ndarray, stencil: Stencil, t: float, levels: int) -> np.nd
     G is the stencil's max over scenarios (:meth:`Workspace.apply`), each
     power applied to the previous one in one :class:`Workspace`.  A level is
     the workspace's bound calls, then the copy back, the scaling by a 0-d
-    coefficient and the sum, bound alike.  The coefficient is formed on a
-    Python float by ``coef *= t / i`` and stored by ``fill``; a 0-d ufunc
-    update costs about 1 us more per level.
+    coefficient and the sum, bound alike: seven calls for the intensity band,
+    whose unit scenario forms no product (module docstring).  The coefficient
+    is formed on a Python float by ``coef *= t / i`` and stored by ``fill``;
+    a 0-d ufunc update costs about 1 us more per level.
     """
     work = Workspace(stencil, values)
     out, scale = work.out, np.array(1.0)

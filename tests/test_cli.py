@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -662,6 +663,22 @@ def test_overflowing_payoff_scale_clips_without_a_warning(capsys, tmp_path, kind
         assert main(["--config", str(cfg)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] != ""
+
+
+@pytest.mark.parametrize("scale", ["0", "-0"])
+def test_zero_quadratic_scale_is_zero_where_the_square_overflows(capsys, tmp_path, scale):
+    # 0 * inf was nan: "invalid value encountered in multiply" and a traceback under the
+    # warning filter, NON_FINITE without it; a zero scale is the constant 0 of its sign
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        GPOISSON_CFG + f"x = 1e200\npayoff = quadratic-clip\npayoff.scale = {scale}\n"
+        "payoff.clip = 1\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "value\n0\n"
 
 
 def test_direction_is_read_by_the_library_reader():

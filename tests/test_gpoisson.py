@@ -122,6 +122,18 @@ def test_lambda_one_directions_agree():
     assert abs(up - dn) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "direction",
+    [np.array(["increasing"]), np.array(["increasing", "decreasing"]), ["increasing"], None, 1],
+)
+def test_direction_that_is_not_a_str_is_refused(direction):
+    # a one-element array passed `in` and ran (0.97666...), a two-element one raised a bare
+    # ValueError from the truth test of the elementwise comparison
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(clipped_identity(3.0), direction, 0.5, 1.0, 0.0)
+    assert e.value.code == "BAD_DIRECTION"
+
+
 def test_closed_form_input_checks():
     phi = clipped_identity(1.0)
     with pytest.raises(GLevyError) as e:
@@ -521,6 +533,17 @@ def test_series_level_overflow_fails_at_once(x):
         _series_levels(x, 1.0, 1e-8)
     assert e.value.code == "NON_FINITE"
     assert time.perf_counter() - start < 0.01
+
+
+def test_series_solution_keeps_its_sum_frozen_and_refuses_a_non_finite_one():
+    # the result holds the summed array itself, frozen, and checks it finite once
+    grid = uniform_grid([-2.0], [3.0], 0.5)
+    got = series_solution(clipped_identity(1.0), grid, [[(1.0, 1.0)]], 0.5)
+    assert got.spec is grid and got.time_label == 0.5 and not got.values.flags.writeable
+    huge = Payoff(lambda x: 1e300 * np.tanh(x1(x)), 1e300, 1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GLevyError) as e:
+        series_solution(huge, grid, [[(1.0, 1e300)]], 1e-300)
+    assert (e.value.code, e.value.message) == ("NON_FINITE", "grid values contains a non-finite entry")
 
 
 def test_series_solution_overflow_fails_at_once():

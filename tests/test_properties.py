@@ -3,7 +3,9 @@
 Sets are drawn in 1-3 dimensions with off-lattice jump atoms, drift of both
 signs and cross diffusion shrunk until it passes the monotone test of
 :func:`glevy.solver.check_march`, and as intensity bands whose scenarios share
-one lattice offset (the kernel takes that difference once).  The kernel is
+one lattice offset (the kernel takes that difference once), and as sets with
+a merged coefficient of exactly 1.0 (the kernel forms no product for it),
+drawn and fixed (``UNIT_MODELS``).  The kernel is
 compared byte for byte with a reference kept here: np.pad(mode="edge"), the
 terms of ``_scenario_terms`` merged per offset (coefficients summed in
 formula order, each merged term where its offset first appears) and summed
@@ -13,7 +15,7 @@ in that order, the max over scenarios in order.
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from glevy import (
@@ -118,7 +120,78 @@ def bands(draw):
     return UncertaintySet(tuple(band)), grid
 
 
-MODELS = st.one_of(models(), bands())
+@st.composite
+def units(draw):
+    """A set with a merged coefficient of exactly 1.0, which float draws almost never give.
+
+    The kernel forms no product for it.  Four cases: the band {lambda *
+    delta, delta}; a unit scenario alone first, before a band scenario that
+    shares its difference; a unit atom ahead of a general scenario's other
+    terms; and a unit atom last among a general scenario's atoms, after one
+    at the opposite offset, so that its term is never the scenario's first.
+    The offset has a component of +-2, which no drift or diffusion term
+    shares, so the unit term stays 1.0 unless another atom has a corner there.
+    """
+    grid = draw(grids())
+    d = grid.dim
+    offset = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    z = np.array(draw(offset.filter(lambda o: 2 in map(abs, o)))) * grid.spacing
+    zeros = ([0.0] * d, np.zeros((d, d)))
+    unit_atom = Scenario(((z, 1.0),), *zeros)
+    band_atom = Scenario(((z, draw(unit(0.05, 0.95))),), *zeros)
+    case = draw(st.sampled_from(("band", "alone", "first", "last")))
+    if case == "band":
+        return UncertaintySet((band_atom, unit_atom)), grid
+    if case == "alone":
+        return UncertaintySet((unit_atom, band_atom)), grid
+    atoms, drift, q = draw(scenarios(grid))
+    if case == "first":
+        atoms = [(z, 1.0)] + atoms
+    else:
+        atoms = atoms + [(-z, draw(unit(0.05, 2.0))), (z, 1.0)]
+    found = UncertaintySet((monotone(atoms, drift, q, grid),))
+    if draw(st.booleans()):
+        found = UncertaintySet((band_atom,) + found.scenarios)
+    return found, grid
+
+
+MODELS = st.one_of(models(), bands(), units())
+
+
+def _unit_models():
+    """Fixed sets with a 1.0 in each place the kernel treats apart, on offset +2.
+
+    The band; a unit scenario alone first, its difference shared; a unit
+    first term after a band scenario, its difference shared and the scenario
+    going on; a unit term last, after an off-lattice atom, drift and diffusion.
+    """
+    grid = GridSpec(lower=[0.0], upper=[6.0], points=[13])
+
+    def one(*atoms):
+        return Scenario(atoms, [0.3], [[0.5]]) if len(atoms) > 1 else Scenario(atoms, [0.0], [[0.0]])
+
+    band = one((1.0, 0.37))
+    sets = [
+        GPoissonSpec(0.37).uncertainty_set(),
+        UncertaintySet((one((1.0, 1.0)), band)),
+        UncertaintySet((band, one((1.0, 1.0), (-0.75, 0.4)))),
+        UncertaintySet((one((-0.75, 0.4), (1.0, 1.0)),)),
+    ]
+    return [(uset, grid) for uset in sets]
+
+
+UNIT_MODELS = _unit_models()
+
+
+def unit_examples(**fixed):
+    """An explicit example of the test for each of UNIT_MODELS, beside the drawn ones."""
+
+    def decorate(test):
+        for model in UNIT_MODELS:
+            test = example(model=model, **fixed)(test)
+        return test
+
+    return decorate
 
 
 def same_bits(a, b):
@@ -147,6 +220,7 @@ def reference_generator(uset, grid, u):
 
 
 @given(model=MODELS, lead=LEADS, seed=SEEDS)
+@unit_examples(lead=(2,), seed=1)
 def test_kernel_matches_reference_bitwise(model, lead, seed):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
@@ -158,16 +232,33 @@ def test_kernel_matches_reference_bitwise(model, lead, seed):
 
 
 def test_intensity_band_takes_its_difference_once():
-    # {0.37 delta_1, delta_1}: one difference into tmp, a product into each
-    # scenario's accumulator, one maximum
+    # {0.37 delta_1, delta_1}: one difference into tmp, its product with 0.37
+    # into out, and the unit scenario's difference straight into the maximum
     uset = GPoissonSpec(0.37).uncertainty_set()
     grid = GridSpec(lower=[0.0], upper=[4.0], points=[5])
     work = Workspace(build_stencil(uset.scenarios, grid), np.arange(5.0))
     ufuncs = [call.func for call in work.calls if isinstance(call.func, np.ufunc)]
-    assert ufuncs == [np.subtract, np.multiply, np.multiply, np.maximum]
-    diff, first, second, _ = work.calls[-4:]
-    assert diff.args[2] is first.args[0] is second.args[0] is work._tmp
-    assert first.args[2] is work._out and second.args[2] is work._acc
+    assert ufuncs == [np.subtract, np.multiply, np.maximum]
+    diff, first, maximum = work.calls[-3:]
+    assert diff.args[2] is first.args[0] is maximum.args[1] is work._tmp
+    assert first.args[2] is maximum.args[0] is work._out
+
+
+def test_unit_coefficients_form_no_product():
+    # the band, and a unit atom last and first among a scenario's atoms: one
+    # product per merged coefficient other than 1.0, and the reference's bits
+    grid = GridSpec(lower=[0.0], upper=[6.0], points=[7])
+    u = np.cos(np.arange(7.0))
+    for uset in (
+        GPoissonSpec(0.37).uncertainty_set(),
+        UncertaintySet((Scenario(((2.0, 0.5), (1.0, 1.0)), [0.0], [[0.0]]),)),
+        UncertaintySet((Scenario(((1.0, 1.0), (2.0, 0.5)), [0.0], [[0.0]]),)),
+    ):
+        stencil = build_stencil(uset.scenarios, grid)
+        work = Workspace(stencil, u)
+        products = sum(call.func is np.multiply for call in work.calls)
+        assert products == sum(c != 1.0 for terms in stencil.terms for c, _ in terms) == 1
+        assert same_bits(work.apply(), reference_generator(uset, grid, u))
 
 
 @given(model=models(), lead=LEADS)
@@ -179,6 +270,7 @@ def test_workspace_bands_are_64_byte_aligned(model, lead):
 
 
 @given(model=MODELS, lead=LEADS, seed=SEEDS, horizon=unit(0.01, 0.2))
+@unit_examples(lead=(), seed=1, horizon=0.1)
 def test_march_matches_reference_steps(model, lead, seed, horizon):
     uset, grid = model
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
