@@ -19,6 +19,7 @@ from .core import (
     Scenario,
     SchemeConfig,
     UncertaintySet,
+    _seed,
     interpolate,
 )
 from .engine import CylinderFunctional, expectation
@@ -51,10 +52,6 @@ def _max(*values):
 
 def _x1(x):
     return np.asarray(x, dtype=float)[..., 0]
-
-
-def _ramp() -> Payoff:
-    return Payoff(eval=lambda x: np.clip(_x1(x), -1.0, 1.0), bound=1.0, lipschitz=1.0)
 
 
 def _wave() -> Payoff:
@@ -183,7 +180,7 @@ def _solver_suite() -> list[CheckRow]:
     dev = float(np.max(np.abs(final(const) - 0.7)))
     rows.append(CheckRow("solver", "constant_preserved", dev, 1e-12))
 
-    ramp, wave = _ramp(), _wave()
+    ramp, wave = _clipped_identity(1.0), _wave()
     u_ramp = final(ramp)
     double = Payoff(eval=lambda x: 2.0 * ramp.eval(x), bound=2.0, lipschitz=2.0)
     dev = float(np.max(np.abs(final(double) - 2.0 * u_ramp)))
@@ -252,7 +249,7 @@ def _engine_suite() -> list[CheckRow]:
     uset = GPoissonSpec(0.5).uncertainty_set()
     cfg = SchemeConfig(cfl_safety=0.5, final_time=1.0)
     grid = GridSpec(lower=[-6.0], upper=[10.0], points=[161])
-    ramp = _ramp()
+    ramp = _clipped_identity(1.0)
 
     xi = CylinderFunctional(times=(0.5,), payoff=ramp.eval, bound=1.0, lipschitz=1.0)
     via_engine = expectation(xi, uset, cfg, var_grids=[grid])
@@ -321,8 +318,12 @@ def _matrices_suite(rng) -> list[CheckRow]:
 
 
 def run_checks(seed: int = 2026) -> list[CheckRow]:
-    """Run every suite; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    """Run every suite; deterministic for a fixed seed.
+
+    ``seed`` is an int >= 0, a numpy int included, else BAD_SHAPE: a bool,
+    a float and None among them.
+    """
+    rng = np.random.default_rng(_seed("seed", seed))
     rows = []
     rows += _interpolation_suite(rng)
     rows += _generator_suite(rng)

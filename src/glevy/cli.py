@@ -42,7 +42,7 @@ expect          dim, scenarios, times, scheme.cfl_safety, payoff (applied to the
                 variable's box.  The budget counts nodes on the sublattice
                 each increment is marched on: the frozen nodes of the first
                 m - 1 increments, and for the engine's own boxes all m
-check           seed
+check           seed (an integer >= 0, default 2026)
 
 Outputs: ``solve`` writes CSV with header ``t,x1..xd,u`` over all snapshot
 times and grid nodes; ``gpoisson``/``generator``/``expect`` write a
@@ -80,6 +80,7 @@ from .core import (
     _count,
     _horizon,
     _lambda,
+    _seed,
     _step,
     _tail,
     _tolerance,
@@ -424,9 +425,7 @@ def _csv(eval_points, call, phi, uset, grid, cfg, output_times) -> tuple[int, st
 
 
 def _read_check(kv):
-    seed = _int(kv, "seed", 2026)
-    if seed < 0:
-        raise _bad("seed", "must be a nonnegative integer")
+    seed = _checked("seed", _seed, "seed", _int(kv, "seed", 2026))
     return partial(_report, run_checks, seed)
 
 

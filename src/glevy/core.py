@@ -12,11 +12,15 @@ Every array the library takes in, from a caller or from a payoff, is read by
 one function, :func:`_array`: it refuses a non-numeric or ragged array and a
 wrong shape (BAD_SHAPE), then non-finite entries where the site refuses them
 (NON_FINITE), and copies the rest into a float64 array the library owns.
-Scalars have :func:`_real` and :func:`_integer` for their type, and one
-reader per range rule on top of them: :func:`_constant`, :func:`_horizon`,
-:func:`_step`, :func:`_tolerance`, :func:`_tail`, :func:`_cfl_safety`,
-:func:`_lambda`, :func:`_gamma`, :func:`_finite` and :func:`_count`.  Every
-site of a rule, in the library and in the CLI, calls its reader.
+Scalars have :func:`_real` and :func:`_integer` for their type.  A real
+number is what :func:`_array` reads as one entry: a Python or numpy bool,
+int or float, but no array, so an int beyond 64 bits or a ``Fraction`` is
+BAD_SHAPE, as it is in an array.  An integer is a Python or numpy int of any
+size, a bool excluded.  One reader per range rule sits on top of them:
+:func:`_constant`, :func:`_horizon`, :func:`_step`, :func:`_tolerance`,
+:func:`_tail`, :func:`_cfl_safety`, :func:`_lambda`, :func:`_gamma`,
+:func:`_finite`, :func:`_count` and :func:`_seed`.  Every site of a rule, in
+the library and in the CLI, calls its reader.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -439,12 +443,20 @@ class GridFunction:
 
 
 def _real(what: str, value) -> float:
-    """``value`` as a Python float; a string, None or an array raises BAD_SHAPE."""
+    """``value`` as a Python float, read as :func:`_array` reads one entry of shape ().
+
+    A Python float is returned as it is.  Anything else must be a bool, an
+    int or a float of numpy's types, Python's included, and gets
+    ``np.array(value, dtype=float)``'s bits.  An array, a string, None, a
+    complex number, a ``Fraction`` and an int beyond 64 bits raise BAD_SHAPE
+    (``float`` would take the ``Fraction``, and raise OverflowError on an int
+    beyond the float range).
+    """
     if type(value) is float:
         return value
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, np.ndarray):
         raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not a real number")
-    return float(value)
+    return float(_array(what, value, (), finite=False))
 
 
 def _integer(what: str, value) -> int:
@@ -491,12 +503,16 @@ _gamma = _ranged("GAMMA_RANGE", "must be positive", lambda x: 0.0 < x < math.inf
 _finite = _ranged("NON_FINITE", "is not finite", math.isfinite)
 
 
-def _count(what: str, value) -> int:
-    """``value`` as a Python int >= 1: a count of nodes, axes or blocks; else BAD_SHAPE."""
+def _count(what: str, value, least: int = 1) -> int:
+    """``value`` as a Python int >= ``least``: a count of nodes, axes or blocks; else BAD_SHAPE."""
     n = _integer(what, value)
-    if n < 1:
-        raise ValidationError("BAD_SHAPE", f"{what} {n!r} is not an int >= 1")
+    if n < least:
+        raise ValidationError("BAD_SHAPE", f"{what} {n!r} is not an int >= {least}")
     return n
+
+
+# a random generator's seed: an int >= 0, a numpy int included
+_seed = partial(_count, least=0)
 
 
 def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False):

@@ -22,6 +22,7 @@ import numpy as np
 from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _array, _constant, _step
 from .engine import CylinderFunctional, expectation
 from .errors import ValidationError
+from .matrices import check_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,11 +30,14 @@ class TestFunction:
     """Payoff-like probe for the generator: f(0) = 0 with known derivatives at 0.
 
     ``grad0`` and ``hess0`` are the gradient and Hessian at the origin
-    (``hess0`` of shape (d, d), a scalar when d == 1, symmetric to 1e-12);
-    either one that is not an array of real numbers (a string, None, a
-    complex or ragged array) or has the wrong shape raises BAD_SHAPE, a
-    non-finite entry NON_FINITE.  ``bound`` bounds |f|, a real number (else
-    BAD_SHAPE), finite and nonnegative (else NON_FINITE).
+    (``hess0`` of shape (d, d), a scalar when d == 1); either one that is not
+    an array of real numbers (a string, None, a complex or ragged array) or
+    has the wrong shape raises BAD_SHAPE, a non-finite entry NON_FINITE.
+    ``hess0`` is then read by :func:`glevy.matrices.check_symmetric`: an
+    asymmetry beyond 1e-12 times its largest entry (at least 1) raises
+    ASYMMETRIC, and it is kept symmetrized, an exactly symmetric one bit for
+    bit.  ``bound`` bounds |f|, a real number (else BAD_SHAPE), finite and
+    nonnegative (else NON_FINITE).
     """
 
     eval: callable
@@ -46,9 +50,7 @@ class TestFunction:
     def __post_init__(self):
         grad0 = _array("grad0", self.grad0, 1)
         d = grad0.shape[0]
-        hess0 = _array("hess0", self.hess0, (d, d))
-        if np.max(np.abs(hess0 - hess0.T)) > 1e-12:
-            raise ValidationError("BAD_SHAPE", "hess0 is not symmetric")
+        hess0 = check_symmetric(_array("hess0", self.hess0, (d, d)))
         origin = float(self.eval(np.zeros(d)))
         if origin != 0.0:
             raise ValidationError("BAD_SHAPE", f"test function has f(0) = {origin!r}, not 0")

@@ -23,16 +23,20 @@ def check_symmetric(x) -> np.ndarray:
 
     A matrix that is not a nonempty square array of real numbers (a string,
     None, a complex or ragged array included) raises BAD_SHAPE, a non-finite
-    entry NON_FINITE.
+    entry NON_FINITE.  An entry and its transpose may differ by 1e-12 times
+    the largest entry (at least 1), else ASYMMETRIC.  The result holds the
+    mean of each pair, taken as a/2 + b/2 so that it does not overflow; an
+    equal pair is kept as it is, so a symmetric matrix comes back bit for bit.
     """
     arr = _array("matrix", x, finite=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise ValidationError("BAD_SHAPE", f"expected a nonempty square matrix, got {arr.shape}")
     _require_finite(arr, "matrix")
     scale = max(1.0, float(np.max(np.abs(arr))))
-    if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL * scale:
-        raise MatrixError("ASYMMETRIC", "matrix is not symmetric to 1e-12")
-    return (arr + arr.T) / 2.0
+    with np.errstate(over="ignore"):  # a difference that overflows is inf: asymmetric
+        if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL * scale:
+            raise MatrixError("ASYMMETRIC", "matrix is not symmetric to 1e-12")
+    return np.where(arr == arr.T, arr, arr / 2.0 + arr.T / 2.0)
 
 
 def gamma_transform(x, gamma: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from glevy import (
 )
 from glevy import checks, cli
 from glevy.cli import _solve_csv, main, parse_config, run
-from glevy.errors import ConfigError
+from glevy.errors import ConfigError, GLevyError
 from glevy.generator import TestFunction
 
 SOLVE_CFG = """
@@ -358,6 +358,26 @@ def test_check_command_all_pass(tmp_path):
         assert verdict == "PASS"
 
 
+@pytest.mark.parametrize("seed", [2.5, None, True, "7"])
+def test_check_seed_must_be_an_int(seed):
+    # 2.5 raised a bare TypeError from numpy, and None drew other rows on every call
+    with pytest.raises(GLevyError) as e:
+        checks.run_checks(seed)
+    assert e.value.code == "BAD_SHAPE" and "not an integer" in e.value.message
+
+
+def test_check_seed_may_be_a_numpy_int():
+    assert checks.run_checks(np.int64(7)) == checks.run_checks(7)
+
+
+def test_output_time_below_zero_is_out_of_range(capsys, tmp_path):
+    # -1e-13 ended in NON_FINITE, as the time label of its snapshot
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(SOLVE_CFG.replace("output_times = 0.5, 1", "output_times = -1e-13, 0.5"))
+    assert main(["--config", str(cfg)]) == 1
+    assert "error[TIME_RANGE] output times must lie in [0, 1.0]" in capsys.readouterr().err
+
+
 def test_main_reports_errors(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error[PARSE_ERROR]" in capsys.readouterr().err
@@ -372,7 +392,8 @@ def test_main_reports_errors(tmp_path, capsys):
     check = tmp_path / "check.cfg"
     check.write_text("command = check\n", encoding="utf-8")
     assert main(["--config", str(check), "--seed", "-3"]) == 1
-    assert "error[VALIDATION_ERROR] seed: must be a nonnegative integer" in capsys.readouterr().err
+    # the seed is read by glevy.core's seed reader, with its message under the key
+    assert "error[VALIDATION_ERROR] seed: seed -3 is not an int >= 0" in capsys.readouterr().err
 
 
 def test_solve_rejects_unpadded_box(capsys, tmp_path):

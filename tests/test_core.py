@@ -1,6 +1,7 @@
 """Validation, grid, and interpolation contracts of the core types."""
 
 import re
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -567,6 +568,25 @@ def test_scalar_parameters_refuse_non_numbers(name, call, value):
     assert code_of(e) == "BAD_SHAPE"
 
 
+REAL_ENTRY_POINTS = [(n, c) for n, c in SCALAR_ENTRY_POINTS if n not in INTEGERS] + [
+    ("SchemeConfig cfl_safety", lambda v: SchemeConfig(cfl_safety=v)),
+    ("SchemeConfig final_time", lambda v: SchemeConfig(final_time=v)),
+]
+
+
+@pytest.mark.parametrize("value", [2**70, 2**1100, Fraction(1, 2)], ids=["2**70", "2**1100", "1/2"])
+@pytest.mark.parametrize("name, call", REAL_ENTRY_POINTS, ids=[n for n, _ in REAL_ENTRY_POINTS])
+def test_real_parameters_refuse_what_an_array_refuses(name, call, value):
+    # 2**1100 raised a bare OverflowError, and 2**70 and Fraction(1, 2) were
+    # read as floats, where an array of them is BAD_SHAPE
+    from glevy.core import _array
+
+    for read in (call, partial(_array, "x")):
+        with pytest.raises(GLevyError) as e:
+            read(value)
+        assert code_of(e) == "BAD_SHAPE"
+
+
 @pytest.mark.parametrize("value", [1.7, True, np.float64(1.0)])
 @pytest.mark.parametrize("name", INTEGERS)
 def test_integer_parameters_refuse_other_numbers(name, value):
@@ -686,6 +706,15 @@ def test_array_reader_gives_numpys_float_bits(value):
     got, want = _array("x", value, finite=False), np.array(value, dtype=float)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert got.flags.writeable and got.flags.owndata
+
+
+@given(REALS.filter(lambda v: not isinstance(v, np.ndarray)))
+def test_real_reader_gives_numpys_float_bits(value):
+    from glevy.core import _real
+
+    got = _real("x", value)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.array(value, dtype=float).tobytes()
 
 
 def test_array_reads_copy_the_callers_array():

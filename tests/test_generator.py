@@ -120,6 +120,7 @@ def test_test_function_must_vanish_at_origin():
 
 
 def test_hessian_must_be_symmetric():
+    # hess0 is read by check_symmetric, whose code for an asymmetric matrix is ASYMMETRIC
     with pytest.raises(GLevyError) as e:
         TestFunction(
             eval=lambda x: 0.0 * x1(x),
@@ -127,7 +128,26 @@ def test_hessian_must_be_symmetric():
             hess0=[[0.0, 1.0], [0.0, 0.0]],
             bound=0.0,
         )
-    assert e.value.code == "BAD_SHAPE"
+    assert e.value.code == "ASYMMETRIC"
+
+
+def test_hessian_symmetric_up_to_rounding_is_accepted():
+    # an absolute 1e-12 test refused this Hessian, one ulp of 1e6 apart (BAD_SHAPE)
+    hess = np.array([[1e6, np.nextafter(1e6, 2e6)], [1e6, 1e6]])
+    uset = validate_uncertainty_set([((), [0.0, 0.0], [[1.0, 0.0], [0.5, 1.0]])])
+
+    def value(h):
+        return g_operator(TestFunction(lambda x: 0.0 * x1(x), [0.0, 0.0], h, 0.0), uset)
+
+    assert value(hess) == value((hess + hess.T) / 2.0)
+
+
+@pytest.mark.parametrize("entry", [1.0, 1.5e308, 5e-324])
+def test_symmetric_hessian_is_kept_bit_for_bit(entry):
+    # a mean (a + b) / 2 overflows at 1.5e308, and a / 2 + b / 2 rounds 5e-324 to 0
+    hess = np.array([[entry, -0.5], [-0.5, 0.0]])
+    f = TestFunction(lambda x: 0.0 * x1(x), [0.0, 0.0], hess, 0.0)
+    assert f.hess0.tobytes() == hess.tobytes()
 
 
 def test_quotient_of_zero_data_is_zero():

@@ -21,9 +21,11 @@ def test_check_symmetric_accepts_and_symmetrizes():
 
 
 def test_check_symmetric_rejects():
-    with pytest.raises(MatrixError) as e:
-        check_symmetric(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    assert e.value.code == "ASYMMETRIC"
+    # a difference that overflows (1e308 - -1e308) raised numpy's RuntimeWarning
+    for asym in ([[1.0, 2.0], [0.0, 3.0]], [[0.0, 1e308], [-1e308, 0.0]]):
+        with pytest.raises(MatrixError) as e:
+            check_symmetric(np.array(asym))
+        assert e.value.code == "ASYMMETRIC"
     with pytest.raises(GLevyError) as e:
         check_symmetric(np.ones((2, 3)))
     assert e.value.code == "BAD_SHAPE"

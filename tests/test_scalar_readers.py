@@ -1,10 +1,10 @@
 """One reader per scalar range rule, shared by every site of the rule.
 
 Each range reader of ``glevy.core`` (``_constant``, ``_horizon``, ``_step``,
-``_tolerance``, ``_tail``, ``_count``) is exercised through every library
-site and every CLI key that reads it.  A library site raises the reader's
-code with ``<what> <value> <rule>``; a CLI key raises VALIDATION_ERROR with
-that message under the key.  The CLI refuses nan and inf for every number it
+``_tolerance``, ``_tail``, ``_count``, ``_seed``) is exercised through every
+library site and every CLI key that reads it.  A library site raises the
+reader's code with ``<what> <value> <rule>``; a CLI key raises
+VALIDATION_ERROR with that message under the key.  The CLI refuses nan and inf for every number it
 reads before any range rule, so its keys take the finite bad values only.
 """
 
@@ -30,6 +30,7 @@ from glevy import (
     small_time_quotient,
     uniform_grid,
 )
+from glevy.checks import run_checks
 from glevy.cli import parse_config
 from glevy.errors import GLevyError
 
@@ -242,6 +243,21 @@ def test_tail_reader(call, code, message):
     ),
 )
 def test_count_reader(call, code, message):
+    assert_refused(call, code, message)
+
+
+@pytest.mark.parametrize(
+    "call, code, message",
+    cases(
+        "is not an int >= 0",
+        "BAD_SHAPE",
+        # -1 raised numpy's bare ValueError
+        {"run_checks": ("seed", run_checks)},
+        {"seed": ("seed", "command = check\n")},
+        (-1, -3),
+    ),
+)
+def test_seed_reader(call, code, message):
     assert_refused(call, code, message)
 
 

@@ -427,6 +427,18 @@ def test_snapshot_times_validated():
     assert e.value.code == "TIME_RANGE"
 
 
+def test_output_time_below_zero_is_out_of_range():
+    # -1e-13 passed the range check, then failed as its snapshot's time label (NON_FINITE)
+    for t in (-1e-13, -5e-324):
+        with pytest.raises(GLevyError) as e:
+            solve(wave(), BENCH, BENCH_GRID, BENCH_CFG, output_times=[t, 0.5])
+        assert e.value.code == "TIME_RANGE"
+    # 1e-12 of slack above the final time stays, and evaluate matches labels within it
+    res = solve(wave(), BENCH, BENCH_GRID, BENCH_CFG, output_times=[0.0, 0.5 + 1e-13])
+    assert res.snapshots[-1].time_label == 0.5 + 1e-13
+    assert evaluate(res, 0.5, [0.0]) == evaluate(res, 0.5 + 1e-12, [0.0])
+
+
 def test_nan_output_time_is_refused_before_the_march(monkeypatch):
     # a nan time once passed the range check, and the march ran to 0.5 before it failed
     def no_march(*args):
