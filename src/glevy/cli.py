@@ -6,10 +6,14 @@ one reader, listed in ``_COMMANDS``: it takes its keys out of the parsed pairs
 and returns the job's library call with every argument bound, so a job is its
 output path and that call, and :func:`run` only makes it.  A key is accepted
 only by being read, and the first key left over, in file order, is
-``<key>: unknown key``.  A key whose range the library also checks is read by
-that rule's reader in :mod:`glevy.core` (or by :mod:`glevy.gpoisson`'s
-``_direction`` or :class:`glevy.engine.CylinderFunctional`), with its
-message under the key.
+``<key>: unknown key``.  A comma list is read by :func:`_numbers` and a
+single-value key by :func:`_number`, and both refuse a text that is not a
+number and a float that is not finite; the three ``;``-list keys (atoms,
+table, eval.x) share one entry grammar, :func:`_entries`.  A key whose range the
+library also checks is read by that rule's reader in :mod:`glevy.core` (or by
+:mod:`glevy.gpoisson`'s ``_direction`` or
+:class:`glevy.engine.CylinderFunctional`), with its message under the key
+and the value named by the key's last part.
 Flags: ``--config <path>`` (required), ``--out <path>`` and ``--seed <u64>``;
 each replaces the config key of the same name and passes the same check, so
 ``--seed`` is an unknown key off ``check``.
@@ -77,6 +81,7 @@ from .core import (
     Scenario,
     SchemeConfig,
     UncertaintySet,
+    _cfl_safety,
     _count,
     _horizon,
     _lambda,
@@ -120,55 +125,64 @@ def _take(kv, key):
     return kv.pop(key)
 
 
-def _finite(key, value):
-    if not math.isfinite(value):
-        raise _bad(key, f"must be finite, got {value!r}")
-    return value
+def _numbers(key, text, kind=float):
+    """The comma-separated numbers of ``text``, read by ``kind`` (float or int).
+
+    A part ``kind`` cannot read is ``not a comma-separated <number|integer>
+    list``, a float that is not finite ``must be finite``, under ``key``.
+    """
+    try:
+        values = list(map(kind, text.split(",")))
+    except ValueError:
+        noun = "number" if kind is float else "integer"
+        raise _bad(key, f"not a comma-separated {noun} list: {text!r}")
+    if kind is float:
+        for value in values:
+            if not math.isfinite(value):
+                raise _bad(key, f"must be finite, got {value!r}")
+    return values
 
 
-def _float(kv, key, default=None):
+def _number(kv, key, rule=None, default=None, kind=float):
+    """The one number of ``key`` read by ``kind``; ``default``, if given, when the key is absent.
+
+    A text ``kind`` cannot read is ``not <a number|an integer>``, a float that
+    is not finite ``must be finite``, as in :func:`_numbers`; the one value is
+    read here because a list per key cost short jobs about 1 % of their time.
+    A library range ``rule`` then reads the value, named by the key's last
+    part, with its message under the key.
+    """
     if key not in kv and default is not None:
         return default
     text = _take(kv, key)
     try:
-        return _finite(key, float(text))
+        value = kind(text)
     except ValueError:
-        raise _bad(key, f"not a number: {text!r}")
+        raise _bad(key, f"not {'a number' if kind is float else 'an integer'}: {text!r}")
+    if kind is float and not math.isfinite(value):
+        raise _bad(key, f"must be finite, got {value!r}")
+    return value if rule is None else _checked(key, rule, key.rpartition(".")[2], value)
 
 
-def _int(kv, key, default):
-    if key not in kv:
-        return default
-    text = kv.pop(key)
-    try:
-        return int(text)
-    except ValueError:
-        raise _bad(key, f"not an integer: {text!r}")
+def _entries(key, text, form, sizes):
+    """The ``;``-separated entries of ``text``, blank ones skipped, as lists of number lists.
 
-
-def _floats(text, key, kind=float, what="number"):
-    try:
-        return [_finite(key, kind(p)) for p in text.split(",")]
-    except ValueError:
-        raise _bad(key, f"not a comma-separated {what} list: {text!r}")
-
-
-def _parse_atoms(text, key):
-    atoms = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.rsplit(":", 1)
-        if len(pieces) != 2:
-            raise _bad(key, f"atom {part!r} is not 'z:w'")
-        z = _floats(pieces[0], key)
-        try:
-            w = float(pieces[1])
-        except ValueError:
-            raise _bad(key, f"atom rate {pieces[1]!r} is not a number")
-        atoms.append((z, w))
-    return tuple(atoms)
+    An entry is ``:``-joined comma lists (:func:`_numbers`), one per entry
+    of ``sizes`` and of that many numbers; any other entry is ``entry <text>
+    is not <form>``.
+    """
+    entries = []
+    for entry in text.split(";"):
+        entry = entry.strip()
+        if entry:
+            parts = entry.split(":")
+            if len(parts) == len(sizes):
+                parts = [_numbers(key, part) for part in parts]
+            # parts of the wrong count are left unparsed, and never match
+            if tuple(map(len, parts)) != sizes:
+                raise _bad(key, f"entry {entry!r} is not {form}")
+            entries.append(parts)
+    return entries
 
 
 def _flat(d):
@@ -204,8 +218,8 @@ def _clipped(f, clip):
 
 
 def _clip_linear(kv):
-    scale = _float(kv, "payoff.scale", 1.0)
-    clip = _checked("payoff.clip", _step, "clip", _float(kv, "payoff.clip", 1e6))
+    scale = _number(kv, "payoff.scale", default=1.0)
+    clip = _number(kv, "payoff.clip", _step, 1e6)
     pay = _checked(
         "payoff.clip",
         Payoff,
@@ -217,8 +231,8 @@ def _clip_linear(kv):
 
 
 def _indicator_ramp(kv):
-    center = _float(kv, "payoff.center", 0.0)
-    width = _checked("payoff.width", _step, "width", _float(kv, "payoff.width", 1.0))
+    center = _number(kv, "payoff.center", default=0.0)
+    width = _number(kv, "payoff.width", _step, 1.0)
     pay = _checked(
         "payoff.width",
         Payoff,
@@ -232,8 +246,8 @@ def _indicator_ramp(kv):
 
 
 def _quadratic_clip(kv):
-    scale = _float(kv, "payoff.scale", 1.0)
-    clip = _checked("payoff.clip", _step, "clip", _float(kv, "payoff.clip", 1e6))
+    scale = _number(kv, "payoff.scale", default=1.0)
+    clip = _number(kv, "payoff.clip", _step, 1e6)
 
     def square(x):
         x = np.asarray(x, dtype=float)
@@ -252,7 +266,7 @@ def _quadratic_clip(kv):
 
 
 def _constant(kv):
-    value = _float(kv, "payoff.value", 0.0)
+    value = _number(kv, "payoff.value", default=0.0)
     pay = _checked(
         "payoff.value",
         Payoff,
@@ -269,16 +283,9 @@ def _table(kv):
     text = kv.pop("payoff.table", None)
     if text is None:
         raise _bad("payoff.table", "required for payoff = table")
-    xs, ys = [], []
-    for part in filter(None, (part.strip() for part in text.split(";"))):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise _bad("payoff.table", f"entry {part!r} is not 'x:y'")
-        try:
-            xs.append(_finite("payoff.table", float(pieces[0])))
-            ys.append(_finite("payoff.table", float(pieces[1])))
-        except ValueError:
-            raise _bad("payoff.table", f"entry {part!r} has a non-number")
+    entries = _entries("payoff.table", text, "'x:y'", (1, 1))
+    xs = [x for (x,), _ in entries]
+    ys = [y for _, (y,) in entries]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise _bad("payoff.table", "need >= 2 entries with strictly increasing x")
     # bound and slope on Python floats: a slope that overflows is inf, with no warning
@@ -325,19 +332,16 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
     scenarios = []
     for i in sorted(by_index):
         fields = by_index[i]
-        atoms = _parse_atoms(fields["atoms"], f"scenario.{i}.atoms") if "atoms" in fields else ()
-        drift = (
-            _floats(fields["drift"], f"scenario.{i}.drift")
-            if "drift" in fields
-            else [0.0] * dim
-        )
+        entries = _entries(f"scenario.{i}.atoms", fields.get("atoms", ""), "'z:w'", (dim, 1))
+        atoms = [(z, w) for z, (w,) in entries]
+        drift = [0.0] * dim
+        if "drift" in fields:
+            drift = _numbers(f"scenario.{i}.drift", fields["drift"])
         if len(drift) != dim:
             raise _bad(f"scenario.{i}.drift", f"need {dim} components")
         if "diffusion" in fields:
-            flat = _floats(fields["diffusion"], f"scenario.{i}.diffusion")
-            if len(flat) == 1 and dim == 1:
-                diffusion = [[flat[0]]]
-            elif len(flat) == dim * dim:
+            flat = _numbers(f"scenario.{i}.diffusion", fields["diffusion"])
+            if len(flat) == dim * dim:
                 diffusion = [flat[r : r + dim] for r in range(0, dim * dim, dim)]
             else:
                 raise _bad(f"scenario.{i}.diffusion", f"need {dim * dim} row-major entries")
@@ -349,18 +353,18 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
 
 
 def _build_grid(kv, dim: int) -> GridSpec:
-    lower = _floats(_take(kv, "grid.lower"), "grid.lower")
-    upper = _floats(_take(kv, "grid.upper"), "grid.upper")
+    lower = _numbers("grid.lower", _take(kv, "grid.lower"))
+    upper = _numbers("grid.upper", _take(kv, "grid.upper"))
     if len(lower) != len(upper):
         raise _bad("grid.upper", "lower/upper length mismatch")
     # grid.points wins: a grid.spacing beside it is left unread, so unknown
     if "grid.points" in kv:
-        points = _floats(kv.pop("grid.points"), "grid.points", int, "integer")
+        points = _numbers("grid.points", kv.pop("grid.points"), int)
         if len(points) == 1:
             points = points * len(lower)
         grid = _checked("grid.points", GridSpec, lower=lower, upper=upper, points=points)
     elif "grid.spacing" in kv:
-        spacing = _float(kv, "grid.spacing")
+        spacing = _number(kv, "grid.spacing")
         grid = _checked("grid.spacing", uniform_grid, lower, upper, spacing)
     else:
         raise _bad("grid.spacing", "need grid.spacing or grid.points")
@@ -371,15 +375,14 @@ def _build_grid(kv, dim: int) -> GridSpec:
 
 def _build_scheme(kv, horizon: bool) -> SchemeConfig:
     """The scheme of a march; only a ``horizon`` job (solve) reads scheme.final_time."""
-    cfl_safety = _float(kv, "scheme.cfl_safety", 0.9)
-    final_time = _float(kv, "scheme.final_time", 1.0) if horizon else 1.0
-    _checked("scheme.cfl_safety", SchemeConfig, cfl_safety=cfl_safety)
-    return _checked("scheme.final_time", SchemeConfig, cfl_safety, final_time)
+    cfl_safety = _number(kv, "scheme.cfl_safety", _cfl_safety, 0.9)
+    final_time = _number(kv, "scheme.final_time", _horizon, 1.0) if horizon else 1.0
+    return SchemeConfig(cfl_safety, final_time)
 
 
 def _read_dim(kv) -> int:
     """``dim``, refused before any list of its length is built if a d x d matrix fits no array."""
-    dim = _checked("dim", _count, "dim", _int(kv, "dim", 1))
+    dim = _number(kv, "dim", _count, 1, int)
     if dim * dim * 8 > sys.maxsize:
         raise _bad("dim", f"a {dim} x {dim} diffusion matrix fits no array")
     return dim
@@ -425,16 +428,16 @@ def _csv(eval_points, call, phi, uset, grid, cfg, output_times) -> tuple[int, st
 
 
 def _read_check(kv):
-    seed = _checked("seed", _seed, "seed", _int(kv, "seed", 2026))
+    seed = _number(kv, "seed", _seed, 2026, int)
     return partial(_report, run_checks, seed)
 
 
 def _read_gpoisson(kv):
-    lam = _checked("lambda", _lambda, "lambda", _float(kv, "lambda"))
-    t = _checked("t", _horizon, "t", _float(kv, "t"))
+    lam = _number(kv, "lambda", _lambda)
+    t = _number(kv, "t", _horizon)
     direction = _checked("direction", _direction, kv.pop("direction", "increasing"))
-    x = _float(kv, "x", 0.0)
-    tol = _checked("scheme.tolerance", _tolerance, "tol", _float(kv, "scheme.tolerance", 1e-10))
+    x = _number(kv, "x", default=0.0)
+    tol = _number(kv, "scheme.tolerance", _tolerance, 1e-10)
     payoff, _ = _read_payoff(kv)
     return partial(_value, gpoisson_closed_form, payoff, direction, lam, t, x, tol=tol)
 
@@ -446,19 +449,14 @@ def _read_solve(kv):
     payoff, _ = _read_payoff(kv)
     eval_points = [[0.0] * dim]
     if "eval.x" in kv:
-        eval_points = []
-        for part in kv.pop("eval.x").split(";"):
-            if part.strip():
-                p = _floats(part, "eval.x")
-                if len(p) != dim:
-                    raise _bad("eval.x", f"point needs {dim} coordinates")
-                eval_points.append(p)
+        points = _entries("eval.x", kv.pop("eval.x"), f"a {dim}-d point", (dim,))
+        eval_points = [p for (p,) in points]
         if not eval_points:
             raise _bad("eval.x", "needs at least one point")
     grid = _build_grid(kv, dim)
     times = [scheme.final_time]
     if "output_times" in kv:
-        times = _floats(kv.pop("output_times"), "output_times")
+        times = _numbers("output_times", kv.pop("output_times"))
     return partial(_csv, eval_points, solve, payoff, uset, grid, scheme, times)
 
 
@@ -472,7 +470,7 @@ def _read_generator(kv):
         f = TestFunction(payoff.eval, *form(dim), payoff.bound)
         return partial(_value, g_operator, f, uset)
     grid = _build_grid(kv, dim)
-    delta = _checked("delta", _step, "delta", _float(kv, "delta"))
+    delta = _number(kv, "delta", _step)
     return partial(_value, small_time_quotient, payoff, uset, delta, grid, scheme)
 
 
@@ -483,7 +481,7 @@ def _read_expect(kv):
     payoff, _ = _read_payoff(kv)
     # an optional grid pins every increment variable's box
     grid = _build_grid(kv, dim) if any(key in kv for key in _GRID) else None
-    times = _floats(_take(kv, "times"), "times")
+    times = _numbers("times", _take(kv, "times"))
 
     def summed(args):
         arr = np.asarray(args, dtype=float)
@@ -492,10 +490,9 @@ def _read_expect(kv):
 
     # the payoff and dim are valid: only the times can fail here
     xi = _checked("times", CylinderFunctional, times, summed, payoff.bound, payoff.lipschitz, dim)
-    dx = _checked("engine.dx", _step, "dx", _float(kv, "engine.dx", 0.05))
-    node_budget = _int(kv, "engine.node_budget", 400_000)
-    node_budget = _checked("engine.node_budget", _count, "node_budget", node_budget)
-    tail = _checked("engine.tail", _tail, "tail", _float(kv, "engine.tail", 1e-10))
+    dx = _number(kv, "engine.dx", _step, 0.05)
+    node_budget = _number(kv, "engine.node_budget", _count, 400_000, int)
+    tail = _number(kv, "engine.tail", _tail, 1e-10)
     var_grids = None if grid is None else [grid] * len(times)
     return partial(
         _value, expectation, xi, uset, scheme,

@@ -392,15 +392,18 @@ def uniform_grid(lower, upper, spacing: float) -> GridSpec:
     positive real number.  Each axis counts ceil((upper - lower)
     / spacing - EPSILON) + 1 points, at least 3, on Python floats; a count
     that is not finite or exceeds an index is BAD_SHAPE too, and so is a grid
-    whose nodes fit no array (:class:`GridSpec`).
+    whose nodes fit no array (:class:`GridSpec`).  Bounds in the wrong order,
+    whatever their size, get 3 points on that axis and so :class:`GridSpec`'s
+    BAD_SHAPE for them.
     """
     lower, lo = _array("grid lower", lower, 1, kept=True)
     upper, hi = _array("grid upper", upper, lower.shape, kept=True)
     spacing = _step("grid spacing", spacing)
     points = []
     for a, b in zip(lo, hi):
-        cells = (b - a) / spacing - EPSILON
-        # nan and inf fail the comparison too
+        # bounds in the wrong order count no cells, even where b - a overflows to -inf
+        cells = max((b - a) / spacing - EPSILON, 0.0)
+        # inf fails the comparison too
         if not cells < sys.maxsize:
             raise ValidationError(
                 "BAD_SHAPE", f"[{a:.6g}, {b:.6g}] at spacing {spacing:.6g} has too many points"
@@ -519,8 +522,9 @@ def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False
     """``value`` as a float64 copy: the one reader of every array the library takes in.
 
     Numbers, bools, ints, floats of any width and numpy scalars or arrays of
-    them give ``np.array(value, dtype=float)``'s bits; anything else (None,
-    str, bytes, complex, object, ragged) is BAD_SHAPE, as is a shape other
+    them give ``np.array(value, dtype=float)``'s bits (a long double beyond
+    float64's range is inf, without numpy's overflow warning); anything else
+    (None, str, bytes, complex, object, ragged) is BAD_SHAPE, as is a shape other
     than ``shape`` (None for any, n for any n axes, or the axis lengths, which
     a 0-d value fills when they hold one entry).  Then, with ``finite``, a
     non-finite entry is NON_FINITE.  A ``kept`` array, the few entries of a
@@ -534,7 +538,12 @@ def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False
     if arr.dtype.char != "d" or arr is value or arr.base is not None:
         if arr.dtype.kind not in "biuf":
             raise ValidationError("BAD_SHAPE", f"{what} must hold real numbers, got {arr.dtype}")
-        arr = arr.astype(float)
+        if arr.dtype.char == "g":
+            # a long double beyond float64's range casts to inf, unwarned: NON_FINITE below
+            with np.errstate(over="ignore"):
+                arr = arr.astype(float)
+        else:
+            arr = arr.astype(float)
     if shape is not None and (arr.ndim != shape if type(shape) is int else arr.shape != shape):
         one = (1,) * shape if type(shape) is int else shape
         if arr.ndim or math.prod(one) != 1:

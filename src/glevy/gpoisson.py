@@ -37,7 +37,6 @@ from .core import (
     _finite,
     _horizon,
     _lambda,
-    _real,
     _sequence,
     _tolerance,
     sample_payoff,
@@ -159,12 +158,13 @@ def gpoisson_closed_form(
     or NOT_MONOTONE is raised: monotonicity on x + {0, 1, 2, ...} is what the
     closed form needs.  At lam = 1 both directions give the same sum.
     ``lam``, ``t``, ``x`` and ``tol`` that are not real numbers raise
-    BAD_SHAPE; out of range, ``lam`` raises LAMBDA_RANGE, ``t`` BAD_SHAPE
-    and ``tol`` BAD_TOLERANCE.
+    BAD_SHAPE; out of range, ``lam`` raises LAMBDA_RANGE, ``t`` BAD_SHAPE,
+    ``x`` NON_FINITE (a payoff clipped at infinity would give a plausible
+    number) and ``tol`` BAD_TOLERANCE.
     """
     lam, direction = _lambda("lambda", lam), _direction(direction)
     t, tol = _horizon("t", t), _tolerance("tol", tol)
-    x = _real("x", x)
+    x = _finite("x", x)
 
     weights = poisson_head(t if direction == "increasing" else lam * t, phi.bound, tol)
     points = np.arange(len(weights), dtype=float).reshape(-1, 1)

@@ -9,6 +9,8 @@ it satisfies J^2 = n J and J^gamma = J / (1 - n gamma) for gamma < 1/n.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .core import _array, _count, _gamma, _require_finite
@@ -66,7 +68,13 @@ def j_matrix(n: int, d: int) -> np.ndarray:
     """Block matrix with (n-1) I_d diagonal and -I_d off-diagonal blocks.
 
     ``n`` and ``d`` must be ints >= 1 (a bool is not one), else BAD_SHAPE.
+    BAD_SHAPE is also raised, before any array is built, when the nd x nd
+    result has more bytes than numpy can index (the rule of
+    :class:`glevy.core.GridSpec`); one that fits an index but not the memory
+    still raises MemoryError.
     """
     n, d = _count("n", n), _count("d", d)
+    if (n * d) ** 2 * 8 > sys.maxsize:
+        raise ValidationError("BAD_SHAPE", f"a {n * d} x {n * d} matrix fits no array")
     core = n * np.eye(n) - np.ones((n, n))
     return np.kron(core, np.eye(d))

@@ -143,7 +143,8 @@ GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
 def test_nonpositive_values_rejected(text, key):
     # every key is read by its library rule's reader, a payoff's clip and width by _step
     value = float(re.search(rf"^{re.escape(key)} = (\S+)$", text, re.M).group(1))
-    what = {"scheme.tolerance": "tol", "grid.spacing": "grid spacing"}.get(key, key.split(".")[-1])
+    # a key's value is named by its last part; grid.spacing is uniform_grid's
+    what = {"grid.spacing": "grid spacing"}.get(key, key.split(".")[-1])
     rule = "must be positive" if key == "scheme.tolerance" else "must be finite and positive"
     with pytest.raises(ConfigError) as e:
         parse_config(text)
@@ -834,6 +835,32 @@ def test_library_errors_name_the_key_read(text, message):
     with pytest.raises(ConfigError) as e:
         parse_config(text)
     assert e.value.code == "VALIDATION_ERROR" and e.value.message == message
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("scenario.0.atoms", "1:0.5; 1:0.5,0.5", "entry '1:0.5,0.5' is not 'z:w'"),
+        ("scenario.0.atoms", "1,1:0.5", "entry '1,1:0.5' is not 'z:w'"),
+        ("scenario.0.atoms", "1:2:0.5", "entry '1:2:0.5' is not 'z:w'"),
+        ("scenario.0.atoms", "1:abc", "not a comma-separated number list: 'abc'"),
+        # a non-finite rate was refused by Scenario, under scenario.0
+        ("scenario.0.atoms", "1:inf", "must be finite, got inf"),
+        ("payoff.table", "0:0; 1", "entry '1' is not 'x:y'"),
+        ("payoff.table", "0:0; 1,2:1", "entry '1,2:1' is not 'x:y'"),
+        ("eval.x", "0; 0,1", "entry '0,1' is not a 1-d point"),
+        ("eval.x", "0:1", "entry '0:1' is not a 1-d point"),
+        ("eval.x", "0; -inf", "must be finite, got -inf"),
+    ],
+)
+def test_entry_grammar(key, value, message):
+    # the ;-list keys share one grammar: ;-separated entries of :-joined comma lists
+    text = SOLVE_CFG.replace("payoff.clip = 2", "payoff = table\npayoff.table = 0:0; 1:1")
+    text = text.replace("payoff = clip-linear\n", "")
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    with pytest.raises(ConfigError) as e:
+        parse_config("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    assert (e.value.code, e.value.message) == ("VALIDATION_ERROR", f"{key}: {message}")
 
 
 def per_line_csv(grid, snapshots):

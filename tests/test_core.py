@@ -245,6 +245,20 @@ def test_uniform_grid_rejects_bad_spacing_and_bounds(lower, upper, spacing, code
     assert code_of(e) == code
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([10.0], [5.0]), ([1e308], [50.0]), ([1e308], [-1e308]), ([0.0, 1e308], [1.0, 0.0])],
+)
+def test_uniform_grid_bounds_in_wrong_order_at_any_size(lower, upper):
+    # (upper - lower) / spacing overflowed to -inf, and 1e308 ended in a bare OverflowError
+    with pytest.raises(GLevyError) as e:
+        uniform_grid(lower, upper, 0.05)
+    assert (code_of(e), e.value.message) == (
+        "BAD_SHAPE",
+        "grid upper must exceed lower componentwise",
+    )
+
+
 def test_uniform_grid_counts_up_to_an_index():
     assert uniform_grid([0.0], [2.0**59], 1.0).shape == (2**59 + 1,)
     assert uniform_grid([0.0], [1.0], 2.0).shape == (3,)
@@ -252,6 +266,24 @@ def test_uniform_grid_counts_up_to_an_index():
     with pytest.raises(GLevyError) as e:
         uniform_grid([0.0], [2.0**62], 1.0)
     assert code_of(e) == "BAD_SHAPE"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024, reason="long double is float64")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: Payoff(lambda x: 0.0, v, 1.0),
+        lambda v: uniform_grid([v], [1.0], 0.5),
+        lambda v: GridFunction(uniform_grid([0.0], [1.0], 0.5), np.array([0.0, v, 0.0])),
+    ],
+    ids=["Payoff.bound", "uniform_grid.lower", "GridFunction.values"],
+)
+def test_long_double_beyond_float64_is_non_finite(call):
+    # the cast to float64 warned "overflow encountered in cast", an error under
+    # the suite's warning filter
+    with pytest.raises(GLevyError) as e:
+        call(np.longdouble("1e400"))
+    assert code_of(e) == "NON_FINITE"
 
 
 def test_grid_needs_three_points():

@@ -67,6 +67,14 @@ def test_g_lambda_refuses_a_non_finite_increment(a, lam):
     assert e.value.code == "NON_FINITE" and e.value.message == f"a {a!r} is not finite"
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_closed_form_refuses_a_non_finite_x(x):
+    # x = inf gave 2.9999999999864406, the clip level, from a plausible series
+    with pytest.raises(GLevyError) as e:
+        gpoisson_closed_form(clipped_identity(3.0), "increasing", 0.5, 1.0, x)
+    assert e.value.code == "NON_FINITE" and e.value.message == f"x {x!r} is not finite"
+
+
 def test_spec_uncertainty_set():
     spec = GPoissonSpec(lambda_low=0.5)
     uset = spec.uncertainty_set()

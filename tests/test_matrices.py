@@ -94,6 +94,16 @@ def test_j_matrix_small_cases():
         j_matrix(2, 0)
 
 
+@pytest.mark.parametrize("n, d", [(2**40, 1), (1, 2**40), (2**70, 1)])
+def test_j_matrix_beyond_any_array_is_a_shape_error(n, d):
+    # these raised numpy's bare ValueError ("array is too big", "Maximum
+    # allowed dimension exceeded")
+    with pytest.raises(GLevyError) as e:
+        j_matrix(n, d)
+    message = f"a {n * d} x {n * d} matrix fits no array"
+    assert (e.value.code, e.value.message) == ("BAD_SHAPE", message)
+
+
 def test_j_matrix_is_scaled_idempotent():
     for n in (1, 2, 3):
         for d in (1, 2, 3):

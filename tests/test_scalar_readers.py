@@ -196,7 +196,7 @@ def test_step_reader(call, code, message):
                 lambda v: series_solution(PHI, GRID, [[(1.0, 1.0)]], 1.0, v),
             ),
         },
-        {"scheme.tolerance": ("tol", GPOISSON)},
+        {"scheme.tolerance": ("tolerance", GPOISSON)},
         (0.0, -1.0, NAN),
     ),
 )

@@ -13,18 +13,20 @@ rebuilt by the tree's own constructors, untimed.  Each tree then runs the
 job once untimed: the first run of a job after other jobs is slower, by up
 to half on the short gpoisson jobs, whichever tree makes it.  Then the
 three trees run it once more, one after another, each call timed alone by
-``perf_counter_ns``.  Their order cycles through all six permutations
-within each job family, so each tree runs before the other as often as
-after it.  The outputs must be equal byte for byte
+``perf_counter_ns`` (wall) and ``process_time_ns`` (CPU).  Their order
+cycles through all six permutations within each job family, so each tree
+runs before the other as often as after it.  The outputs must be equal byte for byte
 (``job_digests.output_bytes``), else the run stops with exit 1.
 
 Passes 0, 1, ... of each workload under ``--seed`` run until ``--seconds``
 (default 5) per job family in it have elapsed, at least one pass.  Per job
 family the last lines print the number of pairs, HEAD's paired median ratio
-(HEAD time over BASE time, per job) with the jobs HEAD won, and the null
-band: the same two numbers for HEAD against its own second copy.  A ratio
-of HEAD against BASE outside the null's distance from 1 is the part of a
-difference this machine can resolve.
+of wall time (HEAD time over BASE time, per job) with the jobs HEAD won, and
+the null band: the same two numbers for HEAD against its own second copy.
+The last two columns are the paired median ratios of CPU time, HEAD over
+BASE and its copy over HEAD.  A ratio of HEAD against BASE outside the
+null's distance from 1 is the part of a difference this machine can
+resolve; a CPU ratio is blind to the time a call waits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import importlib
 import importlib.util
 import itertools
 import os
-import statistics
 import sys
 import time
 from functools import partial
@@ -81,12 +82,16 @@ def cli_job(cli, config: str) -> str:
 
 
 def summary(times: dict) -> str:
-    """Pairs, HEAD's median ratio and wins against BASE, and the null band."""
-    head = np.array(times["head"], dtype=float)
-    ratio, null = head / np.array(times["base"]), np.array(times["null"]) / head
+    """Pairs, HEAD's wall median ratio and wins against BASE, the null band, and both CPU ratios.
+
+    ``times`` holds per tree one (wall, CPU) pair of nanoseconds per job.
+    """
+    base, head, null = (np.array(times[name], dtype=float) for name in ("base", "head", "null"))
+    ratio, band = head / base, null / head
     return (
-        f"{len(head):6d} {statistics.median(ratio):7.4f} {int(np.sum(ratio < 1.0)):5d}"
-        f" {statistics.median(null):7.4f} {int(np.sum(null < 1.0)):5d}"
+        f"{len(head):6d} {np.median(ratio[:, 0]):7.4f} {int(np.sum(ratio[:, 0] < 1.0)):5d}"
+        f" {np.median(band[:, 0]):7.4f} {int(np.sum(band[:, 0] < 1.0)):5d}"
+        f" {np.median(ratio[:, 1]):7.4f} {np.median(band[:, 1]):7.4f}"
     )
 
 
@@ -112,7 +117,10 @@ def main(argv=None) -> int:
         f"python {sys.version.split()[0]}, numpy {np.__version__}, {os.cpu_count()} cores;",
         f"base {args.base}, head {args.head}",
     )
-    print(f"{'family':10s} {'pairs':>6s} {'ratio':>7s} {'wins':>5s} {'null':>7s} {'wins':>5s}")
+    print(
+        f"{'family':10s} {'pairs':>6s} {'ratio':>7s} {'wins':>5s} {'null':>7s} {'wins':>5s}"
+        f" {'cpu':>7s} {'cpunull':>7s}"
+    )
     for workload in args.workload or WORKLOADS:
         times, started, index = {}, time.perf_counter(), 0
         families = {job.family for job in workloads.pass_jobs(workload, args.seed, 0)}
@@ -126,9 +134,12 @@ def main(argv=None) -> int:
                     return 1
                 family = times.setdefault(job.family, {"base": [], "head": [], "null": []})
                 for name in ORDERS[len(family["base"]) % len(ORDERS)]:
+                    # the CPU clock is read outside the wall span, which so holds no CPU clock call
+                    cpu = time.process_time_ns()
                     start = time.perf_counter_ns()
                     calls[name]()
-                    family[name].append(time.perf_counter_ns() - start)
+                    wall = time.perf_counter_ns() - start
+                    family[name].append((wall, time.process_time_ns() - cpu))
             index += 1
         for family, family_times in times.items():
             print(f"{family:10s} {summary(family_times)}")
