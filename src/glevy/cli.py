@@ -13,7 +13,13 @@ table, eval.x) share one entry grammar, :func:`_entries`.  A key whose range the
 library also checks is read by that rule's reader in :mod:`glevy.core` (or by
 :mod:`glevy.gpoisson`'s ``_direction`` or
 :class:`glevy.engine.CylinderFunctional`), with its message under the key
-and the value named by the key's last part.
+and the value named by the key's last part.  The CLI keeps no copy of a
+library rule: what the grid rule refuses (:func:`glevy.core.uniform_grid`,
+:class:`glevy.core.GridSpec`), which reads the grid keys together, is under
+``grid``; an empty set is ``scenario.0``, a payoff the generator's
+:class:`glevy.generator.TestFunction` refuses (a nonzero ``constant``) is
+``payoff``, and a ``dim`` whose matrix fits no array (:func:`glevy.core._fits`)
+is ``dim``.
 Flags: ``--config <path>`` (required), ``--out <path>`` and ``--seed <u64>``;
 each replaces the config key of the same name and passes the same check, so
 ``--seed`` is an unknown key off ``check``.
@@ -83,6 +89,7 @@ from .core import (
     UncertaintySet,
     _cfl_safety,
     _count,
+    _fits,
     _horizon,
     _lambda,
     _seed,
@@ -274,16 +281,12 @@ def _constant(kv):
         bound=abs(value),
         lipschitz=0.0,
     )
-    if value == 0.0:
-        return pay, _flat
-    return pay, _no_form("payoff.value", "generator needs f(0) = 0")
+    # a nonzero value is refused by TestFunction's f(0) = 0 rule, under payoff
+    return pay, _flat
 
 
 def _table(kv):
-    text = kv.pop("payoff.table", None)
-    if text is None:
-        raise _bad("payoff.table", "required for payoff = table")
-    entries = _entries("payoff.table", text, "'x:y'", (1, 1))
+    entries = _entries("payoff.table", _take(kv, "payoff.table"), "'x:y'", (1, 1))
     xs = [x for (x,), _ in entries]
     ys = [y for _, (y,) in entries]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
@@ -325,8 +328,6 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
         m = _SCENARIO_KEY.match(key)
         if m:
             by_index.setdefault(int(m.group(1)), {})[m.group(2)] = kv.pop(key)
-    if not by_index:
-        raise _bad("scenario.0.drift", "at least one scenario is required")
     if sorted(by_index) != list(range(len(by_index))):
         raise _bad(f"scenario.{max(by_index)}", "scenario indices must be 0..k without gaps")
     scenarios = []
@@ -349,23 +350,22 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
             diffusion = [[0.0] * dim] * dim
         scenario = _checked(f"scenario.{i}", Scenario, atoms, drift, diffusion)
         scenarios.append(scenario)
-    return validate_uncertainty_set(scenarios)
+    # no scenario at all is the set's EMPTY_SET
+    return _checked("scenario.0", validate_uncertainty_set, scenarios)
 
 
 def _build_grid(kv, dim: int) -> GridSpec:
+    """The grid of the grid.* keys; one rule reads them together, its errors under ``grid``."""
     lower = _numbers("grid.lower", _take(kv, "grid.lower"))
     upper = _numbers("grid.upper", _take(kv, "grid.upper"))
-    if len(lower) != len(upper):
-        raise _bad("grid.upper", "lower/upper length mismatch")
     # grid.points wins: a grid.spacing beside it is left unread, so unknown
     if "grid.points" in kv:
         points = _numbers("grid.points", kv.pop("grid.points"), int)
         if len(points) == 1:
             points = points * len(lower)
-        grid = _checked("grid.points", GridSpec, lower=lower, upper=upper, points=points)
+        grid = _checked("grid", GridSpec, lower=lower, upper=upper, points=points)
     elif "grid.spacing" in kv:
-        spacing = _number(kv, "grid.spacing")
-        grid = _checked("grid.spacing", uniform_grid, lower, upper, spacing)
+        grid = _checked("grid", uniform_grid, lower, upper, _number(kv, "grid.spacing", _step))
     else:
         raise _bad("grid.spacing", "need grid.spacing or grid.points")
     if grid.dim != dim:
@@ -383,8 +383,7 @@ def _build_scheme(kv, horizon: bool) -> SchemeConfig:
 def _read_dim(kv) -> int:
     """``dim``, refused before any list of its length is built if a d x d matrix fits no array."""
     dim = _number(kv, "dim", _count, 1, int)
-    if dim * dim * 8 > sys.maxsize:
-        raise _bad("dim", f"a {dim} x {dim} diffusion matrix fits no array")
+    _checked("dim", _fits, dim * dim, "a {0} x {0} diffusion matrix", dim)
     return dim
 
 
@@ -467,7 +466,7 @@ def _read_generator(kv):
     uset = _build_scenarios(kv, dim)
     payoff, form = _read_payoff(kv)
     if scheme is None:
-        f = TestFunction(payoff.eval, *form(dim), payoff.bound)
+        f = _checked("payoff", TestFunction, payoff.eval, *form(dim), payoff.bound)
         return partial(_value, g_operator, f, uset)
     grid = _build_grid(kv, dim)
     delta = _number(kv, "delta", _step)

@@ -19,7 +19,8 @@ BAD_SHAPE, as it is in an array.  An integer is a Python or numpy int of any
 size, a bool excluded.  One reader per range rule sits on top of them:
 :func:`_constant`, :func:`_horizon`, :func:`_step`, :func:`_tolerance`,
 :func:`_tail`, :func:`_cfl_safety`, :func:`_lambda`, :func:`_gamma`,
-:func:`_finite`, :func:`_count` and :func:`_seed`.  Every site of a rule, in
+:func:`_finite`, :func:`_count` and :func:`_seed`, and one size rule,
+:func:`_fits`: an array's bytes must fit an index.  Every site of a rule, in
 the library and in the CLI, calls its reader.
 """
 
@@ -312,8 +313,10 @@ class GridSpec:
     ragged array included) with finite entries (NON_FINITE).  BAD_SHAPE is
     also raised, before any array is built, for a grid whose
     :meth:`nodes` array, prod(points) * d floats, has more bytes than numpy
-    can index.  A grid that fits an index but not the memory still raises
-    MemoryError when its arrays are built.
+    can index (:func:`_fits`), and for a spacing that is not finite and
+    positive: one that underflows to zero, or a span that overflows.  A grid
+    that fits an index but not the memory still raises MemoryError when its
+    arrays are built.
     """
 
     lower: np.ndarray
@@ -342,11 +345,12 @@ class GridSpec:
         shape = tuple(points.tolist())
         if min(shape) < 3:
             raise ValidationError("BAD_SHAPE", "grid needs at least 3 points per axis")
-        if math.prod(shape) * len(shape) * 8 > sys.maxsize:
-            raise ValidationError("BAD_SHAPE", f"grid of {math.prod(shape)} nodes fits no array")
+        nodes = math.prod(shape)
+        _fits(nodes * len(shape), "grid of {} nodes", nodes)
+        # finite bounds: 0 where the spacing underflows, inf where the span overflows
         h = tuple((b - a) / (n - 1) for a, b, n in zip(lo, hi, shape))
-        if not all(h):
-            raise ValidationError("BAD_SHAPE", "grid spacing underflows to zero")
+        if not all(h) or math.inf in h:
+            raise ValidationError("BAD_SHAPE", "grid spacing must be finite and positive")
         # the fields and the floats kept from validation, set once on the frozen instance
         self.__dict__.update(
             lower=lower,
@@ -516,6 +520,15 @@ def _count(what: str, value, least: int = 1) -> int:
 
 # a random generator's seed: an int >= 0, a numpy int included
 _seed = partial(_count, least=0)
+
+
+def _fits(entries: int, what: str, *args) -> None:
+    """BAD_SHAPE ``<what> fits no array`` if ``entries`` floats have more bytes than an index holds.
+
+    ``what`` is a ``str.format`` template of ``args``, filled only when the rule fails.
+    """
+    if entries * 8 > sys.maxsize:
+        raise ValidationError("BAD_SHAPE", what.format(*args) + " fits no array")
 
 
 def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False):

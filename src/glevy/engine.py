@@ -119,17 +119,17 @@ def _centered_box(radius: float, dx: float, d: int) -> GridSpec:
 
     DIMENSION_OVERFLOW is raised, before any array is built, for a radius
     that is not finite and for a box that no grid can hold: more nodes per
-    axis than an index counts, bounds that overflow, or more nodes than
-    :class:`glevy.core.GridSpec` takes.
+    axis than an index counts, or a box :class:`glevy.core.GridSpec`
+    refuses: bounds or a span that overflow, or too many nodes.
     """
     cells = radius / dx - 1e-9
     # nan and inf fail the comparison too
     half = max(2, math.ceil(cells)) if cells < sys.maxsize // 2 else 0
-    r = half * dx
-    if half and math.isfinite(r + r):
+    if half:
+        r = half * dx
         try:
             return GridSpec(lower=[-r] * d, upper=[r] * d, points=[2 * half + 1] * d)
-        except ValidationError:  # finite bounds and >= 5 points: only the node count fails
+        except ValidationError:  # >= 5 points: only the bounds, the spacing or the node count fail
             pass
     raise EngineError(
         "DIMENSION_OVERFLOW", f"box of radius {radius:.6g} at spacing {dx:.6g} fits no grid"

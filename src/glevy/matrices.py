@@ -9,11 +9,9 @@ it satisfies J^2 = n J and J^gamma = J / (1 - n gamma) for gamma < 1/n.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
-from .core import _array, _count, _gamma, _require_finite
+from .core import _array, _count, _fits, _gamma, _require_finite
 from .errors import MatrixError, ValidationError
 
 SYMMETRY_TOL = 1e-12
@@ -69,12 +67,11 @@ def j_matrix(n: int, d: int) -> np.ndarray:
 
     ``n`` and ``d`` must be ints >= 1 (a bool is not one), else BAD_SHAPE.
     BAD_SHAPE is also raised, before any array is built, when the nd x nd
-    result has more bytes than numpy can index (the rule of
-    :class:`glevy.core.GridSpec`); one that fits an index but not the memory
-    still raises MemoryError.
+    result has more bytes than numpy can index (:func:`glevy.core._fits`, the
+    rule of :class:`glevy.core.GridSpec`); one that fits an index but not the
+    memory still raises MemoryError.
     """
     n, d = _count("n", n), _count("d", d)
-    if (n * d) ** 2 * 8 > sys.maxsize:
-        raise ValidationError("BAD_SHAPE", f"a {n * d} x {n * d} matrix fits no array")
+    _fits((n * d) ** 2, "a {0} x {0} matrix", n * d)
     core = n * np.eye(n) - np.ones((n, n))
     return np.kron(core, np.eye(d))

@@ -143,8 +143,8 @@ GPOISSON_CFG = "command = gpoisson\nlambda = 0.5\nt = 1\n"
 def test_nonpositive_values_rejected(text, key):
     # every key is read by its library rule's reader, a payoff's clip and width by _step
     value = float(re.search(rf"^{re.escape(key)} = (\S+)$", text, re.M).group(1))
-    # a key's value is named by its last part; grid.spacing is uniform_grid's
-    what = {"grid.spacing": "grid spacing"}.get(key, key.split(".")[-1])
+    # a key's value is named by its last part
+    what = key.split(".")[-1]
     rule = "must be positive" if key == "scheme.tolerance" else "must be finite and positive"
     with pytest.raises(ConfigError) as e:
         parse_config(text)
@@ -239,7 +239,23 @@ def test_grid_points_beyond_any_array_rejected(capsys, tmp_path):
     assert main(["--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error[VALIDATION_ERROR] grid.points: ")
+    # the grid rule reads the grid keys together: its errors are under grid
+    assert captured.err.startswith("error[VALIDATION_ERROR] grid: ")
+
+
+def test_overflowing_grid_span_is_one_coded_error(capsys, tmp_path):
+    # a spacing of inf was accepted; the solve's axes then warned on inf * 0
+    cfg = tmp_path / "span.cfg"
+    cfg.write_text(
+        "command = solve\ndim = 1\nscenario.0.drift = 0.5\ngrid.lower = -1e308\n"
+        "grid.upper = 1e308\ngrid.points = 3\npayoff = clip-linear\n",
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "grid: grid spacing must be finite and positive"
+    assert captured.err == f"error[VALIDATION_ERROR] {message}\n"
 
 
 def test_gpoisson_underflowing_weight_rejected(capsys, tmp_path):
@@ -786,9 +802,15 @@ def test_payoff_kinds(kind):
             "payoff = indicator-ramp\n",
             "payoff.center: generator needs the ramp strictly right of 0",
         ),
-        ("payoff = constant\npayoff.value = 1\n", "payoff.value: generator needs f(0) = 0"),
+        # TestFunction's own f(0) = 0 rule, under the key payoff
+        ("payoff = constant\npayoff.value = 1\n", "payoff: test function has f(0) = 1.0, not 0"),
+        ("payoff = table\n", "payoff.table: required key is missing"),
+        (
+            "payoff = quadratic-clip\npayoff.scale = 1e308\npayoff.clip = 1e-300\n",
+            "payoff: hess0 contains a non-finite entry",
+        ),
     ],
-    ids=["table", "indicator-ramp", "constant"],
+    ids=["table", "indicator-ramp", "constant", "table-missing", "quadratic-clip"],
 )
 def test_payoff_kinds_without_generator_form(lines, message):
     with pytest.raises(ConfigError) as e:
@@ -805,7 +827,20 @@ def test_payoff_kinds_without_generator_form(lines, message):
         ),
         (
             DIFFUSION_SOLVE_CFG + "grid.points = 2\n",
-            "grid.points: grid needs at least 3 points per axis",
+            "grid: grid needs at least 3 points per axis",
+        ),
+        (
+            SOLVE_CFG.replace("grid.lower = -4", "grid.lower = 1e308"),
+            "grid: grid upper must exceed lower componentwise",
+        ),
+        (
+            DIFFUSION_SOLVE_CFG.replace("grid.lower = -4", "grid.lower = -4, -4")
+            + "grid.spacing = 0.1\n",
+            "grid: grid upper has shape (1,), not shape (2,)",
+        ),
+        (
+            "command = generator\npayoff = clip-linear\n",
+            "scenario.0: uncertainty set has no scenarios",
         ),
         (
             GENERATOR_CLOSED_FORM.replace("1:0.5", "1:-1"),
@@ -828,7 +863,10 @@ def test_payoff_kinds_without_generator_form(lines, message):
             "payoff.width: payoff lipschitz inf must be finite and nonnegative",
         ),
     ],
-    ids=["scheme", "grid", "scenario", "table-inf", "table-nan", "quadratic-clip", "ramp"],
+    ids=[
+        "scheme", "grid", "grid-order", "grid-lengths", "empty-set", "scenario",
+        "table-inf", "table-nan", "quadratic-clip", "ramp",
+    ],
 )
 def test_library_errors_name_the_key_read(text, message):
     # a rejection by the library is reported under the key it read, without its inner code

@@ -133,6 +133,8 @@ BAD_INPUTS = {
     "lengths-differ": (_grid(points=[5, 3, 3]), "BAD_SHAPE"),
     # a spacing that underflows to zero once raised ZeroDivisionError in the stencil
     "spacing-underflows": (_grid(lower=[0.0, 0.0], upper=[5e-324, 2.0]), "BAD_SHAPE"),
+    # a span that overflows once gave a spacing of inf, and axes() of nan and inf
+    "span-overflows": (_grid(lower=[-1e308, 0.0], upper=[1e308, 2.0]), "BAD_SHAPE"),
 }
 
 

@@ -170,7 +170,7 @@ def test_horizon_reader(call, code, message):
             ),
         },
         {
-            "grid.spacing": ("grid spacing", SOLVE),
+            "grid.spacing": ("spacing", SOLVE),
             "engine.dx": ("dx", EXPECT),
             "delta": ("delta", QUOTIENT),
         },

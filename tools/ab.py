@@ -20,13 +20,24 @@ runs before the other as often as after it.  The outputs must be equal byte for 
 
 Passes 0, 1, ... of each workload under ``--seed`` run until ``--seconds``
 (default 5) per job family in it have elapsed, at least one pass.  Per job
-family the last lines print the number of pairs, HEAD's paired median ratio
+family a line prints the number of pairs, HEAD's paired median ratio
 of wall time (HEAD time over BASE time, per job) with the jobs HEAD won, and
 the null band: the same two numbers for HEAD against its own second copy.
 The last two columns are the paired median ratios of CPU time, HEAD over
 BASE and its copy over HEAD.  A ratio of HEAD against BASE outside the
 null's distance from 1 is the part of a difference this machine can
 resolve; a CPU ratio is blind to the time a call waits.
+
+After its jobs, each workload gets the same paired lines for set-up time
+and peak memory, which the benchmark's own runs cannot resolve.  Rounds of
+fresh interpreters run, one per tree and round, in the order cycling as
+above, each with ``PYTHONPATH`` set to its tree's sources and
+``bench/``.  A ``setup_s`` interpreter does what ``bench/run.py``'s set-up
+probe does: import glevy, build pass 0's jobs and report ready; its time is
+the wall time until then.  A ``peak_mb`` interpreter then also runs pass 0
+and reports its peak resident memory (``VmHWM`` of ``/proc/self/status``).
+Each kind runs rounds until ``--seconds`` have elapsed, at least one round;
+its CPU columns are the interpreter's whole CPU time.
 """
 
 from __future__ import annotations
@@ -36,6 +47,8 @@ import importlib
 import importlib.util
 import itertools
 import os
+import resource
+import subprocess
 import sys
 import time
 from functools import partial
@@ -46,6 +59,24 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("nested-band", "solve-2d", "short-jobs")
 ORDERS = tuple(itertools.permutations(("base", "head", "null")))
+
+# A fresh interpreter's set-up, as bench/run.py's probe makes it, with
+# arguments src, workload, seed and, for its peak memory after pass 0, "peak".
+PROBE = """
+import sys
+from pathlib import Path
+import glevy
+import workloads
+if Path(glevy.__file__).parent.parent != Path(sys.argv[1]):
+    sys.exit(f"probe: imported glevy from {glevy.__file__}")
+jobs = workloads.pass_jobs(sys.argv[2], int(sys.argv[3]), 0)
+print("ready", flush=True)
+if sys.argv[4:]:
+    for job in jobs:
+        workloads.execute(job)
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0)
+"""
 
 
 def load(name: str, src: Path):
@@ -81,10 +112,38 @@ def cli_job(cli, config: str) -> str:
     return text
 
 
+def probe(src: Path, workload: str, seed: int, peak: bool) -> tuple[float, float]:
+    """A fresh interpreter on ``src``: (seconds until ready, or its peak MB with ``peak``; CPU)."""
+    cmd = [sys.executable, "-c", PROBE, str(src), workload, str(seed)] + ["peak"] * peak
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "bench")])}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    with subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True) as proc:
+        ready = proc.stdout.readline()
+        elapsed = time.perf_counter() - start
+        rest = proc.stdout.read().split()
+        status = proc.wait()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if ready.strip() != "ready" or status != 0:
+        sys.exit(f"ab: {workload} probe of {src} failed with status {status}")
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return float(rest[0]) if peak else elapsed, cpu
+
+
+def probes(sources: dict, workload: str, seed: int, peak: bool, seconds: float) -> dict:
+    """Per tree, one :func:`probe` per round; rounds run until ``seconds`` have elapsed."""
+    results, started = {name: [] for name in sources}, time.perf_counter()
+    while not results["base"] or time.perf_counter() - started < seconds:
+        for name in ORDERS[len(results["base"]) % len(ORDERS)]:
+            results[name].append(probe(sources[name], workload, seed, peak))
+    return results
+
+
 def summary(times: dict) -> str:
     """Pairs, HEAD's wall median ratio and wins against BASE, the null band, and both CPU ratios.
 
-    ``times`` holds per tree one (wall, CPU) pair of nanoseconds per job.
+    ``times`` holds per tree one (wall, CPU) pair per job, or per probe (set-up
+    seconds or peak MB, CPU seconds).
     """
     base, head, null = (np.array(times[name], dtype=float) for name in ("base", "head", "null"))
     ratio, band = head / base, null / head
@@ -108,17 +167,15 @@ def main(argv=None) -> int:
     import workloads
     from job_digests import output_bytes
 
-    trees = {
-        "base": load("glevy_base", args.base.resolve()),
-        "head": load("glevy_head", args.head.resolve()),
-        "null": load("glevy_null", args.head.resolve()),
-    }
+    sources = {"base": args.base.resolve(), "head": args.head.resolve()}
+    sources["null"] = sources["head"]
+    trees = {name: load(f"glevy_{name}", src) for name, src in sources.items()}
     print(
         f"python {sys.version.split()[0]}, numpy {np.__version__}, {os.cpu_count()} cores;",
         f"base {args.base}, head {args.head}",
     )
     print(
-        f"{'family':10s} {'pairs':>6s} {'ratio':>7s} {'wins':>5s} {'null':>7s} {'wins':>5s}"
+        f"{'family':22s} {'pairs':>6s} {'ratio':>7s} {'wins':>5s} {'null':>7s} {'wins':>5s}"
         f" {'cpu':>7s} {'cpunull':>7s}"
     )
     for workload in args.workload or WORKLOADS:
@@ -142,7 +199,10 @@ def main(argv=None) -> int:
                     family[name].append((wall, time.process_time_ns() - cpu))
             index += 1
         for family, family_times in times.items():
-            print(f"{family:10s} {summary(family_times)}")
+            print(f"{family:22s} {summary(family_times)}")
+        for kind, peak in (("setup_s", False), ("peak_mb", True)):
+            results = probes(sources, workload, args.seed, peak, args.seconds)
+            print(f"{kind + ' ' + workload:22s} {summary(results)}")
     return 0
 
 
