@@ -206,16 +206,17 @@ def _no_form(key, why):
     return form
 
 
-def _clipped(f, clip):
-    """The payoff eval x -> clip(f(x), +-clip), without numpy's overflow warning.
+def _clipped(f, lo, hi):
+    """The payoff eval x -> clip(f(x), lo, hi), without numpy's overflow warning.
 
-    A value of f that overflows is +-inf, which ``np.clip`` maps to +-clip
+    Every clip payoff kind evaluates through this one guard.  A value of f
+    that overflows is +-inf, which ``np.clip`` maps to ``lo`` or ``hi``
     exactly: the clip of the exact value.
     """
 
     def ev(x):
         with np.errstate(over="ignore"):
-            return np.clip(f(x), -clip, clip)
+            return np.clip(f(x), lo, hi)
 
     return ev
 
@@ -230,7 +231,7 @@ def _clip_linear(kv):
     pay = _checked(
         "payoff.clip",
         Payoff,
-        _clipped(lambda x: scale * _x1(x), clip),
+        _clipped(lambda x: scale * _x1(x), -clip, clip),
         bound=clip,
         lipschitz=abs(scale),
     )
@@ -243,7 +244,7 @@ def _indicator_ramp(kv):
     pay = _checked(
         "payoff.width",
         Payoff,
-        lambda x: np.clip((_x1(x) - center) / width, 0.0, 1.0),
+        _clipped(lambda x: (_x1(x) - center) / width, 0.0, 1.0),
         bound=1.0,
         lipschitz=1.0 / width,
     )
@@ -265,11 +266,12 @@ def _quadratic_clip(kv):
     pay = _checked(
         "payoff.clip",
         Payoff,
-        _clipped(square, clip),
+        _clipped(square, -clip, clip),
         bound=clip,
         lipschitz=2.0 * math.sqrt(abs(scale) * clip) if scale else 0.0,
     )
-    return pay, lambda d: (np.zeros(d), 2.0 * scale * np.eye(d))
+    # no product with the zeros off the diagonal: 2 * scale may overflow to inf
+    return pay, lambda d: (np.zeros(d), np.diag(np.full(d, 2.0 * scale)))
 
 
 def _constant(kv):

@@ -12,6 +12,8 @@ Every array the library takes in, from a caller or from a payoff, is read by
 one function, :func:`_array`: it refuses a non-numeric or ragged array and a
 wrong shape (BAD_SHAPE), then non-finite entries where the site refuses them
 (NON_FINITE), and copies the rest into a float64 array the library owns.
+The one exception is a grid's point counts, which :class:`GridSpec` reads by
+their exact integer rule: a float64 read would round a count beyond 2**53.
 Scalars have :func:`_real` and :func:`_integer` for their type.  A real
 number is what :func:`_array` reads as one entry: a Python or numpy bool,
 int or float, but no array, so an int beyond 64 bits or a ``Fraction`` is
@@ -313,7 +315,8 @@ class GridSpec:
     ragged array included) with finite entries (NON_FINITE).  BAD_SHAPE is
     also raised, before any array is built, for a grid whose
     :meth:`nodes` array, prod(points) * d floats, has more bytes than numpy
-    can index (:func:`_fits`), and for a spacing that is not finite and
+    can index (:func:`_fits`; an integral float count is read as an exact
+    int, one beyond int64 included), and for a spacing that is not finite and
     positive: one that underflows to zero, or a span that overflows.  A grid
     that fits an index but not the memory still raises MemoryError when its
     arrays are built.
@@ -328,11 +331,11 @@ class GridSpec:
             points = np.array(self.points, ndmin=1)
         except ValueError:
             raise ValidationError("BAD_SHAPE", "grid points is a ragged sequence") from None
-        if points.dtype.kind == "f" and all(
-            math.isfinite(p) and p == math.floor(p) for p in points.ravel().tolist()
-        ):
-            points = points.astype(int)
-        if points.dtype.kind not in "iu":
+        counts = points.ravel().tolist()
+        if points.dtype.kind == "f" and all(math.isfinite(p) and p == math.floor(p) for p in counts):
+            # exact Python ints, a count beyond int64 included: _fits refuses it below
+            counts = list(map(int, counts))
+        elif points.dtype.kind not in "iu":
             raise ValidationError("BAD_SHAPE", f"grid points {self.points!r} must be integers")
         if points.ndim != 1:
             raise ValidationError("BAD_SHAPE", "grid points must be a vector")
@@ -342,7 +345,7 @@ class GridSpec:
             raise ValidationError("BAD_SHAPE", "grid needs at least one axis")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValidationError("BAD_SHAPE", "grid upper must exceed lower componentwise")
-        shape = tuple(points.tolist())
+        shape = tuple(counts)
         if min(shape) < 3:
             raise ValidationError("BAD_SHAPE", "grid needs at least 3 points per axis")
         nodes = math.prod(shape)

@@ -1,6 +1,6 @@
 """Mutated configs through ``glevy.cli.main``: a coded error or a finite artifact, never a crash.
 
-Each config below, the shipped ones and three written here, is run once per
+Each config below, the shipped ones and five written here, is run once per
 mutation: each key dropped in turn, each key set in turn to every value of
 ``VALUES``, and one unknown key added.  Every case must end in one of three
 ways:
@@ -55,6 +55,22 @@ grid.lower = -6
 grid.upper = 6
 grid.spacing = 0.25
 engine.node_budget = 100000
+""",
+    "ramp_generator": """
+command = generator
+dim = 1
+scenario.0.atoms = 1:0.5
+payoff = indicator-ramp
+payoff.center = 0.5
+payoff.width = 0.25
+""",
+    "quadratic_generator_2d": """
+command = generator
+dim = 2
+scenario.0.atoms = 1,0:0.5
+payoff = quadratic-clip
+payoff.scale = 1
+payoff.clip = 1e-300
 """,
     "table_gpoisson": """
 command = gpoisson

@@ -306,10 +306,15 @@ def test_grid_points_must_be_integers(points):
     assert code_of(e) == "BAD_SHAPE"
 
 
-@pytest.mark.parametrize("lower, points", [([-4.0], [2**62 + 1]), ([-4.0, -4.0], [2**31 + 1] * 2)])
+@pytest.mark.parametrize(
+    "lower, points",
+    [([-4.0], [2**62 + 1]), ([-4.0, -4.0], [2**31 + 1] * 2), ([-4.0], [1e30]), ([-4.0], [2.0**63])],
+)
 def test_grid_nodes_must_fit_an_array(lower, points):
-    # both were accepted, and nodes() or axes() then failed in numpy ("array is
-    # too big"), the first under a one-increment expectation on the pinned grid
+    # the first two were accepted, and nodes() or axes() then failed in numpy
+    # ("array is too big"), the first under a one-increment expectation on the
+    # pinned grid; the integral floats warned "invalid value encountered in
+    # cast" and were then refused for too few points
     with pytest.raises(GLevyError) as e:
         GridSpec(lower=lower, upper=[4.0] * len(lower), points=points)
     assert code_of(e) == "BAD_SHAPE" and "fits no array" in e.value.message
@@ -636,13 +641,18 @@ def test_integer_parameters_refuse_other_numbers(name, value):
 
 def array_entry_points():
     """(name, call) pairs, each passing its one argument as the array named."""
-    from glevy import TestFunction, check_symmetric, evaluate, gamma_transform
+    from glevy import TestFunction, check_symmetric, evaluate, g_operator, gamma_transform
 
     uset = GPoissonSpec(0.5).uncertainty_set()
     cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
     grid = GridSpec(lower=[-4.0], upper=[4.0], points=[33])
     pay = Payoff(lambda x: np.clip(np.asarray(x, float)[..., 0], -3.0, 3.0), 3.0, 1.0)
     res = solve(pay, uset, grid, cfg)
+
+    def away_from_origin(v):
+        """A test function that is v away from the origin: g_operator reads v at the atoms."""
+        return TestFunction(lambda x: v if np.any(x) else 0.0, [0.0], [[0.0]], 1.0)
+
     return [
         ("Scenario drift", lambda v: Scenario(drift=v)),
         ("Scenario diffusion", lambda v: Scenario(drift=[0.0], diffusion=v)),
@@ -658,6 +668,8 @@ def array_entry_points():
         ("solve output_times", lambda v: solve(pay, uset, grid, cfg, v)),
         ("TestFunction grad0", lambda v: TestFunction(lambda x: 0.0, v, [[0.0]], 1.0)),
         ("TestFunction hess0", lambda v: TestFunction(lambda x: 0.0, [0.0], v, 1.0)),
+        ("TestFunction output", lambda v: TestFunction(lambda x: v, [0.0], [[0.0]], 1.0)),
+        ("g_operator output", lambda v: g_operator(away_from_origin(v), uset)),
         ("check_symmetric", check_symmetric),
         ("gamma_transform", lambda v: gamma_transform(v, 0.5)),
     ]
@@ -665,7 +677,7 @@ def array_entry_points():
 
 def other_shapes():
     """(name, call) pairs of wrong shapes, wrong payoff outputs and non-sequences."""
-    from glevy import CylinderFunctional, expectation
+    from glevy import CylinderFunctional, TestFunction, expectation
 
     uset = GPoissonSpec(0.5).uncertainty_set()
     cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
@@ -684,6 +696,7 @@ def other_shapes():
         ("payoff strings", lambda: sample_payoff(payoff(lambda n: np.full(n, "1.0")), grid)),
         ("payoff None", lambda: sample_payoff(payoff(lambda n: None), grid)),
         ("payoff (n, 2)", lambda: sample_payoff(payoff(lambda n: np.zeros(n + (2,))), grid)),
+        ("TestFunction eval 5", lambda: TestFunction(5, [0.0], [[0.0]], 1.0)),
         ("Scenario atoms None", lambda: Scenario(atoms=None)),
         ("UncertaintySet of ints", lambda: UncertaintySet((1, 2))),
         ("validate_uncertainty_set 5", lambda: validate_uncertainty_set(5)),

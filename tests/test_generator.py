@@ -64,6 +64,14 @@ def test_scenario_with_a_non_finite_value_is_refused(second):
     assert e.value.message == "scenario 0: generator value nan is not finite"
 
 
+def test_value_beyond_the_bound_is_refused():
+    # the bound was read by no library code: g_operator returned 0.5 * 5 = 2.5
+    f = TestFunction(eval=lambda x: 5.0 * x1(x), grad0=[5.0], hess0=[[0.0]], bound=1.0)
+    with pytest.raises(GLevyError) as e:
+        g_operator(f, GPOISSON)
+    assert e.value.code == "PAYOFF_BOUND"
+
+
 def test_monotone_in_atom_values():
     lo = TestFunction(
         eval=lambda x: np.clip(x1(x) - 0.5, 0.0, 1.0), grad0=[0.0], hess0=[[0.0]], bound=1.0

@@ -102,7 +102,7 @@ CONSTANT = cases(
             lambda v: CylinderFunctional((1.0,), ramp, 1.0, v),
         ),
         "TestFunction.bound": (
-            "bound",
+            "payoff bound",
             lambda v: TestFunction(lambda x: 0.0, [0.0], [[0.0]], v),
         ),
         "GridFunction.time_label": ("time label", lambda v: GridFunction(GRID, GRID.axes()[0], v)),
