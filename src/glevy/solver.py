@@ -64,7 +64,9 @@ a ufunc takes in about two thirds of the time of a Python float and
 multiplies to the same bits, and ``subtract``, ``multiply`` and ``add`` get
 ``out`` positionally, which skips the keyword parsing.  ``np.maximum`` keeps
 ``out=``: numpy 2.4 deprecates a third positional argument there, and the
-test suite turns that warning into a failure.
+test suite turns that warning into a failure.  It is bound by a closure
+(:func:`_maximum_into`), not a partial: a partial copies its keywords into
+a new dict on every call, one allocation per scenario per step.
 
 A single-term scenario followed by a scenario whose first term has the same
 offset shares that difference: it goes to tmp, which nothing writes between
@@ -212,6 +214,16 @@ def _scenario_terms(s: Scenario, h: Sequence[float]) -> list[tuple[float, tuple[
     return terms or [(0.0, (0,) * d)]
 
 
+def _maximum_into(dst: np.ndarray, src: np.ndarray):
+    """``np.maximum(dst, src, out=dst)`` as a bound call with a partial's ``func`` and ``args``."""
+
+    def call(maximum=np.maximum):
+        maximum(dst, src, out=dst)
+
+    call.func, call.args = np.maximum, (dst, src)
+    return call
+
+
 class Stencil(NamedTuple):
     """Every scenario's merged generator terms on one grid spacing.
 
@@ -324,7 +336,7 @@ class Workspace:
                         calls.append(partial(mul, tmp, np.array(c), tmp))
                     calls.append(gather)
             if i:
-                calls.append(partial(np.maximum, out, src, out=out))
+                calls.append(_maximum_into(out, src))
         self.calls = calls
 
     def apply(self) -> np.ndarray:

@@ -149,6 +149,29 @@ def test_march_allocates_no_array_per_step(monkeypatch):
         assert seen[3] - seen[2] < 1024  # nothing a step allocates outlives it
 
 
+def test_step_calls_leave_no_block_in_a_free_list():
+    # a block freed into one of the interpreter's free lists stays live to
+    # tracemalloc: a call that allocated one per step (a partial copies its
+    # keywords into a new dict) grew a march by a block a step until the list
+    # was full, so the check above passed or failed with the tests before it
+    grid = uniform_grid([-1.0], [1.0], 0.25)
+    uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.4), (((-0.7, 1.0),), -0.2, 0.5)])
+    work = Workspace(check_march(uset, grid, SchemeConfig())[0], np.cos(grid.axes()[0]))
+    work.apply()
+    for call in work.calls:
+        held = [{"key": i} for i in range(200)]  # empties the small-dict free lists
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                call()
+            grown = tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+        del held
+        assert grown == 0, call
+
+
 def solve_2d_family():
     """The solve-2d base family on its grid: (atom z, rate, drift, (s1, s2, rho)) per scenario."""
     family = (
