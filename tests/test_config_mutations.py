@@ -10,12 +10,15 @@ ways:
 - for ``check`` only, exit 1 after a report with a FAIL row.
 
 Any other exception fails the test, a numpy warning included (the suite turns
-RuntimeWarning into an error).  Values that make a march take hours, such as
-a pinned ``expect`` with ``times = 1e9``, are not among ``VALUES``: nothing
-bounds a march's work yet.
+RuntimeWarning into an error).  Each config's outcomes are pinned too: one
+sha256 over every mutation's name, exit status and first stderr line, in
+``DIGESTS``, so a reader rewrite cannot move a code or a message unseen.
+Values that make a march take hours, such as a pinned ``expect`` with
+``times = 1e9``, are not among ``VALUES``: nothing bounds a march's work yet.
 """
 
 import contextlib
+import hashlib
 import io
 import re
 from pathlib import Path
@@ -86,6 +89,20 @@ payoff.table = -1:1; 0:0.5; 10:-2
 TEXTS = {path.stem: path.read_text(encoding="utf-8") for path in sorted(CONFIGS.glob("*.cfg"))}
 TEXTS.update(FIXTURES)
 
+# per config: sha256 of every mutation's name, exit status and first stderr line
+DIGESTS = {
+    "check": "94ba3fbcd1057de67d75b95cbf624ef7b6a0e4ac7ca4970babcd5a5ddf29cf08",
+    "expect": "8e645efe4b4dd69be8531c6aebb45902af91389eb94f53af41aa9efecbcf040a",
+    "generator": "3c2d6a6cf85dbf9169cd4b65779d49e0616f23aa9f08aea57e4aa6d02f146922",
+    "gpoisson": "86756e96077f7ca5d39b57f6cee3a2e827c83313c4d49c5fedc6b65d19e27775",
+    "solve_gpoisson": "ebf8db85710246ff108e710a44d83b8424c470f1cb1fd4c5a194e39a10ed4007",
+    "quotient": "45e27535cf68378ee24ce9dfbefbb564bc7dbeddd4d14c52a5ebf780599acdfe",
+    "pinned_expect": "2a15b1083c50e2a734fcc28031cd4dd6a528c7d8ca6d48b6baac08c22927845f",
+    "ramp_generator": "f11910f1d6bd2930204802538fcf2254b130e20584817f91f1beaa6664d4ae1f",
+    "quadratic_generator_2d": "ccad5aae93d702f5379ac3cd49f6d96f4e4d3723eb6fb4f64e846c254b2ab172",
+    "table_gpoisson": "ca1bda85fe43acbd15ec405d3f2e32c566ebf437c64ba0d9791148ab7eaa48e2",
+}
+
 # a cell of a CSV artifact that is not a finite number
 NON_FINITE_CELL = re.compile(r"(?:^|,)[+-]?(?:nan|inf)(?:,|$)", re.M)
 
@@ -110,16 +127,21 @@ def mutations(text):
             yield f"{key} = {value!r}", render(kv[:i] + [(key, value)] + kv[i + 1 :])
 
 
-def outcome(text, path):
-    """How ``main`` ends on config ``text`` written to ``path``: None if it keeps the invariant."""
+def ending(text, path):
+    """(exit status, stdout, stderr) of ``main`` on config ``text`` written to ``path``."""
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["--config", str(path)])
+    return status, out.getvalue(), err.getvalue()
+
+
+def outcome(text, path):
+    """How ``main`` ends on config ``text`` written to ``path``: None if it keeps the invariant."""
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main(["--config", str(path)])
+        status, out, err = ending(text, path)
     except Exception as exc:  # the invariant allows none
         return f"raised {type(exc).__name__}: {exc}"
-    out, err = out.getvalue(), err.getvalue()
     if status == 0 and not err and not NON_FINITE_CELL.search(out):
         return None
     if status == 1 and not out and err.startswith("error[") and err.count("\n") == 1:
@@ -146,3 +168,12 @@ def test_every_mutation_ends_in_a_coded_error_or_a_finite_artifact(name, tmp_pat
         if why is not None:
             failures.append(f"{case}: {why}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", list(TEXTS))
+def test_every_mutation_keeps_its_pinned_outcome(name, tmp_path):
+    digest = hashlib.sha256()
+    for case, text in mutations(TEXTS[name]):
+        status, _, err = ending(text, tmp_path / "job.cfg")
+        digest.update(f"{case}\t{status}\t{err.partition(chr(10))[0]}\n".encode())
+    assert digest.hexdigest() == DIGESTS[name]
