@@ -99,7 +99,6 @@ from .core import (
     min_padding,
     pads_origin,
     uniform_grid,
-    validate_uncertainty_set,
 )
 from .engine import CylinderFunctional, expectation
 from .errors import ConfigError, GLevyError
@@ -127,9 +126,10 @@ def _checked(key, build, *args, **kwargs):
 
 def _take(kv, key):
     """Take a required key out of the pairs: reading is what accepts a key."""
-    if key not in kv:
+    text = kv.pop(key, None)
+    if text is None:
         raise _bad(key, "required key is missing")
-    return kv.pop(key)
+    return text
 
 
 def _numbers(key, text, kind=float):
@@ -143,10 +143,9 @@ def _numbers(key, text, kind=float):
     except ValueError:
         noun = "number" if kind is float else "integer"
         raise _bad(key, f"not a comma-separated {noun} list: {text!r}")
-    if kind is float:
-        for value in values:
-            if not math.isfinite(value):
-                raise _bad(key, f"must be finite, got {value!r}")
+    if kind is float and not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise _bad(key, f"must be finite, got {bad!r}")
     return values
 
 
@@ -157,7 +156,7 @@ def _number(kv, key, rule=None, default=None, kind=float):
     is not finite ``must be finite``, as in :func:`_numbers`; the one value is
     read here because a list per key cost short jobs about 1 % of their time.
     A library range ``rule`` then reads the value, named by the key's last
-    part, with its message under the key.
+    part, with its message under the key, as :func:`_checked` relabels it.
     """
     if key not in kv and default is not None:
         return default
@@ -168,7 +167,12 @@ def _number(kv, key, rule=None, default=None, kind=float):
         raise _bad(key, f"not {'a number' if kind is float else 'an integer'}: {text!r}")
     if kind is float and not math.isfinite(value):
         raise _bad(key, f"must be finite, got {value!r}")
-    return value if rule is None else _checked(key, rule, key.rpartition(".")[2], value)
+    if rule is None:
+        return value
+    try:
+        return rule(key.rpartition(".")[2], value)
+    except GLevyError as exc:
+        raise _bad(key, exc.message)
 
 
 def _entries(key, text, form, sizes):
@@ -206,17 +210,22 @@ def _no_form(key, why):
     return form
 
 
-def _clipped(f, lo, hi):
+def _clipped(f, lo, hi, overflows=True):
     """The payoff eval x -> clip(f(x), lo, hi), without numpy's overflow warning.
 
     Every clip payoff kind evaluates through this one guard.  A value of f
-    that overflows is +-inf, which ``np.clip`` maps to ``lo`` or ``hi``
-    exactly: the clip of the exact value.
+    that overflows is +-inf, which the clip maps to ``lo`` or ``hi``
+    exactly: the clip of the exact value.  An f that ``overflows`` on no
+    input, such as a product by a scale of at most 1, skips the ``np.errstate``
+    block, which costs about as much as the rest of a small evaluation.  The
+    clip is the array's own method, ``np.clip``'s without its dispatch.
     """
+    if not overflows:
+        return lambda x: f(x).clip(lo, hi)
 
     def ev(x):
         with np.errstate(over="ignore"):
-            return np.clip(f(x), lo, hi)
+            return f(x).clip(lo, hi)
 
     return ev
 
@@ -231,7 +240,7 @@ def _clip_linear(kv):
     pay = _checked(
         "payoff.clip",
         Payoff,
-        _clipped(lambda x: scale * _x1(x), -clip, clip),
+        _clipped(lambda x: scale * _x1(x), -clip, clip, abs(scale) > 1.0),
         bound=clip,
         lipschitz=abs(scale),
     )
@@ -261,7 +270,7 @@ def _quadratic_clip(kv):
         x = np.asarray(x, dtype=float)
         # scale * s is scale for a zero scale and every finite s >= 0; so it
         # is where the square overflows too, not 0 * inf = nan
-        return scale * np.sum(x**2, axis=-1) if scale else np.full(x.shape[:-1], scale)
+        return scale * (x**2).sum(axis=-1) if scale else np.full(x.shape[:-1], scale)
 
     pay = _checked(
         "payoff.clip",
@@ -325,35 +334,41 @@ def _read_payoff(kv):
 
 
 def _build_scenarios(kv, dim: int) -> UncertaintySet:
-    by_index: dict[int, dict[str, str]] = {}
-    for key in list(kv):
-        m = _SCENARIO_KEY.match(key)
-        if m:
-            by_index.setdefault(int(m.group(1)), {})[m.group(2)] = kv.pop(key)
-    if sorted(by_index) != list(range(len(by_index))):
-        raise _bad(f"scenario.{max(by_index)}", "scenario indices must be 0..k without gaps")
+    """The set of the scenario.<i>.* keys, each scenario built once by :class:`Scenario`.
+
+    Indices are taken in order from 0 while any key of the index is given;
+    a scenario key left over after that is a gap, refused before any
+    scenario is read.  A key of another spelling (``scenario.00.atoms``) is
+    left for the unknown-key rule.
+    """
+    texts = []
+    while True:
+        p = f"scenario.{len(texts)}."
+        fields = kv.pop(p + "atoms", None), kv.pop(p + "drift", None), kv.pop(p + "diffusion", None)
+        if fields == (None, None, None):
+            break
+        texts.append(fields)
+    gaps = list(filter(None, map(_SCENARIO_KEY.match, kv)))
+    if gaps:
+        last = max(int(m[1]) for m in gaps)
+        raise _bad(f"scenario.{last}", "scenario indices must be 0..k without gaps")
     scenarios = []
-    for i in sorted(by_index):
-        fields = by_index[i]
-        entries = _entries(f"scenario.{i}.atoms", fields.get("atoms", ""), "'z:w'", (dim, 1))
-        atoms = [(z, w) for z, (w,) in entries]
-        drift = [0.0] * dim
-        if "drift" in fields:
-            drift = _numbers(f"scenario.{i}.drift", fields["drift"])
+    for i, (atoms, drift, diffusion) in enumerate(texts):
+        key = f"scenario.{i}"
+        atoms = _entries(key + ".atoms", atoms, "'z:w'", (dim, 1)) if atoms else []
+        drift = [0.0] * dim if drift is None else _numbers(key + ".drift", drift)
         if len(drift) != dim:
-            raise _bad(f"scenario.{i}.drift", f"need {dim} components")
-        if "diffusion" in fields:
-            flat = _numbers(f"scenario.{i}.diffusion", fields["diffusion"])
-            if len(flat) == dim * dim:
-                diffusion = [flat[r : r + dim] for r in range(0, dim * dim, dim)]
-            else:
-                raise _bad(f"scenario.{i}.diffusion", f"need {dim * dim} row-major entries")
-        else:
+            raise _bad(key + ".drift", f"need {dim} components")
+        if diffusion is None:
             diffusion = [[0.0] * dim] * dim
-        scenario = _checked(f"scenario.{i}", Scenario, atoms, drift, diffusion)
-        scenarios.append(scenario)
+        else:
+            flat = _numbers(key + ".diffusion", diffusion)
+            if len(flat) != dim * dim:
+                raise _bad(key + ".diffusion", f"need {dim * dim} row-major entries")
+            diffusion = [flat[r : r + dim] for r in range(0, dim * dim, dim)]
+        scenarios.append(_checked(key, Scenario, [(z, w) for z, (w,) in atoms], drift, diffusion))
     # no scenario at all is the set's EMPTY_SET
-    return _checked("scenario.0", validate_uncertainty_set, scenarios)
+    return _checked("scenario.0", UncertaintySet, tuple(scenarios))
 
 
 def _build_grid(kv, dim: int) -> GridSpec:
@@ -365,7 +380,7 @@ def _build_grid(kv, dim: int) -> GridSpec:
         points = _numbers("grid.points", kv.pop("grid.points"), int)
         if len(points) == 1:
             points = points * len(lower)
-        grid = _checked("grid", GridSpec, lower=lower, upper=upper, points=points)
+        grid = _checked("grid", GridSpec, lower, upper, points)
     elif "grid.spacing" in kv:
         grid = _checked("grid", uniform_grid, lower, upper, _number(kv, "grid.spacing", _step))
     else:
@@ -526,12 +541,12 @@ def _read_pairs(text: str) -> dict[str, str]:
     """The ``key = value`` pairs of a config document, in file order."""
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # the key and value are stripped: the line around them needs no strip of its own
+        key, eq, value = raw.partition("#")[0].partition("=")
+        if not eq:
+            if key.strip():
+                raise ConfigError("PARSE_ERROR", f"line {lineno}: expected 'key = value'")
             continue
-        if "=" not in line:
-            raise ConfigError("PARSE_ERROR", f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError("PARSE_ERROR", f"line {lineno}: empty key or value")

@@ -358,7 +358,7 @@ class GridSpec:
         self.__dict__.update(
             lower=lower,
             upper=upper,
-            points=_readonly(points.astype(int)),
+            points=_readonly(points.astype(int, copy=False)),
             lo=tuple(lo),
             hi=tuple(hi),
             _shape=shape,
@@ -485,7 +485,8 @@ def _ranged(code: str, rule: str, holds: Callable[[float], bool]):
     """
 
     def read(what: str, value) -> float:
-        x = _real(what, value)
+        # a Python float is _real's own value: no call for it
+        x = value if type(value) is float else _real(what, value)
         if not holds(x):
             raise ValidationError(code, f"{what} {x!r} {rule}")
         return x

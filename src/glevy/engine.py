@@ -76,15 +76,15 @@ class CylinderFunctional:
     dim: int = 1
 
     def __post_init__(self):
-        times = tuple(_real("time", t) for t in _sequence("times", self.times))
+        times = tuple([_real("time", t) for t in _sequence("times", self.times)])
         if len(times) == 0:
             raise ValidationError("BAD_SHAPE", "need at least one time")
-        if not all(math.isfinite(t) for t in times):
+        if not all(map(math.isfinite, times)):
             raise ValidationError("NON_FINITE", "times contain a non-finite entry")
-        if times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+        if times[0] <= 0.0 or any(map(operator.le, times[1:], times)):
             raise ValidationError("BAD_SHAPE", "times must be strictly increasing and positive")
         # a callable payoff (BAD_SHAPE) with a valid bound and Lipschitz constant (NON_FINITE)
-        phi = Payoff(eval=self.payoff, bound=self.bound, lipschitz=self.lipschitz)
+        phi = Payoff(self.payoff, self.bound, self.lipschitz)
         dim = _count("dim", self.dim)
         # the fields and the payoff kept from validation, set once on the frozen instance
         self.__dict__.update(
@@ -156,8 +156,8 @@ def _sublattice(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
     for a, n in enumerate(grid.shape):
         i0 = {off[a] for _, off in corners}
         i0 = i0.pop() if len(i0) == 1 else 0
-        g = math.gcd(i0, n - 1 - i0, *(o[a] for o in stencil.offsets))
-        stride.append(g if 0 < i0 < n - 1 else 1)
+        inner = 0 < i0 < n - 1
+        stride.append(math.gcd(i0, n - 1 - i0, *[o[a] for o in stencil.offsets]) if inner else 1)
     if any(g > 1 for g in stride):
         coarse = tuple(tuple(map(operator.floordiv, off, stride)) for off in stencil.offsets)
         stencil = Stencil(coarse, stencil.terms)
@@ -186,8 +186,7 @@ def _integrate_levels(
     if uset.dim != xi.dim:
         raise ValidationError("BAD_SHAPE", f"set dim {uset.dim} != functional dim {xi.dim}")
     m, d = xi.m, xi.dim
-    knots = (0.0,) + xi.times
-    horizons = [knots[k + 1] - knots[k] for k in range(m)]
+    horizons = [b - a for a, b in zip((0.0,) + xi.times, xi.times)]
     sized = var_grids is None
     if sized:
         # equal horizons share one box object; built in increment order
@@ -240,17 +239,22 @@ def _integrate_levels(
         horizon, yaxes = horizons[level - 1], axes[level - 1]
         stencil, dt_max, _, reads = setups[var_grids[level - 1]]
         frozen = [x for k in range(level - 1) for x in axes[k]]
-        fshape, yshape = tuple(len(x) for x in frozen), tuple(len(x) for x in yaxes)
+        fshape, yshape = tuple(map(len, frozen)), tuple(map(len, yaxes))
         n_rows, ny = math.prod(fshape), math.prod(yshape)
         rows = max(1, BLOCK_ELEMENTS // ny)
         out = np.empty(n_rows)
         for a in range(0, n_rows, rows):
             b = min(a + rows, n_rows)
             if current is None:
-                # the block's nodes of the tensor grid, without building the others
-                idx = np.unravel_index(np.arange(a * ny, b * ny), fshape + yshape)
-                nodes = np.stack([x[i] for x, i in zip(frozen + yaxes, idx)], axis=-1)
-                block = sample_points(xi.phi, nodes)
+                # the block's nodes of the tensor grid, without building the
+                # others: each column (a frozen axis at the block's rows, or a
+                # y-axis) broadcast straight into place, as GridSpec.nodes does
+                at = np.unravel_index(np.arange(a, b), fshape) if frozen else ()
+                cols = [(x[i], 0) for x, i in zip(frozen, at)] + list(zip(yaxes, range(1, d + 1)))
+                nodes = np.empty((b - a,) + yshape + (len(cols),))
+                for c, (x, j) in enumerate(cols):
+                    nodes[..., c] = x.reshape((-1,) + (1,) * (len(yshape) - j))
+                block = sample_points(xi.phi, nodes.reshape(-1, len(cols)))
             else:
                 block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
             (block,), _, _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])

@@ -719,6 +719,23 @@ def test_zero_quadratic_scale_is_zero_where_the_square_overflows(capsys, tmp_pat
     assert capsys.readouterr().out == "value\n0\n"
 
 
+@pytest.mark.parametrize("scale", ["1", "-1", "0.5", "-0", "1.0000000000000002", "-3"])
+def test_clip_linear_eval_is_the_clip_of_its_product_at_the_largest_doubles(scale):
+    # a scale of at most 1 skips the overflow guard: its product cannot overflow;
+    # a larger one keeps it, and both clip the product numpy forms
+    payoff = parse_config(
+        GPOISSON_CFG + f"payoff = clip-linear\npayoff.scale = {scale}\npayoff.clip = 2\n"
+    ).call.args[1]
+    big = np.finfo(float).max
+    x = np.array([[-big], [big], [0.75], [-0.0]])
+    with np.errstate(over="ignore"):
+        want = np.clip(float(scale) * x[:, 0], -2.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = payoff.eval(x)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_direction_is_read_by_the_library_reader():
     with pytest.raises(ConfigError) as e:
         parse_config(GPOISSON_CFG + "direction = sideways\npayoff = clip-linear\n")

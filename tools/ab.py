@@ -32,7 +32,10 @@ the null band: the same two numbers for HEAD against its own second copy.
 The last two columns are the paired median ratios of CPU time, HEAD over
 BASE and its copy over HEAD.  A ratio of HEAD against BASE outside the
 null's distance from 1 is the part of a difference this machine can
-resolve; a CPU ratio is blind to the time a call waits.
+resolve; a CPU ratio is blind to the time a call waits.  A family line with
+fewer than ``MIN_PAIRS`` pairs ends in ``unresolved``: so few jobs resolve
+no difference, whatever the ratio reads (a solve-2d job takes about 0.4 s per
+tree, so short runs time only a few).
 
 After its jobs, each workload gets the same paired lines for set-up time
 and peak memory, which the benchmark's own runs cannot resolve.  Rounds of
@@ -68,6 +71,8 @@ WORKLOADS = ("nested-band", "solve-2d", "short-jobs")
 ORDERS = tuple(itertools.permutations(("base", "head", "null")))
 # the import orders of the two children, each tree's place mirrored
 IMPORTS = (("base", "head", "null"), ("null", "head", "base"))
+# a job family timed on fewer pairs than this is marked unresolved
+MIN_PAIRS = 20
 
 # A child's timed jobs, with arguments this directory and the arguments of
 # time_jobs as JSON; it prints the times as JSON.
@@ -245,7 +250,8 @@ def main(argv=None) -> int:
         if times is None:
             return 1
         for family, family_times in times.items():
-            print(f"{family:22s} {summary(family_times)}")
+            unresolved = "  unresolved" if len(family_times["head"]) < MIN_PAIRS else ""
+            print(f"{family:22s} {summary(family_times)}{unresolved}")
         for kind, peak in (("setup_s", False), ("peak_mb", True)):
             results = probes(sources, workload, args.seed, peak, args.seconds)
             print(f"{kind + ' ' + workload:22s} {summary(results)}")
