@@ -541,18 +541,17 @@ def _read_pairs(text: str) -> dict[str, str]:
     """The ``key = value`` pairs of a config document, in file order."""
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # the key and value are stripped: the line around them needs no strip of its own
         key, eq, value = raw.partition("#")[0].partition("=")
-        if not eq:
-            if key.strip():
-                raise ConfigError("PARSE_ERROR", f"line {lineno}: expected 'key = value'")
-            continue
         key, value = key.strip(), value.strip()
-        if not key or not value:
+        if key and value and key not in kv:
+            kv[key] = value
+        elif not eq:  # text with no '=' is refused, blanks and a comment are skipped
+            if key:
+                raise ConfigError("PARSE_ERROR", f"line {lineno}: expected 'key = value'")
+        elif not (key and value):
             raise ConfigError("PARSE_ERROR", f"line {lineno}: empty key or value")
-        if key in kv:
+        else:
             raise ConfigError("PARSE_ERROR", f"line {lineno}: duplicate key {key!r}")
-        kv[key] = value
     return kv
 
 

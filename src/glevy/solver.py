@@ -246,7 +246,7 @@ def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
         coef = {}
         for c, off in _scenario_terms(s, spec.h):
             coef[off] = coef[off] + c if off in coef else c
-        terms.append(tuple([(c, where.setdefault(off, len(where))) for off, c in coef.items()]))
+        terms.append(tuple((c, where.setdefault(off, len(where))) for off, c in coef.items()))
     return Stencil(tuple(where), tuple(terms))
 
 
@@ -384,7 +384,7 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tupl
     stencil = build_stencil(uset.scenarios, grid)
     worst = 0.0
     for i, terms in enumerate(stencil.terms):
-        row = sum([c for c, _ in terms])
+        row = sum(c for c, _ in terms)
         c, k = min(terms)
         if c < -EPSILON * row:
             raise SolverError(
