@@ -1,19 +1,23 @@
 """Batch command-line front-end.
 
 Jobs are described by a flat key-value config file: one ``key = value`` per
-line, ``#`` starts a comment and duplicate keys are fatal.  Each command has
-one reader, listed in ``_COMMANDS``: it takes its keys out of the parsed pairs
-and returns the job's library call with every argument bound, so a job is its
-output path and that call, and :func:`run` only makes it.  A key is accepted
-only by being read, and the first key left over, in file order, is
-``<key>: unknown key``.  A comma list is read by :func:`_numbers` and a
+line, ``#`` starts a comment and duplicate keys are fatal.  :func:`_read_pairs`
+reads a well-formed line with one check and looks for the error only on a
+line that fails it.  Each command has one reader, listed in ``_COMMANDS``: it
+takes its keys out of the parsed pairs and returns the job's library call
+with every argument bound, so a job is its output path and that call, and
+:func:`run` only makes it.  A key is accepted only by being read, and the
+first key left over, in file order, is ``<key>: unknown key``.  Scenario keys
+are taken by index from 0 while an index has a key, and one scan of the keys
+left finds a gap.  A comma list is read by :func:`_numbers` and a
 single-value key by :func:`_number`, and both refuse a text that is not a
 number and a float that is not finite; the three ``;``-list keys (atoms,
 table, eval.x) share one entry grammar, :func:`_entries`.  A key whose range the
 library also checks is read by that rule's reader in :mod:`glevy.core` (or by
 :mod:`glevy.gpoisson`'s ``_direction`` or
 :class:`glevy.engine.CylinderFunctional`), with its message under the key
-and the value named by the key's last part.  The CLI keeps no copy of a
+and the value named by the key's last part; the reader then builds each
+library object once, by its own constructor.  The CLI keeps no copy of a
 library rule: what the grid rule refuses (:func:`glevy.core.uniform_grid`,
 :class:`glevy.core.GridSpec`), which reads the grid keys together, is under
 ``grid``; an empty set is ``scenario.0``, a payoff the generator's
@@ -215,10 +219,11 @@ def _clipped(f, lo, hi, overflows=True):
 
     Every clip payoff kind evaluates through this one guard.  A value of f
     that overflows is +-inf, which the clip maps to ``lo`` or ``hi``
-    exactly: the clip of the exact value.  An f that ``overflows`` on no
-    input, such as a product by a scale of at most 1, skips the ``np.errstate``
-    block, which costs about as much as the rest of a small evaluation.  The
-    clip is the array's own method, ``np.clip``'s without its dispatch.
+    exactly: the clip of the exact value.  An f that cannot overflow
+    (``overflows`` false), such as a product by a scale of at most 1, skips
+    the ``np.errstate`` block, which costs about as much as the rest of a
+    small evaluation.  The clip is the array's own method, ``np.clip``'s call
+    without its dispatch.
     """
     if not overflows:
         return lambda x: f(x).clip(lo, hi)

@@ -11,7 +11,11 @@ then repeat on the result until a scalar phi_m remains.  Each level is one
 march (:func:`glevy.solver.march`) of an array whose leading axes are the
 frozen nodes, in blocks of rows: it starts from phi sampled on the tensor
 grid of all m variables, or from the previous level's values (its nodes are
-exactly the sample points); each row is read at the origin by the corner
+exactly the sample points).  A first level's block builds only its own
+nodes, each coordinate column broadcast into place from the block's frozen
+indices or a y-axis, as :meth:`glevy.core.GridSpec.nodes` builds a grid's;
+the small-time quotient of :mod:`glevy.generator` is such a level, one row
+of one block.  Each row is read at the origin by the corner
 rule of :func:`glevy.core.interpolate`, as a weighted sum over corner nodes
 that :func:`_sublattice` finds once per distinct grid, with
 :func:`glevy.solver._atom_stencil`.  Conditional expectations are those
