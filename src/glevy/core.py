@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -55,7 +56,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(arr, what: str):
-    if not np.isfinite(arr).all():
+    # the ufunc's own reduce skips ndarray.all's Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
 
 
@@ -132,7 +134,7 @@ class Scenario:
             atoms.append((z, w))
             jumps.append(tuple(jump))
             rates.append(w)
-            norms.append(vector_norm(z))
+            norms.append(vector_norm(jump))
 
         # numpy's sum of the rates: in order below 8 terms, as a Python sum
         # from the first rate adds, and pairwise from 8 on; inf, unwarned,
@@ -230,19 +232,21 @@ class UncertaintySet:
         """Largest spectral norm of a diffusion factor across scenarios."""
         return self._reach[2]
 
-    @cached_property
+    @property
     def _reach(self) -> tuple[float, float, float]:
-        # paid once per set: every padding check needs it.  The jump norms are
+        # paid once per set, on first use: every padding check needs it, and
+        # kept in the instance dict, where a read takes no lock (Python 3.11's
+        # cached_property takes one on every first read).  The jump norms are
         # the scenarios' own.  A zero factor has norm exactly 0.0 and a 1 x 1
         # factor exactly |Q_11|; only a factor of d >= 2 takes an SVD
         # (LAPACK's value).  LAPACK rescales extreme 1 x 1 inputs and rounds
         # (first seen at 8.4e144 and 1.0e-300), so there the absolute value is
         # the exact norm it approximates.
-        return (
-            max((n for s in self.scenarios for n in s.jump_norms), default=0.0),
-            max(vector_norm(s.drift) for s in self.scenarios),
-            max(map(_spectral_norm, self.scenarios)),
-        )
+        if "reach" not in self.__dict__:
+            jumps = max([n for s in self.scenarios for n in s.jump_norms], default=0.0)
+            drifts = max([vector_norm(s.q) for s in self.scenarios])
+            self.__dict__["reach"] = jumps, drifts, max(map(_spectral_norm, self.scenarios))
+        return self.__dict__["reach"]
 
     def max_total_rate(self) -> float:
         return max(s.total_rate for s in self.scenarios)
@@ -343,7 +347,7 @@ class GridSpec:
         upper, hi = _array("grid upper", self.upper, points.shape, kept=True)
         if not lo:
             raise ValidationError("BAD_SHAPE", "grid needs at least one axis")
-        if not all(a < b for a, b in zip(lo, hi)):
+        if not all(map(operator.lt, lo, hi)):
             raise ValidationError("BAD_SHAPE", "grid upper must exceed lower componentwise")
         shape = tuple(counts)
         if min(shape) < 3:
@@ -351,7 +355,7 @@ class GridSpec:
         nodes = math.prod(shape)
         _fits(nodes * len(shape), "grid of {} nodes", nodes)
         # finite bounds: 0 where the spacing underflows, inf where the span overflows
-        h = tuple((b - a) / (n - 1) for a, b, n in zip(lo, hi, shape))
+        h = tuple([(b - a) / (n - 1) for a, b, n in zip(lo, hi, shape)])
         if not all(h) or math.inf in h:
             raise ValidationError("BAD_SHAPE", "grid spacing must be finite and positive")
         # the fields and the floats kept from validation, set once on the frozen instance
@@ -377,8 +381,12 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return self._shape
 
-    def axes(self) -> list[np.ndarray]:
-        return [lo + h * np.arange(n) for lo, h, n in zip(self.lo, self.h, self._shape)]
+    def axes(self, strides=None) -> list[np.ndarray]:
+        """Each axis' nodes, or every ``strides[i]``-th node of axis i from its first."""
+        axes = zip(self.lo, self.h, self._shape, strides or (1,) * len(self.lo))
+        # a float range holds the same integers as an int one and skips the
+        # int-to-float step of the product
+        return [lo + h * np.arange(0.0, n, s) for lo, h, n, s in axes]
 
     def nodes(self) -> np.ndarray:
         """All grid nodes, shape (prod(points), dim), row-major over axes."""
@@ -471,7 +479,8 @@ def _real(what: str, value) -> float:
 
 def _integer(what: str, value) -> int:
     """``value`` as a Python int; a bool, a float, a string, None or an array raises BAD_SHAPE."""
-    if type(value) is bool or not isinstance(value, numbers.Integral):
+    # a Python int first: the ABC check costs about a microsecond
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not an integer")
     return int(value)
 
@@ -693,8 +702,10 @@ def sample_points(phi: Payoff, points: np.ndarray) -> np.ndarray:
 
 
 def check_samples(vals: np.ndarray, bound: float) -> np.ndarray:
-    """Return samples once checked finite (NON_FINITE) and within ``bound`` (PAYOFF_BOUND)."""
-    peak = float(np.abs(vals).max())  # NaN or inf exactly when a sample is not finite
+    """Return 1-D samples once checked finite (NON_FINITE) and within ``bound`` (PAYOFF_BOUND)."""
+    # NaN or inf exactly when a sample is not finite; the ufunc's own reduce
+    # along the one axis skips ndarray.max's Python-level wrapper
+    peak = float(np.maximum.reduce(np.abs(vals)))
     if not math.isfinite(peak):
         raise ValidationError("NON_FINITE", "payoff samples contains a non-finite entry")
     overshoot = peak - bound
@@ -724,4 +735,5 @@ def min_padding(uset: UncertaintySet, horizon: float) -> float:
     that is not a finite nonnegative real number raises BAD_SHAPE.
     """
     t = _horizon("horizon", horizon)
-    return uset.max_jump_norm() + uset.max_drift_norm() * t + 4.0 * uset.max_sigma() * math.sqrt(t)
+    jump, drift, sigma = uset._reach
+    return jump + drift * t + 4.0 * sigma * math.sqrt(t)

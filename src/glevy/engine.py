@@ -29,8 +29,14 @@ origin.  Unit jumps at spacing 0.05 march 21 of 401 nodes per axis.
 
 Increments are stationary, so equal horizons share one box object, as a
 pinned grid does for every increment.  The set checks, merged stencil, step
-bound, stride and origin corners are built once per distinct grid object;
-each pinned increment's padding is still checked over its own horizon.
+bound, stride and origin corners are built once per distinct grid object,
+and the axes once per distinct grid and stride, each straight on its
+stride (:meth:`glevy.core.GridSpec.axes`); each pinned increment's padding
+is still checked over its own horizon.  A level's values stay flat, in
+row-major order over its frozen nodes, and are read as the next level's
+samples as they are.  A corner read of unit weight forms no product, since
+1.0 * v is v bit for bit, and the reads are summed from a 0-d 0.0, which
+adds as ``sum``'s int 0 does.
 
 Only horizon differences enter, so shifting every time by a constant leaves
 all values unchanged.
@@ -59,6 +65,9 @@ from .solver import Stencil, _atom_stencil, check_march, march
 # values per block at 30.3 MB; wall times did not separate (2 cores, numpy 2.4.6).
 BLOCK_ELEMENTS = 1 << 14
 
+# the start of each corner sum: a 0-d 0.0, which no sum writes
+_ZERO = np.array(0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class CylinderFunctional:
@@ -68,15 +77,18 @@ class CylinderFunctional:
     (earliest first); it may also accept an (n, m*dim) batch.  ``bound`` and
     ``lipschitz`` are sup-norm and Lipschitz constants of the payoff, read as
     :class:`glevy.core.Payoff` reads them, and the validated payoff is kept
-    as ``phi``.  ``times`` that is not a sequence, a time that is not a real
-    number, or a ``dim`` that is not an int >= 1 (a bool is not one), raises
-    BAD_SHAPE.
+    as ``phi``.  A validated :class:`glevy.core.Payoff` may stand for all
+    three: it is kept as ``phi`` as it is, with its ``eval`` as ``payoff``
+    and its own bound and Lipschitz constant (``bound`` and ``lipschitz``
+    are then not read).  ``times`` that is not a sequence, a time that is
+    not a real number, or a ``dim`` that is not an int >= 1 (a bool is not
+    one), raises BAD_SHAPE.
     """
 
     times: tuple[float, ...]
     payoff: Callable
-    bound: float
-    lipschitz: float
+    bound: float = None
+    lipschitz: float = None
     dim: int = 1
 
     def __post_init__(self):
@@ -87,12 +99,15 @@ class CylinderFunctional:
             raise ValidationError("NON_FINITE", "times contain a non-finite entry")
         if times[0] <= 0.0 or any(map(operator.le, times[1:], times)):
             raise ValidationError("BAD_SHAPE", "times must be strictly increasing and positive")
-        # a callable payoff (BAD_SHAPE) with a valid bound and Lipschitz constant (NON_FINITE)
-        phi = Payoff(self.payoff, self.bound, self.lipschitz)
+        # a validated Payoff as it is, or a callable payoff (BAD_SHAPE) with a
+        # valid bound and Lipschitz constant (NON_FINITE)
+        phi = self.payoff
+        if not isinstance(phi, Payoff):
+            phi = Payoff(phi, self.bound, self.lipschitz)
         dim = _count("dim", self.dim)
         # the fields and the payoff kept from validation, set once on the frozen instance
         self.__dict__.update(
-            times=times, bound=phi.bound, lipschitz=phi.lipschitz, dim=dim, phi=phi
+            times=times, payoff=phi.eval, bound=phi.bound, lipschitz=phi.lipschitz, dim=dim, phi=phi
         )
 
     @property
@@ -110,8 +125,8 @@ def increment_radius(uset: UncertaintySet, horizon: float, tail: float = 1e-10) 
     raise BAD_SHAPE.
     """
     tail, h = _tail("tail", tail), _horizon("horizon", horizon)
-    r = uset.max_drift_norm() * h + 4.0 * uset.max_sigma() * math.sqrt(h)
-    zmax = uset.max_jump_norm()
+    zmax, drift, sigma = uset._reach
+    r = drift * h + 4.0 * sigma * math.sqrt(h)
     if zmax > 0.0:
         k = max(1, len(poisson_head(uset.max_total_rate() * h, 1.0, tail)) - 1)
         r += zmax * k
@@ -132,7 +147,7 @@ def _centered_box(radius: float, dx: float, d: int) -> GridSpec:
     if half:
         r = half * dx
         try:
-            return GridSpec(lower=[-r] * d, upper=[r] * d, points=[2 * half + 1] * d)
+            return GridSpec([-r] * d, [r] * d, [2 * half + 1] * d)
         except ValidationError:  # >= 5 points: only the bounds, the spacing or the node count fail
             pass
     raise EngineError(
@@ -162,7 +177,7 @@ def _sublattice(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig):
         i0 = i0.pop() if len(i0) == 1 else 0
         inner = 0 < i0 < n - 1
         stride.append(math.gcd(i0, n - 1 - i0, *[o[a] for o in stencil.offsets]) if inner else 1)
-    if any(g > 1 for g in stride):
+    if max(stride) > 1:
         coarse = tuple(tuple(map(operator.floordiv, off, stride)) for off in stencil.offsets)
         stencil = Stencil(coarse, stencil.terms)
     reads = [(w, (..., *map(operator.floordiv, off, stride))) for w, off in corners]
@@ -190,7 +205,7 @@ def _integrate_levels(
     if uset.dim != xi.dim:
         raise ValidationError("BAD_SHAPE", f"set dim {uset.dim} != functional dim {xi.dim}")
     m, d = xi.m, xi.dim
-    horizons = [b - a for a, b in zip((0.0,) + xi.times, xi.times)]
+    horizons = list(map(operator.sub, xi.times, (0.0,) + xi.times))
     sized = var_grids is None
     if sized:
         # equal horizons share one box object; built in increment order
@@ -214,11 +229,8 @@ def _integrate_levels(
                     f" over horizon {horizons[k]:.6g}",
                 )
 
-    # one set-up per distinct grid (GridSpec compares by identity)
-    setups = {}
-    for g in var_grids[stop_at:]:
-        if g not in setups:
-            setups[g] = _sublattice(uset, g, cfg)
+    # one set-up per distinct grid (GridSpec compares by identity), in increment order
+    setups = {g: _sublattice(uset, g, cfg) for g in dict.fromkeys(var_grids[stop_at:])}
     # the first stop_at increments keep every node, shared grid or not
     strides = [(1,) * d] * stop_at + [setups[g][2] for g in var_grids[stop_at:]]
     # each increment's nodes on the stride its march uses, as floats, which
@@ -237,8 +249,10 @@ def _integrate_levels(
         raise EngineError(
             "DIMENSION_OVERFLOW", f"level {m} marches {marched:.6g} nodes > budget {node_budget}"
         )
-    axes = [[x[::s] for x, s in zip(g.axes(), st)] for g, st in zip(var_grids, strides)]
-    current = None  # the previous level's values, over this level's nodes
+    # each grid's axes on each stride it is marched on, built once
+    axes = {key: key[0].axes(key[1]) for key in dict.fromkeys(zip(var_grids, strides))}
+    axes = [axes[key] for key in zip(var_grids, strides)]
+    current = None  # the previous level's values, flat over this level's nodes
     for level in range(m, stop_at, -1):
         horizon, yaxes = horizons[level - 1], axes[level - 1]
         stencil, dt_max, _, reads = setups[var_grids[level - 1]]
@@ -260,15 +274,17 @@ def _integrate_levels(
                     nodes[..., c] = x.reshape((-1,) + (1,) * (len(yshape) - j))
                 block = sample_points(xi.phi, nodes.reshape(-1, len(cols)))
             else:
-                block = check_samples(current.ravel()[a * ny : b * ny], xi.bound)
+                block = check_samples(current[a * ny : b * ny], xi.bound)
             (block,), _, _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])
-            out[a:b] = sum(w * block[corner] for w, corner in reads)
-        current = out.reshape(fshape)
+            # 1.0 * v is v, bit for bit: a unit weight forms no product.  The
+            # sum starts from a 0-d 0.0, which adds as sum's int 0 does
+            out[a:b] = sum([block[c] if w == 1.0 else w * block[c] for w, c in reads], _ZERO)
+        current = out
     if stop_at == 0:
-        return float(current)
+        return float(current[0])
     # the tensor grid of the first stop_at variables, axes in increment order
     kept = [(g.lower, g.upper, g.points) for g in var_grids[:stop_at]]
-    return GridFunction(GridSpec(*map(np.concatenate, zip(*kept))), current)
+    return GridFunction(GridSpec(*map(np.concatenate, zip(*kept))), current.reshape(fshape))
 
 
 def expectation(

@@ -125,7 +125,8 @@ def small_time_quotient(
     positive real number BAD_SHAPE.
     """
     delta = _step("delta", delta)
-    xi = CylinderFunctional((delta,), phi.eval, phi.bound, phi.lipschitz, grid.dim)
+    # the validated payoff as it is: no second validation
+    xi = CylinderFunctional((delta,), phi, dim=grid.dim)
     quotient = expectation(xi, uset, cfg, var_grids=[grid]) / delta
     if not math.isfinite(quotient):
         raise ValidationError("NON_FINITE", f"quotient u(delta, 0) / delta = {quotient}")

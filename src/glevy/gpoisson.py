@@ -92,37 +92,31 @@ def _pure_jump_set(jump_measures, d: int) -> UncertaintySet:
     )
 
 
-def poisson_weights(mu: float):
-    """The Poisson(mu) weights e^{-mu} mu^i / i!, i = 0, 1, ..., each by one product.
+def poisson_head(mu: float, scale: float, tol: float) -> list[float]:
+    """The Poisson(mu) weights e^{-mu} mu^i / i!, i = 0, 1, ..., K, each by one product.
 
-    NON_FINITE is raised before the first weight when e^{-mu} is not a normal
-    float (mu above about 708.4), and in place of the first weight that is not
+    K is the first index with scale * max(1 - sum, 0) < tol.  NON_FINITE is
+    raised before the first weight when e^{-mu} is not a normal float (mu
+    above about 708.4), and in place of the first weight that is not
     positive.  Past i = mu the weights fall faster than geometrically and
     underflow to zero within a few thousand terms; no later weight can move a
-    sum of them, so a sum that has not converged by then never will.
+    sum of them, so a sum that has not converged by then never will.  One
+    loop, not a generator: the engine's box radius and the closed form each
+    take its weights once per call.
     """
     weight = math.exp(-mu)
     if not weight >= sys.float_info.min:
         raise ValidationError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
-    i = 0
+    weights, cumulative, i = [], 0.0, 0
     while weight > 0.0:
-        yield weight
+        weights.append(weight)
+        cumulative += weight
+        # max(1.0 - cumulative, 0.0) without a call
+        if scale * (1.0 - cumulative if cumulative < 1.0 else 0.0) < tol:
+            return weights
         i += 1
         weight *= mu / i
     raise ValidationError("NON_FINITE", "Poisson series failed to converge")
-
-
-def poisson_head(mu: float, scale: float, tol: float) -> list[float]:
-    """The :func:`poisson_weights` of mu up to the first K with scale * max(1 - sum, 0) < tol.
-
-    Its errors are those of :func:`poisson_weights`.
-    """
-    weights, cumulative = [], 0.0
-    for weight in poisson_weights(mu):
-        weights.append(weight)
-        cumulative += weight
-        if scale * max(1.0 - cumulative, 0.0) < tol:
-            return weights
 
 
 def g_lambda(a: float, lam: float) -> float:

@@ -185,6 +185,21 @@ def test_reach_equals_linalg_norms_bitwise(uset):
     assert uset.max_sigma() == max(spectral_norm(s.diffusion) for s in uset.scenarios)
 
 
+def test_reach_is_computed_on_first_use_without_a_lock(monkeypatch):
+    # a property over the instance dict: Python 3.11's cached_property takes
+    # an RLock on every first read; a factor of d >= 2 still takes its SVD
+    # only when the reach is first read
+    assert isinstance(vars(UncertaintySet)["_reach"], property)
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or norm(*a, **k))
+    uset = validate_uncertainty_set([((), [0.0, 0.0], [[0.3, 0.1], [0.0, 0.2]])])
+    assert "reach" not in vars(uset) and norms == []
+    reach = uset._reach
+    assert len(norms) == 1 and vars(uset)["reach"] is reach
+    assert uset.max_sigma() == reach[2] and len(norms) == 1
+
+
 @pytest.mark.parametrize("q", [-8.4e144, 1.0e195, 2.3e273, 1.0e-300, -1.3e-301, 0.37, -0.0])
 def test_one_by_one_sigma_is_the_absolute_value(q):
     # LAPACK rescales extreme inputs and rounds; the norm of a 1 x 1 factor is exactly |q|

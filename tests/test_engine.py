@@ -54,6 +54,17 @@ def test_functional_validation():
         CylinderFunctional(times=(0.0,), payoff=lambda a: 0.0, bound=0.0, lipschitz=0.0)
 
 
+def test_functional_keeps_a_validated_payoff_as_it_is():
+    pay = Payoff(lambda a: np.clip(np.asarray(a, dtype=float)[..., 0], -1.0, 1.0), 1.0, 1.0)
+    xi = CylinderFunctional((0.5,), pay)
+    assert xi.phi is pay
+    assert (xi.payoff, xi.bound, xi.lipschitz, xi.dim) == (pay.eval, 1.0, 1.0, 1)
+    # a callable is still read by the payoff rules
+    with pytest.raises(GLevyError) as err:
+        CylinderFunctional((0.5,), pay.eval)
+    assert err.value.code == "BAD_SHAPE"
+
+
 @pytest.mark.parametrize(
     "kw, code",
     [

@@ -193,6 +193,17 @@ def test_quotient_overflow_raises():
     assert e.value.code == "NON_FINITE"
 
 
+def test_quotient_validates_its_payoff_once(monkeypatch):
+    # the quotient's one-increment functional keeps the Payoff it is given
+    grid = uniform_grid([-2.0], [3.0], 0.05)
+    hat = Payoff(lambda x: np.clip(x1(x), -1.0, 1.0), bound=1.0, lipschitz=1.0)
+    built = []
+    init = Payoff.__post_init__
+    monkeypatch.setattr(Payoff, "__post_init__", lambda self: built.append(self) or init(self))
+    small_time_quotient(hat, GPOISSON, 0.05, grid, SchemeConfig(cfl_safety=0.5))
+    assert built == []
+
+
 def test_quotient_rejects_nonpositive_delta():
     zero = Payoff(eval=lambda x: 0.0 * x1(x), bound=0.0, lipschitz=0.0)
     grid = uniform_grid([-2.0], [2.0], 0.1)

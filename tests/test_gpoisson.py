@@ -1,6 +1,7 @@
 """Closed forms and the power-series solution for the unit-jump family."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -23,8 +24,26 @@ from glevy import (
     uniform_grid,
 )
 from glevy.errors import GLevyError
-from glevy.gpoisson import _pure_jump_set, _series_levels, poisson_head, poisson_weights
+from glevy.gpoisson import _pure_jump_set, _series_levels, poisson_head
 from glevy.solver import Workspace, build_stencil
+
+
+def poisson_weights(mu):
+    """The former library generator of the Poisson(mu) weights, kept as a reference.
+
+    Each weight is one product, w_i = w_{i-1} * (mu / i) from e^{-mu}:
+    NON_FINITE before the first weight when e^{-mu} is not a normal float, and
+    in place of the first weight that underflows to zero.
+    """
+    weight = math.exp(-mu)
+    if not weight >= sys.float_info.min:
+        raise GLevyError("NON_FINITE", f"Poisson weight exp(-{mu:.6g}) underflows")
+    i = 0
+    while weight > 0.0:
+        yield weight
+        i += 1
+        weight *= mu / i
+    raise GLevyError("NON_FINITE", "Poisson series failed to converge")
 
 
 def x1(x):
