@@ -87,8 +87,8 @@ class CylinderFunctional:
 
     times: tuple[float, ...]
     payoff: Callable
-    bound: float = None
-    lipschitz: float = None
+    bound: float | None = None
+    lipschitz: float | None = None
     dim: int = 1
 
     def __post_init__(self):
