@@ -239,7 +239,7 @@ def _gpoisson_suite() -> list[CheckRow]:
     uset = UncertaintySet((Scenario(atoms=(([1.0], 1.0),), drift=[0.0], diffusion=[[0.0]]),))
     res = solve(wave, uset, grid, SchemeConfig(cfl_safety=0.05, final_time=0.5), [0.5])
     gap = abs(float(interpolate(s, [0.0])) - evaluate(res, 0.5, [0.0]))
-    dx = float(grid.spacing[0])
+    dx = grid.h[0]
     rows.append(CheckRow("gpoisson", "series_matches_solver", gap, 5 * dx + 1e-8))
     return rows
 

@@ -34,7 +34,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -166,11 +166,6 @@ class Scenario:
         """Whether the diffusion factor has a nonzero entry."""
         return any(self.factor)
 
-    @cached_property
-    def diffusion_matrix(self) -> np.ndarray:
-        """Q @ Q.T, the matrix entering the generator's second-order term (:func:`_covariance`)."""
-        return _readonly(np.array(_covariance(self)))
-
 
 def _covariance(s: Scenario) -> list[list[float]]:
     """Q Q^T as rows of Python floats.
@@ -222,26 +217,18 @@ class UncertaintySet:
     def dim(self) -> int:
         return self.scenarios[0].dim
 
-    def max_jump_norm(self) -> float:
-        return self._reach[0]
-
-    def max_drift_norm(self) -> float:
-        return self._reach[1]
-
-    def max_sigma(self) -> float:
-        """Largest spectral norm of a diffusion factor across scenarios."""
-        return self._reach[2]
-
     @property
     def _reach(self) -> tuple[float, float, float]:
-        # paid once per set, on first use: every padding check needs it, and
-        # kept in the instance dict, where a read takes no lock (Python 3.11's
-        # cached_property takes one on every first read).  The jump norms are
-        # the scenarios' own.  A zero factor has norm exactly 0.0 and a 1 x 1
-        # factor exactly |Q_11|; only a factor of d >= 2 takes an SVD
-        # (LAPACK's value).  LAPACK rescales extreme 1 x 1 inputs and rounds
-        # (first seen at 8.4e144 and 1.0e-300), so there the absolute value is
-        # the exact norm it approximates.
+        # the largest jump norm, drift norm and diffusion factor's spectral
+        # norm across scenarios.  Paid once per set, on first use: every
+        # padding check needs it, and kept in the instance dict, where a read
+        # takes no lock (Python 3.11's cached_property takes one on every
+        # first read).  The jump norms are the scenarios' own.  A zero factor
+        # has norm exactly 0.0 and a 1 x 1 factor exactly |Q_11|; only a
+        # factor of d >= 2 takes an SVD (LAPACK's value).  LAPACK rescales
+        # extreme 1 x 1 inputs and rounds (first seen at 8.4e144 and
+        # 1.0e-300), so there the absolute value is the exact norm it
+        # approximates.
         if "reach" not in self.__dict__:
             jumps = max([n for s in self.scenarios for n in s.jump_norms], default=0.0)
             drifts = max([vector_norm(s.q) for s in self.scenarios])
@@ -307,8 +294,7 @@ class GridSpec:
 
     Validation checks the bounds on Python floats and keeps them, as tuples
     with one entry per axis: ``lo`` and ``hi`` (the bounds), ``shape`` (the
-    node counts, Python ints) and ``h`` (the spacing (hi - lo) / (n - 1),
-    the IEEE operations of the ``spacing`` array, which is built from it).
+    node counts, Python ints) and ``h`` (the spacing (hi - lo) / (n - 1)).
     Set-up readers (stencils, strides, origin corners, padding checks) take
     these floats instead of microsecond numpy calls on tiny arrays.
 
@@ -365,7 +351,7 @@ class GridSpec:
             points=_readonly(points.astype(int, copy=False)),
             lo=tuple(lo),
             hi=tuple(hi),
-            _shape=shape,
+            shape=shape,
             h=h,
         )
 
@@ -373,17 +359,9 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.lo)
 
-    @cached_property
-    def spacing(self) -> np.ndarray:
-        return _readonly(np.array(self.h))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
-
     def axes(self, strides=None) -> list[np.ndarray]:
         """Each axis' nodes, or every ``strides[i]``-th node of axis i from its first."""
-        axes = zip(self.lo, self.h, self._shape, strides or (1,) * len(self.lo))
+        axes = zip(self.lo, self.h, self.shape, strides or (1,) * len(self.lo))
         # a float range holds the same integers as an int one and skips the
         # int-to-float step of the product
         return [lo + h * np.arange(0.0, n, s) for lo, h, n, s in axes]
@@ -637,7 +615,7 @@ def interpolate(g: GridFunction, x) -> float | np.ndarray:
     flat = pts.reshape(-1, spec.dim)
     if np.isnan(flat).any():
         raise ValidationError("NON_FINITE", "query points contain a NaN coordinate")
-    u = (flat - spec.lower) / spec.spacing
+    u = (flat - spec.lower) / spec.h
     u = np.clip(u, 0.0, (spec.points - 1).astype(float))
     base = np.minimum(np.floor(u).astype(int), spec.points - 2)
     frac = u - base

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _array, _step, sample_points
+from .core import GridSpec, Payoff, SchemeConfig, UncertaintySet, _array, _covariance, _step, sample_points
 from .engine import CylinderFunctional, expectation
 from .errors import ValidationError
 from .matrices import check_symmetric
@@ -97,7 +97,7 @@ def g_operator(f: TestFunction, uset: UncertaintySet) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             val = sum(w * v for w, v in zip(s.rates, values))
             val += float(f.grad0 @ s.drift)
-            val += 0.5 * float(np.trace(f.hess0 @ s.diffusion_matrix))
+            val += 0.5 * float(np.trace(f.hess0 @ _covariance(s)))
         if not math.isfinite(val):
             raise ValidationError("NON_FINITE", f"scenario {i}: generator value {val} is not finite")
         best = max(best, val)

@@ -274,7 +274,8 @@ class Workspace:
     into the band-shaped acc or tmp buffer (the first scenario's acc is the
     band of ``out``).  ``calls`` is one step, the edge copies and the kernel,
     as bound calls in order; :meth:`apply` runs it without allocating an
-    array and returns ``out``'s interior view.
+    array and returns ``out``, the interior view of a second padded state
+    laid out as ``u``'s, where its values are left.
     """
 
     def __init__(self, stencil: Stencil, values: np.ndarray):
@@ -297,15 +298,15 @@ class Workspace:
         stop = size - sum(map(operator.mul, his, strides))
         # one block, each band 64-byte aligned (an unaligned store splits cache
         # lines): the state, out, acc and tmp, each length rounded up to 8
-        # floats.  Of out only the band is carved; the view :attr:`out`
-        # carves its padded state on demand
+        # floats
         band = stop - head
         whole, part = size + -size % 8, band + -band % 8
         mem = np.empty(2 * whole + 2 * part + head + 8)
         at = -(ctypes.addressof(ctypes.c_char.from_buffer(mem)) // 8 + head) % 8
         flat, out = mem[at : at + size], mem[at + whole + head : at + whole + stop]
         interior = (..., *map(slice, los, map(operator.add, los, shape)))
-        self.u, self._layout = flat.reshape(pshape)[interior], (mem, at + whole, pshape, interior)
+        self.u = flat.reshape(pshape)[interior]
+        self.out = mem[at + whole : at + whole + size].reshape(pshape)[interior]
         self.u[...] = values
         at += head + 2 * whole  # the state's band start, two states on
         self._acc, self._tmp = mem[at : at + band], mem[at + part : at + part + band]
@@ -363,12 +364,6 @@ class Workspace:
         for call in self.calls:
             call()
         return self.out
-
-    @property
-    def out(self) -> np.ndarray:
-        """The interior view of ``out``, where :meth:`apply` leaves its values."""
-        mem, at, pshape, interior = self._layout
-        return mem[at : at + math.prod(pshape)].reshape(pshape)[interior]
 
 
 def apply_generator(g: GridFunction, s: Scenario) -> np.ndarray:

@@ -27,6 +27,7 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
+from glevy.core import _covariance
 from glevy.errors import GLevyError
 
 
@@ -40,12 +41,12 @@ def test_rate_scaled_pair_reach():
     )
     assert uset.dim == 1
     assert uset.max_total_rate() == 1.0
-    assert uset.max_jump_norm() == 1.0
+    assert uset._reach[0] == 1.0
 
 
 def test_diffusion_matrix_is_factor_squared():
     s = Scenario(atoms=(([2.0], 0.5),), drift=[1.5], diffusion=[[0.5]])
-    assert s.diffusion_matrix[0, 0] == pytest.approx(0.25, rel=1e-15)
+    assert _covariance(s)[0][0] == pytest.approx(0.25, rel=1e-15)
 
 
 def test_validate_is_idempotent():
@@ -180,9 +181,10 @@ def spectral_norm(q):
 @given(uset=_uncertainty_sets())
 def test_reach_equals_linalg_norms_bitwise(uset):
     jumps = [np.linalg.norm(z) for s in uset.scenarios for z, _ in s.atoms]
-    assert uset.max_jump_norm() == (float(max(jumps)) if jumps else 0.0)
-    assert uset.max_drift_norm() == max(float(np.linalg.norm(s.drift)) for s in uset.scenarios)
-    assert uset.max_sigma() == max(spectral_norm(s.diffusion) for s in uset.scenarios)
+    jump, drift, sigma = uset._reach
+    assert jump == (float(max(jumps)) if jumps else 0.0)
+    assert drift == max(float(np.linalg.norm(s.drift)) for s in uset.scenarios)
+    assert sigma == max(spectral_norm(s.diffusion) for s in uset.scenarios)
 
 
 def test_reach_is_computed_on_first_use_without_a_lock(monkeypatch):
@@ -197,19 +199,19 @@ def test_reach_is_computed_on_first_use_without_a_lock(monkeypatch):
     assert "reach" not in vars(uset) and norms == []
     reach = uset._reach
     assert len(norms) == 1 and vars(uset)["reach"] is reach
-    assert uset.max_sigma() == reach[2] and len(norms) == 1
+    assert uset._reach is reach and len(norms) == 1
 
 
 @pytest.mark.parametrize("q", [-8.4e144, 1.0e195, 2.3e273, 1.0e-300, -1.3e-301, 0.37, -0.0])
 def test_one_by_one_sigma_is_the_absolute_value(q):
     # LAPACK rescales extreme inputs and rounds; the norm of a 1 x 1 factor is exactly |q|
     uset = validate_uncertainty_set([((), 0.0, q)])
-    assert uset.max_sigma() == abs(q)
+    assert uset._reach[2] == abs(q)
 
 
 def test_grid_spec_spacing_and_nodes():
     g = GridSpec(lower=[-1.0, 0.0], upper=[1.0, 2.0], points=[5, 3])
-    assert np.allclose(g.spacing, [0.5, 1.0])
+    assert g.h == (0.5, 1.0)
     nodes = g.nodes()
     assert nodes.shape == (15, 2)
     # row-major over axes: second coordinate varies fastest
@@ -237,7 +239,7 @@ def test_nodes_equal_the_meshgrid_stack_bitwise(lower, upper, spacing):
 def test_uniform_grid_point_count():
     g = uniform_grid([0.0], [1.0], 0.05)
     assert g.shape == (21,)
-    assert g.spacing[0] == pytest.approx(0.05, rel=1e-12)
+    assert g.h[0] == pytest.approx(0.05, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -490,7 +492,7 @@ def test_sample_payoff_accepts_true_slopes_far_from_the_origin(offset):
     # far above the relative slack 1e-9, inside the slack for that rounding
     g = uniform_grid([offset - 1e-4], [offset + 1e-4], 1e-6)
     x = g.axes()[0]
-    assert np.abs(np.diff(x)).max() > g.spacing[0] * (1 + 1e-6)
+    assert np.abs(np.diff(x)).max() > g.h[0] * (1 + 1e-6)
     identity = Payoff(eval=lambda x: np.asarray(x, float)[..., 0], bound=1e6 + 1.0, lipschitz=1.0)
     assert np.array_equal(sample_payoff(identity, g), x)
 

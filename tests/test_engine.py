@@ -732,7 +732,7 @@ def lattice_problems(draw):
         return xi, uset, dx, None
     # pinned: the same box for every increment, padded to a multiple of g
     # below the origin and, when ``extra`` is 0, above it
-    half = g * math.ceil(uset.max_jump_norm() / (g * dx) - 1e-9)
+    half = g * math.ceil(uset._reach[0] / (g * dx) - 1e-9)
     extra = draw(st.sampled_from([0, 1, g]))
     grid = GridSpec(np.full(d, -half * dx), np.full(d, (half + extra) * dx), [2 * half + extra + 1] * d)
     return xi, uset, dx, [grid] * m

@@ -177,7 +177,11 @@ def test_quotient_ladder_approaches_two_rate_max(sign, target):
     grid = uniform_grid([-4.0], [4.0], 0.02)
     errs = []
     for delta in (0.1, 0.05, 0.025):
-        # small step so each solve takes several steps and the trend is real
+        # cfl_safety 0.02 puts dt_max at 0.02 (the top rate is 1), below every
+        # delta, so each march takes at least two steps.  With delta <= dt_max
+        # the march is one Euler step, u(delta, 0) = delta * G(hat) for this
+        # pure-jump set, and the quotient equals the target exactly at every
+        # delta: the ladder would test nothing
         q = small_time_quotient(hat, GPOISSON, delta, grid, SchemeConfig(cfl_safety=0.02))
         errs.append(abs(q - target))
     assert errs[0] >= errs[1] >= errs[2]

@@ -55,7 +55,7 @@ def grids(draw):
 
 @st.composite
 def scenarios(draw, grid):
-    d, h = grid.dim, grid.spacing
+    d, h = grid.dim, grid.h
     atoms = []
     for _ in range(draw(st.integers(0, 2))):
         z = np.array([draw(unit(-2.5, 2.5)) for _ in range(d)]) * h
@@ -105,7 +105,7 @@ def bands(draw):
     grid = draw(grids())
     d = grid.dim
     offset = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
-    z = np.array(offset) * grid.spacing
+    z = np.array(offset) * grid.h
 
     def atom():
         rate = draw(unit(0.05, 2.0))
@@ -135,7 +135,7 @@ def units(draw):
     grid = draw(grids())
     d = grid.dim
     offset = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
-    z = np.array(draw(offset.filter(lambda o: 2 in map(abs, o)))) * grid.spacing
+    z = np.array(draw(offset.filter(lambda o: 2 in map(abs, o)))) * grid.h
     zeros = ([0.0] * d, np.zeros((d, d)))
     unit_atom = Scenario(((z, 1.0),), *zeros)
     band_atom = Scenario(((z, draw(unit(0.05, 0.95))),), *zeros)
@@ -484,7 +484,7 @@ def test_expectation_maximum_principle(problem):
 @st.composite
 def series_problems(draw):
     grid = draw(grids())
-    d, h = grid.dim, grid.spacing
+    d, h = grid.dim, grid.h
     measures = []
     for _ in range(draw(st.integers(1, 3))):
         atoms = []

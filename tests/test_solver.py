@@ -26,6 +26,7 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
+from glevy.core import _covariance
 from glevy.errors import GLevyError, SolverError
 from glevy.solver import Workspace, _scenario_terms, build_stencil, check_march, march
 
@@ -192,7 +193,7 @@ def solve_2d_family():
 
 def old_rate(s, h):
     """The step bound's rate before it was read off the merged stencil."""
-    a = s.diffusion_matrix
+    a, h = np.array(_covariance(s)), np.array(h)
     rate = s.total_rate + float(np.sum(np.abs(s.drift) / h)) + float(np.sum(np.diag(a) / h**2))
     d = len(h)
     return rate + sum(abs(a[i, j]) / (h[i] * h[j]) for i in range(d) for j in range(i + 1, d))
@@ -253,7 +254,7 @@ def test_nonmonotone_message_names_scenario_offset_and_coefficient():
 
 def old_test_rejects(s, h):
     """The diffusion-only monotone test the merged stencil replaced."""
-    a, d = s.diffusion_matrix, len(h)
+    a, d = np.array(_covariance(s)), len(h)
     return any(
         a[i, i] / h[i] < sum(abs(a[i, j]) / h[j] for j in range(d) if j != i) - 1e-12
         for i in range(d)
@@ -266,7 +267,7 @@ def test_drift_and_jump_fill_negative_cross_neighbours():
     grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points=[21, 21])
     q = [[1.0, 0.0], [1.2, 1.6]]
     s = Scenario(atoms=(((-0.1, 0.0), 15.0),), drift=[1.5, 0.0], diffusion=q)
-    assert old_test_rejects(s, grid.spacing)
+    assert old_test_rejects(s, grid.h)
     uset = UncertaintySet((s,))
     stencil, dt_max = check_march(uset, grid, SchemeConfig(cfl_safety=1.0))
     (terms,) = stencil.terms
@@ -293,7 +294,7 @@ def test_exactly_balanced_cross_diffusion_accepted():
     grid = GridSpec(lower=[-1.0, -3.0], upper=[1.0, 3.0], points=[21, 21])
     r = math.sqrt(0.3)
     s = Scenario(drift=[0.0, 0.0], diffusion=[[r, 0.0], [0.9 / r, 0.0]])
-    assert not old_test_rejects(s, grid.spacing)
+    assert not old_test_rejects(s, grid.h)
     stencil, dt_max = check_march(UncertaintySet((s,)), grid, SchemeConfig())
     (terms,) = stencil.terms
     row = sum(c for c, _ in terms)
@@ -370,7 +371,7 @@ def test_diffusion_on_a_spacing_whose_square_underflows_is_refused(diffusion):
 def test_coefficients_have_the_bits_of_numpy_scalars():
     # the former numpy-scalar formulas; h * h in place of h ** 2 moves some bits
     (s,) = validate_uncertainty_set([((), [0.3, -0.7], [[0.4, 0.0], [0.1, 0.5]])]).scenarios
-    a = s.diffusion_matrix
+    a = np.array(_covariance(s))
     rng = np.random.default_rng(7)
     for h in np.exp(rng.uniform(-8.0, 2.0, (2000, 2))):
         want = [abs(q) / h[i] for i, q in enumerate(s.drift)]
@@ -388,8 +389,8 @@ def test_step_bound_is_cfl_over_largest_row_sum():
     assert check_march(uset, grid, SchemeConfig(cfl_safety=0.7))[1] == 0.7 / max(rows)
     # the cross terms' corner and axis coefficients net to -|a_ij| / (h_i h_j)
     for s, row in zip(scenarios, rows):
-        a = s.diffusion_matrix
-        assert row == pytest.approx(old_rate(s, grid.spacing) - 2.0 * abs(a[0, 1]) / 0.04**2)
+        a = np.array(_covariance(s))
+        assert row == pytest.approx(old_rate(s, grid.h) - 2.0 * abs(a[0, 1]) / 0.04**2)
 
 
 CHECK_GRID = GridSpec(lower=[-6.0], upper=[10.0], points=[161])
@@ -408,7 +409,7 @@ JUMP_DRIFT_DIFFUSION = validate_uncertainty_set([(((0.73, 1.0),), -0.4, 0.6)])
     ],
 )
 def test_sets_without_cross_diffusion_keep_step_count(uset, grid, cfg):
-    old = cfg.cfl_safety / max(old_rate(s, grid.spacing) for s in uset.scenarios)
+    old = cfg.cfl_safety / max(old_rate(s, grid.h) for s in uset.scenarios)
     dt_max = check_march(uset, grid, cfg)[1]
     assert dt_max == pytest.approx(old, rel=1e-15)
     assert steps_for(cfg.final_time, dt_max) == steps_for(cfg.final_time, old)
@@ -419,7 +420,7 @@ def test_solve_2d_family_takes_fewer_steps():
     # drops each scenario's 2 |a_01| / h^2
     scenarios, grid = solve_2d_family()
     uset, t = UncertaintySet(tuple(scenarios)), 0.5
-    rate = max(old_rate(s, grid.spacing) for s in scenarios)
+    rate = max(old_rate(s, grid.h) for s in scenarios)
     cfl = rate * t / 272.5
     assert steps_for(t, cfl / rate) == 273
     assert steps_for(t, check_march(uset, grid, SchemeConfig(cfl, t))[1]) <= 230
@@ -625,7 +626,7 @@ def _lk_solve(h):
     psi_h = discrete_symbol(stencil, LK_K, h)
     (s,) = LK_SET.scenarios
     psi = sum(w * (np.exp(1j * LK_K * z[0]) - 1.0) for z, w in s.atoms)
-    psi += 1j * LK_K * s.drift[0] - 0.5 * s.diffusion_matrix[0, 0] * LK_K**2
+    psi += 1j * LK_K * s.drift[0] - 0.5 * _covariance(s)[0][0] * LK_K**2
     # nodes the clamped edges cannot reach in res.steps steps
     reach = res.steps * max(abs(o[0]) for o in stencil.offsets) * h
     (x,) = grid.axes()
@@ -653,7 +654,7 @@ def levy_khintchine(s, k):
     """psi(k) = sum w (e^{i k.z} - 1) + i q.k - k.A.k / 2 of one scenario, A = Q Q^T."""
     k = np.asarray(k, dtype=float)
     psi = sum(w * (np.exp(1j * (k @ z)) - 1.0) for z, w in zip(s.jumps, s.rates))
-    return psi + 1j * (k @ s.drift) - 0.5 * (k @ s.diffusion_matrix @ k)
+    return psi + 1j * (k @ s.drift) - 0.5 * (k @ np.array(_covariance(s)) @ k)
 
 
 HALVING = (0.1, 0.05, 0.025, 0.0125)

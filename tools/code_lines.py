@@ -68,12 +68,14 @@ def main(argv=None) -> int:
     if not modules:
         print(f"no glevy modules under {package}", file=sys.stderr)
         return 1
-    total = 0
-    for path in modules:
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(path.stem, count)
-    print("total", total)
+    counts = {path.stem: code_lines(path.read_text(encoding="utf-8")) for path in modules}
+    counts["total"] = sum(counts.values())
+    try:
+        sys.stdout.write("".join(f"{name} {count}\n" for name, count in counts.items()))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. head); not an error of ours
+        pass
     return 0
 
 
