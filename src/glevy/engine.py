@@ -32,9 +32,13 @@ pinned grid does for every increment.  The set checks, merged stencil, step
 bound, stride and origin corners are built once per distinct grid object,
 and the axes once per distinct grid and stride, each straight on its
 stride (:meth:`glevy.core.GridSpec.axes`); each pinned increment's padding
-is still checked over its own horizon.  A level's values stay flat, in
-row-major order over its frozen nodes, and are read as the next level's
-samples as they are.  A corner read of unit weight forms no product, since
+is still checked over its own horizon.  Each increment's shape on its
+stride is computed once, and the node budget and the block shapes read it.
+Each marched level's step schedule over its horizon
+(:func:`glevy.solver.schedule`) is built at set-up, after the budget and
+before the first payoff sample, and every block of the level marches it.
+A level's values stay flat, in row-major order over its frozen nodes, and
+are read as the next level's samples as they are.  A corner read of unit weight forms no product, since
 1.0 * v is v bit for bit, and the reads are summed from a 0-d 0.0, which
 adds as ``sum``'s int 0 does.
 
@@ -57,7 +61,7 @@ from .core import _count, _horizon, _integer, _real, _sequence, _step, _tail
 from .core import check_samples, pads_origin, sample_points
 from .errors import EngineError, ValidationError
 from .gpoisson import poisson_head
-from .solver import Stencil, _atom_stencil, check_march, march
+from .solver import Stencil, _atom_stencil, check_march, march, schedule
 
 # Frozen nodes are marched in blocks of about this many node values.  Two
 # increments with an off-lattice atom of 0.73 at dx 0.05 (293 x 293 values, 6
@@ -233,31 +237,33 @@ def _integrate_levels(
     setups = {g: _sublattice(uset, g, cfg) for g in dict.fromkeys(var_grids[stop_at:])}
     # the first stop_at increments keep every node, shared grid or not
     strides = [(1,) * d] * stop_at + [setups[g][2] for g in var_grids[stop_at:]]
-    # each increment's nodes on the stride its march uses, as floats, which
-    # compare and format at any size: level m freezes m - 1, marches all m
-    counts = [
-        math.prod(float((n - 1) // s + 1) for n, s in zip(g.shape, st))
-        for g, st in zip(var_grids, strides)
+    # each increment's shape on the stride its march uses, which the budget
+    # and the blocks read
+    shapes = [
+        tuple((n - 1) // s + 1 for n, s in zip(g.shape, st)) for g, st in zip(var_grids, strides)
     ]
-    held = math.prod(counts[:-1])
+    # node counts as floats, which compare and format at any size: level m
+    # freezes m - 1 increments, marches all m
+    held = math.prod(float(n) for shape in shapes[:-1] for n in shape)
     if m > 1 and held > node_budget:
         raise EngineError(
             "DIMENSION_OVERFLOW", f"level {m} freezes {held:.6g} nodes > budget {node_budget}"
         )
-    marched = held * counts[-1]
+    marched = held * math.prod(map(float, shapes[-1]))
     if sized and marched > node_budget:
         raise EngineError(
             "DIMENSION_OVERFLOW", f"level {m} marches {marched:.6g} nodes > budget {node_budget}"
         )
-    # each grid's axes on each stride it is marched on, built once
+    # each marched level's steps over its horizon, before the first payoff sample
+    spans = {k: schedule([horizons[k]], setups[var_grids[k]][1]) for k in range(stop_at, m)}
+    # the first level's coordinate axes in increment order, the last d its
+    # y-axes: each grid's axes on each stride it is marched on, built once
     axes = {key: key[0].axes(key[1]) for key in dict.fromkeys(zip(var_grids, strides))}
-    axes = [axes[key] for key in zip(var_grids, strides)]
+    axes = [x for key in zip(var_grids, strides) for x in axes[key]]
     current = None  # the previous level's values, flat over this level's nodes
     for level in range(m, stop_at, -1):
-        horizon, yaxes = horizons[level - 1], axes[level - 1]
-        stencil, dt_max, _, reads = setups[var_grids[level - 1]]
-        frozen = [x for k in range(level - 1) for x in axes[k]]
-        fshape, yshape = tuple(map(len, frozen)), tuple(map(len, yaxes))
+        stencil, _, _, reads = setups[var_grids[level - 1]]
+        fshape, yshape = sum(shapes[: level - 1], ()), shapes[level - 1]
         n_rows, ny = math.prod(fshape), math.prod(yshape)
         rows = max(1, BLOCK_ELEMENTS // ny)
         out = np.empty(n_rows)
@@ -265,17 +271,18 @@ def _integrate_levels(
             b = min(a + rows, n_rows)
             if current is None:
                 # the block's nodes of the tensor grid, without building the
-                # others: each column (a frozen axis at the block's rows, or a
-                # y-axis) broadcast straight into place, as GridSpec.nodes does
-                at = np.unravel_index(np.arange(a, b), fshape) if frozen else ()
-                cols = [(x[i], 0) for x, i in zip(frozen, at)] + list(zip(yaxes, range(1, d + 1)))
+                # others: each column (a frozen axis at the block's rows, the
+                # zip ending with the frozen indices, or a y-axis) broadcast
+                # straight into place, as GridSpec.nodes does
+                at = np.unravel_index(np.arange(a, b), fshape) if fshape else ()
+                cols = [(0, x[i]) for x, i in zip(axes, at)] + list(enumerate(axes[-d:], 1))
                 nodes = np.empty((b - a,) + yshape + (len(cols),))
-                for c, (x, j) in enumerate(cols):
+                for c, (j, x) in enumerate(cols):
                     nodes[..., c] = x.reshape((-1,) + (1,) * (len(yshape) - j))
                 block = sample_points(xi.phi, nodes.reshape(-1, len(cols)))
             else:
                 block = check_samples(current[a * ny : b * ny], xi.bound)
-            (block,), _, _ = march(block.reshape((b - a,) + yshape), stencil, dt_max, [horizon])
+            (block,) = march(block.reshape((b - a,) + yshape), stencil, spans[level - 1])
             # 1.0 * v is v, bit for bit: a unit weight forms no product.  The
             # sum starts from a 0-d 0.0, which adds as sum's int 0 does
             out[a:b] = sum([block[c] if w == 1.0 else w * block[c] for w, c in reads], _ZERO)
@@ -313,8 +320,10 @@ def expectation(
     before any array is built, when a radius is not finite, a box fits no
     grid, or the last level would march more than ``node_budget`` nodes of
     all m.  Payoff samples are checked finite and within the bound
-    (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.  Of ``cfg``
-    it reads only ``cfl_safety``: the horizons are the functional's.
+    (NON_FINITE, PAYOFF_BOUND) only at the nodes the value reads.  A horizon
+    that needs more steps than an index holds raises CFL_UNSATISFIABLE before
+    any payoff sample.  Of ``cfg`` it reads only ``cfl_safety``: the
+    horizons are the functional's.
     """
     return float(_integrate_levels(xi, uset, cfg, 0, dx, node_budget, tail, var_grids))
 

@@ -28,9 +28,11 @@ by 1 - dt * sum_k c_{s,k} and u(x + o_k * h) by dt * c_{s,k}: monotone when
 every c_{s,k} >= 0 and dt * sum_k c_{s,k} <= 1 (Barles and Souganidis 1991),
 and so is the max over scenarios.  :func:`check_march` reads both off the
 merged stencil: it rejects a coefficient negative beyond rounding and returns
-the stencil with the step bound cfl_safety / max_s sum_k c_{s,k} that
-:func:`march` takes.  A constant has zero differences, so it is preserved
-exactly.
+the stencil with the step bound cfl_safety / max_s sum_k c_{s,k}.
+:func:`schedule` turns the bound into each span's step count and step, the
+one place a step count is computed, before any array is built;
+:func:`march` runs that schedule.  A constant has zero differences, so it is
+preserved exactly.
 
 Values beyond the box are clamp-extended (nearest boundary node), so the
 scheme degrades to lower order near edges; callers pad the box beyond the
@@ -415,29 +417,20 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tupl
     return stencil, dt
 
 
-def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[list, int, float]:
-    """Step node values through the sorted ``times``; return (snapshots, steps, largest step).
+def schedule(times, dt_max: float) -> list[tuple[int, float]]:
+    """Each span's (steps, step) from 0 through the sorted ``times``, at most ``dt_max`` a step.
 
-    ``dt_max`` is the step bound of :func:`check_march`.  The last
-    ``len(stencil.offsets[0])`` axes of ``values`` are the grid's, any before
-    them batch axes.  Steps are shortened so every time is hit exactly;
-    snapshots are checked finite (NON_FINITE).  A span that needs more steps
-    than an index holds raises CFL_UNSATISFIABLE before its first step.  One
-    :class:`Workspace`, loaded with ``values``, serves the whole march: each
-    step updates its flat band in place, pads too.  Each snapshot but the last
-    is a copy; the last is a view of the workspace's state, which no step
-    moves any more.
+    ``dt_max`` is the step bound of :func:`check_march`.  A span of more than
+    1e-12 takes max(1, ceil(span / dt_max - 1e-9)) equal steps that end on
+    its time; a shorter one takes none, (0, 0.0), and the next span starts
+    where the last step ended.  A span that needs more steps than an index
+    holds raises CFL_UNSATISFIABLE.  This is the one home of the step rule:
+    :func:`solve` and each engine level build their schedule before any
+    array, and :func:`march` runs it.
     """
-    work = Workspace(stencil, values)
-    u, band, out, step = work.u, work._band, work._out, np.array(0.0)
-    calls = work.calls + [partial(np.multiply, out, step, out), partial(np.add, band, out, band)]
-    snapshots = []
-    steps = 0
-    dt_used = t = 0.0
+    spans, t = [], 0.0
     for target in times:
-        if snapshots:  # the state steps on: the snapshot before keeps a copy
-            snapshots[-1] = u.copy()
-        span = float(target) - t
+        span, n, dt = float(target) - t, 0, 0.0
         if span > EPSILON:
             cells = span / dt_max - 1e-9  # -1e-9 when dt_max is inf: one step
             # nan and inf fail the comparison too
@@ -447,17 +440,36 @@ def march(values: np.ndarray, stencil: Stencil, dt_max: float, times) -> tuple[l
                     f"span {span:.6g} needs more steps of {dt_max:.6g} than an index holds",
                 )
             n = max(1, math.ceil(cells))
-            dt = span / n
-            step.fill(dt)
-            for _ in range(n):
-                for call in calls:
-                    call()
-            steps += n
-            dt_used = max(dt_used, dt)
-            t = float(target)
+            dt, t = span / n, float(target)
+        spans.append((n, dt))
+    return spans
+
+
+def march(values: np.ndarray, stencil: Stencil, spans) -> list:
+    """Step node values through ``spans``, a :func:`schedule`; return one snapshot per span.
+
+    The last ``len(stencil.offsets[0])`` axes of ``values`` are the grid's,
+    any before them batch axes.  Each span takes its number of steps of its
+    length; snapshots are checked finite (NON_FINITE).  One
+    :class:`Workspace`, loaded with ``values``, serves the whole march: each
+    step updates its flat band in place, pads too.  Each snapshot but the last
+    is a copy; the last is a view of the workspace's state, which no step
+    moves any more.
+    """
+    work = Workspace(stencil, values)
+    u, band, out, step = work.u, work._band, work._out, np.array(0.0)
+    calls = work.calls + [partial(np.multiply, out, step, out), partial(np.add, band, out, band)]
+    snapshots = []
+    for n, dt in spans:
+        if snapshots:  # the state steps on: the snapshot before keeps a copy
+            snapshots[-1] = u.copy()
+        step.fill(dt)
+        for _ in range(n):
+            for call in calls:
+                call()
         _require_finite(u, "grid values")
         snapshots.append(u)
-    return snapshots, steps, dt_used
+    return snapshots
 
 
 def series(values: np.ndarray, stencil: Stencil, t: float, levels: int) -> np.ndarray:
@@ -503,12 +515,15 @@ def solve(
         that are not a vector of real numbers (a string, a complex, ragged or
         nested array) raise BAD_SHAPE, a NaN time NON_FINITE before any
         march, and a time below 0 or more than 1e-12 above the final time
-        (±inf included) TIME_RANGE: a snapshot's time label is nonnegative.
-        Other errors are those of
-        :func:`check_march`, :func:`sample_payoff` and :func:`march`.
+        (±inf included) TIME_RANGE: a snapshot's time label is nonnegative,
+        0.0 for a time of -0.0.  Other errors are those of
+        :func:`check_march` and :func:`schedule`, raised before the payoff is
+        sampled, and of :func:`sample_payoff` and :func:`march`.
+        ``steps`` and ``dt_used`` are read off the schedule.
     """
     times = () if output_times is None else _array("output times", output_times, 1, finite=False)
-    times = np.unique(times if len(times) else [cfg.final_time])
+    # -0.0 + 0.0 is 0.0: a snapshot's time label is nonnegative
+    times = np.unique(times if len(times) else [cfg.final_time]) + 0.0
     if math.isnan(times[-1]):  # np.unique sorts nan last
         raise ValidationError("NON_FINITE", "output times contain nan")
     if times[0] < 0.0 or times[-1] > cfg.final_time + EPSILON:
@@ -516,9 +531,11 @@ def solve(
             "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
         )
     stencil, dt_max = check_march(uset, grid, cfg)
-    snapshots, steps, dt_used = march(sample_payoff(phi, grid), stencil, dt_max, times)
+    spans = schedule(times, dt_max)
+    snapshots = march(sample_payoff(phi, grid), stencil, spans)
     snapshots = tuple(GridFunction(grid, v, float(t)) for v, t in zip(snapshots, times))
-    return SolveResult(snapshots=snapshots, dt_used=dt_used, steps=steps)
+    steps, dts = zip(*spans)
+    return SolveResult(snapshots=snapshots, dt_used=max(dts), steps=sum(steps))
 
 
 def evaluate(result: SolveResult, t: float, x) -> float:

@@ -395,6 +395,19 @@ def test_output_time_below_zero_is_out_of_range(capsys, tmp_path):
     assert "error[TIME_RANGE] output times must lie in [0, 1.0]" in capsys.readouterr().err
 
 
+def test_negative_zero_output_time_is_labelled_zero(capsys, tmp_path):
+    # -0 passed the range check and was written as the t column's -0
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(SOLVE_CFG.replace("output_times = 0.5, 1", "output_times = -0, 1"))
+    assert main(["--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0", "1"}
+    phi = Payoff(lambda x: np.clip(np.asarray(x)[..., 0], -2.0, 2.0), 2.0, 1.0)
+    uset = validate_uncertainty_set([(((1.0, 0.5),), 0.0, 0.0)])
+    res = solve(phi, uset, uniform_grid([-4.0], [8.0], 0.1), SchemeConfig(0.5, 1.0), [-0.0, 1.0])
+    assert math.copysign(1.0, res.snapshots[0].time_label) == 1.0
+
+
 def test_main_reports_errors(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error[PARSE_ERROR]" in capsys.readouterr().err

@@ -682,15 +682,32 @@ def test_origin_strides():
     assert expectation(xi, inert, FINE, var_grids=[edge]) == 0.0
 
 
+def test_unreachable_horizon_is_refused_before_the_payoff():
+    # a pinned box pads a pure-jump set by one jump over any horizon, so
+    # nothing but the step count refuses 1e300: it was found in the march,
+    # after the first block was sampled
+    sampled = []
+
+    def clipped(a):
+        sampled.append(a)
+        return np.clip(np.asarray(a, dtype=float)[..., 0], -3.0, 3.0)
+
+    xi = CylinderFunctional(times=(1e300,), payoff=clipped, bound=3.0, lipschitz=1.0)
+    grid = GridSpec([-1.0], [1.0], [21])
+    with pytest.raises(GLevyError) as e:
+        expectation(xi, CLASSICAL, FINE, var_grids=[grid])
+    assert e.value.code == "CFL_UNSATISFIABLE" and not sampled
+
+
 def test_sublattice_is_what_the_engine_marches(monkeypatch):
     # configs/expect.cfg: 21 of 401 nodes per increment; conditioning on the
     # first increment keeps its 401 nodes in the result
     shapes = []
     march = glevy.engine.march
 
-    def recording(values, stencil, dt_max, times):
+    def recording(values, stencil, spans):
         shapes.append(values.shape)
-        return march(values, stencil, dt_max, times)
+        return march(values, stencil, spans)
 
     monkeypatch.setattr(glevy.engine, "march", recording)
     xi = CylinderFunctional(times=(0.5, 1.0), payoff=clip_sum, bound=3.0, lipschitz=2.0)

@@ -320,9 +320,9 @@ def test_lattice_quotient_marches_the_sublattice(monkeypatch):
     shapes = []
     march = glevy.engine.march
 
-    def recording(values, stencil, dt_max, times):
+    def recording(values, stencil, spans):
         shapes.append(values.shape)
-        return march(values, stencil, dt_max, times)
+        return march(values, stencil, spans)
 
     monkeypatch.setattr(glevy.engine, "march", recording)
     grid = uniform_grid([-4.0], [4.0], 0.05)

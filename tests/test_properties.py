@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from glevy import (
     CylinderFunctional,
+    TestFunction,
     GPoissonSpec,
     GridSpec,
     Payoff,
@@ -27,13 +28,23 @@ from glevy import (
     SchemeConfig,
     UncertaintySet,
     expectation,
+    g_operator,
     min_padding,
     series_solution,
     solve,
+    uniform_grid,
+    validate_uncertainty_set,
 )
 from glevy.core import pads_origin
 from glevy.errors import SolverError
-from glevy.solver import Workspace, _scenario_terms, build_stencil, check_march, march
+from glevy.solver import (
+    Workspace,
+    _scenario_terms,
+    build_stencil,
+    check_march,
+    march,
+    schedule,
+)
 
 MAX_POINTS = {1: 30, 2: 9, 3: 6}
 LEADS = st.sampled_from([(), (2,), (2, 3)])
@@ -276,7 +287,8 @@ def test_march_matches_reference_steps(model, lead, seed, horizon):
     u = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     stencil, dt_max = check_march(uset, grid, SchemeConfig(cfl_safety=0.9, final_time=horizon))
     times = [0.0, 0.5 * horizon, horizon]
-    got, steps, _ = march(u, stencil, dt_max, times)
+    spans = schedule(times, dt_max)
+    got = march(u, stencil, spans)
     want, total, t = [], 0, 0.0
     for target in times:
         if target > t:
@@ -286,7 +298,7 @@ def test_march_matches_reference_steps(model, lead, seed, horizon):
                 u = u + dt * reference_generator(uset, grid, u)
             total, t = total + n, target
         want.append(u)
-    assert steps == total
+    assert sum(n for n, _ in spans) == total
     assert len(got) == len(want) and all(map(same_bits, got, want))
 
 
@@ -519,3 +531,81 @@ def test_series_cash_translation(problem, cash):
     moved = series_solution(shifted(phi, add=cash), grid, measures, t, tol=1e-13).values
     moved = moved - series_solution(phi, grid, measures, t, tol=1e-13).values
     assert np.max(np.abs(moved - cash)) <= TOL * (1.0 + abs(cash))
+
+
+# ------------------------------------------------------------ hull invariance
+#
+# G is a sup over the set of a functional linear in the triplet (nu, q, QQ^T),
+# so a worst-case expectation depends only on the set's convex hull: adding a
+# mixture alpha * A + (1 - alpha) * B of two scenarios changes nothing.  The
+# scheme is linear in the triplet only where the upwind drift terms keep
+# their offsets, so a mixture across a drift sign change raises the computed
+# answer by a defect that vanishes as h -> 0.
+
+
+def mixture(a, b, alpha):
+    """The scenario of rates alpha * nu_a + (1 - alpha) * nu_b, drift and covariance mixed alike."""
+    atoms = [(z, alpha * w) for z, w in zip(a.jumps, a.rates)]
+    atoms += [(z, (1.0 - alpha) * w) for z, w in zip(b.jumps, b.rates)]
+    cov = alpha * a.diffusion @ a.diffusion.T + (1.0 - alpha) * b.diffusion @ b.diffusion.T
+    factor = np.linalg.cholesky(cov) if np.any(cov) else cov
+    return Scenario(tuple(atoms), alpha * a.drift + (1.0 - alpha) * b.drift, factor)
+
+
+HULL_A = (((0.7, 0.4),), 0.5, 0.3)
+SINE = Payoff(eval=lambda x: np.sin(np.asarray(x, dtype=float)[..., 0]), bound=1.0, lipschitz=1.0)
+
+
+def hull_defects(drift_b):
+    """The mixture's raise of sin x at t = 0.5 over the inner half of [-8, 8], per spacing."""
+    pair = validate_uncertainty_set([HULL_A, (((-0.4, 0.6),), drift_b, 0.5)])
+    hull = UncertaintySet(pair.scenarios + (mixture(*pair.scenarios, 0.5),))
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=0.5)
+    defects = []
+    for h in (0.1, 0.05, 0.025):
+        grid = uniform_grid([-8.0], [8.0], h)
+        inner = np.abs(grid.axes()[0]) <= 4.0
+        with_mix, without = (final(SINE, s, grid, cfg)[inner] for s in (hull, pair))
+        defects.append(with_mix - without)
+    return defects
+
+
+def test_same_sign_mixture_leaves_the_answer_unchanged():
+    for defect in hull_defects(0.2):
+        assert np.max(np.abs(defect)) <= 1e-13
+
+
+def test_sign_crossing_mixture_defect_is_nonnegative_and_second_order():
+    # drifts 0.5 and -0.3 mix to 0.1: the upwind terms are not linear across
+    # the sign change (4.7e-5, 1.2e-5 and 3.0e-6 at h = 0.1, 0.05, 0.025)
+    defects = hull_defects(-0.3)
+    assert min(np.min(d) for d in defects) >= 0.0
+    worst = [np.max(d) for d in defects]
+    assert 1e-6 < worst[-1] < worst[0] < 1e-4
+    for coarse, fine in zip(worst, worst[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+@st.composite
+def probes(draw, d):
+    """sin(a . x) + b (1 - cos(c . x)) as a TestFunction: gradient a, Hessian b c c^T."""
+    a, c = (np.array([draw(unit(-1.0, 1.0)) for _ in range(d)]) for _ in range(2))
+    b = draw(unit(-1.0, 1.0))
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return np.sin(x @ a) + b * (1.0 - np.cos(x @ c))
+
+    return TestFunction(ev, a, b * np.outer(c, c), 1.0 + 2.0 * abs(b))
+
+
+@given(data=st.data(), alpha=unit(0.0, 1.0))
+def test_mixture_leaves_the_generator_unchanged(data, alpha):
+    uset, grid = data.draw(models())
+    assume(len(uset.scenarios) >= 2)
+    f = data.draw(probes(grid.dim))
+    a, b = uset.scenarios[:2]
+    hull = UncertaintySet(uset.scenarios + (mixture(a, b, alpha),))
+    want = g_operator(f, uset)
+    scale = max(abs(g_operator(f, UncertaintySet((s,)))) for s in (a, b)) + 1.0
+    assert abs(g_operator(f, hull) - want) <= 1e-13 * scale

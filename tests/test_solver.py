@@ -28,7 +28,14 @@ from glevy import (
 )
 from glevy.core import _covariance
 from glevy.errors import GLevyError, SolverError
-from glevy.solver import Workspace, _scenario_terms, build_stencil, check_march, march
+from glevy.solver import (
+    Workspace,
+    _scenario_terms,
+    build_stencil,
+    check_march,
+    march,
+    schedule,
+)
 
 
 def x1(x):
@@ -137,15 +144,15 @@ def test_march_allocates_no_array_per_step(monkeypatch):
 
     monkeypatch.setattr(Workspace, "__init__", probed)
     # the interpreter adapts the step loop to its calls over the first steps
-    march(u, stencil, dt_max, [20 * dt_max])
+    march(u, stencil, [(20, dt_max)])
     for n in (20, 200):
         seen[:] = 0, 0, 0, 0
         tracemalloc.start()
         try:
-            _, steps, _ = march(u, stencil, dt_max, [n * dt_max])
+            march(u, stencil, [(n, dt_max)])
         finally:
             tracemalloc.stop()
-        assert steps == seen[0] == n
+        assert seen[0] == n
         assert seen[1] < u.nbytes // 2
         assert seen[3] - seen[2] < 1024  # nothing a step allocates outlives it
 
@@ -277,9 +284,10 @@ def test_drift_and_jump_fill_negative_cross_neighbours():
     rng = np.random.default_rng(7)
     u = rng.standard_normal((50,) + grid.shape)
     v = u + rng.uniform(0.0, 1.0, u.shape) * (rng.uniform(size=u.shape) < 0.2)
-    (su,), steps, dt = march(u, stencil, dt_max, [dt_max])
-    (sv,), _, _ = march(v, stencil, dt_max, [dt_max])
-    assert steps == 1 and dt == dt_max
+    spans = schedule([dt_max], dt_max)
+    assert spans == [(1, dt_max)]
+    (su,) = march(u, stencil, spans)
+    (sv,) = march(v, stencil, spans)
     assert np.min(sv - su) >= -1e-12
     # without the fill the set is rejected
     bare = UncertaintySet((Scenario(drift=[0.0, 0.0], diffusion=q),))
@@ -329,10 +337,38 @@ def test_step_count_beyond_an_index_is_cfl_unsatisfiable():
     with pytest.raises(SolverError) as e:
         solve(phi, GPOISSON, grid, cfg)
     assert e.value.code == "CFL_UNSATISFIABLE"
-    stencil, dt_max = check_march(GPOISSON, grid, cfg)
+    dt_max = check_march(GPOISSON, grid, cfg)[1]
     with pytest.raises(SolverError) as e:
-        march(np.zeros(grid.shape), stencil, dt_max, [0.0, 1.0])
+        schedule([0.0, 1.0], dt_max)
+    assert e.value.code == "CFL_UNSATISFIABLE"
     assert e.value.message == f"span 1 needs more steps of {dt_max:.6g} than an index holds"
+
+
+def test_schedule_is_the_step_rule():
+    # max(1, ceil(span / dt_max - 1e-9)) equal steps per span: 0.9 / 0.3 is
+    # 3.0000000000000004, three steps, not four
+    assert schedule([0.1, 1.0], 0.3) == [(1, 0.1), (3, (1.0 - 0.1) / 3)]
+    assert schedule([2.0], math.inf) == [(1, 2.0)]
+    # a span of at most 1e-12 takes no step, and the next starts where the
+    # last step ended
+    assert schedule([0.0, 5e-13, 1.5e-12], 1.0) == [(0, 0.0), (0, 0.0), (1, 1.5e-12)]
+    assert schedule([0.5, 0.5 + 1e-12], 0.5) == [(1, 0.5), (0, 0.0)]
+
+
+def test_unreachable_horizon_is_refused_before_the_payoff():
+    # 2e300 steps of 0.5: the step count was found only after the payoff was
+    # sampled and the first span marched
+    sampled = []
+
+    def clipped(x):
+        sampled.append(x)
+        return np.clip(x1(x), -2.0, 2.0)
+
+    phi = Payoff(clipped, 2.0, 1.0)
+    cfg = SchemeConfig(cfl_safety=0.5, final_time=1e300)
+    with pytest.raises(SolverError) as e:
+        solve(phi, UNIT_JUMP, uniform_grid([-4.0], [8.0], 0.5), cfg, [0.5, 1e300])
+    assert e.value.code == "CFL_UNSATISFIABLE" and not sampled
 
 
 def test_overflowing_drift_is_cfl_unsatisfiable_without_warning():

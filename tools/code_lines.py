@@ -1,14 +1,17 @@
-"""Print the code lines of each glevy module and their total.
+"""Print the code lines of each glevy module and their total, or compare two trees.
 
-    python3 tools/code_lines.py [SRC]
+    python3 tools/code_lines.py [SRC [BASE]]
 
 reads every ``glevy/*.py`` under the source directory SRC (default ``src``
 of this checkout) and prints ``<module> <lines>`` per module, then
-``total <lines>``.  A code line holds at least one token that is not a
-comment: blank lines and comment lines are not counted, and neither are the
-lines of a module, class or function docstring, found by ``ast``.  A
-multi-line statement counts each of its lines.  The count reports only; no
-check reads it.
+``total <lines>``.  Given a second source directory BASE, it prints
+``<module> <base> <head> <delta>`` instead, SRC being the head: per module
+of either tree (0 lines where a tree has no such module), then the total,
+with the delta signed (``+3``, ``-2``, ``0``).  A code line holds at least
+one token that is not a comment: blank lines and comment lines are not
+counted, and neither are the lines of a module, class or function
+docstring, found by ``ast``.  A multi-line statement counts each of its
+lines.  The count reports only; no check reads it.
 """
 
 from __future__ import annotations
@@ -58,20 +61,34 @@ def code_lines(text: str) -> int:
     return len(lines - docstring_lines(ast.parse(text)))
 
 
+def module_lines(src: str | Path) -> dict[str, int] | None:
+    """Each module's code lines under ``src``, None if it holds no glevy module."""
+    modules = sorted((Path(src) / "glevy").glob("*.py"))
+    if not modules:
+        print(f"no glevy modules under {Path(src) / 'glevy'}", file=sys.stderr)
+        return None
+    return {path.stem: code_lines(path.read_text(encoding="utf-8")) for path in modules}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) > 1:
+    if len(args) > 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    package = Path(args[0] if args else ROOT / "src") / "glevy"
-    modules = sorted(package.glob("*.py"))
-    if not modules:
-        print(f"no glevy modules under {package}", file=sys.stderr)
+    trees = [module_lines(src) for src in args or [ROOT / "src"]]
+    if None in trees:
         return 1
-    counts = {path.stem: code_lines(path.read_text(encoding="utf-8")) for path in modules}
-    counts["total"] = sum(counts.values())
+    if len(trees) == 1:
+        (counts,) = trees
+        lines = [f"{name} {count}" for name, count in counts.items()]
+        lines.append(f"total {sum(counts.values())}")
+    else:
+        head, base = trees
+        rows = [(name, base.get(name, 0), head.get(name, 0)) for name in sorted(head | base)]
+        rows.append(("total", sum(base.values()), sum(head.values())))
+        lines = [f"{name} {b} {h} {f'{h - b:+d}' if h - b else 0}" for name, b, h in rows]
     try:
-        sys.stdout.write("".join(f"{name} {count}\n" for name, count in counts.items()))
+        sys.stdout.write("".join(line + "\n" for line in lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (e.g. head); not an error of ours
