@@ -162,9 +162,11 @@ def _number(kv, key, rule=None, default=None, kind=float):
     A library range ``rule`` then reads the value, named by the key's last
     part, with its message under the key, as :func:`_checked` relabels it.
     """
-    if key not in kv and default is not None:
-        return default
-    text = _take(kv, key)
+    text = kv.pop(key, None)
+    if text is None:
+        if default is not None:
+            return default
+        raise _bad(key, "required key is missing")
     try:
         value = kind(text)
     except ValueError:
@@ -274,8 +276,9 @@ def _quadratic_clip(kv):
     def square(x):
         x = np.asarray(x, dtype=float)
         # scale * s is scale for a zero scale and every finite s >= 0; so it
-        # is where the square overflows too, not 0 * inf = nan
-        return scale * (x**2).sum(axis=-1) if scale else np.full(x.shape[:-1], scale)
+        # is where the square overflows too, not 0 * inf = nan.  x * x is
+        # x**2 and add.reduce is sum, bit for bit, without their wrappers
+        return scale * np.add.reduce(x * x, -1) if scale else np.full(x.shape[:-1], scale)
 
     pay = _checked(
         "payoff.clip",
@@ -353,7 +356,8 @@ def _build_scenarios(kv, dim: int) -> UncertaintySet:
         if fields == (None, None, None):
             break
         texts.append(fields)
-    gaps = list(filter(None, map(_SCENARIO_KEY.match, kv)))
+    # only a scenario. key can match: the pattern reads no other
+    gaps = [m for m in map(_SCENARIO_KEY.match, [k for k in kv if k[:9] == "scenario."]) if m]
     if gaps:
         last = max(int(m[1]) for m in gaps)
         raise _bad(f"scenario.{last}", "scenario indices must be 0..k without gaps")
@@ -495,6 +499,23 @@ def _read_generator(kv):
     return partial(_value, small_time_quotient, payoff, uset, delta, grid, scheme)
 
 
+def _increment_sum(arr, m: int, dim: int):
+    """The sum of the ``m`` increments of ``dim`` coordinates each in the last axis of ``arr``.
+
+    ``.sum(axis=-2)`` of the increments as an (..., m, dim) array, bit for
+    bit.  numpy sums an axis of fewer than 8 entries in order from +0.0, so
+    there the increments are added to 0.0 column by column, one ``add``
+    each, without the reduction's set-up (the 0.0 turns a sum of -0.0s into
+    0.0, as numpy's does); from 8 on it may sum pairwise, and it sums.
+    """
+    if m < 8:
+        total = arr[..., :dim] + 0.0
+        for k in range(dim, m * dim, dim):
+            total += arr[..., k : k + dim]
+        return total
+    return arr.reshape(arr.shape[:-1] + (m, dim)).sum(axis=-2)
+
+
 def _read_expect(kv):
     dim = _read_dim(kv)
     scheme = _build_scheme(kv, horizon=False)
@@ -505,9 +526,7 @@ def _read_expect(kv):
     times = _numbers("times", _take(kv, "times"))
 
     def summed(args):
-        arr = np.asarray(args, dtype=float)
-        lead = arr.shape[:-1]
-        return payoff.eval(arr.reshape(lead + (len(times), dim)).sum(axis=-2))
+        return payoff.eval(_increment_sum(np.asarray(args, dtype=float), len(times), dim))
 
     # the payoff and dim are valid: only the times can fail here
     xi = _checked("times", CylinderFunctional, times, summed, payoff.bound, payoff.lipschitz, dim)
@@ -545,8 +564,11 @@ def parse_config(text: str) -> Job:
 def _read_pairs(text: str) -> dict[str, str]:
     """The ``key = value`` pairs of a config document, in file order."""
     kv: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        key, eq, value = raw.partition("#")[0].partition("=")
+    lines = text.splitlines()
+    if "#" in text:  # a text without comments keeps its lines as they are
+        lines = [raw.partition("#")[0] for raw in lines]
+    for lineno, line in enumerate(lines, start=1):
+        key, eq, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key and value and key not in kv:
             kv[key] = value

@@ -51,7 +51,7 @@ SNAP_TOL = 1e-9
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
+    arr.setflags(False)  # write=False: a keyword costs the call twice over
     return arr
 
 
@@ -76,7 +76,7 @@ def vector_norm(v) -> float:
         return math.sqrt(np.dot(v, v))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Scenario:
     """One jump-diffusion triplet (nu, q, Q).
 
@@ -110,15 +110,15 @@ class Scenario:
     drift: np.ndarray = 0.0
     diffusion: np.ndarray = 0.0
 
-    def __post_init__(self):
-        drift, q = _array("drift", self.drift, 1, kept=True)
+    def __init__(self, atoms=(), drift=0.0, diffusion=0.0):
+        drift, q = _array("drift", drift, 1, kept=True)
         d = len(q)
         if d == 0:
             raise ValidationError("BAD_SHAPE", "drift must have at least one component")
-        diff, factor = _array("diffusion", self.diffusion, (d, d), kept=True)
+        diff, factor = _array("diffusion", diffusion, (d, d), kept=True)
 
-        atoms, jumps, rates, norms = [], [], [], []
-        for entry in _sequence("atoms", self.atoms):
+        pairs, jumps, rates, norms = [], [], [], []
+        for entry in _sequence("atoms", atoms):
             try:
                 z, w = entry
             except (TypeError, ValueError):
@@ -131,7 +131,7 @@ class Scenario:
                 raise ValidationError("NEGATIVE_RATE", f"atom rate {w} is negative")
             if not any(jump):
                 raise ValidationError("ZERO_JUMP", "atom jump vector is zero")
-            atoms.append((z, w))
+            pairs.append((z, w))
             jumps.append(tuple(jump))
             rates.append(w)
             norms.append(vector_norm(jump))
@@ -146,7 +146,7 @@ class Scenario:
                 total = float(np.add.reduce(rates))
         # the fields and the floats kept from validation, set once on the frozen instance
         self.__dict__.update(
-            atoms=tuple(atoms),
+            atoms=tuple(pairs),
             drift=drift,
             diffusion=diff,
             q=tuple(q),
@@ -193,7 +193,7 @@ def _spectral_norm(s: Scenario) -> float:
     return float(np.linalg.norm(s.diffusion, 2)) if any(entries) else 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class UncertaintySet:
     """Finite, non-empty family of scenarios with a common dimension.
 
@@ -202,8 +202,8 @@ class UncertaintySet:
 
     scenarios: tuple[Scenario, ...]
 
-    def __post_init__(self):
-        scen = _sequence("scenarios", self.scenarios)
+    def __init__(self, scenarios):
+        scen = _sequence("scenarios", scenarios)
         if len(scen) == 0:
             raise ValidationError("EMPTY_SET", "uncertainty set has no scenarios")
         dims = {s.dim if isinstance(s, Scenario) else None for s in scen}
@@ -211,7 +211,7 @@ class UncertaintySet:
             raise ValidationError("BAD_SHAPE", "uncertainty set entries must be Scenarios")
         if len(dims) != 1:
             raise ValidationError("BAD_SHAPE", f"scenario dimensions differ: {sorted(dims)}")
-        object.__setattr__(self, "scenarios", scen)
+        self.__dict__["scenarios"] = scen
 
     @property
     def dim(self) -> int:
@@ -288,7 +288,7 @@ class Payoff:
         object.__setattr__(self, "lipschitz", _constant("payoff lipschitz", L))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridSpec:
     """Uniform tensor grid: ``points[i]`` nodes from ``lower[i]`` to ``upper[i]``, on d >= 1 axes.
 
@@ -316,21 +316,22 @@ class GridSpec:
     upper: np.ndarray
     points: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, lower, upper, points):
+        given = points
         try:
-            points = np.array(self.points, ndmin=1)
+            points = np.array(given, ndmin=1)
         except ValueError:
             raise ValidationError("BAD_SHAPE", "grid points is a ragged sequence") from None
-        counts = points.ravel().tolist()
+        counts = (points if points.ndim == 1 else points.ravel()).tolist()
         if points.dtype.kind == "f" and all(math.isfinite(p) and p == math.floor(p) for p in counts):
             # exact Python ints, a count beyond int64 included: _fits refuses it below
             counts = list(map(int, counts))
         elif points.dtype.kind not in "iu":
-            raise ValidationError("BAD_SHAPE", f"grid points {self.points!r} must be integers")
+            raise ValidationError("BAD_SHAPE", f"grid points {given!r} must be integers")
         if points.ndim != 1:
             raise ValidationError("BAD_SHAPE", "grid points must be a vector")
-        lower, lo = _array("grid lower", self.lower, points.shape, kept=True)
-        upper, hi = _array("grid upper", self.upper, points.shape, kept=True)
+        lower, lo = _array("grid lower", lower, points.shape, kept=True)
+        upper, hi = _array("grid upper", upper, points.shape, kept=True)
         if not lo:
             raise ValidationError("BAD_SHAPE", "grid needs at least one axis")
         if not all(map(operator.lt, lo, hi)):
@@ -555,10 +556,10 @@ def _array(what: str, value, shape=None, finite: bool = True, kept: bool = False
             raise ValidationError("BAD_SHAPE", f"{what} has shape {arr.shape}, not {want}")
         arr = arr.reshape(one)
     if kept:
-        entries = arr.ravel().tolist()
+        entries = (arr if arr.ndim == 1 else arr.ravel()).tolist()
         if not all(map(math.isfinite, entries)):
             raise ValidationError("NON_FINITE", f"{what} contains a non-finite entry")
-        arr.setflags(write=False)
+        arr.setflags(False)
         return arr, entries
     if finite:
         _require_finite(arr, what)
@@ -573,7 +574,7 @@ def _sequence(what: str, value) -> tuple:
         raise ValidationError("BAD_SHAPE", f"{what} {value!r} is not a sequence") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SchemeConfig:
     """Explicit-scheme parameters.
 
@@ -588,11 +589,12 @@ class SchemeConfig:
     cfl_safety: float = 0.9
     final_time: float = 1.0
 
-    def __post_init__(self):
+    def __init__(self, cfl_safety=0.9, final_time=1.0):
         # both types before either range
-        cfl, final = _real("cfl_safety", self.cfl_safety), _real("final_time", self.final_time)
-        object.__setattr__(self, "cfl_safety", _cfl_safety("cfl_safety", cfl))
-        object.__setattr__(self, "final_time", _horizon("final_time", final))
+        cfl, final = _real("cfl_safety", cfl_safety), _real("final_time", final_time)
+        self.__dict__.update(
+            cfl_safety=_cfl_safety("cfl_safety", cfl), final_time=_horizon("final_time", final)
+        )
 
 
 def interpolate(g: GridFunction, x) -> float | np.ndarray:
@@ -699,6 +701,10 @@ def pads_origin(grid: GridSpec, pad: float, lo=None, hi=None) -> bool:
     origin, which the engine reads; a solve passes the corners of its
     evaluation points.
     """
+    if lo is None and hi is None:
+        # at the origin 0.0 - pad + 1e-12 is 1e-12 - pad, and 0.0 + pad - 1e-12
+        # is pad - 1e-12, bit for bit: one comparison per side
+        return max(grid.lo) <= 1e-12 - pad and min(grid.hi) >= pad - 1e-12
     origin = (0.0,) * grid.dim
     return all(
         g <= a - pad + 1e-12 for g, a in zip(grid.lo, origin if lo is None else lo)

@@ -73,7 +73,7 @@ BLOCK_ELEMENTS = 1 << 14
 _ZERO = np.array(0.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CylinderFunctional:
     """phi(D_1, ..., D_m) of m increments, each of dimension ``dim``.
 
@@ -95,8 +95,8 @@ class CylinderFunctional:
     lipschitz: float | None = None
     dim: int = 1
 
-    def __post_init__(self):
-        times = tuple([_real("time", t) for t in _sequence("times", self.times)])
+    def __init__(self, times, payoff, bound=None, lipschitz=None, dim=1):
+        times = tuple([_real("time", t) for t in _sequence("times", times)])
         if len(times) == 0:
             raise ValidationError("BAD_SHAPE", "need at least one time")
         if not all(map(math.isfinite, times)):
@@ -105,10 +105,10 @@ class CylinderFunctional:
             raise ValidationError("BAD_SHAPE", "times must be strictly increasing and positive")
         # a validated Payoff as it is, or a callable payoff (BAD_SHAPE) with a
         # valid bound and Lipschitz constant (NON_FINITE)
-        phi = self.payoff
+        phi = payoff
         if not isinstance(phi, Payoff):
-            phi = Payoff(phi, self.bound, self.lipschitz)
-        dim = _count("dim", self.dim)
+            phi = Payoff(phi, bound, lipschitz)
+        dim = _count("dim", dim)
         # the fields and the payoff kept from validation, set once on the frozen instance
         self.__dict__.update(
             times=times, payoff=phi.eval, bound=phi.bound, lipschitz=phi.lipschitz, dim=dim, phi=phi
@@ -240,7 +240,7 @@ def _integrate_levels(
     # each increment's shape on the stride its march uses, which the budget
     # and the blocks read
     shapes = [
-        tuple((n - 1) // s + 1 for n, s in zip(g.shape, st)) for g, st in zip(var_grids, strides)
+        tuple([(n - 1) // s + 1 for n, s in zip(g.shape, st)]) for g, st in zip(var_grids, strides)
     ]
     # node counts as floats, which compare and format at any size: level m
     # freezes m - 1 increments, marches all m
@@ -254,8 +254,15 @@ def _integrate_levels(
         raise EngineError(
             "DIMENSION_OVERFLOW", f"level {m} marches {marched:.6g} nodes > budget {node_budget}"
         )
-    # each marched level's steps over its horizon, before the first payoff sample
-    spans = {k: schedule([horizons[k]], setups[var_grids[k]][1]) for k in range(stop_at, m)}
+    # each marched level's steps over its horizon, before the first payoff
+    # sample: level k + 1 updates every node of the first k + 1 increments
+    # by each merged term
+    spans, level_nodes = {}, 1.0
+    for k, shape in enumerate(shapes):
+        level_nodes *= math.prod(map(float, shape))
+        if k >= stop_at:
+            stencil, dt_max = setups[var_grids[k]][:2]
+            spans[k] = schedule([horizons[k]], dt_max, level_nodes * sum(map(len, stencil.terms)))
     # the first level's coordinate axes in increment order, the last d its
     # y-axes: each grid's axes on each stride it is marched on, built once
     axes = {key: key[0].axes(key[1]) for key in dict.fromkeys(zip(var_grids, strides))}

@@ -122,6 +122,12 @@ from .core import (
 )
 from .errors import SolverError, ValidationError
 
+# The most node-term updates (nodes times merged terms, per step) one march
+# may take: about 140 times solve-2d's 40 401 nodes, 30 terms and 229 steps.
+# A longer march, such as a horizon of 1e9 on a unit jump, is refused before
+# any array is built instead of spinning for hours.
+MAX_UPDATES = 4e10
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -164,8 +170,12 @@ def _atom_stencil(
     return [(w, off) for w, off in terms if w != 0.0]
 
 
-def _unit(d: int, axis: int, step: int) -> tuple[int, ...]:
-    return (0,) * axis + (step,) + (0,) * (d - 1 - axis)
+def _units(d: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each axis' unit offsets, (+1, -1) on it and 0 elsewhere, of ``d`` axes."""
+    return [
+        ((0,) * i + (1,) + (0,) * (d - 1 - i), (0,) * i + (-1,) + (0,) * (d - 1 - i))
+        for i in range(d)
+    ]
 
 
 def _square(x: float) -> float:
@@ -191,27 +201,35 @@ def _quotient(x: float, y: float) -> float:
     return math.inf if x else math.nan
 
 
-def _scenario_terms(s: Scenario, h: Sequence[float]) -> list[tuple[float, tuple[int, ...]]]:
+def _scenario_terms(
+    s: Scenario, h: Sequence[float], units=None
+) -> list[tuple[float, tuple[int, ...]]]:
     """The scenario's (c, o) terms in formula order: jumps, drift, diffusion, cross.
 
-    ``h`` is the spacing, one float per axis (:attr:`GridSpec.h`).  Terms
-    that share an offset are kept apart here; :func:`build_stencil` sums
-    them in this order.  An inert scenario gets one zero term, so every
-    scenario has a first term.  Coefficients are Python floats, which
-    overflow to inf and sum infinities to nan without a numpy warning, so
-    that :func:`check_march` rejects them with its own code.
+    ``h`` is the spacing, one float per axis (:attr:`GridSpec.h`), and
+    ``units`` are :func:`_units` of its axes, which :func:`build_stencil`
+    builds once for all its scenarios.  Terms that share an offset are kept
+    apart here; :func:`build_stencil` sums them in this order.  An inert
+    scenario gets one zero term, so every scenario has a first term.
+    Coefficients are Python floats, which overflow to inf and sum infinities
+    to nan without a numpy warning, so that :func:`check_march` rejects them
+    with its own code.
     """
     d = len(h)
+    units = units or _units(d)
     terms = [(w * c, off) for z, w in zip(s.jumps, s.rates) for c, off in _atom_stencil(z, h)]
     for i, qi in enumerate(s.q):
-        if qi != 0.0:
-            terms.append((abs(qi) / h[i], _unit(d, i, 1 if qi > 0.0 else -1)))
-    a = _covariance(s) if s.diffusive else []  # no rows, no terms
-    for i in range(len(a)):
-        if a[i][i] != 0.0:
-            c = _quotient(0.5 * a[i][i], _square(h[i]))
-            terms += [(c, _unit(d, i, +1)), (c, _unit(d, i, -1))]
-    for i in range(len(a)):
+        if qi != 0.0:  # finite: not positive is negative
+            terms.append((abs(qi) / h[i], units[i][qi < 0.0]))
+    if not any(s.factor):  # no diffusion, no terms
+        return terms or [(0.0, (0,) * d)]
+    a = _covariance(s)
+    for i, row in enumerate(a):
+        if row[i] != 0.0:
+            c = _quotient(0.5 * row[i], _square(h[i]))
+            up, down = units[i]
+            terms += [(c, up), (c, down)]
+    for i in range(d - 1):
         for j in range(i + 1, d):
             if a[i][j] == 0.0:
                 continue
@@ -219,7 +237,7 @@ def _scenario_terms(s: Scenario, h: Sequence[float]) -> list[tuple[float, tuple[
             corner = [0] * d
             corner[i], corner[j] = 1, 1 if a[i][j] > 0.0 else -1
             terms += [(c, tuple(corner)), (c, tuple(-o for o in corner))]
-            terms += [(-c, _unit(d, k, step)) for k in (i, j) for step in (+1, -1)]
+            terms += [(-c, unit) for k in (i, j) for unit in units[k]]
     return terms or [(0.0, (0,) * d)]
 
 
@@ -255,11 +273,12 @@ class Stencil(NamedTuple):
 def build_stencil(scenarios: Sequence[Scenario], spec: GridSpec) -> Stencil:
     """Each scenario's terms at ``spec.h``, merged per offset (see :class:`Stencil`)."""
     where, terms = {}, []  # where: each distinct offset's index, in first-seen order
+    units = _units(len(spec.h))
     for s in scenarios:
         coef = {}
-        for c, off in _scenario_terms(s, spec.h):
+        for c, off in _scenario_terms(s, spec.h, units):
             coef[off] = coef[off] + c if off in coef else c
-        terms.append(tuple((c, where.setdefault(off, len(where))) for off, c in coef.items()))
+        terms.append(tuple([(c, where.setdefault(off, len(where))) for off, c in coef.items()]))
     return Stencil(tuple(where), tuple(terms))
 
 
@@ -298,12 +317,32 @@ class Workspace:
         strides = [*itertools.accumulate(pshape[: len(lead) : -1], operator.mul, initial=1)][::-1]
         head = sum(map(operator.mul, los, strides))
         stop = size - sum(map(operator.mul, his, strides))
+        # where each scenario takes its first difference: None into its own
+        # sum, else into tmp, True where it is taken there and False where tmp
+        # holds it already.  A single-term scenario followed by a scenario whose
+        # first term has the same offset takes it into tmp, which nothing writes
+        # until the next scenario of several terms.  acc, the sum of a scenario
+        # after the first, is carved only where a call reads or writes it: not
+        # where each later scenario is one unit term in tmp (the intensity band)
+        terms, held, firsts, sums = stencil.terms, None, [], False
+        for i, ((c, k), *rest) in enumerate(terms):
+            if k == held:
+                first = False
+            elif not rest and i + 1 < len(terms) and terms[i + 1][0][1] == k:
+                first, held = True, k
+            else:
+                first = None
+            if rest:
+                held = None
+            firsts.append(first)
+            if i and (rest or c != 1.0 or first is None):
+                sums = True
         # one block, each band 64-byte aligned (an unaligned store splits cache
-        # lines): the state, out, acc and tmp, each length rounded up to 8
+        # lines): the state, out, any acc and tmp, each length rounded up to 8
         # floats
         band = stop - head
         whole, part = size + -size % 8, band + -band % 8
-        mem = np.empty(2 * whole + 2 * part + head + 8)
+        mem = np.empty(2 * whole + (1 + sums) * part + head + 8)
         at = -(ctypes.addressof(ctypes.c_char.from_buffer(mem)) // 8 + head) % 8
         flat, out = mem[at : at + size], mem[at + whole + head : at + whole + stop]
         interior = (..., *map(slice, los, map(operator.add, los, shape)))
@@ -311,7 +350,9 @@ class Workspace:
         self.out = mem[at + whole : at + whole + size].reshape(pshape)[interior]
         self.u[...] = values
         at += head + 2 * whole  # the state's band start, two states on
-        self._acc, self._tmp = mem[at : at + band], mem[at + part : at + part + band]
+        acc = self._acc = mem[at : at + band] if sums else None
+        at += sums * part
+        tmp = self._tmp = mem[at : at + band]
         # run in order, the edge copies clamp-extend the state.  Each is a
         # copy between two views of the flat state with every axis of length
         # 1 squeezed out, the axes before and after this one's range merged:
@@ -323,22 +364,18 @@ class Workspace:
             for a, b, src in ((0, lo, lo), (lo + n, lo + n + hi, lo + n - 1)):
                 if b > a:
                     calls.append(partial(v[a:b].squeeze().__setitem__, ..., v[src].squeeze()))
-        u, acc, tmp = flat[head:stop], self._acc, self._tmp
-        self._band, self._out = u, out
+        u = self._band = flat[head:stop]
+        self._out = out
         shifts = [sum(map(operator.mul, o, strides)) for o in offsets]
         windows = [flat[head + k : stop + k] for k in shifts]
         sub, mul = np.subtract, np.multiply
-        terms, held = stencil.terms, None  # held: the offset whose difference tmp holds
         for i, ((c, k), *rest) in enumerate(terms):
-            dst = acc if i else out
-            if k == held:
-                src = tmp
-            elif not rest and i + 1 < len(terms) and terms[i + 1][0][1] == k:
-                calls.append(partial(sub, windows[k], u, tmp))
-                src, held = tmp, k
-            else:
+            dst, src = acc if i else out, tmp
+            if firsts[i] is None:
                 calls.append(partial(sub, windows[k], u, dst))
                 src = dst
+            elif firsts[i]:
+                calls.append(partial(sub, windows[k], u, tmp))
             # 1.0 * d is d, bit for bit: a unit coefficient forms no product
             # unless the product is what moves the difference into out, or
             # into acc ahead of further terms
@@ -346,7 +383,7 @@ class Workspace:
                 calls.append(partial(mul, src, np.array(c), dst))
                 src = dst
             if rest:
-                gather, held = partial(np.add, dst, tmp, dst), None
+                gather = partial(np.add, dst, tmp, dst)
                 for c, k in rest:
                     calls.append(partial(sub, windows[k], u, tmp))
                     if c != 1.0:
@@ -401,7 +438,7 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tupl
     stencil = build_stencil(uset.scenarios, grid)
     worst = 0.0
     for i, terms in enumerate(stencil.terms):
-        row = sum(c for c, _ in terms)
+        row = sum([c for c, _ in terms])
         c, k = min(terms)
         if c < -EPSILON * row:
             raise SolverError(
@@ -417,18 +454,20 @@ def check_march(uset: UncertaintySet, grid: GridSpec, cfg: SchemeConfig) -> tupl
     return stencil, dt
 
 
-def schedule(times, dt_max: float) -> list[tuple[int, float]]:
+def schedule(times, dt_max: float, per_step=1) -> list[tuple[int, float]]:
     """Each span's (steps, step) from 0 through the sorted ``times``, at most ``dt_max`` a step.
 
     ``dt_max`` is the step bound of :func:`check_march`.  A span of more than
     1e-12 takes max(1, ceil(span / dt_max - 1e-9)) equal steps that end on
     its time; a shorter one takes none, (0, 0.0), and the next span starts
     where the last step ended.  A span that needs more steps than an index
-    holds raises CFL_UNSATISFIABLE.  This is the one home of the step rule:
-    :func:`solve` and each engine level build their schedule before any
-    array, and :func:`march` runs it.
+    holds raises CFL_UNSATISFIABLE, and so does a march whose steps times
+    ``per_step``, the node-term updates of one step (nodes times merged
+    terms), exceed :data:`MAX_UPDATES`.  This is the one home of the step
+    rule: :func:`solve` and each engine level build their schedule before
+    any array, and :func:`march` runs it.
     """
-    spans, t = [], 0.0
+    spans, t, total = [], 0.0, 0
     for target in times:
         span, n, dt = float(target) - t, 0, 0.0
         if span > EPSILON:
@@ -441,7 +480,14 @@ def schedule(times, dt_max: float) -> list[tuple[int, float]]:
                 )
             n = max(1, math.ceil(cells))
             dt, t = span / n, float(target)
+            total += n
         spans.append((n, dt))
+    if total * per_step > MAX_UPDATES:
+        raise SolverError(
+            "CFL_UNSATISFIABLE",
+            f"march of {total} steps takes {total * per_step:.6g} node-term updates"
+            f" > budget {MAX_UPDATES:.6g}",
+        )
     return spans
 
 
@@ -531,7 +577,7 @@ def solve(
             "TIME_RANGE", f"output times must lie in [0, {cfg.final_time}]"
         )
     stencil, dt_max = check_march(uset, grid, cfg)
-    spans = schedule(times, dt_max)
+    spans = schedule(times, dt_max, math.prod(grid.shape) * sum(map(len, stencil.terms)))
     snapshots = march(sample_payoff(phi, grid), stencil, spans)
     snapshots = tuple(GridFunction(grid, v, float(t)) for v, t in zip(snapshots, times))
     steps, dts = zip(*spans)

@@ -3,7 +3,9 @@
 import itertools
 import math
 import re
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from glevy import (
     uniform_grid,
     validate_uncertainty_set,
 )
-from glevy import checks, cli
+from glevy import checks, cli, solver
 from glevy.cli import _solve_csv, main, parse_config, run
 from glevy.errors import ConfigError, GLevyError
 from glevy.generator import TestFunction
@@ -107,6 +109,62 @@ def test_step_count_beyond_an_index_is_a_coded_error(text, capsys, tmp_path):
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[CFL_UNSATISFIABLE] ") and "Traceback" not in err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # one unit jump pads any horizon: only the work refuses 1e9 steps of 0.9
+        SOLVE_CFG.replace("scenario.0.atoms = 1:0.5\nscenario.1", "scenario.0")
+        .replace("grid.spacing = 0.1", "grid.spacing = 0.25")
+        .replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = 0.9")
+        .replace("scheme.final_time = 1", "scheme.final_time = 1e9")
+        .replace("output_times = 0.5, 1", "output_times = 1e9"),
+        (CONFIGS / "expect.cfg").read_text().replace("= 0.02", "= 1e-9"),
+        "command = generator\ndim = 1\nscenario.0.atoms = 1:0.5\nscenario.0.drift = 0.3\n"
+        "scenario.0.diffusion = 0.4\ngrid.lower = -4\ngrid.upper = 4\ngrid.points = 81\n"
+        "delta = 0.05\nscheme.cfl_safety = 1e-9\npayoff = clip-linear\n",
+    ],
+    ids=["solve", "expect", "generator"],
+)
+def test_march_beyond_the_work_budget_is_refused_at_once(text, capsys, tmp_path):
+    # each of these marched for hours; the step count fits an index
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text)
+    start = time.perf_counter()
+    assert main(["--config", str(cfg)]) == 1
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[CFL_UNSATISFIABLE] march of ")
+
+
+def test_grid_beyond_the_work_budget_samples_no_payoff(monkeypatch, capsys, tmp_path):
+    # 6e10 nodes fit an index; sampling them would ask for 447 GiB
+    def refuse(*args):
+        raise AssertionError("the payoff was sampled")
+
+    monkeypatch.setattr(solver, "sample_payoff", refuse)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text((CONFIGS / "solve_gpoisson.cfg").read_text().replace("= 0.05", "= 1e-9"))
+    assert main(["--config", str(cfg)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[CFL_UNSATISFIABLE] march of ")
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_increment_sum_has_the_bits_of_numpy_sum(m, dim):
+    # column by column below 8 increments, numpy's reduction from 8 on
+    rng = np.random.default_rng(100 * m + dim)
+    shape = (4, 5, m * dim)
+    arr = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    arr[0, 0] = -0.0
+    got = cli._increment_sum(arr, m, dim)
+    want = arr.reshape(4, 5, m, dim).sum(axis=-2)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_empty_eval_x_rejected(capsys, tmp_path):

@@ -13,8 +13,10 @@ Any other exception fails the test, a numpy warning included (the suite turns
 RuntimeWarning into an error).  Each config's outcomes are pinned too: one
 sha256 over every mutation's name, exit status and first stderr line, in
 ``DIGESTS``, so a reader rewrite cannot move a code or a message unseen.
-Values that make a march take hours, such as a pinned ``expect`` with
-``times = 1e9``, are not among ``VALUES``: nothing bounds a march's work yet.
+A march of more work than ``glevy.solver.MAX_UPDATES`` node-term updates,
+such as a pinned ``expect`` with ``times = 1e9``, is refused before it
+starts (CFL_UNSATISFIABLE; ``tests/test_cli.py`` runs such jobs); such values
+are not among ``VALUES``, whose digests predate the budget.
 """
 
 import contextlib

@@ -15,7 +15,7 @@ in that order, the max over scenarios in order.
 import math
 
 import numpy as np
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from glevy import (
@@ -31,6 +31,7 @@ from glevy import (
     g_operator,
     min_padding,
     series_solution,
+    small_time_quotient,
     solve,
     uniform_grid,
     validate_uncertainty_set,
@@ -274,10 +275,20 @@ def test_unit_coefficients_form_no_product():
 
 @given(model=models(), lead=LEADS)
 def test_workspace_bands_are_64_byte_aligned(model, lead):
+    # acc is carved only where a call reads or writes it
     uset, grid = model
     work = Workspace(build_stencil(uset.scenarios, grid), np.zeros(lead + grid.shape))
+    used = {id(a) for call in work.calls for a in getattr(call, "args", ())}
+    assert (work._acc is not None) == (id(work._acc) in used)
     for band in (work._band, work._out, work._acc, work._tmp):
-        assert band.ctypes.data % 64 == 0
+        assert band is None or band.ctypes.data % 64 == 0
+
+
+def test_intensity_band_carves_no_acc():
+    # the unit scenario reads the difference tmp holds: no call needs acc
+    uset = GPoissonSpec(0.37).uncertainty_set()
+    work = Workspace(build_stencil(uset.scenarios, GridSpec([0.0], [4.0], [5])), np.arange(5.0))
+    assert work._acc is None and work._tmp.ctypes.data % 64 == 0
 
 
 @given(model=MODELS, lead=LEADS, seed=SEEDS, horizon=unit(0.01, 0.2))
@@ -609,3 +620,46 @@ def test_mixture_leaves_the_generator_unchanged(data, alpha):
     want = g_operator(f, uset)
     scale = max(abs(g_operator(f, UncertaintySet((s,)))) for s in (a, b)) + 1.0
     assert abs(g_operator(f, hull) - want) <= 1e-13 * scale
+
+
+@st.composite
+def same_sign_pairs(draw):
+    """Two 1-D scenarios, drifts of one sign, atoms on and off the 0.1 lattice, diffusion."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+
+    def one():
+        atoms = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                z = 0.1 * draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            else:
+                z = draw(unit(-1.0, 1.0))
+                assume(abs(z) >= 0.05)
+            atoms.append(((z,), draw(unit(0.05, 1.5))))
+        return Scenario(tuple(atoms), [sign * draw(unit(0.0, 1.0))], [[draw(unit(0.0, 0.5))]])
+
+    return one(), one()
+
+
+# phi(a, b) of the two increments: smooth, bounded by 1.5, with gradient norm below 1.2
+TWO_INCREMENTS = Payoff(
+    eval=lambda x: np.clip(np.sin(np.asarray(x)[..., 0]) + 0.5 * np.asarray(x)[..., 1], -1.5, 1.5),
+    bound=1.5,
+    lipschitz=1.2,
+)
+
+
+@settings(max_examples=10)
+@given(pair=same_sign_pairs(), alpha=unit(0.0, 1.0))
+def test_same_sign_mixture_leaves_the_engine_and_the_quotient_unchanged(pair, alpha):
+    # each merged coefficient of the mixture is the alpha-mixture of the two
+    # scenarios' coefficients at the same offset, so its step never beats both
+    both = UncertaintySet(pair)
+    hull = UncertaintySet(pair + (mixture(*pair, alpha),))
+    grid = uniform_grid([-4.0], [4.0], 0.1)
+    cfg = SchemeConfig(cfl_safety=0.5)
+    xi = CylinderFunctional((0.25, 0.5), TWO_INCREMENTS, dim=1)
+    want = expectation(xi, both, cfg, var_grids=[grid, grid])
+    assert abs(expectation(xi, hull, cfg, var_grids=[grid, grid]) - want) <= 1e-12
+    want = small_time_quotient(SINE, both, 0.05, grid, cfg)
+    assert abs(small_time_quotient(SINE, hull, 0.05, grid, cfg) - want) <= 1e-12

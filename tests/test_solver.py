@@ -161,7 +161,11 @@ def test_step_calls_leave_no_block_in_a_free_list():
     # a block freed into one of the interpreter's free lists stays live to
     # tracemalloc: a call that allocated one per step (a partial copies its
     # keywords into a new dict) grew a march by a block a step until the list
-    # was full, so the check above passed or failed with the tests before it
+    # was full, so the check above passed or failed with the tests before it.
+    # The tracer's own result tuple and a call's argument tuple may each move
+    # one block into an empty free list, as the tests before leave it; so the
+    # tracer is read once and the call made ten times before growth is read
+    # over ten more calls, where a block a step still shows
     grid = uniform_grid([-1.0], [1.0], 0.25)
     uset = validate_uncertainty_set([(((1.0, 0.5),), 0.3, 0.4), (((-0.7, 1.0),), -0.2, 0.5)])
     work = Workspace(check_march(uset, grid, SchemeConfig())[0], np.cos(grid.axes()[0]))
@@ -170,6 +174,9 @@ def test_step_calls_leave_no_block_in_a_free_list():
         held = [{"key": i} for i in range(200)]  # empties the small-dict free lists
         tracemalloc.start()
         try:
+            tracemalloc.get_traced_memory()
+            for _ in range(10):
+                call()
             live = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
                 call()

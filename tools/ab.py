@@ -1,6 +1,6 @@
 """Time two glevy source trees against each other, job by job, on the benchmark's jobs.
 
-    python3 tools/ab.py BASE [HEAD] [--seconds S] [--seed N] [--workload W ...]
+    python3 tools/ab.py BASE [HEAD] [--seconds S] [--seed N] [--workload W ...] [--json PATH]
 
 times the jobs in two fresh child interpreters in turn.  Each imports glevy
 three times under other package names: from the source directory BASE (for
@@ -47,6 +47,13 @@ the wall time until then.  A ``peak_mb`` interpreter then also runs pass 0
 and reports its peak resident memory (``VmHWM`` of ``/proc/self/status``).
 Each kind runs rounds until ``--seconds`` have elapsed, at least one round;
 its CPU columns are the interpreter's whole CPU time.
+
+With ``--json PATH`` the same numbers also go to PATH, one JSON document:
+``machine`` (Python and numpy versions, core count), ``base`` and ``head``
+as given, and ``lines``, one object per printed line in order with its
+``name`` and ``workload``, ``pairs``, ``ratio`` and ``wins``, ``null`` and
+``null_wins``, ``cpu`` and ``cpu_null``, and ``unresolved`` (true where the
+line ends in ``unresolved``; false on the set-up and memory lines).
 """
 
 from __future__ import annotations
@@ -163,19 +170,38 @@ def probes(sources: dict, workload: str, seed: int, peak: bool, seconds: float) 
     return results
 
 
-def summary(times: dict) -> str:
+def summary(times: dict) -> dict:
     """Pairs, HEAD's wall median ratio and wins against BASE, the null band, and both CPU ratios.
 
     ``times`` holds per tree one (wall, CPU) pair per job, or per probe (set-up
-    seconds or peak MB, CPU seconds).
+    seconds or peak MB, CPU seconds).  The numbers are Python ints and floats,
+    as :func:`line` prints them and ``--json`` writes them.
     """
     base, head, null = (np.array(times[name], dtype=float) for name in ("base", "head", "null"))
     ratio, band = head / base, null / head
+    return {
+        "pairs": len(head),
+        "ratio": float(np.median(ratio[:, 0])),
+        "wins": int(np.sum(ratio[:, 0] < 1.0)),
+        "null": float(np.median(band[:, 0])),
+        "null_wins": int(np.sum(band[:, 0] < 1.0)),
+        "cpu": float(np.median(ratio[:, 1])),
+        "cpu_null": float(np.median(band[:, 1])),
+    }
+
+
+def line(row: dict) -> str:
+    """One printed line of a :func:`summary` row with its ``name`` and ``unresolved`` flag."""
     return (
-        f"{len(head):6d} {np.median(ratio[:, 0]):7.4f} {int(np.sum(ratio[:, 0] < 1.0)):5d}"
-        f" {np.median(band[:, 0]):7.4f} {int(np.sum(band[:, 0] < 1.0)):5d}"
-        f" {np.median(ratio[:, 1]):7.4f} {np.median(band[:, 1]):7.4f}"
+        f"{row['name']:22s} {row['pairs']:6d} {row['ratio']:7.4f} {row['wins']:5d}"
+        f" {row['null']:7.4f} {row['null_wins']:5d} {row['cpu']:7.4f} {row['cpu_null']:7.4f}"
+        + ("  unresolved" if row["unresolved"] else "")
     )
+
+
+def machine() -> dict:
+    """The machine record: Python and numpy versions and the core count."""
+    return {"python": sys.version.split()[0], "numpy": np.__version__, "cores": os.cpu_count()}
 
 
 def time_jobs(sources: dict, order: list, workload: str, seed: int, seconds: float) -> dict:
@@ -233,28 +259,38 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--json", type=Path, help="also write the lines' numbers to this file")
     args = parser.parse_args(argv)
 
     sources = {"base": args.base.resolve(), "head": args.head.resolve()}
     sources["null"] = sources["head"]
+    record = {"machine": machine(), "base": str(args.base), "head": str(args.head), "lines": []}
     print(
-        f"python {sys.version.split()[0]}, numpy {np.__version__}, {os.cpu_count()} cores;",
+        f"python {record['machine']['python']}, numpy {record['machine']['numpy']},"
+        f" {record['machine']['cores']} cores;",
         f"base {args.base}, head {args.head}",
     )
     print(
         f"{'family':22s} {'pairs':>6s} {'ratio':>7s} {'wins':>5s} {'null':>7s} {'wins':>5s}"
         f" {'cpu':>7s} {'cpunull':>7s}"
     )
+
+    def emit(name: str, workload: str, numbers: dict, unresolved: bool = False):
+        row = {"name": name, "workload": workload, **numbers, "unresolved": unresolved}
+        print(line(row), flush=True)
+        record["lines"].append(row)
+
     for workload in args.workload or WORKLOADS:
         times = mirrored(sources, workload, args.seed, args.seconds / 2)
         if times is None:
             return 1
         for family, family_times in times.items():
-            unresolved = "  unresolved" if len(family_times["head"]) < MIN_PAIRS else ""
-            print(f"{family:22s} {summary(family_times)}{unresolved}")
+            emit(family, workload, summary(family_times), len(family_times["head"]) < MIN_PAIRS)
         for kind, peak in (("setup_s", False), ("peak_mb", True)):
             results = probes(sources, workload, args.seed, peak, args.seconds)
-            print(f"{kind + ' ' + workload:22s} {summary(results)}")
+            emit(f"{kind} {workload}", workload, summary(results))
+    if args.json is not None:
+        args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
