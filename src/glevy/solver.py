@@ -46,10 +46,11 @@ distinct offsets of all scenarios are kept in first-seen order, k indexes
 them, and no grid shape enters (the engine divides the offsets).  A
 :class:`Workspace` loads node values of one shape into an array padded by
 the stencil's reach, turns each offset into one shift in the flat padded
-array and carves it and the out/acc/tmp buffers from one block, each band
-on a 64-byte boundary so that no store splits a cache line, once per march
-(and once per series).  Each buffer's length is rounded up to 8 floats, so
-that one address read aligns all four.  A step refreshes the padding by
+array and carves it and the out, acc and tmp buffers from one block, each
+band on a 64-byte boundary so that no store splits a cache line, once per
+march (and once per series); acc, the sum of a scenario after the first, is
+carved only where a bound call reads or writes it.  Each buffer's length is
+rounded up to 8 floats, so that one address read aligns them all.  A step refreshes the padding by
 copies and works on the band of the flat padded array from the first
 interior node to the last: each term's difference u(x + o * h) - u(x) is
 one 1-D subtract at a shift, and the products, sums, maxima and the Euler
@@ -87,8 +88,8 @@ accumulator: for the first scenario, and for the first term of a scenario
 with more terms.  The intensity band {lambda * delta_1, delta_1} thus takes
 its unit difference u(x + 1) - u(x) once per step, multiplies it by lambda
 and hands it as it is to the maximum: six calls per march step, seven per
-series level.  The products and their order are those of separate
-differences, so no bit moves.
+series level, and no acc.  The products and their order are those of
+separate differences, so no bit moves.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ class Workspace:
     every batch row.  The kernel works on the flat band from the
     first interior node to the last: each term takes its difference straight
     into the band-shaped acc or tmp buffer (the first scenario's acc is the
-    band of ``out``).  ``calls`` is one step, the edge copies and the kernel,
+    band of ``out``, and ``_acc`` is None where no later scenario needs
+    one).  ``calls`` is one step, the edge copies and the kernel,
     as bound calls in order; :meth:`apply` runs it without allocating an
     array and returns ``out``, the interior view of a second padded state
     laid out as ``u``'s, where its values are left.
