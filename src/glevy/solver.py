@@ -46,17 +46,17 @@ distinct offsets of all scenarios are kept in first-seen order, k indexes
 them, and no grid shape enters (the engine divides the offsets).  A
 :class:`Workspace` loads node values of one shape into an array padded by
 the stencil's reach, turns each offset into one shift in the flat padded
-array and carves it and the out, acc and tmp buffers from one block, each
-band on a 64-byte boundary so that no store splits a cache line, once per
-march (and once per series); acc, the sum of a scenario after the first, is
-carved only where a bound call reads or writes it.  Each buffer's length is
-rounded up to 8 floats, so that one address read aligns them all.  A step refreshes the padding by
-copies and works on the band of the flat padded array from the first
-interior node to the last: each term's difference u(x + o * h) - u(x) is
-one 1-D subtract at a shift, and the products, sums, maxima and the Euler
-update are 1-D contiguous operations.  The band's pad elements get finite
-values that no node reads.  A step allocates no array, and every sum runs
-in a fixed order, so the bits depend only on the merged coefficients.
+array and carves it and the out, acc and tmp buffers from one block, in
+that order, each band on a 64-byte boundary so that no store splits a cache
+line, once per march (and once per series).  Each buffer's length is
+rounded up to 8 floats, so that one address read aligns all four.  A step
+refreshes the padding by copies and works on the band of the flat padded
+array from the first interior node to the last: each term's difference
+u(x + o * h) - u(x) is one 1-D subtract at a shift, and the products, sums,
+maxima and the Euler update are 1-D contiguous operations.  The band's pad
+elements get finite values that no node reads.  A step allocates no array,
+and every sum runs in a fixed order, so the bits depend only on the merged
+coefficients.
 
 On the small bands of the engine and of short jobs a step costs call
 dispatch, not arithmetic, so the workspace compiles its step once into a
@@ -88,8 +88,8 @@ accumulator: for the first scenario, and for the first term of a scenario
 with more terms.  The intensity band {lambda * delta_1, delta_1} thus takes
 its unit difference u(x + 1) - u(x) once per step, multiplies it by lambda
 and hands it as it is to the maximum: six calls per march step, seven per
-series level, and no acc.  The products and their order are those of
-separate differences, so no bit moves.
+series level, with acc carved but never touched.  The products and their
+order are those of separate differences, so no bit moves.
 """
 
 from __future__ import annotations
@@ -128,6 +128,12 @@ from .errors import SolverError, ValidationError
 # A longer march, such as a horizon of 1e9 on a unit jump, is refused before
 # any array is built instead of spinning for hours.
 MAX_UPDATES = 4e10
+# The updates each step counts for its call dispatch, whatever its nodes: a
+# march step of 49 nodes and one term took 1.7-2.0 us, and a solve-2d step
+# 0.73-0.82 ns per node-term update (best of 5 runs of 200 000 and 40 steps,
+# 2 cores, numpy 2.4.6), a ratio of 2 300-2 500.  So a march of many steps on
+# few nodes is refused too.
+STEP_UPDATES = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +300,12 @@ class Workspace:
     every batch row.  The kernel works on the flat band from the
     first interior node to the last: each term takes its difference straight
     into the band-shaped acc or tmp buffer (the first scenario's acc is the
-    band of ``out``, and ``_acc`` is None where no later scenario needs
-    one).  ``calls`` is one step, the edge copies and the kernel,
-    as bound calls in order; :meth:`apply` runs it without allocating an
-    array and returns ``out``, the interior view of a second padded state
-    laid out as ``u``'s, where its values are left.
+    band of ``out``).  Every workspace carves ``_acc``, also where no call
+    uses it: a pass over the terms to skip it cost more set-up than the band
+    saves.  ``calls`` is one step, the edge copies and the kernel, as bound
+    calls in order; :meth:`apply` runs it without allocating an array and
+    returns ``out``, the interior view of a second padded state laid out as
+    ``u``'s, where its values are left.
     """
 
     def __init__(self, stencil: Stencil, values: np.ndarray):
@@ -319,32 +326,12 @@ class Workspace:
         strides = [*itertools.accumulate(pshape[: len(lead) : -1], operator.mul, initial=1)][::-1]
         head = sum(map(operator.mul, los, strides))
         stop = size - sum(map(operator.mul, his, strides))
-        # where each scenario takes its first difference: None into its own
-        # sum, else into tmp, True where it is taken there and False where tmp
-        # holds it already.  A single-term scenario followed by a scenario whose
-        # first term has the same offset takes it into tmp, which nothing writes
-        # until the next scenario of several terms.  acc, the sum of a scenario
-        # after the first, is carved only where a call reads or writes it: not
-        # where each later scenario is one unit term in tmp (the intensity band)
-        terms, held, firsts, sums = stencil.terms, None, [], False
-        for i, ((c, k), *rest) in enumerate(terms):
-            if k == held:
-                first = False
-            elif not rest and i + 1 < len(terms) and terms[i + 1][0][1] == k:
-                first, held = True, k
-            else:
-                first = None
-            if rest:
-                held = None
-            firsts.append(first)
-            if i and (rest or c != 1.0 or first is None):
-                sums = True
         # one block, each band 64-byte aligned (an unaligned store splits cache
-        # lines): the state, out, any acc and tmp, each length rounded up to 8
+        # lines): the state, out, acc and tmp, each length rounded up to 8
         # floats
         band = stop - head
         whole, part = size + -size % 8, band + -band % 8
-        mem = np.empty(2 * whole + (1 + sums) * part + head + 8)
+        mem = np.empty(2 * whole + 2 * part + head + 8)
         at = -(ctypes.addressof(ctypes.c_char.from_buffer(mem)) // 8 + head) % 8
         flat, out = mem[at : at + size], mem[at + whole + head : at + whole + stop]
         interior = (..., *map(slice, los, map(operator.add, los, shape)))
@@ -352,9 +339,8 @@ class Workspace:
         self.out = mem[at + whole : at + whole + size].reshape(pshape)[interior]
         self.u[...] = values
         at += head + 2 * whole  # the state's band start, two states on
-        acc = self._acc = mem[at : at + band] if sums else None
-        at += sums * part
-        tmp = self._tmp = mem[at : at + band]
+        u, acc, tmp = flat[head:stop], mem[at : at + band], mem[at + part : at + part + band]
+        self._band, self._out, self._acc, self._tmp = u, out, acc, tmp
         # run in order, the edge copies clamp-extend the state.  Each is a
         # copy between two views of the flat state with every axis of length
         # 1 squeezed out, the axes before and after this one's range merged:
@@ -366,18 +352,23 @@ class Workspace:
             for a, b, src in ((0, lo, lo), (lo + n, lo + n + hi, lo + n - 1)):
                 if b > a:
                     calls.append(partial(v[a:b].squeeze().__setitem__, ..., v[src].squeeze()))
-        u = self._band = flat[head:stop]
-        self._out = out
         shifts = [sum(map(operator.mul, o, strides)) for o in offsets]
         windows = [flat[head + k : stop + k] for k in shifts]
         sub, mul = np.subtract, np.multiply
+        # held: the offset whose difference tmp holds.  A single-term scenario
+        # followed by a scenario whose first term has the same offset takes it
+        # into tmp, which nothing writes until the next scenario of several terms
+        terms, held = stencil.terms, None
         for i, ((c, k), *rest) in enumerate(terms):
-            dst, src = acc if i else out, tmp
-            if firsts[i] is None:
+            dst = acc if i else out
+            if k == held:
+                src = tmp
+            elif not rest and i + 1 < len(terms) and terms[i + 1][0][1] == k:
+                calls.append(partial(sub, windows[k], u, tmp))
+                src, held = tmp, k
+            else:
                 calls.append(partial(sub, windows[k], u, dst))
                 src = dst
-            elif firsts[i]:
-                calls.append(partial(sub, windows[k], u, tmp))
             # 1.0 * d is d, bit for bit: a unit coefficient forms no product
             # unless the product is what moves the difference into out, or
             # into acc ahead of further terms
@@ -385,7 +376,7 @@ class Workspace:
                 calls.append(partial(mul, src, np.array(c), dst))
                 src = dst
             if rest:
-                gather = partial(np.add, dst, tmp, dst)
+                gather, held = partial(np.add, dst, tmp, dst), None
                 for c, k in rest:
                     calls.append(partial(sub, windows[k], u, tmp))
                     if c != 1.0:
@@ -465,9 +456,10 @@ def schedule(times, dt_max: float, per_step=1) -> list[tuple[int, float]]:
     where the last step ended.  A span that needs more steps than an index
     holds raises CFL_UNSATISFIABLE, and so does a march whose steps times
     ``per_step``, the node-term updates of one step (nodes times merged
-    terms), exceed :data:`MAX_UPDATES`.  This is the one home of the step
-    rule: :func:`solve` and each engine level build their schedule before
-    any array, and :func:`march` runs it.
+    terms), plus :data:`STEP_UPDATES` for its dispatch, exceed
+    :data:`MAX_UPDATES`.  This is the one home of the step rule:
+    :func:`solve` and each engine level build their schedule before any
+    array, and :func:`march` runs it.
     """
     spans, t, total = [], 0.0, 0
     for target in times:
@@ -484,11 +476,11 @@ def schedule(times, dt_max: float, per_step=1) -> list[tuple[int, float]]:
             dt, t = span / n, float(target)
             total += n
         spans.append((n, dt))
-    if total * per_step > MAX_UPDATES:
+    if total * (per_step + STEP_UPDATES) > MAX_UPDATES:
         raise SolverError(
             "CFL_UNSATISFIABLE",
-            f"march of {total} steps takes {total * per_step:.6g} node-term updates"
-            f" > budget {MAX_UPDATES:.6g}",
+            f"march of {total} steps takes {total * (per_step + STEP_UPDATES):.6g}"
+            f" node-term updates > budget {MAX_UPDATES:.6g}",
         )
     return spans
 

@@ -127,8 +127,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
         "command = generator\ndim = 1\nscenario.0.atoms = 1:0.5\nscenario.0.drift = 0.3\n"
         "scenario.0.diffusion = 0.4\ngrid.lower = -4\ngrid.upper = 4\ngrid.points = 81\n"
         "delta = 0.05\nscheme.cfl_safety = 1e-9\npayoff = clip-linear\n",
+        # few nodes, many steps: under the budget in node-term updates alone,
+        # refused by each step's dispatch (5.6e8 steps of 49 nodes, one term)
+        SOLVE_CFG.replace("scenario.1.atoms = 1:1\n", "")
+        .replace("grid.spacing = 0.1", "grid.spacing = 0.25")
+        .replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = 0.9")
+        .replace("scheme.final_time = 1", "scheme.final_time = 1e9")
+        .replace("output_times = 0.5, 1", "output_times = 1e9"),
+        # 1e8 steps on the quotient's 13-node sublattice
+        SOLVE_CFG.replace("command = solve", "command = generator")
+        .replace("scheme.final_time = 1\n", "")
+        .replace("output_times = 0.5, 1", "delta = 0.1")
+        .replace("scheme.cfl_safety = 0.5", "scheme.cfl_safety = 1e-9"),
     ],
-    ids=["solve", "expect", "generator"],
+    ids=["solve", "expect", "generator", "solve-dispatch", "generator-dispatch"],
 )
 def test_march_beyond_the_work_budget_is_refused_at_once(text, capsys, tmp_path):
     # each of these marched for hours; the step count fits an index

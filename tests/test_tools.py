@@ -1,4 +1,7 @@
-"""The repository's timing tool on canned results, without starting an interpreter."""
+"""The repository's timing tool on canned results, and the names the benchmark tracer wraps.
+
+No test here starts an interpreter.
+"""
 
 import importlib.util
 import json
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +54,15 @@ def test_ab_json_records_each_line_and_the_machine(ab, monkeypatch, tmp_path, ca
     printed = capsys.readouterr().out.splitlines()[2:]
     assert printed == [ab.line(row) for row in record["lines"]]
     assert printed[1].endswith("unresolved") and printed[0].split()[1:4] == ["25", "0.9000", "25"]
+
+
+def test_every_name_the_tracer_wraps_resolves(monkeypatch):
+    # bench/tracing.py finds what it wraps by name: a deleted or renamed
+    # function would otherwise fail only the traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attribute in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
+    assert callable(importlib.import_module("glevy.core").GridFunction.__post_init__)
